@@ -7,8 +7,7 @@ behaviour** — same RNG draw order, same timer ordering, same summaries
 to the last float.  This module keeps the original monolithic
 implementations verbatim (only the counter fields moved to the unified
 :class:`~repro.core.base.ProtocolCounters`, which draws nothing and
-schedules nothing) so the contract stays *testable*, the same way PR 3
-kept the flat-scan medium behind ``MediumConfig.spatial_index=False``:
+schedules nothing) so the contract stays *testable*:
 
 * ``tests/test_stack_equivalence.py`` runs every scenario family with
   both implementations and asserts ``==`` on the summaries;

@@ -92,14 +92,9 @@ class HeartbeatMembership:
 
         Tasks run while the layer is started and the stack advertises at
         least one topic (a subscription, or an own still-valid
-        publication).
-
-        Both tasks are armed through ``host.periodic``, so in a wheeled
-        world (``ScenarioConfig.coalesced_timers``) the whole
-        population's heartbeat/NGC ticks coalesce onto one shared
-        :class:`~repro.sim.kernel.TimerWheel` — one kernel service
-        event per instant instead of one timer per node — with exactly
-        the firing times and tie-order of dedicated timers.
+        publication).  Every unsubscribe/resubscribe cycle stops both
+        tasks and arms two fresh ones through ``host.periodic``; hosts
+        prune the stopped ones.
         """
         if not self._started or self._host is None:
             return
@@ -230,13 +225,7 @@ class TTLMembership:
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> None:
-        """Arm the fixed-period heartbeat task.
-
-        With zero jitter every node's ticks land on the same instants,
-        which is the best case for the shared timer wheel behind
-        ``host.periodic``: the fleet's heartbeats collapse into one
-        kernel service event per period.
-        """
+        """Arm the fixed-period heartbeat task."""
         self._hb_task = self._host.periodic(
             self.heartbeat_period, self._heartbeat_tick,
             jitter=self.jitter)

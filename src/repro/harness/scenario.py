@@ -45,7 +45,7 @@ from repro.mobility import (CitySection, MobilityModel, RandomWaypoint,
                             Stationary, StreetMap, campus_map, grid_map)
 from repro.net import (MediumConfig, Node, RadioConfig, SizeModel,
                        WirelessMedium)
-from repro.sim import RngRegistry, Simulator, TimerWheel
+from repro.sim import RngRegistry, Simulator
 # Only the shard *config* (a plain dataclass); the engine itself stays
 # a lazy import inside run_scenario so the classic path never pays for
 # it (repro.sim.shard loads its engine module lazily for this reason).
@@ -293,10 +293,6 @@ class ScenarioConfig:
     speed_sensor: bool = True
     energy: Optional[EnergyConfig] = None
     faults: Optional[FaultConfig] = None
-    #: Coalesce every node's periodic tasks onto one shared kernel
-    #: timer wheel (identical firing times and tie-order, fewer kernel
-    #: events); ``False`` arms one kernel timer per periodic task.
-    coalesced_timers: bool = True
     #: Sharded execution: either a plain shard count ``K`` (coerced to
     #: a stripe-plan :class:`~repro.sim.shard.ShardConfig`) or a full
     #: ``ShardConfig`` choosing the tile grid, epoch length and
@@ -343,33 +339,6 @@ class ScenarioConfig:
     def with_changes(self, **changes) -> "ScenarioConfig":
         """A copy of this config with the given fields replaced."""
         return replace(self, **changes)
-
-    def with_flat_medium(self) -> "ScenarioConfig":
-        """The paired all-scalar reference config.
-
-        Switches off every acceleration layer at once — the spatial
-        grid, the numpy batch engine and the coalesced timer wheel — so
-        the world runs the naive O(N) full-scan medium with one kernel
-        timer per periodic task.  The equality tests and
-        ``benchmarks/bench_scale.py`` prove the accelerated stack
-        reproduces this reference bit for bit.
-        """
-        return self.with_changes(
-            medium=replace(self.medium, spatial_index=False,
-                           vectorized=False),
-            coalesced_timers=False)
-
-    def with_scalar_engine(self) -> "ScenarioConfig":
-        """The grid-backed but scalar config (PR-3 behaviour).
-
-        Keeps the spatial index's candidate pruning while switching off
-        the numpy batch engine and the timer wheel — the middle rung of
-        the vectorized / grid-scalar / flat-scalar equality ladder, and
-        the baseline the vectorized speedup is measured against.
-        """
-        return self.with_changes(
-            medium=replace(self.medium, vectorized=False),
-            coalesced_timers=False)
 
     # -- convenience presets --------------------------------------------------
 
@@ -634,7 +603,6 @@ def build_world(config: ScenarioConfig) -> World:
     """
     sim = Simulator()
     rngs = RngRegistry(config.seed)
-    wheel = TimerWheel(sim) if config.coalesced_timers else None
     medium = WirelessMedium(sim, config.radio, config=config.medium,
                             sizes=config.sizes, rng=rngs.stream("medium"))
     collector = MetricsCollector(medium)
@@ -649,8 +617,7 @@ def build_world(config: ScenarioConfig) -> World:
                     mobility=config.mobility.build(i),
                     protocol=protocol,
                     rng=rngs.stream("node", i),
-                    speed_sensor=config.speed_sensor,
-                    wheel=wheel)
+                    speed_sensor=config.speed_sensor)
         topic = (config.event_topic if i in subscriber_set
                  else config.other_topic)
         protocol.subscribe(topic)

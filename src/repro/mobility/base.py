@@ -88,7 +88,7 @@ class MobilityModel(abc.ABC):
         self.anchor_interval_m: Optional[float] = None
         #: Observer notified (no arguments) whenever the current leg
         #: changes — at every leg boundary and on :meth:`stop`.  The
-        #: vectorized medium subscribes and re-reads :meth:`leg_state`,
+        #: medium subscribes and re-reads :meth:`leg_state`,
         #: which stays exact for the *whole* leg, so leg-change pushes
         #: are much rarer than position anchors.
         self.on_leg_change: Optional[Callable[[], None]] = None
@@ -157,7 +157,7 @@ class MobilityModel(abc.ABC):
         ``position()`` bit for bit at any ``now`` until the next leg
         change.  Pauses and degenerate legs encode as a parked point
         with ``dur = inf`` (``u`` is then exactly 0).  This is what the
-        vectorized medium's :class:`~repro.sim.batch.LegTable` consumes.
+        medium's :class:`~repro.sim.batch.LegTable` consumes.
         """
         self._require_started()
         if self._pause is not None:

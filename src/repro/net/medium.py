@@ -22,70 +22,41 @@ Positions are sampled from each node's mobility model at transmission
 start; at pedestrian/vehicular speeds and millisecond airtimes the
 displacement within a frame is negligible.
 
-Spatial indexing
+Frame resolution
 ----------------
-With ``MediumConfig.spatial_index`` on (the default) the medium resolves
-"who can hear this frame?" through a :class:`~repro.sim.space.SpatialGrid`
-instead of scanning every registered node:
+There is one frame engine.  "Who can hear this frame?" is answered in
+two steps — a grid prune, then an exact batched re-filter:
 
-* each node's mobility model *pushes* position anchors into the grid
-  (``MobilityModel.on_move``), re-anchoring at leg boundaries and every
-  ``anchor slack`` metres along a leg, so an anchor is never more than the
-  slack distance away from the node's true position;
-* receiver resolution queries the grid with ``range + slack`` and then
-  re-filters the candidates against their *exact* interpolated positions,
-  so the result set — and therefore every delivery, collision and CSMA
-  back-off draw — is bit-identical to the O(N) full scan;
-* candidate iteration is in deterministic ascending-id order
-  (:meth:`SpatialGrid.query_radius` sorts), the same order the full scan
-  uses, so event sequences match exactly;
-* recent transmissions live in a second grid (:class:`_TransmissionIndex`)
-  so carrier sense and collision checks only examine frames whose sender
-  was geometrically close enough to matter.
-
-``spatial_index=False`` keeps the flat O(N) scan.  Both modes iterate
-receivers in ascending-id order — the flat scan historically used dict
-insertion order, which only differs after a mid-run re-registration
-(``Node.repower``); sharing the sorted order is what makes the two modes
-produce exactly equal results in every lifecycle
-(``tests/test_spatial_medium.py`` and ``benchmarks/bench_scale.py``
-assert float equality of per-seed summaries).
-
-Batch frame resolution
-----------------------
-With ``MediumConfig.vectorized`` on (the default, when numpy is
-importable) the grid still prunes candidates, but the exact re-filter,
-carrier sense and collision resolution run through the numpy engine of
-:mod:`repro.sim.batch`:
-
-* nodes push *leg states* (:meth:`MobilityModel.leg_state`) into a
-  :class:`~repro.sim.batch.LegTable`, so one array expression
-  interpolates every candidate's exact position at once instead of one
-  Python ``position()`` call per candidate;
-* recent transmissions live in a :class:`~repro.sim.batch.TxLog`;
-  carrier sense and per-receiver collision verdicts are array queries;
-* the K per-receiver delivery events of one frame collapse into a
-  *single* kernel event (:meth:`WirelessMedium._deliver_batch`).  This
-  is exactly order-equivalent to K consecutive events: the scalar path
-  schedules them back-to-back with consecutive sequence numbers at the
-  same instant, and a frame's overlap set is final at its end time (the
+* each node's mobility model *pushes* position anchors into a
+  :class:`~repro.sim.space.SpatialGrid` (``MobilityModel.on_move``),
+  re-anchoring at leg boundaries and every ``anchor slack`` metres along
+  a leg, so an anchor is never more than the slack distance away from
+  the node's true position; receiver resolution queries the grid with
+  ``range + slack``, a superset of the true audible set, in ascending-id
+  order (:meth:`SpatialGrid.query_radius` sorts), which fixes the order
+  of every delivery, energy charge and RNG draw;
+* nodes also push *leg states* (:meth:`MobilityModel.leg_state`) into a
+  :class:`~repro.sim.batch.LegTable`, which interpolates every
+  candidate's exact position with the same float64 arithmetic as
+  ``position()`` and confirms range with ``math.hypot`` — the grid is a
+  pruning accelerator, never an approximation;
+* recent transmissions live in a :class:`~repro.sim.batch.TxLog`, which
+  serves carrier sense and per-receiver collision verdicts;
+* the K per-receiver deliveries of one frame are a *single* kernel
+  event (:meth:`WirelessMedium._deliver_batch`), walked in ascending
+  receiver id.  A frame's overlap set is final at its end time (the
   overlap predicate is strict, so a transmission *starting* at the
-  delivery instant never overlaps), hence no event can observably
-  interleave between the per-receiver deliveries;
-* every distance predicate uses the band-prefilter + exact
-  ``math.hypot`` confirmation of :mod:`repro.sim.batch`, so verdicts
-  are bit-identical to the scalar engine, not merely close
-  (``tests/test_vectorized_medium.py`` asserts exact summary equality
-  across every scenario family).
+  delivery instant never overlaps), hence verdicts computed once up
+  front equal verdicts computed between deliveries.
 
-``vectorized=False`` (or an import-less numpy) selects the scalar
-engine; ``spatial_index=False`` implies it.
+Exactness is held by the test suite, not by a second engine:
+``tests/golden_digests.json`` pins digests taken from a naive O(N)
+full-scan medium, and the brute-force oracle in ``tests/helpers.py``
+re-derives every delivery/collision verdict from first principles.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -116,17 +87,6 @@ class MediumConfig:
         Per-reception uniform loss probability in [0, 1] (fading hook).
     model_collisions:
         Whether overlapping audible frames corrupt each other.
-    spatial_index:
-        Resolve receivers/collisions through the spatial grid (default).
-        ``False`` falls back to the flat O(N) scan; results are exactly
-        equal either way.
-    vectorized:
-        Run the exact re-filter, carrier sense and collision resolution
-        through the numpy batch engine (:mod:`repro.sim.batch`) and
-        coalesce each frame's per-receiver deliveries into one kernel
-        event.  Requires ``spatial_index`` (the grid provides the
-        candidate pruning) and numpy; otherwise the scalar engine is
-        used silently.  Results are bit-identical either way.
     anchor_slack_m:
         Maximum distance (metres) a node's true position may drift from
         its indexed anchor before the mobility model re-anchors it.
@@ -144,8 +104,6 @@ class MediumConfig:
     csma_backoff_max_s: float = 4e-3
     frame_loss_probability: float = 0.0
     model_collisions: bool = True
-    spatial_index: bool = True
-    vectorized: bool = True
     anchor_slack_m: Optional[float] = None
     history_horizon_s: float = 1.0
 
@@ -181,85 +139,6 @@ class Transmission:
         return self.sender_pos.distance_to(pos) <= self.range_m
 
 
-class _TransmissionIndex:
-    """Range-pruned store of recent transmissions.
-
-    Replaces the medium's flat ``_active``/``_history`` lists: frames are
-    indexed by their (immutable) sender position in a
-    :class:`SpatialGrid`, so carrier sense and collision resolution only
-    examine transmissions whose sender was close enough to be audible,
-    instead of every frame of the last second.  Entries older than the
-    horizon are pruned on insertion, oldest first.
-
-    A per-sender side table serves the half-duplex check ("was the
-    receiver itself transmitting?"), which the flat scan resolves by
-    sender id rather than by geometry and must therefore never depend on
-    a range query.
-    """
-
-    def __init__(self, cell_size: float, horizon_s: float):
-        self._grid = SpatialGrid(cell_size)
-        self._horizon_s = horizon_s
-        self._txs: Dict[int, Transmission] = {}          # insertion-ordered
-        self._by_sender: Dict[int, Dict[int, Transmission]] = {}
-        self._ids = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._txs)
-
-    def add(self, tx: Transmission, now: float) -> None:
-        """Insert a new frame and prune everything beyond the horizon."""
-        tx_id = next(self._ids)
-        self._txs[tx_id] = tx
-        self._grid.insert(tx_id, tx.sender_pos)
-        self._by_sender.setdefault(tx.sender, {})[tx_id] = tx
-        self._prune(now)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._horizon_s
-        while self._txs:
-            tx_id = next(iter(self._txs))
-            tx = self._txs[tx_id]
-            if tx.end >= horizon:
-                break
-            del self._txs[tx_id]
-            self._grid.remove(tx_id)
-            per_sender = self._by_sender.get(tx.sender)
-            if per_sender is not None:
-                per_sender.pop(tx_id, None)
-                if not per_sender:
-                    del self._by_sender[tx.sender]
-
-    def channel_busy(self, pos: Vec2, now: float, query_radius: float) -> bool:
-        """Any transmission still on the air and audible at ``pos``?"""
-        for tx_id in self._grid.query_radius(pos, query_radius):
-            tx = self._txs[tx_id]
-            if tx.end > now and tx.audible_at(pos):
-                return True
-        return False
-
-    def corrupts(self, tx: Transmission, receiver_id: int, rx_pos: Vec2,
-                 query_radius: float) -> bool:
-        """Did any other frame corrupt ``tx`` at this receiver?
-
-        Same predicate as the flat history scan: another frame overlapping
-        ``tx`` in time that was either sent by the receiver itself
-        (half-duplex) or audible at the receiver's position.
-        """
-        own = self._by_sender.get(receiver_id)
-        if own:
-            for other in own.values():
-                if other is not tx and other.overlaps(tx):
-                    return True
-        for tx_id in self._grid.query_radius(rx_pos, query_radius):
-            other = self._txs[tx_id]
-            if other is tx or not other.overlaps(tx):
-                continue
-            if other.audible_at(rx_pos):
-                return True
-        return False
-
-
 class WirelessMedium:
     """Broadcast medium shared by all nodes of a simulation.
 
@@ -288,39 +167,16 @@ class WirelessMedium:
         self.sizes = sizes or SizeModel()
         self._rng = rng
         self._nodes: Dict[int, "Node"] = {}
-        self._active: List[Transmission] = []    # flat mode only
-        self._history: List[Transmission] = []   # flat mode only
-        # Spatial indexing: node anchors + recent transmissions.  Cell
-        # size equals the inflated query radius, so every range query
-        # touches exactly a 3x3 block of cells.
+        # Node anchors, exact legs and recent transmissions.  The grid's
+        # cell size equals the inflated query radius, so every range
+        # query touches exactly a 3x3 block of cells.
         range_m = radio.communication_range_m()
         slack = self.config.anchor_slack_m
         self._slack_m = slack if slack is not None else range_m / 8.0
         self._query_radius_m = range_m + self._slack_m
-        vectorized = (self.config.vectorized and self.config.spatial_index
-                      and batch.HAVE_NUMPY)
-        if self.config.spatial_index:
-            self._grid: Optional[SpatialGrid] = \
-                SpatialGrid(self._query_radius_m)
-        else:
-            self._grid = None
-        if vectorized:
-            self._legs: Optional[batch.LegTable] = batch.LegTable()
-            self._txlog: Optional[batch.TxLog] = \
-                batch.TxLog(self.config.history_horizon_s)
-            self._tx_index: Optional[_TransmissionIndex] = None
-        else:
-            self._legs = None
-            self._txlog = None
-            self._tx_index = (_TransmissionIndex(
-                self._query_radius_m, self.config.history_horizon_s)
-                if self.config.spatial_index else None)
-        # Incrementally sorted receiver snapshot for the flat scan (and
-        # any other ascending-id full iteration): maintained on
-        # register/unregister instead of re-sorting the node dict per
-        # query.
-        self._sorted_ids: List[int] = []
-        self._sorted_nodes: List["Node"] = []
+        self._grid = SpatialGrid(self._query_radius_m)
+        self._legs = batch.LegTable()
+        self._txlog = batch.TxLog(self.config.history_horizon_s)
         # Observability hooks (metrics collector subscribes to these).
         self.on_transmit: Optional[Callable[[int, Message, int], None]] = None
         self.on_receive: Optional[Callable[[int, Message], None]] = None
@@ -363,11 +219,6 @@ class WirelessMedium:
         if node.id in self._nodes:
             raise ValueError(f"duplicate node id {node.id}")
         self._nodes[node.id] = node
-        idx = bisect.bisect_left(self._sorted_ids, node.id)
-        self._sorted_ids.insert(idx, node.id)
-        self._sorted_nodes.insert(idx, node)
-        if self._grid is None:
-            return
         mobility = getattr(node, "mobility", None)
         if mobility is None or mobility.started:
             try:
@@ -375,13 +226,12 @@ class WirelessMedium:
             except RuntimeError:
                 return
             self._grid.insert(node.id, pos)
-            if self._legs is not None:
-                # Seed a parked leg so the batch engine can resolve the
-                # node immediately; a node with a live mobility model
-                # overwrites this with its true leg when the leg-change
-                # wiring pushes (same call stack, before any query).
-                self._legs.note(node.id, batch.static_state(
-                    pos.x, pos.y, self.sim.now))
+            # Seed a parked leg so the node resolves immediately; a node
+            # with a live mobility model overwrites this with its true
+            # leg when the leg-change wiring pushes (same call stack,
+            # before any query).
+            self._legs.note(node.id, batch.static_state(
+                pos.x, pos.y, self.sim.now))
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from the medium and from the spatial index.
@@ -391,50 +241,33 @@ class WirelessMedium:
         keep pushing anchors (the device is still on a moving vehicle),
         which :meth:`note_position` discards for unknown ids.
         """
-        if self._nodes.pop(node_id, None) is not None:
-            idx = bisect.bisect_left(self._sorted_ids, node_id)
-            if idx < len(self._sorted_ids) and \
-                    self._sorted_ids[idx] == node_id:
-                self._sorted_ids.pop(idx)
-                self._sorted_nodes.pop(idx)
-        if self._grid is not None:
-            self._grid.remove(node_id)
-        if self._legs is not None:
-            self._legs.remove(node_id)
+        self._nodes.pop(node_id, None)
+        self._grid.remove(node_id)
+        self._legs.remove(node_id)
 
     def note_position(self, node_id: int, pos: Vec2) -> None:
         """Record a position anchor pushed by a node's mobility model.
 
         Anchors for unregistered ids (crashed-and-drained devices still
-        riding a vehicle) are dropped.  In flat-scan mode this is a no-op.
+        riding a vehicle) are dropped.
         """
-        if self._grid is not None and node_id in self._nodes:
+        if node_id in self._nodes:
             self._grid.insert(node_id, pos)
 
     def note_leg(self, node_id: int, state: "batch.LegState") -> None:
         """Record a leg-state push from a node's mobility model.
 
-        The batch engine's exact-position source: one push per leg
-        boundary keeps :class:`~repro.sim.batch.LegTable` able to
-        reproduce ``position()`` bit for bit until the next boundary.
-        Pushes for unregistered ids are dropped, mirroring
-        :meth:`note_position`; a no-op under the scalar engine.
+        The exact-position source: one push per leg boundary keeps
+        :class:`~repro.sim.batch.LegTable` able to reproduce
+        ``position()`` bit for bit until the next boundary.  Pushes for
+        unregistered ids are dropped, mirroring :meth:`note_position`.
         """
-        if self._legs is not None and node_id in self._nodes:
+        if node_id in self._nodes:
             self._legs.note(node_id, state)
 
     @property
-    def wants_leg_state(self) -> bool:
-        """True when nodes must wire :meth:`note_leg` pushes (the
-        vectorized engine is active)."""
-        return self._legs is not None
-
-    @property
-    def position_slack_m(self) -> Optional[float]:
-        """Mid-leg re-anchor distance nodes must honour (metres), or
-        ``None`` when the flat scan is active and no pushes are needed."""
-        if self._grid is None:
-            return None
+    def position_slack_m(self) -> float:
+        """Mid-leg re-anchor distance nodes must honour (metres)."""
         return self._slack_m
 
     @property
@@ -446,27 +279,18 @@ class WirelessMedium:
         """Registered nodes whose *exact* position lies within
         ``radius_m`` of ``pos``, in ascending-id order.
 
-        Resolution mirrors receiver resolution: in grid mode the spatial
-        index is queried with ``radius + slack`` (an anchor is never
-        staler than the slack distance) and candidates are re-filtered
-        against exact interpolated positions, so both modes return the
-        identical set.  Used by the fault subsystem to resolve regional
-        outage membership.
+        Resolution mirrors receiver resolution: the spatial index is
+        queried with ``radius + slack`` (an anchor is never staler than
+        the slack distance) and candidates are re-filtered against exact
+        interpolated positions.  Used by the fault subsystem to resolve
+        regional outage membership.
         """
         if radius_m < 0:
             raise ValueError(f"radius_m must be >= 0: {radius_m}")
-        if self._grid is not None:
-            ids = self._grid.query_radius(pos, radius_m + self._slack_m)
-            if self._legs is not None:
-                hits = self._legs.audible(
-                    [i for i in ids if i in self._nodes],
-                    self.sim.now, pos.x, pos.y, radius_m)
-                return [self._nodes[i] for i, _ in hits]
-            candidates = [self._nodes[i] for i in ids if i in self._nodes]
-        else:
-            candidates = list(self._sorted_nodes)
-        return [node for node in candidates
-                if node.position().distance_to(pos) <= radius_m]
+        ids = self._grid.query_radius(pos, radius_m + self._slack_m)
+        hits = self._legs.audible([i for i in ids if i in self._nodes],
+                                  self.sim.now, pos.x, pos.y, radius_m)
+        return [self._nodes[i] for i, _ in hits]
 
     # -- sending --------------------------------------------------------------------
 
@@ -485,106 +309,64 @@ class WirelessMedium:
         pos = sender.position()
         if (self.config.csma_enabled
                 and attempt < self.config.max_csma_retries
-                and self._channel_busy(pos)):
-            delay = self._csma_delay()
+                and self._channel_busy(sender_id, pos)):
+            delay = self._csma_delay(sender_id)
             self.sim.schedule(delay, self._attempt_send, sender_id,
                               message, attempt + 1)
             return
         self._transmit(sender, pos, message)
 
-    def _csma_delay(self) -> float:
+    def _csma_delay(self, sender_id: int) -> float:
         lo = self.config.csma_backoff_min_s
         hi = self.config.csma_backoff_max_s
         if self._rng is None or hi <= lo:
             return lo
         return self._rng.uniform(lo, hi)
 
-    def _channel_busy(self, pos: Vec2) -> bool:
+    def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
         """Any audible transmission defers a sender — including its *own*
         in-flight frame, which is how a half-duplex MAC serialises a
         node's back-to-back sends instead of corrupting both."""
-        now = self.sim.now
-        if self._txlog is not None:
-            return self._txlog.busy(pos.x, pos.y, now)
-        if self._tx_index is not None:
-            return self._tx_index.channel_busy(pos, now,
-                                               self._query_radius_m)
-        self._prune_active(now)
-        return any(t.audible_at(pos) for t in self._active)
+        return self._txlog.busy(pos.x, pos.y, self.sim.now)
 
-    def _prune_active(self, now: float) -> None:
-        if self._active:
-            self._active = [t for t in self._active if t.end > now]
+    def _loss_rng(self, receiver_id: int):
+        """The stream a uniform frame-loss draw for this receiver uses."""
+        return self._rng
 
     def _transmit(self, sender: "Node", pos: Vec2, message: Message) -> None:
+        """Put one frame on the air and arm its single delivery event.
+
+        The audible set is resolved for all grid candidates at once
+        (exact interpolated positions from the :class:`LegTable`), then
+        walked in ascending-id order: the listening filter and RX-energy
+        charges happen per node, so a battery depleted mid-walk (which
+        unregisters the node) only ever affects that node.  A sleeping
+        radio is deaf *and* free: it neither receives the frame nor pays
+        the RX energy for it.
+        """
         now = self.sim.now
         size = message.size_bytes(self.sizes)
         duration = self.radio.transmission_duration_s(size)
         tx = Transmission(sender=sender.id, sender_pos=pos,
                           range_m=self.radio.communication_range_m(),
                           start=now, end=now + duration, message=message)
-        if self.shard_ingress is not None:
-            # Sharded execution: count + hook accounting happen here (the
-            # sender's shard owns its TX metrics), then the frame leaves
-            # for the epoch-barrier exchange instead of local resolution.
-            self.frames_sent += 1
-            if self.on_transmit is not None:
-                self.on_transmit(sender.id, message, size)
-            if self.on_tx_window is not None:
-                self.on_tx_window(sender.id, duration)
-            self.shard_ingress(tx)
-            return
-        tx_seq = -1
-        if self._txlog is not None:
-            tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
-                                     tx.start, tx.end)
-        elif self._tx_index is not None:
-            self._tx_index.add(tx, now)
-        else:
-            self._prune_active(now)
-            self._active.append(tx)
-            self._history.append(tx)
-            self._trim_history(now)
         self.frames_sent += 1
         if self.on_transmit is not None:
             self.on_transmit(sender.id, message, size)
         if self.on_tx_window is not None:
             self.on_tx_window(sender.id, duration)
-        if self._legs is not None:
-            self._transmit_batch(sender.id, pos, tx, tx_seq, duration)
+        if self.shard_ingress is not None:
+            # Sharded execution: the sender's shard owns its TX metrics
+            # (counted above), then the frame leaves for the
+            # epoch-barrier exchange instead of local resolution.
+            self.shard_ingress(tx)
             return
-        # Snapshot receivers at transmission start.  A sleeping radio is
-        # deaf *and* free: it neither receives the frame nor pays the RX
-        # energy for it.  Iterate a snapshot: charging an RX window can
-        # deplete the receiver's battery and unregister it mid-loop.
-        for node in self._receiver_candidates(sender.id, pos):
-            if node.id == sender.id or not node.listening:
-                continue
-            rx_pos = node.position()
-            if tx.audible_at(rx_pos):
-                if self.on_rx_window is not None:
-                    self.on_rx_window(node.id, duration)
-                self.sim.schedule(duration, self._deliver, tx, node.id,
-                                  rx_pos)
-
-    def _transmit_batch(self, sender_id: int, pos: Vec2, tx: Transmission,
-                        tx_seq: int, duration: float) -> None:
-        """Vectorized receiver resolution + one coalesced delivery event.
-
-        The audible set is resolved for all grid candidates at once
-        (exact interpolated positions from the :class:`LegTable`), then
-        walked in the same ascending-id order as the scalar loop: the
-        listening filter and RX-energy charges happen per node, in the
-        identical sequence, so battery depletions mid-walk unfold
-        exactly as they do scalar.  The per-receiver deliveries collapse
-        into a single :meth:`_deliver_batch` event — order-equivalent to
-        the scalar path's K consecutive same-instant events (see the
-        module docstring).
-        """
+        tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
+                                 tx.start, tx.end)
         audible = self._legs.audible(
             self._grid.query_radius(pos, self._query_radius_m,
-                                    exclude=sender_id),
-            tx.start, pos.x, pos.y, tx.range_m)
+                                    exclude=sender.id),
+            now, pos.x, pos.y, tx.range_m)
         receivers: List[Tuple[int, Vec2]] = []
         for node_id, rx_pos in audible:
             node = self._nodes.get(node_id)
@@ -597,48 +379,7 @@ class WirelessMedium:
             self.sim.schedule(duration, self._deliver_batch, tx, tx_seq,
                               receivers)
 
-    def _receiver_candidates(self, sender_id: int,
-                             pos: Vec2) -> List["Node"]:
-        """Snapshot of potential receivers in ascending-id order.
-
-        Grid mode prunes to nodes whose last anchor lies within
-        ``range + slack`` of the sender — a superset of the true audible
-        set, since an anchor is never staler than the slack distance.
-        The caller re-filters against exact positions, so both modes
-        resolve the identical receiver set in the identical order.
-        """
-        if self._grid is not None:
-            ids = self._grid.query_radius(pos, self._query_radius_m,
-                                          exclude=sender_id)
-            return [self._nodes[i] for i in ids if i in self._nodes]
-        return list(self._sorted_nodes)
-
-    def _trim_history(self, now: float) -> None:
-        # Keep only transmissions that can still collide with a live one.
-        # Stale frames are dropped from the front on every transmit (a
-        # long-lived quiet network must not pin its whole traffic
-        # history); the length trigger bounds pathological single-instant
-        # bursts.
-        horizon = now - self.config.history_horizon_s
-        head = 0
-        while head < len(self._history) and \
-                self._history[head].end < horizon:
-            head += 1
-        if head:
-            del self._history[:head]
-        if len(self._history) > 256:
-            self._history = [t for t in self._history if t.end >= horizon]
-
     # -- receiving -------------------------------------------------------------------
-
-    def _deliver(self, tx: Transmission, receiver_id: int,
-                 rx_pos: Vec2) -> None:
-        node = self._nodes.get(receiver_id)
-        if node is None or not node.listening:
-            return  # crashed, drained or duty-cycled off mid-frame
-        corrupted = self.config.model_collisions and \
-            self._corrupted(tx, receiver_id, rx_pos)
-        self._finish_delivery(tx, receiver_id, node, corrupted)
 
     def _deliver_batch(self, tx: Transmission, tx_seq: int,
                        receivers: List[Tuple[int, Vec2]]) -> None:
@@ -648,12 +389,10 @@ class WirelessMedium:
         because a frame's overlap set is final at its end time (the
         overlap predicate is strict) and verdicts consume no RNG, so a
         verdict computed up front equals one computed between
-        deliveries.  Receivers are then walked in the same ascending-id
-        order as the scalar path's consecutive delivery events,
-        consuming identical loss draws and delivering identically —
-        including re-checking liveness per receiver, since an earlier
-        delivery's protocol reaction can crash or silence a later
-        receiver in the same instant.
+        deliveries.  Receivers are then walked in ascending-id order,
+        re-checking liveness per receiver, since an earlier delivery's
+        protocol reaction can crash or silence a later receiver in the
+        same instant.
         """
         corrupted = None
         if self.config.model_collisions:
@@ -671,21 +410,21 @@ class WirelessMedium:
 
     def _finish_delivery(self, tx: Transmission, receiver_id: int,
                          node: "Node", corrupted: bool) -> None:
-        """Common delivery tail: collision/loss/fault gauntlet, then
-        hand the frame to the receiver (scalar and batch paths share
-        this so drop accounting and RNG draw order cannot diverge)."""
+        """The delivery tail: collision/loss/fault gauntlet, then hand
+        the frame to the receiver."""
         if corrupted:
             self.frames_collided += 1
             if self.on_drop is not None:
                 self.on_drop(receiver_id, tx.message, "collision")
             return
-        if (self.config.frame_loss_probability > 0.0
-                and self._rng is not None
-                and self._rng.random() < self.config.frame_loss_probability):
-            self.frames_lost_random += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "loss")
-            return
+        p = self.config.frame_loss_probability
+        if p > 0.0:
+            rng = self._loss_rng(receiver_id)
+            if rng is not None and rng.random() < p:
+                self.frames_lost_random += 1
+                if self.on_drop is not None:
+                    self.on_drop(receiver_id, tx.message, "loss")
+                return
         if self.extra_loss is not None and \
                 self.extra_loss(tx.sender, receiver_id):
             self.frames_lost_fault += 1
@@ -696,21 +435,3 @@ class WirelessMedium:
         if self.on_receive is not None:
             self.on_receive(receiver_id, tx.message)
         node.receive(tx.message)
-
-    def _corrupted(self, tx: Transmission, receiver_id: int,
-                   rx_pos: Vec2) -> bool:
-        """A frame is corrupted when another audible frame overlapped it,
-        or when the receiver was transmitting itself (half-duplex)."""
-        if self._tx_index is not None:
-            return self._tx_index.corrupts(tx, receiver_id, rx_pos,
-                                           self._query_radius_m)
-        for other in self._history:
-            if other is tx:
-                continue
-            if not other.overlaps(tx):
-                continue
-            if other.sender == receiver_id:
-                return True
-            if other.audible_at(rx_pos):
-                return True
-        return False

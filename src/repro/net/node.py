@@ -15,31 +15,22 @@ from repro.core.events import Event
 from repro.mobility.base import MobilityModel
 from repro.net.medium import WirelessMedium
 from repro.net.messages import Message
-from repro.sim.kernel import (PeriodicTask, Simulator, Timer, TimerWheel,
-                              WheelPeriodicTask)
+from repro.sim.kernel import PeriodicTask, Simulator, Timer
 from repro.sim.space import Vec2
 
 
 class Node:
-    """One mobile device running a pub/sub protocol instance.
-
-    When constructed with a :class:`TimerWheel`, all of the node's
-    periodic tasks (heartbeats, garbage collection...) are coalesced
-    onto it — one kernel service event can tick many nodes — with
-    exactly the same firing times and tie-order as per-node timers.
-    """
+    """One mobile device running a pub/sub protocol instance."""
 
     def __init__(self, node_id: int, sim: Simulator, medium: WirelessMedium,
                  mobility: MobilityModel, protocol: PubSubProtocol,
-                 rng, speed_sensor: bool = True,
-                 wheel: Optional[TimerWheel] = None):
+                 rng, speed_sensor: bool = True):
         self.id = node_id
         self.sim = sim
         self.medium = medium
         self.mobility = mobility
         self.protocol = protocol
         self._rng = rng
-        self._wheel = wheel
         self.speed_sensor = speed_sensor
         self.alive = False
         self.asleep = False
@@ -60,23 +51,23 @@ class Node:
         # Spatial-index wiring: the mobility model pushes position anchors
         # into the medium's grid (at leg boundaries and every slack-metres
         # of travel) instead of the medium polling position() per frame.
-        # A flat-scan medium advertises no slack and gets no pushes.
-        slack = medium.position_slack_m
-        if slack is not None:
-            mobility.anchor_interval_m = slack
-            mobility.on_move = self._announce_position
-            # A model started before this wiring is mid-leg with no
-            # re-anchor timer armed; resync so its anchor stays
-            # slack-bounded from here on.
-            if mobility.started:
-                mobility.refresh_anchor()
-        # Batch-engine wiring: leg-state pushes let the medium's
-        # LegTable interpolate this node's exact position without a
-        # per-frame position() call (see repro.sim.batch).
-        if medium.wants_leg_state:
-            mobility.on_leg_change = self._announce_leg
-            if mobility.started:
-                self._announce_leg()
+        mobility.anchor_interval_m = medium.position_slack_m
+        self._wire_mobility()
+
+    def _wire_mobility(self) -> None:
+        """Subscribe the medium to this node's anchor and leg pushes."""
+        mobility = self.mobility
+        mobility.on_move = self._announce_position
+        # Leg-state pushes let the medium's LegTable interpolate this
+        # node's exact position without a per-frame position() call
+        # (see repro.sim.batch).
+        mobility.on_leg_change = self._announce_leg
+        if mobility.started:
+            # A model already mid-leg has no re-anchor timer armed and
+            # has pushed no leg; resync both so the anchor stays
+            # slack-bounded and the leg row is exact from here on.
+            mobility.refresh_anchor()
+            self._announce_leg()
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -149,16 +140,9 @@ class Node:
         self.depleted = False
         if self.id not in self.medium.nodes:
             self.medium.register(self)
-        # Resume anchor pushes undone by power_down (register() already
-        # indexed the exact current position; refresh re-arms the
-        # mid-leg re-anchor so it stays slack-bounded).
-        if self.medium.position_slack_m is not None:
-            self.mobility.on_move = self._announce_position
-            self.mobility.refresh_anchor()
-        if self.medium.wants_leg_state:
-            self.mobility.on_leg_change = self._announce_leg
-            if self.mobility.started:
-                self._announce_leg()
+        # Resume the pushes undone by power_down (register() already
+        # indexed the exact current position).
+        self._wire_mobility()
         self.recover()
 
     # -- duty cycling ---------------------------------------------------------------
@@ -275,19 +259,12 @@ class Node:
     def periodic(self, period: float, callback: Callable[[], None],
                  jitter: float = 0.0):
         """Start a repeating task every ``period`` seconds (plus
-        ``U(0, jitter)`` per tick), stopped automatically on crash.
-
-        Coalesced onto the shared :class:`TimerWheel` when the world
-        provides one (identical semantics, fewer kernel events);
-        otherwise a plain per-node :class:`PeriodicTask`.
-        """
-        if self._wheel is not None:
-            task = WheelPeriodicTask(self._wheel, period, callback,
-                                     jitter=jitter, rng=self._rng)
-        else:
-            task = PeriodicTask(self.sim, period, callback, jitter=jitter,
-                                rng=self._rng)
+        ``U(0, jitter)`` per tick), stopped automatically on crash."""
+        task = PeriodicTask(self.sim, period, callback, jitter=jitter,
+                            rng=self._rng)
         self._periodics.append(task)
+        if len(self._periodics) > 64:
+            self._periodics = [t for t in self._periodics if t.running]
         return task
 
     def deliver(self, event: Event) -> None:

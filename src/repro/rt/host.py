@@ -313,6 +313,8 @@ class AsyncioHost:
         ``U(0, jitter)`` per tick), stopped automatically on crash."""
         task = RtPeriodicTask(self, period, callback, jitter=jitter)
         self._periodics.append(task)
+        if len(self._periodics) > 64:
+            self._periodics = [t for t in self._periodics if t.running]
         return task
 
     def deliver(self, event: Event) -> None:

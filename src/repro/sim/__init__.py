@@ -15,8 +15,7 @@ facilities the protocol layer actually observes:
 """
 
 from repro.sim.kernel import (Simulator, Timer, PeriodicTask,
-                              SimulationError, TimerWheel, WheelPeriodicTask,
-                              WheelTimer)
+                              SimulationError)
 from repro.sim.rng import RngRegistry
 from repro.sim.space import Vec2, SpatialGrid
 
@@ -25,9 +24,6 @@ __all__ = [
     "Timer",
     "PeriodicTask",
     "SimulationError",
-    "TimerWheel",
-    "WheelPeriodicTask",
-    "WheelTimer",
     "RngRegistry",
     "Vec2",
     "SpatialGrid",

@@ -3,16 +3,18 @@
 The wireless medium's hot path answers two geometric questions thousands
 of times per simulated second: *who is within radio range of this
 transmitter?* (receiver resolution) and *which overlapping frames were
-audible at this receiver?* (collision resolution).  The scalar engine
-answers them one candidate at a time — a Python-level interpolation and
-``math.hypot`` per candidate.  This module answers them for *all*
-candidates of a frame at once with numpy array arithmetic, while staying
-**bit-identical** to the scalar engine.
+audible at this receiver?* (collision resolution).  Asking each
+candidate node for its ``position()`` and testing ``math.hypot`` against
+the range costs a Python-level interpolation per candidate.  This module
+answers both questions for *all* candidates of a frame at once with
+numpy array arithmetic, while staying **bit-identical** to that
+per-candidate arithmetic (``tests/test_medium_engine.py`` checks it
+against a brute-force oracle and per-node recomputation).
 
 Bit-identity strategy
 ---------------------
-Two ingredients make the vectorized answers exactly equal to the scalar
-ones, not merely close:
+Two ingredients make the batched answers exactly equal to the
+per-candidate ones, not merely close:
 
 1. **Identical interpolation arithmetic.**  :class:`LegTable` stores each
    node's current movement leg as ``(x0, y0, x1, y1, t0, dur)`` and
@@ -33,10 +35,6 @@ ones, not merely close:
    procedure is therefore literally the scalar one; numpy only prunes
    candidates that both procedures would reject.
 
-When numpy is unavailable (:data:`HAVE_NUMPY` is False) the medium
-silently falls back to the scalar engine; results are identical either
-way, only slower.
-
 Small-batch fast path
 ---------------------
 At the paper's density (6 processes/km²) a frame has only a handful of
@@ -53,14 +51,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.space import Vec2
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
-    HAVE_NUMPY = False
+from repro.sim.space import Vec2
 
 #: Relative squared-distance band for the vectorized prefilter.  The
 #: exact predicate ``math.hypot(dx, dy) <= r`` can only accept points
@@ -98,12 +91,10 @@ class LegTable:
     array slot; removal swaps the last row into the hole, so the arrays
     stay gap-free and every batched query is one contiguous gather.
     Query results are returned in the caller's id order (the medium
-    passes grid candidates sorted ascending, matching the scalar scan).
+    passes grid candidates sorted ascending).
     """
 
     def __init__(self, capacity: int = 64):
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the medium
-            raise RuntimeError("LegTable requires numpy")
         self._slot: Dict[int, int] = {}
         self._ids: List[int] = []
         self._n = 0
@@ -215,12 +206,10 @@ class TxLog:
       receiver batch of one frame at once.
 
     Both use the band-prefilter + exact-confirm predicate, so verdicts
-    are bit-identical to the scalar history scans.
+    equal a frame-by-frame ``math.hypot`` scan of the history.
     """
 
     def __init__(self, horizon_s: float, capacity: int = 64):
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the medium
-            raise RuntimeError("TxLog requires numpy")
         self._horizon_s = float(horizon_s)
         cap = max(4, capacity)
         self._sender = _np.zeros(cap, dtype=_np.int64)
@@ -239,8 +228,7 @@ class TxLog:
 
         The returned sequence number identifies the frame in later
         :meth:`corrupt_verdicts` calls (a frame never collides with
-        itself), mirroring the scalar scan's ``other is tx`` identity
-        check.
+        itself).
         """
         horizon = start - self._horizon_s
         while self._head < self._tail and \
@@ -278,9 +266,9 @@ class TxLog:
     def busy(self, px: float, py: float, now: float) -> bool:
         """Carrier sense: any frame still on the air audible at the point?
 
-        Same predicate as the scalar scan (``end > now`` and
-        ``hypot(sx - px, sy - py) <= r``); the short-circuit order does
-        not matter because no RNG is consumed here.
+        The predicate is ``end > now`` and ``hypot(sx - px, sy - py)
+        <= r``; the short-circuit order does not matter because no RNG
+        is consumed here.
         """
         if self._head == self._tail:
             return False
@@ -305,10 +293,9 @@ class TxLog:
         Returns a boolean array aligned with ``rx_ids``: True when some
         *other* frame overlapping ``[tx_start, tx_end)`` was either sent
         by the receiver itself (half-duplex) or audible at the
-        receiver's position — the exact predicate of the scalar history
-        scan.  Time-overlap and half-duplex tests are exact integer /
-        float comparisons; audibility uses the band + ``math.hypot``
-        confirm on the identical subtraction results.
+        receiver's position.  Time-overlap and half-duplex tests are
+        exact integer / float comparisons; audibility uses the band +
+        ``math.hypot`` confirm on the identical subtraction results.
         """
         k_rx = len(rx_ids)
         out = _np.zeros(k_rx, dtype=bool)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -111,45 +111,6 @@ class Simulator:
         timer = Timer(time, next(self._seq), callback, args)
         heapq.heappush(self._queue, timer)
         return timer
-
-    def _lease_seq(self) -> int:
-        """Draw one sequence number without scheduling anything.
-
-        Used by :class:`TimerWheel`: a wheel entry *leases* the sequence
-        number a plain timer armed at the same moment would have
-        received, so coalescing entries onto one service timer preserves
-        the exact FIFO tie-order of the non-coalesced kernel.
-        """
-        return next(self._seq)
-
-    def _call_at_seq(self, time: float, seq: int,
-                     callback: Callable[..., None]) -> Timer:
-        """Schedule with an explicit (leased) sequence number.
-
-        :class:`TimerWheel` only — arms its service timer with the head
-        entry's leased key so the kernel sorts the service exactly where
-        the entry's own timer would have sorted.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}")
-        timer = Timer(time, seq, callback, ())
-        heapq.heappush(self._queue, timer)
-        return timer
-
-    def _peek_key(self) -> Optional[tuple]:
-        """The ``(time, seq)`` key of the next live queued timer.
-
-        Cancelled heads are purged on the way (exactly as :meth:`run`
-        would).  :class:`TimerWheel` uses this mid-service to stop firing
-        entries the moment an interleaved kernel event is due first.
-        """
-        queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        if not queue:
-            return None
-        return (queue[0].time, queue[0].seq)
 
     def stop(self) -> None:
         """Stop a running simulation after the current event completes."""
@@ -278,207 +239,3 @@ class PeriodicTask:
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
-
-
-class WheelTimer:
-    """A cancellable entry on a :class:`TimerWheel`.
-
-    Mirrors the :class:`Timer` contract (``cancel`` is an idempotent
-    no-op after firing; ``active`` while pending) so wheel-backed and
-    kernel-backed periodics are interchangeable to protocol code.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (no-op if already fired)."""
-        self.cancelled = True
-
-    @property
-    def active(self) -> bool:
-        """True while the entry is pending (not fired, not cancelled)."""
-        return not (self.cancelled or self.fired)
-
-    def __lt__(self, other: "WheelTimer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class TimerWheel:
-    """Coalesces many timers onto one kernel service timer.
-
-    A population of N nodes arms N heartbeat + N garbage-collection
-    periodics; uncoalesced, every tick is its own kernel timer — one
-    heap push/pop and one dispatch each.  The wheel keeps those entries
-    on a private heap and arms a *single* kernel timer for the earliest
-    one; when it fires, the service loop pops **every** entry due at the
-    current instant in one dispatch.  Fleets whose ticks coincide (zero
-    jitter, synchronized starts — exactly the TTL-membership pattern)
-    collapse to one kernel event per instant.
-
-    Exact order-equivalence
-    -----------------------
-    Coalescing must not perturb the kernel's deterministic FIFO
-    tie-order, and "almost never at the same float time" is not good
-    enough: zero-jitter periodics tick at exact integer instants where
-    publications and one-shot timers also land.  Three rules make the
-    wheel *exactly* order-equivalent to per-entry kernel timers:
-
-    * every entry **leases** its sequence number from the kernel's own
-      counter at arm time (:meth:`Simulator._lease_seq`), i.e. the seq a
-      plain timer armed at that moment would have received — all other
-      timers' seqs are therefore also unchanged;
-    * the service timer is scheduled with the head entry's leased
-      ``(time, seq)`` key (:meth:`Simulator._call_at_seq`), so the
-      kernel sorts the service exactly where the entry itself would
-      have sorted;
-    * mid-service, before each further entry fires, the wheel peeks the
-      kernel queue and stops (re-arming at that entry's own key) the
-      moment a kernel event with a smaller key is due — an interleaved
-      same-instant timer runs exactly when it would have uncoalesced.
-
-    Only ``Simulator.events_processed`` differs (one service event can
-    cover many entries); no scenario metric is derived from it.
-    """
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-        self._heap: List[WheelTimer] = []
-        self._service_timer: Optional[Timer] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (convenience passthrough)."""
-        return self._sim.now
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) entries on the wheel."""
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    def call_at(self, time: float,
-                callback: Callable[[], None]) -> WheelTimer:
-        """Arm ``callback`` at absolute ``time``; returns the entry."""
-        if time < self._sim.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self._sim.now}")
-        entry = WheelTimer(time, self._sim._lease_seq(), callback)
-        heapq.heappush(self._heap, entry)
-        self._sync_service()
-        return entry
-
-    def schedule(self, delay: float,
-                 callback: Callable[[], None]) -> WheelTimer:
-        """Arm ``callback`` ``delay`` seconds from now; returns the entry."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay=}")
-        return self.call_at(self._sim.now + delay, callback)
-
-    def _sync_service(self) -> None:
-        """(Re-)arm the kernel service timer at the head entry's key."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return
-        head = heap[0]
-        st = self._service_timer
-        if st is not None and not st.cancelled and not st.fired \
-                and (st.time, st.seq) <= (head.time, head.seq):
-            return
-        if st is not None:
-            st.cancel()
-        self._service_timer = self._sim._call_at_seq(
-            head.time, head.seq, self._service)
-
-    def _service(self) -> None:
-        self._service_timer = None
-        sim = self._sim
-        now = sim.now
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry.cancelled:
-                heapq.heappop(heap)
-                continue
-            if entry.time > now:
-                break
-            key = sim._peek_key()
-            if key is not None and key < (entry.time, entry.seq):
-                break  # an interleaved kernel event is due first
-            heapq.heappop(heap)
-            entry.fired = True
-            entry.callback()
-        self._sync_service()
-
-
-class WheelPeriodicTask:
-    """Drop-in :class:`PeriodicTask` equivalent backed by a wheel.
-
-    Same period/jitter semantics, same rng consumption (one jitter draw
-    per arm, from the same stream positions), same ``set_period`` /
-    ``stop`` / ``running`` contract — only the timer substrate differs.
-    """
-
-    def __init__(self, wheel: TimerWheel, period: float,
-                 callback: Callable[[], None],
-                 jitter: float = 0.0,
-                 rng=None,
-                 start_delay: Optional[float] = None):
-        if period <= 0:
-            raise SimulationError(f"period must be positive: {period=}")
-        self._wheel = wheel
-        self._period = float(period)
-        self._callback = callback
-        self._jitter = float(jitter)
-        self._rng = rng
-        self._entry: Optional[WheelTimer] = None
-        self._stopped = False
-        first = self._period if start_delay is None else start_delay
-        self._arm(first)
-
-    def _draw_jitter(self) -> float:
-        if self._jitter <= 0.0:
-            return 0.0
-        if self._rng is None:
-            raise SimulationError("jitter requires an rng")
-        return self._rng.uniform(0.0, self._jitter)
-
-    def _arm(self, delay: float) -> None:
-        self._entry = self._wheel.schedule(
-            max(0.0, delay + self._draw_jitter()), self._tick)
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self._callback()
-        if not self._stopped:
-            self._arm(self._period)
-
-    @property
-    def period(self) -> float:
-        """Current tick period in seconds (jitter excluded)."""
-        return self._period
-
-    def set_period(self, period: float) -> None:
-        """Update the period; takes effect from the next re-arm."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive: {period=}")
-        self._period = float(period)
-
-    @property
-    def running(self) -> bool:
-        """True until :meth:`stop` is called."""
-        return not self._stopped
-
-    def stop(self) -> None:
-        """Stop the task and cancel its pending tick."""
-        self._stopped = True
-        if self._entry is not None:
-            self._entry.cancel()

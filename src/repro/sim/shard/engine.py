@@ -122,7 +122,7 @@ from repro.faults import FaultInjector, FaultTimeline
 from repro.metrics import MetricsCollector
 from repro.net import Node, WirelessMedium
 from repro.net.medium import Transmission
-from repro.sim import RngRegistry, Simulator, TimerWheel
+from repro.sim import RngRegistry, Simulator
 from repro.sim.shard.config import (DEFAULT_EPOCH_S, ShardConfig,
                                     resolve_epoch_s)
 from repro.sim.shard.partition import ShardPlan
@@ -280,7 +280,10 @@ class ShardMedium(WirelessMedium):
       neighbour's *uncommitted* traffic: co-residency must be
       unobservable;
     * CSMA back-off and uniform frame-loss draws come from per-node
-      streams so their sequences are independent of shard composition;
+      streams so their sequences are independent of shard composition
+      (the send path and delivery gauntlet themselves are the parent's:
+      only ``_channel_busy``, ``_csma_delay`` and ``_loss_rng`` are
+      overridden);
     * each ingested frame's delivery — receiver resolution, collision
       verdict, loss draws, protocol reaction — runs as a kernel event
       at its exact ``end + L``, *inside* the epoch, not at a barrier.
@@ -293,7 +296,7 @@ class ShardMedium(WirelessMedium):
                  max_speed_mps: Optional[float]):
         super().__init__(sim, radio, config=config, sizes=sizes, rng=None)
         self._node_rng = node_rng
-        self._loss_rng = loss_rng
+        self._receiver_loss_rng = loss_rng
         self._latency_s = latency_s
         # The delivery-time resident bbox is recomputed lazily after
         # every ingest, so it can be up to one epoch stale when a
@@ -326,24 +329,9 @@ class ShardMedium(WirelessMedium):
         # which never wait for a barrier.
         self._own_tx.setdefault(tx.sender, []).append((tx.start, tx.end))
 
-    def _attempt_send(self, sender_id: int, message, attempt: int) -> None:
-        sender = self._nodes.get(sender_id)
-        if sender is None or not sender.alive:
-            return  # sender crashed while the frame was queued
-        if sender.asleep or sender.silenced:
-            sender.send(message)   # radio went down mid-backoff: requeue
-            return
-        pos = sender.position()
-        if (self.config.csma_enabled
-                and attempt < self.config.max_csma_retries
-                and self._shard_busy(sender_id, pos)):
-            delay = self._shard_csma_delay(sender_id)
-            self.sim.schedule(delay, self._attempt_send, sender_id,
-                              message, attempt + 1)
-            return
-        self._transmit(sender, pos, message)
-
-    def _shard_busy(self, sender_id: int, pos: Vec2) -> bool:
+    def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
+        """Carrier sense over the sender's own real-time frames and the
+        committed log's latency-shifted occupancy."""
         now = self.sim.now
         if self._last_tx_end.get(sender_id, -math.inf) > now:
             return True   # own frame still on the air (half duplex)
@@ -366,7 +354,8 @@ class ShardMedium(WirelessMedium):
                 return True
         return False
 
-    def _shard_csma_delay(self, sender_id: int) -> float:
+    def _csma_delay(self, sender_id: int) -> float:
+        """Back-off drawn from the sender's own stream."""
         lo = self.config.csma_backoff_min_s
         hi = self.config.csma_backoff_max_s
         if hi <= lo:
@@ -448,44 +437,18 @@ class ShardMedium(WirelessMedium):
                 continue   # the RX charge drained its battery
             corrupted = (self.config.model_collisions
                          and self._corrupt_verdict(frame, node_id, rx_pos))
-            self._finish_shard_delivery(tx, node_id, node, corrupted)
+            self._finish_delivery(tx, node_id, node, corrupted)
 
     def _audible_residents(self, tx: Transmission
                            ) -> List[Tuple[int, Vec2]]:
         """Resident nodes (exact positions at the delivery instant,
-        ascending id) in range.
-
-        Mirrors the classic receiver resolution: grid candidates are
-        re-filtered against exact interpolated positions (via the
-        numpy leg table when active), so spatial-index and flat modes
-        return the identical set.
-        """
+        ascending id) in range — the classic receiver resolution: grid
+        candidates re-filtered against exact interpolated positions."""
         pos = tx.sender_pos
-        now = self.sim.now
-        if self._grid is not None:
-            ids = self._grid.query_radius(pos, self._query_radius_m,
-                                          exclude=tx.sender)
-            if self._legs is not None:
-                return self._legs.audible(
-                    [i for i in ids if i in self._nodes],
-                    now, pos.x, pos.y, tx.range_m)
-            hits: List[Tuple[int, Vec2]] = []
-            for node_id in ids:
-                node = self._nodes.get(node_id)
-                if node is None:
-                    continue
-                rx_pos = node.position()
-                if tx.audible_at(rx_pos):
-                    hits.append((node_id, rx_pos))
-            return hits
-        hits = []
-        for node in list(self._sorted_nodes):
-            if node.id == tx.sender:
-                continue
-            rx_pos = node.position()
-            if tx.audible_at(rx_pos):
-                hits.append((node.id, rx_pos))
-        return hits
+        ids = self._grid.query_radius(pos, self._query_radius_m,
+                                      exclude=tx.sender)
+        return self._legs.audible([i for i in ids if i in self._nodes],
+                                  self.sim.now, pos.x, pos.y, tx.range_m)
 
     def _corrupt_verdict(self, frame: ShardFrame, receiver_id: int,
                          rx_pos: Vec2) -> bool:
@@ -518,31 +481,10 @@ class ShardMedium(WirelessMedium):
                 return True
         return False
 
-    def _finish_shard_delivery(self, tx: Transmission, receiver_id: int,
-                               node, corrupted: bool) -> None:
-        """The classic delivery gauntlet with a per-receiver loss
-        stream (shared-stream draw order would be a merge artefact)."""
-        if corrupted:
-            self.frames_collided += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "collision")
-            return
-        p = self.config.frame_loss_probability
-        if p > 0.0 and self._loss_rng(receiver_id).random() < p:
-            self.frames_lost_random += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "loss")
-            return
-        if self.extra_loss is not None and \
-                self.extra_loss(tx.sender, receiver_id):
-            self.frames_lost_fault += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "fault-loss")
-            return
-        self.frames_delivered += 1
-        if self.on_receive is not None:
-            self.on_receive(receiver_id, tx.message)
-        node.receive(tx.message)
+    def _loss_rng(self, receiver_id: int):
+        """Per-receiver loss stream (shared-stream draw order would be
+        a merge artefact)."""
+        return self._receiver_loss_rng(receiver_id)
 
     # -- bounding-box prefilter --------------------------------------------
 
@@ -576,7 +518,7 @@ class ShardMedium(WirelessMedium):
     def _compute_bbox(self) -> Optional[Tuple[float, float, float, float]]:
         min_x = min_y = math.inf
         max_x = max_y = -math.inf
-        for node in self._sorted_nodes:
+        for node in self._nodes.values():
             try:
                 pos = node.position()
             except RuntimeError:
@@ -608,7 +550,6 @@ class _ShardWorld:
         self.rngs = RngRegistry(config.seed)
         self.stats = {"drain_s": 0.0, "ingest_s": 0.0, "retime_s": 0.0,
                       "frames_in": 0}
-        wheel = TimerWheel(self.sim) if config.coalesced_timers else None
         shards = ShardConfig.coerce(config.shards)
         self.medium = ShardMedium(
             self.sim, config.radio, config=config.medium,
@@ -631,8 +572,7 @@ class _ShardWorld:
                         mobility=config.mobility.build(i),
                         protocol=protocol,
                         rng=self.rngs.stream("node", i),
-                        speed_sensor=config.speed_sensor,
-                        wheel=wheel)
+                        speed_sensor=config.speed_sensor)
             topic = (config.event_topic if i in subscriber_set
                      else config.other_topic)
             protocol.subscribe(topic)

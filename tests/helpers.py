@@ -4,14 +4,24 @@
 or medium: sent messages accumulate in ``sent``, timers run on a private
 simulator kernel, and the test advances time explicitly.  This is what
 lets the protocol unit tests exercise the paper's pseudocode line by line.
+
+:class:`MediumStub` is the opposite double — a parked node for driving
+the wireless medium without a protocol — and :func:`oracle_outcomes` is
+the brute-force statement of the medium's physics those tests compare
+the production engine against.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventFactory
+from repro.harness.experiments import rwp_scenario
+from repro.harness.presets import QUICK
+from repro.harness.scenario import (Publication, RandomWaypointSpec,
+                                    ScenarioConfig)
 from repro.net.messages import Message
 from repro.sim.kernel import PeriodicTask, Simulator
 
@@ -76,3 +86,79 @@ def make_event(publisher: int = 99, seq: int = 0, topic: str = ".t",
     factory._next_seq = seq
     return factory.create(topic, validity=validity, now=now,
                           payload_bytes=payload_bytes)
+
+
+def small_rwp() -> ScenarioConfig:
+    """Ten random-waypoint processes, one publication, 44 simulated s."""
+    return ScenarioConfig(
+        n_processes=10,
+        mobility=RandomWaypointSpec(width=1000.0, height=1000.0,
+                                    speed_min=5.0, speed_max=15.0),
+        duration=40.0, warmup=4.0,
+        subscriber_fraction=0.75,
+        publications=(Publication(at=2.0, validity=30.0),))
+
+
+def cap_warmup(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Cap the warm-up so quick-scale configs stay test-suite fast."""
+    return cfg.with_changes(warmup=min(cfg.warmup, 15.0))
+
+
+def quick_rwp() -> ScenarioConfig:
+    """The quick-scale fig11 config with a capped warm-up."""
+    return cap_warmup(rwp_scenario(QUICK, 10.0, 10.0, validity=60.0,
+                                   interest=0.8))
+
+
+class MediumStub:
+    """A parked medium-side node: fixed position, radio flags a test can
+    flip, and a log of every received message."""
+
+    def __init__(self, node_id: int, pos):
+        self.id = node_id
+        self.pos = pos
+        self.alive = True
+        self.asleep = False
+        self.silenced = False
+        self.received: List[Message] = []
+
+    @property
+    def listening(self) -> bool:
+        return self.alive and not self.asleep and not self.silenced
+
+    def position(self):
+        return self.pos
+
+    def receive(self, message: Message) -> None:
+        self.received.append(message)
+
+
+def oracle_outcomes(positions: Dict[int, Tuple[float, float]],
+                    range_m: float,
+                    frames: Sequence[Tuple[int, float, float]]
+                    ) -> Dict[Tuple[int, int], str]:
+    """Brute-force broadcast physics for parked nodes with CSMA off.
+
+    ``frames`` are ``(sender, start, end)`` airtimes.  Returns the fate
+    of frame ``i`` at every node in range of its sender, keyed ``(i,
+    receiver)``: ``"collision"`` iff another frame strictly overlaps it
+    in time and was sent by the receiver itself (half duplex) or by a
+    node the receiver can hear; ``"delivered"`` otherwise.  Shares no
+    code with the production medium — every pair is tested, every
+    distance is one ``math.hypot``.
+    """
+    def hears(a: int, b: int) -> bool:
+        (ax, ay), (bx, by) = positions[a], positions[b]
+        return math.hypot(ax - bx, ay - by) <= range_m
+
+    fates: Dict[Tuple[int, int], str] = {}
+    for i, (sender, start, end) in enumerate(frames):
+        for rx in positions:
+            if rx == sender or not hears(sender, rx):
+                continue
+            clash = any(
+                j != i and o_start < end and start < o_end
+                and (o_sender == rx or hears(o_sender, rx))
+                for j, (o_sender, o_start, o_end) in enumerate(frames))
+            fates[i, rx] = "collision" if clash else "delivered"
+    return fates

@@ -65,7 +65,6 @@ FIELD_CHANGES = {
                            battery_capacity_j=25.0),
     "faults": FaultConfig(churn=ChurnConfig(mean_session_s=60.0,
                                             mean_rest_s=20.0)),
-    "coalesced_timers": False,
     "shards": 2,
 }
 

@@ -3,8 +3,7 @@
 Covers the four fault mechanisms (declarative plans, stochastic churn,
 regional outages, link/burst loss), their determinism, and the paired
 no-op verification: an *empty* ``FaultConfig`` must be bit-identical to
-``faults=None`` on every scenario family — the same discipline
-``with_flat_medium`` established for the spatial index.
+``faults=None`` on every scenario family.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ class TestValidation:
 
 
 # --------------------------------------------------------------------------
-# Paired no-op verification (the with_flat_medium discipline)
+# Paired no-op verification
 # --------------------------------------------------------------------------
 
 #: One config per scenario family; an empty FaultConfig must change
@@ -310,15 +309,6 @@ class TestOutage:
             assert result.faults.down_intervals[node_id] == [(10.0, 30.0)]
         assert result.faults.outages == [(10.0, 3)]
 
-    def test_outage_members_match_between_grid_and_flat_medium(self):
-        cfg = rwp_config(faults=FaultConfig(outages=(
-            RegionalOutage(at=5.0, duration=15.0, center=(450.0, 450.0),
-                           radius_m=300.0, kind="crash"),)))
-        grid = run_scenario(cfg)
-        flat = run_scenario(cfg.with_flat_medium())
-        assert grid.faults.down_intervals == flat.faults.down_intervals
-        assert grid.summary() == flat.summary()
-
     def test_crash_outage_loses_state_silence_keeps_it(self):
         def run(kind):
             cfg = line_config(faults=FaultConfig(outages=(
@@ -483,16 +473,12 @@ class TestSilenceRadioBilling:
 
 
 class TestNodesWithin:
-    def test_exact_membership_in_both_modes(self):
-        for flat in (False, True):
-            cfg = line_config(n=8)
-            if flat:
-                cfg = cfg.with_flat_medium()
-            world = build_world(cfg)
-            for node in world.nodes:
-                node.start()
-            members = world.medium.nodes_within(Vec2(0.0, 0.0), 120.0)
-            assert [n.id for n in members] == [0, 1, 2]
+    def test_exact_membership(self):
+        world = build_world(line_config(n=8))
+        for node in world.nodes:
+            node.start()
+        members = world.medium.nodes_within(Vec2(0.0, 0.0), 120.0)
+        assert [n.id for n in members] == [0, 1, 2]
 
     def test_radius_validation(self):
         world = build_world(line_config())

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import (PeriodicTask, SimulationError, Simulator,
-                              TimerWheel, WheelPeriodicTask)
+from repro.sim.kernel import PeriodicTask, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -323,163 +322,6 @@ class TestEdgeCases:
         assert sim.now == 2.0
         assert sim.events_processed == 1
         assert sim.pending == 0
-
-
-class TestTimerWheel:
-    """The coalescing wheel must be observably identical to dedicated
-    kernel timers — same firing times, same tie order — while putting
-    fewer events on the kernel heap."""
-
-    def test_fires_at_scheduled_times(self, sim):
-        wheel = TimerWheel(sim)
-        out = []
-        wheel.schedule(2.0, lambda: out.append(("a", sim.now)))
-        wheel.schedule(1.0, lambda: out.append(("b", sim.now)))
-        wheel.call_at(1.5, lambda: out.append(("c", sim.now)))
-        sim.run(until=3.0)
-        assert out == [("b", 1.0), ("c", 1.5), ("a", 2.0)]
-
-    def test_tie_order_matches_arm_order(self, sim):
-        """Same-instant wheel entries fire in arm order — the kernel's
-        FIFO tie-break, reproduced through the leased sequence numbers."""
-        wheel = TimerWheel(sim)
-        out = []
-        for i in range(8):
-            wheel.schedule(1.0, lambda i=i: out.append(i))
-        sim.run(until=1.0)
-        assert out == list(range(8))
-
-    def test_interleaves_exactly_with_kernel_timers(self, sim):
-        """Wheel entries and plain kernel timers armed alternately at one
-        instant must fire in global arm order — the wheel may not batch
-        its entries past an interleaved kernel event."""
-        wheel = TimerWheel(sim)
-        out = []
-        wheel.schedule(1.0, lambda: out.append("w0"))
-        sim.schedule(1.0, out.append, "k0")
-        wheel.schedule(1.0, lambda: out.append("w1"))
-        sim.schedule(1.0, out.append, "k1")
-        wheel.schedule(1.0, lambda: out.append("w2"))
-        sim.run(until=2.0)
-        assert out == ["w0", "k0", "w1", "k1", "w2"]
-
-    def test_coalesces_kernel_events(self, sim):
-        """N same-instant entries ride one kernel service event (that is
-        the point of the wheel)."""
-        wheel = TimerWheel(sim)
-        fired = []
-        for i in range(50):
-            wheel.schedule(1.0, lambda i=i: fired.append(i))
-        assert sim.pending == 1       # one service timer, not 50
-        sim.run(until=1.0)
-        assert fired == list(range(50))
-
-    def test_cancel_prevents_firing(self, sim):
-        wheel = TimerWheel(sim)
-        out = []
-        keep = wheel.schedule(1.0, lambda: out.append("keep"))
-        drop = wheel.schedule(1.0, lambda: out.append("drop"))
-        drop.cancel()
-        assert keep.active and not drop.active
-        sim.run(until=2.0)
-        assert out == ["keep"]
-
-    def test_cancel_head_reschedules_service(self, sim):
-        """Cancelling the earliest entry must re-aim the service timer at
-        the new head, not leave a stale wakeup."""
-        wheel = TimerWheel(sim)
-        out = []
-        head = wheel.schedule(1.0, lambda: out.append("head"))
-        wheel.schedule(5.0, lambda: out.append("tail"))
-        head.cancel()
-        sim.run(until=1.0)
-        assert out == [] and wheel.pending == 1
-        sim.run(until=5.0)
-        assert out == ["tail"]
-
-    def test_entry_scheduled_from_callback(self, sim):
-        """A wheel callback arming another entry (periodic re-arm) must
-        not starve or fire early."""
-        wheel = TimerWheel(sim)
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) < 3:
-                wheel.schedule(1.0, tick)
-
-        wheel.schedule(1.0, tick)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0, 3.0]
-
-
-class TestWheelPeriodicTask:
-    """WheelPeriodicTask must be a drop-in for PeriodicTask."""
-
-    def test_matches_plain_periodic_schedule(self):
-        def run(use_wheel):
-            sim = Simulator()
-            ticks = []
-            if use_wheel:
-                WheelPeriodicTask(TimerWheel(sim), 1.0,
-                                  lambda: ticks.append(sim.now))
-            else:
-                PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now))
-            sim.run(until=5.0)
-            return ticks
-
-        assert run(True) == run(False) == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_jitter_draws_match_plain_periodic(self):
-        """With the same rng seed, jittered wheel ticks land on exactly
-        the instants of a jittered PeriodicTask (identical draw order)."""
-        import random
-
-        def run(use_wheel):
-            sim = Simulator()
-            ticks = []
-            rng = random.Random(7)
-            if use_wheel:
-                WheelPeriodicTask(TimerWheel(sim), 1.0,
-                                  lambda: ticks.append(sim.now),
-                                  jitter=0.5, rng=rng)
-            else:
-                PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now),
-                             jitter=0.5, rng=rng)
-            sim.run(until=20.0)
-            return ticks
-
-        assert run(True) == run(False)
-
-    def test_set_period_and_stop(self, sim):
-        wheel = TimerWheel(sim)
-        ticks = []
-        task = WheelPeriodicTask(wheel, 1.0, lambda: ticks.append(sim.now))
-        sim.schedule(2.0, task.set_period, 3.0)
-        sim.schedule(8.5, task.stop)
-        sim.run(until=20.0)
-        assert ticks == [1.0, 2.0, 5.0, 8.0]
-        assert not task.running
-
-    def test_start_delay_overrides_first_tick(self, sim):
-        ticks = []
-        WheelPeriodicTask(TimerWheel(sim), 2.0,
-                          lambda: ticks.append(sim.now), start_delay=0.5)
-        sim.run(until=5.0)
-        assert ticks == [0.5, 2.5, 4.5]
-
-    def test_stop_from_within_callback(self, sim):
-        wheel = TimerWheel(sim)
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) == 2:
-                task.stop()
-
-        task = WheelPeriodicTask(wheel, 1.0, tick)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
 
 
 class TestDeterminism:

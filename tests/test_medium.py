@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import List
 
 import pytest
 
@@ -12,28 +11,7 @@ from repro.net.messages import Heartbeat
 from repro.net.radio import RadioConfig
 from repro.sim.kernel import Simulator
 from repro.sim.space import Vec2
-
-
-class StubNode:
-    """Minimal stationary node for medium tests."""
-
-    def __init__(self, node_id: int, pos: Vec2):
-        self.id = node_id
-        self.pos = pos
-        self.alive = True
-        self.asleep = False
-        self.silenced = False
-        self.received: List = []
-
-    @property
-    def listening(self) -> bool:
-        return self.alive and not self.asleep and not self.silenced
-
-    def position(self) -> Vec2:
-        return self.pos
-
-    def receive(self, message) -> None:
-        self.received.append(message)
+from tests.helpers import MediumStub
 
 
 def hb(sender: int) -> Heartbeat:
@@ -48,10 +26,10 @@ def make_medium(sim, range_m=100.0, config=None, seed=0):
 class TestBroadcastLocality:
     def test_only_nodes_in_range_receive(self, sim):
         medium = make_medium(sim, range_m=100.0)
-        sender = StubNode(0, Vec2(0, 0))
-        near = StubNode(1, Vec2(50, 0))
-        edge = StubNode(2, Vec2(100, 0))
-        far = StubNode(3, Vec2(101, 0))
+        sender = MediumStub(0, Vec2(0, 0))
+        near = MediumStub(1, Vec2(50, 0))
+        edge = MediumStub(2, Vec2(100, 0))
+        far = MediumStub(3, Vec2(101, 0))
         for n in (sender, near, edge, far):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -66,7 +44,7 @@ class TestBroadcastLocality:
         unregisters it from the medium while _transmit is still walking
         the node table — that must not blow up the iteration."""
         medium = make_medium(sim, range_m=100.0)
-        nodes = [StubNode(i, Vec2(10.0 * i, 0)) for i in range(4)]
+        nodes = [MediumStub(i, Vec2(10.0 * i, 0)) for i in range(4)]
         for n in nodes:
             medium.register(n)
         medium.on_rx_window = lambda nid, dur: medium.unregister(2)
@@ -77,14 +55,14 @@ class TestBroadcastLocality:
 
     def test_duplicate_node_id_rejected(self, sim):
         medium = make_medium(sim)
-        medium.register(StubNode(1, Vec2(0, 0)))
+        medium.register(MediumStub(1, Vec2(0, 0)))
         with pytest.raises(ValueError):
-            medium.register(StubNode(1, Vec2(5, 5)))
+            medium.register(MediumStub(1, Vec2(5, 5)))
 
     def test_dead_receiver_gets_nothing(self, sim):
         medium = make_medium(sim)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        dead = StubNode(1, Vec2(10, 0))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        dead = MediumStub(1, Vec2(10, 0))
         dead.alive = False
         medium.register(dead)
         medium.broadcast(0, hb(0))
@@ -93,8 +71,8 @@ class TestBroadcastLocality:
 
     def test_dead_sender_sends_nothing(self, sim):
         medium = make_medium(sim)
-        sender = StubNode(0, Vec2(0, 0))
-        rx = StubNode(1, Vec2(10, 0))
+        sender = MediumStub(0, Vec2(0, 0))
+        rx = MediumStub(1, Vec2(10, 0))
         medium.register(sender)
         medium.register(rx)
         sender.alive = False
@@ -105,8 +83,8 @@ class TestBroadcastLocality:
 
     def test_delivery_takes_airtime(self, sim):
         medium = make_medium(sim)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        rx = StubNode(1, Vec2(10, 0))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        rx = MediumStub(1, Vec2(10, 0))
         medium.register(rx)
         medium.broadcast(0, hb(0))
         # A 50-byte heartbeat at 1 Mbit/s: 192 us + 400 us air time.
@@ -120,9 +98,9 @@ class TestCollisions:
     def test_overlapping_frames_collide_at_receiver(self, sim):
         cfg = MediumConfig(csma_enabled=False)   # force the overlap
         medium = make_medium(sim, config=cfg)
-        a = StubNode(0, Vec2(0, 0))
-        b = StubNode(1, Vec2(120, 0))            # out of a's range
-        victim = StubNode(2, Vec2(60, 0))        # hears both
+        a = MediumStub(0, Vec2(0, 0))
+        b = MediumStub(1, Vec2(120, 0))            # out of a's range
+        victim = MediumStub(2, Vec2(60, 0))        # hears both
         for n in (a, b, victim):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -135,10 +113,10 @@ class TestCollisions:
         """Spatial reuse: two transmissions out of mutual range deliver."""
         cfg = MediumConfig(csma_enabled=False)
         medium = make_medium(sim, range_m=100.0, config=cfg)
-        a = StubNode(0, Vec2(0, 0))
-        ra = StubNode(1, Vec2(10, 0))
-        b = StubNode(2, Vec2(1000, 0))
-        rb = StubNode(3, Vec2(1010, 0))
+        a = MediumStub(0, Vec2(0, 0))
+        ra = MediumStub(1, Vec2(10, 0))
+        b = MediumStub(2, Vec2(1000, 0))
+        rb = MediumStub(3, Vec2(1010, 0))
         for n in (a, ra, b, rb):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -150,8 +128,8 @@ class TestCollisions:
     def test_half_duplex_receiver_misses_while_transmitting(self, sim):
         cfg = MediumConfig(csma_enabled=False)
         medium = make_medium(sim, config=cfg)
-        a = StubNode(0, Vec2(0, 0))
-        b = StubNode(1, Vec2(50, 0))
+        a = MediumStub(0, Vec2(0, 0))
+        b = MediumStub(1, Vec2(50, 0))
         for n in (a, b):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -162,9 +140,9 @@ class TestCollisions:
     def test_collisions_can_be_disabled(self, sim):
         cfg = MediumConfig(csma_enabled=False, model_collisions=False)
         medium = make_medium(sim, config=cfg)
-        a = StubNode(0, Vec2(0, 0))
-        b = StubNode(1, Vec2(100, 0))
-        victim = StubNode(2, Vec2(50, 0))
+        a = MediumStub(0, Vec2(0, 0))
+        b = MediumStub(1, Vec2(100, 0))
+        victim = MediumStub(2, Vec2(50, 0))
         for n in (a, b, victim):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -176,9 +154,9 @@ class TestCollisions:
 class TestCsma:
     def test_carrier_sense_defers_second_sender(self, sim):
         medium = make_medium(sim)    # CSMA on by default
-        a = StubNode(0, Vec2(0, 0))
-        b = StubNode(1, Vec2(50, 0))
-        rx = StubNode(2, Vec2(25, 0))
+        a = MediumStub(0, Vec2(0, 0))
+        b = MediumStub(1, Vec2(50, 0))
+        rx = MediumStub(2, Vec2(25, 0))
         for n in (a, b, rx):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -191,9 +169,9 @@ class TestCsma:
     def test_hidden_terminal_still_collides(self, sim):
         """CSMA cannot save the classic hidden-terminal case."""
         medium = make_medium(sim, range_m=100.0)
-        a = StubNode(0, Vec2(0, 0))
-        b = StubNode(1, Vec2(200, 0))       # a and b cannot hear each other
-        victim = StubNode(2, Vec2(100, 0))  # hears both
+        a = MediumStub(0, Vec2(0, 0))
+        b = MediumStub(1, Vec2(200, 0))       # a and b cannot hear each other
+        victim = MediumStub(2, Vec2(100, 0))  # hears both
         for n in (a, b, victim):
             medium.register(n)
         medium.broadcast(0, hb(0))
@@ -209,8 +187,8 @@ class TestSelfSerialization:
         sender's own in-flight frame used to be excluded from carrier
         sense)."""
         medium = make_medium(sim)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        rx = StubNode(1, Vec2(10, 0))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        rx = MediumStub(1, Vec2(10, 0))
         medium.register(rx)
         medium.broadcast(0, hb(0))
         medium.broadcast(0, hb(0))
@@ -223,8 +201,8 @@ class TestRandomLoss:
     def test_loss_probability_one_drops_everything(self, sim):
         cfg = MediumConfig(frame_loss_probability=1.0)
         medium = make_medium(sim, config=cfg)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        rx = StubNode(1, Vec2(10, 0))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        rx = MediumStub(1, Vec2(10, 0))
         medium.register(rx)
         for _ in range(5):
             medium.broadcast(0, hb(0))
@@ -257,8 +235,8 @@ class TestTransmission:
 class TestHooks:
     def test_observability_callbacks_fire(self, sim):
         medium = make_medium(sim)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        medium.register(StubNode(1, Vec2(10, 0)))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        medium.register(MediumStub(1, Vec2(10, 0)))
         sent, received = [], []
         medium.on_transmit = lambda s, m, b: sent.append((s, b))
         medium.on_receive = lambda r, m: received.append(r)
@@ -269,8 +247,8 @@ class TestHooks:
 
     def test_unregister_removes_node(self, sim):
         medium = make_medium(sim)
-        medium.register(StubNode(0, Vec2(0, 0)))
-        rx = StubNode(1, Vec2(10, 0))
+        medium.register(MediumStub(0, Vec2(0, 0)))
+        rx = MediumStub(1, Vec2(10, 0))
         medium.register(rx)
         medium.unregister(1)
         medium.broadcast(0, hb(0))

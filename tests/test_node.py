@@ -71,6 +71,19 @@ class TestLifecycle:
         sim.run(until=8.0)
         assert medium.frames_sent > before
 
+    def test_periodic_list_pruned_across_resubscribe_cycles(self, sim, rngs):
+        """Regression: every unsubscribe/resubscribe cycle stops the
+        heartbeat + GC tasks and arms two fresh ones; the stopped pair
+        used to stay in ``_periodics`` until the next crash."""
+        node, _ = make_node(sim, rngs)
+        node.protocol.subscribe(".a")
+        node.start()
+        for _ in range(200):
+            node.protocol.unsubscribe(".a")
+            node.protocol.subscribe(".a")
+        assert len(node._periodics) <= 65
+        assert sum(t.running for t in node._periodics) == 2
+
     def test_crash_is_idempotent(self, sim, rngs):
         node, _ = make_node(sim, rngs)
         node.start()

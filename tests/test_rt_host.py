@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core import FrugalConfig, FrugalPubSub
 from repro.core.base import PubSubProtocol
 from repro.core.events import Event, EventId
 from repro.core.topics import Topic
@@ -164,6 +165,26 @@ class TestPeriodicContract:
             before = host.rng.getstate()
             host.periodic(1.0, lambda: None, jitter=0.5)
             assert host.rng.getstate() != before
+        run(body())
+
+
+    def test_periodic_list_pruned_across_resubscribe_cycles(self):
+        """Regression: stopped heartbeat/GC tasks used to pile up in
+        ``_periodics`` (two per unsubscribe/resubscribe cycle)."""
+        async def body():
+            protocol = FrugalPubSub(FrugalConfig())
+            host = AsyncioHost(0, asyncio.get_running_loop(), protocol,
+                               random.Random(7), time_scale=SCALE)
+            host.set_network(FakeTransport(), [("127.0.0.1", 9000)])
+            host.set_epoch(asyncio.get_running_loop().time())
+            protocol.subscribe(".a")
+            host.start()
+            for _ in range(200):
+                protocol.unsubscribe(".a")
+                protocol.subscribe(".a")
+            assert len(host._periodics) <= 65
+            assert sum(t.running for t in host._periodics) == 2
+            host.shutdown()
         run(body())
 
 

@@ -9,10 +9,9 @@ comparison) scenario families plus the energy-lifetime and
 rwp-churn-faults instrumentations, and across all three execution
 paths: serial, ``--jobs 4``, and cached runs, all byte-equal.
 
-This is the same standard PR 3 met for the spatial medium (grid vs flat
-scan) and PR 4 for fault instrumentation (empty config vs none): the
-old implementation stays in-tree, registered under a hidden
-``legacy-*`` name, and every family runs both.
+This is the same standard PR 4 met for fault instrumentation (empty
+config vs none): the old implementation stays in-tree, registered under
+a hidden ``legacy-*`` name, and every family runs both.
 """
 
 from __future__ import annotations
