@@ -69,6 +69,34 @@ class Host(Protocol):
         """Node-local random stream (protocol jitter decisions)."""
 
 
+class HandleList(list):
+    """The timer or task handles a host must cancel when it crashes.
+
+    A host appends every handle it gives out and, now and then, drops
+    the dead ones.  :meth:`track` prunes when the list has doubled since
+    the survivors of the last prune (never below ``FLOOR`` entries), so
+    arming n handles costs O(n) in total however many stay live — a
+    fixed threshold would rebuild the list on every call once more than
+    that many are live at once.
+    """
+
+    FLOOR = 64
+
+    def __init__(self, is_live: Callable[[object], bool]):
+        super().__init__()
+        self._is_live = is_live
+        self._prune_above = self.FLOOR
+        self.prune_passes = 0
+
+    def track(self, handle) -> None:
+        """Append ``handle``; drop dead entries if the list has doubled."""
+        self.append(handle)
+        if len(self) > self._prune_above:
+            self[:] = [h for h in self if self._is_live(h)]
+            self._prune_above = max(self.FLOOR, 2 * len(self))
+            self.prune_passes += 1
+
+
 @dataclass
 class ProtocolCounters:
     """Unified protocol-level observability counters.

@@ -47,7 +47,8 @@ Fidelity deviations (documented in DESIGN.md, "Pseudocode fidelity notes"):
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+import math
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core import registry
 from repro.core.base import PubSubProtocol
@@ -76,6 +77,10 @@ class FrugalPubSub(PubSubProtocol):
                                             self.membership)
         self.events: Optional[EventStore] = None   # built on attach (needs rng)
         self._running = False
+        # Last advertised_topics() result: (subscription view, store
+        # generation, first instant it goes stale, the set itself).
+        self._advertised: Optional[
+            Tuple[FrozenSet[Topic], int, float, FrozenSet[Topic]]] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -83,6 +88,7 @@ class FrugalPubSub(PubSubProtocol):
         """Bind to a host: wire every layer, build the rng-backed store."""
         super().attach(host)
         self.events = EventStore.from_config(self.config, host.rng)
+        self._advertised = None   # a fresh store restarts its generation
         self.delivery.attach(host)
         self.membership.attach(host)
         self.forwarding.attach(host, self.events)
@@ -170,15 +176,35 @@ class FrugalPubSub(PubSubProtocol):
     # -- phase 1 glue: id announcements -----------------------------------------------------
 
     def advertised_topics(self) -> FrozenSet[Topic]:
-        """Subscriptions plus the topics of own still-valid publications."""
-        topics = set(self.delivery.subscriptions)
-        if self.events is not None and self.host is not None:
-            now = self.host.now
-            own = self.host.id
-            topics.update(
-                row.topic for row in self.events
-                if row.event_id.publisher == own and row.is_valid(now))
-        return frozenset(topics)
+        """Subscriptions plus the topics of own still-valid publications.
+
+        Called on every heartbeat sent *and* received, so the last
+        result is reused for as long as nothing it depends on changed:
+        the subscription view is the same object (``subscribe`` /
+        ``unsubscribe`` replace it), the store's ``generation`` is
+        unchanged (every path that adds or removes a row bumps it) and
+        ``now`` is still before the earliest ``expires_at`` among the
+        own valid publications folded in — ``Event.is_valid`` is
+        ``now < expires_at``, so the set shrinks at exactly that instant
+        and is rebuilt by a full scan then.  A process advertising only
+        its subscriptions gets the subscription view itself back.
+        """
+        subs = self.delivery.subscriptions
+        if self.events is None or self.host is None:
+            return subs
+        now = self.host.now
+        cached = self._advertised
+        if (cached is not None and cached[0] is subs
+                and cached[1] == self.events.generation and now < cached[2]):
+            return cached[3]
+        own = self.host.id
+        own_valid = [row.event for row in self.events
+                     if row.event_id.publisher == own and row.is_valid(now)]
+        topics = (subs.union(e.topic for e in own_valid) if own_valid
+                  else subs)
+        stale_at = min((e.expires_at for e in own_valid), default=math.inf)
+        self._advertised = (subs, self.events.generation, stale_at, topics)
+        return topics
 
     def _on_new_neighbor(self, neighbor_id: int,
                          their_subs: FrozenSet[Topic]) -> None:

@@ -32,7 +32,7 @@ class DeliveryLayer:
 
     def __init__(self, counters: ProtocolCounters):
         self.counters = counters
-        self._subscriptions: Set[Topic] = set()
+        self._subscriptions: FrozenSet[Topic] = frozenset()
         self._delivered: Set[EventId] = set()
         self._host: Optional[Host] = None
 
@@ -54,16 +54,21 @@ class DeliveryLayer:
 
     @property
     def subscriptions(self) -> FrozenSet[Topic]:
-        """The current subscription set (frozen view)."""
-        return frozenset(self._subscriptions)
+        """The current subscription set.
+
+        One frozen object, replaced only by :meth:`subscribe` /
+        :meth:`unsubscribe`: callers may key derived values on its
+        identity.
+        """
+        return self._subscriptions
 
     def subscribe(self, topic: Topic | str) -> None:
         """Register interest in ``topic`` and its subtopics."""
-        self._subscriptions.add(Topic(topic))
+        self._subscriptions = self._subscriptions | {Topic(topic)}
 
     def unsubscribe(self, topic: Topic | str) -> None:
         """Drop a subscription (unknown topics are ignored)."""
-        self._subscriptions.discard(Topic(topic))
+        self._subscriptions = self._subscriptions - {Topic(topic)}
 
     def matches(self, topic: Topic) -> bool:
         """Is the process entitled to events on ``topic``?"""

@@ -16,11 +16,43 @@ much machinery rides on it:
 Both are driven purely through the :class:`~repro.core.base.Host`
 interface, so a scripted fake host can exercise them in isolation
 (``tests/test_stack.py``).
+
+Reception is change-driven
+--------------------------
+:meth:`HeartbeatMembership.on_heartbeat` runs once per *received*
+heartbeat — five times as often as one is sent at the paper's density —
+and every value it needs is a pure function of state that changes on a
+small fraction of receptions.  Each is therefore kept beside the state
+it derives from and invalidated by the mutation that can change it, so a
+steady-state reception costs a few look-ups and comparisons:
+
+* the advertised topic set (:meth:`FrugalPubSub.advertised_topics
+  <repro.core.protocol.FrugalPubSub.advertised_topics>`) is reused while
+  the delivery layer's frozen subscription view is the same object, the
+  event store's ``generation`` (bumped by ``store``, eviction, ``remove``,
+  ``clear``, ``purge_expired``) is unchanged, and ``now`` is before the
+  earliest ``expires_at`` of the own valid publications it folded in —
+  validity is ``now < expires_at``, so the set changes at that instant,
+  not a tick later;
+* the matching verdict is memoised per ``(mine, theirs)`` pair of frozen
+  topic sets (``_related``, at most ``VERDICT_MEMO_SIZE`` pairs) and
+  needs no invalidation;
+* :meth:`HeartbeatMembership.recompute_delays` is still called on every
+  reception but returns early unless the table's ``speed_generation``
+  (a row added, removed, or refreshed with a *different* speed), the own
+  speed, ``HBDelay`` or a task handle moved since its last pass.
+
+There is one path and no switch, and no running sum of speeds: a pass
+that does run scans the table in row order, because the order of the
+float additions is part of the golden digests.  The recompute-everything
+monolith in :mod:`repro.baselines.reference` stays naive on purpose —
+``tests/test_stack_equivalence.py`` compares the two on every family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.core.base import Host, ProtocolCounters
@@ -29,6 +61,22 @@ from repro.core.tables import NeighborhoodTable
 from repro.core.topics import (Topic, subscription_matches_event,
                                subscriptions_related)
 from repro.net.messages import Heartbeat
+
+#: Distinct ``(mine, theirs)`` topic-set pairs whose matching verdict is
+#: kept; a world has a handful, so this only caps a pathological one.
+VERDICT_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=VERDICT_MEMO_SIZE)
+def _related(mine: FrozenSet[Topic], theirs: FrozenSet[Topic]) -> bool:
+    """The heartbeat matching rule, memoised per pair of topic sets.
+
+    A pure function of two immutable sets, so there is nothing to
+    invalidate.  Keys compare by value: the simulator passes the very
+    objects the senders advertise (an identity hit), the ``rt/`` codec
+    passes equal decodes.
+    """
+    return subscriptions_related(mine, theirs)
 
 
 class HeartbeatMembership:
@@ -58,6 +106,7 @@ class HeartbeatMembership:
         self._hb_delay = config.hb_delay
         self._hb_task = None
         self._ngc_task = None
+        self._delays_settled = None   # see recompute_delays
 
     # -- wiring ---------------------------------------------------------------
 
@@ -144,7 +193,7 @@ class HeartbeatMembership:
         the row is stored, exactly as the monolithic protocol did.
         """
         mine = self._advertised()
-        if mine and subscriptions_related(mine, hb.subscriptions):
+        if mine and _related(mine, hb.subscriptions):
             is_new = hb.sender not in self.table
             self.table.upsert(hb.sender, hb.subscriptions,
                               hb.speed, self._host.now)
@@ -153,9 +202,27 @@ class HeartbeatMembership:
         self.recompute_delays()
 
     def recompute_delays(self) -> None:
-        """Fig. 8: adapt heartbeat and neighbourhood-GC periods."""
-        avg = self.table.average_speed(
-            own_speed=self._host.current_speed())
+        """Fig. 8: adapt heartbeat and neighbourhood-GC periods.
+
+        Runs on every reception but only does work when an input moved:
+        the table's ``speed_generation`` (a row added, removed, or
+        refreshed with a different speed), the own speed (a leg
+        boundary), the current ``HBDelay`` (``start`` resets it) or
+        either task handle (``update_tasks`` arms fresh ones).  With all
+        five equal to what the last pass left behind, that pass would
+        repeat itself exactly — ``adapted_hb_delay`` is idempotent on its
+        own output and both periods already hold the values it would
+        write — so it is skipped.  A pass that does run takes the mean
+        by a full :meth:`~repro.core.tables.NeighborhoodTable.average_speed`
+        scan in row order; there is no running sum, because the order of
+        the float additions is part of the pinned golden digests.
+        """
+        own_speed = self._host.current_speed()
+        generation = self.table.speed_generation
+        if self._delays_settled == (generation, own_speed, self._hb_delay,
+                                    self._hb_task, self._ngc_task):
+            return
+        avg = self.table.average_speed(own_speed=own_speed)
         new_hb = self.config.adapted_hb_delay(avg, self._hb_delay)
         if new_hb != self._hb_delay:
             self._hb_delay = new_hb
@@ -164,6 +231,8 @@ class HeartbeatMembership:
         # NGCDelay follows HBDelay (Fig. 8 line 12).
         if self._ngc_task is not None:
             self._ngc_task.set_period(self.config.ngc_delay(self._hb_delay))
+        self._delays_settled = (generation, own_speed, self._hb_delay,
+                                self._hb_task, self._ngc_task)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -57,6 +57,13 @@ class NeighborhoodTable:
     additionally enforces the paper's footnote-5 hard bound ("the maximum
     number of neighbors a process can handle") by evicting the stalest row
     when a new neighbour arrives at a full table.
+
+    ``speed_generation`` counts the mutations that can change
+    :meth:`average_speed`: a row added, a row removed (``remove``,
+    ``clear``, capacity eviction, a non-empty ``collect``) or a row
+    refreshed with a *different* speed.  While it stands still the mean
+    is the one last computed, which lets the membership layer skip the
+    Fig. 8 recomputation on a reception that changed nothing.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
@@ -64,6 +71,7 @@ class NeighborhoodTable:
             raise ValueError(f"capacity must be >= 1 or None: {capacity}")
         self.capacity = capacity
         self._entries: Dict[int, NeighborEntry] = {}
+        self.speed_generation = 0
 
     # -- container protocol ---------------------------------------------------
 
@@ -101,9 +109,12 @@ class NeighborhoodTable:
             entry = NeighborEntry(node_id=node_id, subscriptions=subs,
                                   speed=speed, store_time=now)
             self._entries[node_id] = entry
+            self.speed_generation += 1
         else:
             entry.subscriptions = subs
-            entry.speed = speed
+            if entry.speed != speed:
+                entry.speed = speed
+                self.speed_generation += 1
             entry.store_time = now
         return entry
 
@@ -123,7 +134,8 @@ class NeighborhoodTable:
             entry.store_time = now
 
     def remove(self, node_id: int) -> None:
-        self._entries.pop(node_id, None)
+        if self._entries.pop(node_id, None) is not None:
+            self.speed_generation += 1
 
     def clear(self) -> None:
         """Drop every row (crash semantics: the view is volatile state).
@@ -133,12 +145,14 @@ class NeighborhoodTable:
         ``capacity`` is preserved.
         """
         self._entries.clear()
+        self.speed_generation += 1
 
     def _evict_stalest(self) -> None:
         """Make room for a fresh neighbour: the least recently heard row
         is the least likely to still be in radio range."""
         stalest = min(self._entries.values(), key=lambda e: e.store_time)
         del self._entries[stalest.node_id]
+        self.speed_generation += 1
 
     # -- queries ------------------------------------------------------------------
 
@@ -148,6 +162,9 @@ class NeighborhoodTable:
 
         Returns ``None`` when no process contributed a speed — the
         adaptive-heartbeat rule then leaves the period unchanged.
+
+        Always a full pass in row order, never a running sum: the order
+        of the float additions is part of the pinned golden digests.
         """
         speeds = [e.speed for e in self._entries.values()
                   if e.speed is not None]
@@ -170,6 +187,8 @@ class NeighborhoodTable:
                  if e.is_stale(now, ngc_delay)]
         for nid in stale:
             del self._entries[nid]
+        if stale:
+            self.speed_generation += 1
         return stale
 
 
@@ -178,6 +197,11 @@ class EventTable:
 
     Rows are kept per event id; the table never stores two copies of the
     same event.  ``capacity=None`` disables the bound (handy in tests).
+
+    ``generation`` counts row-set mutations — every path that adds or
+    removes a row (``store``, eviction, ``remove``, ``clear``,
+    ``purge_expired``) bumps it — so a value derived from the set of held
+    events stays good for as long as the generation stands still.
     """
 
     def __init__(self, capacity: Optional[int] = None,
@@ -189,6 +213,7 @@ class EventTable:
         self.policy = policy or ValidityForwardPolicy()
         self._rng = rng
         self._rows: Dict[EventId, StoredEvent] = {}
+        self.generation = 0
         self.evictions_expired = 0
         self.evictions_policy = 0
 
@@ -230,6 +255,7 @@ class EventTable:
                 f"{self.capacity}")
         row = StoredEvent(event=event, stored_at=now)
         self._rows[event.event_id] = row
+        self.generation += 1
         return row
 
     def _evict_one(self, now: float) -> None:
@@ -237,16 +263,19 @@ class EventTable:
         for event_id, row in self._rows.items():
             if not row.is_valid(now):
                 del self._rows[event_id]
+                self.generation += 1
                 self.evictions_expired += 1
                 return
         victim = self.policy.select_victim(self._rows.values(), now,
                                            rng=self._rng)
         if victim is not None:
             del self._rows[victim.event_id]
+            self.generation += 1
             self.evictions_policy += 1
 
     def remove(self, event_id: EventId) -> None:
-        self._rows.pop(event_id, None)
+        if self._rows.pop(event_id, None) is not None:
+            self.generation += 1
 
     def clear(self) -> None:
         """Drop every row and zero the eviction tallies (crash semantics).
@@ -257,6 +286,7 @@ class EventTable:
         reference across crash/recover cycles.
         """
         self._rows.clear()
+        self.generation += 1
         self.evictions_expired = 0
         self.evictions_policy = 0
 
@@ -296,6 +326,8 @@ class EventTable:
                 if not row.is_valid(now)]
         for eid in dead:
             del self._rows[eid]
+        if dead:
+            self.generation += 1
         return dead
 
     def increment_forward_count(self, event_id: EventId) -> None:

@@ -8,9 +8,10 @@ Section 2).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, List, Optional
 
-from repro.core.base import PubSubProtocol
+from repro.core.base import HandleList, PubSubProtocol
 from repro.core.events import Event
 from repro.mobility.base import MobilityModel
 from repro.net.medium import WirelessMedium
@@ -37,8 +38,8 @@ class Node:
         self._silence_depth = 0
         self.depleted = False
         self._started = False
-        self._timers: List[Timer] = []
-        self._periodics: List[PeriodicTask] = []
+        self._timers = HandleList(attrgetter("active"))
+        self._periodics = HandleList(attrgetter("running"))
         self._deferred_sends: List[Message] = []
         self.delivered_events: List[Event] = []
         self.on_deliver: Optional[Callable[["Node", Event], None]] = None
@@ -247,9 +248,7 @@ class Node:
         """Run ``callback(*args)`` in ``delay`` seconds unless this node
         crashes first; returns the cancellable :class:`Timer`."""
         timer = self.sim.schedule(delay, self._guarded, callback, args)
-        self._timers.append(timer)
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if t.active]
+        self._timers.track(timer)
         return timer
 
     def _guarded(self, callback: Callable[..., None], args: tuple) -> None:
@@ -262,9 +261,7 @@ class Node:
         ``U(0, jitter)`` per tick), stopped automatically on crash."""
         task = PeriodicTask(self.sim, period, callback, jitter=jitter,
                             rng=self._rng)
-        self._periodics.append(task)
-        if len(self._periodics) > 64:
-            self._periodics = [t for t in self._periodics if t.running]
+        self._periodics.track(task)
         return task
 
     def deliver(self, event: Event) -> None:

@@ -31,9 +31,10 @@ armed timers are guarded so they never fire into a crashed protocol.
 from __future__ import annotations
 
 import asyncio
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.base import PubSubProtocol
+from repro.core.base import HandleList, PubSubProtocol
 from repro.core.events import Event, EventId
 from repro.net.messages import Message
 from repro.rt.codec import CodecError, decode, encode
@@ -156,8 +157,8 @@ class AsyncioHost:
         self.alive = False
         self._started = False
         self._silence_depth = 0
-        self._timers: List[RtTimer] = []
-        self._periodics: List[RtPeriodicTask] = []
+        self._timers = HandleList(attrgetter("active"))
+        self._periodics = HandleList(attrgetter("running"))
         self._deferred_sends: List[Message] = []
         self.delivered_events: List[Event] = []
         #: Virtual time of each event's *first* local delivery.
@@ -302,9 +303,7 @@ class AsyncioHost:
                 callback(*args)
 
         timer._handle = self._call_later(delay, fire)
-        self._timers.append(timer)
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if t.active]
+        self._timers.track(timer)
         return timer
 
     def periodic(self, period: float, callback: Callable[[], None],
@@ -312,9 +311,7 @@ class AsyncioHost:
         """Start a repeating task every ``period`` virtual seconds (plus
         ``U(0, jitter)`` per tick), stopped automatically on crash."""
         task = RtPeriodicTask(self, period, callback, jitter=jitter)
-        self._periodics.append(task)
-        if len(self._periodics) > 64:
-            self._periodics = [t for t in self._periodics if t.running]
+        self._periodics.track(task)
         return task
 
     def deliver(self, event: Event) -> None:

@@ -3,7 +3,10 @@
 The kernel is a classic heap-based event loop.  All protocol behaviour in
 this repository is driven exclusively through it: message deliveries,
 heartbeat tasks, back-off expirations and garbage-collection periods are all
-:class:`Timer` instances scheduled on one :class:`Simulator`.
+scheduled on one :class:`Simulator`, which hands back a :class:`Timer`
+handle for each.  The heap itself holds ``(time, seq, timer)`` tuples:
+``seq`` is unique, so ordering is decided by C tuple comparison on the
+first two fields and a :class:`Timer` is never compared.
 
 Determinism guarantees
 ----------------------
@@ -53,9 +56,6 @@ class Timer:
         """True while the timer is pending (not fired, not cancelled)."""
         return not (self.cancelled or self.fired)
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else (
             "fired" if self.fired else "pending")
@@ -79,7 +79,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[Timer] = []
+        self._queue: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -108,8 +108,9 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}")
-        timer = Timer(time, next(self._seq), callback, args)
-        heapq.heappush(self._queue, timer)
+        seq = next(self._seq)
+        timer = Timer(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, timer))
         return timer
 
     def stop(self) -> None:
@@ -141,18 +142,20 @@ class Simulator:
         self._stopped = False
         budget = max_events if max_events is not None else float("inf")
         try:
-            while self._queue and not self._stopped:
-                head = self._queue[0]
+            queue = self._queue
+            heappop = heapq.heappop
+            while queue and not self._stopped:
+                time, _, head = queue[0]
                 if head.cancelled:
                     # Cancelled timers — including one sitting at exactly
                     # t == until — are purged without firing and never
                     # count against the max_events budget.
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self._now = head.time
+                heappop(queue)
+                self._now = time
                 head.fired = True
                 head.callback(*head.args)
                 self.events_processed += 1

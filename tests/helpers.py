@@ -8,7 +8,9 @@ lets the protocol unit tests exercise the paper's pseudocode line by line.
 :class:`MediumStub` is the opposite double — a parked node for driving
 the wireless medium without a protocol — and :func:`oracle_outcomes` is
 the brute-force statement of the medium's physics those tests compare
-the production engine against.
+the production engine against.  :func:`naive_membership` plays the same
+role for the change-driven membership layer: everything it caches,
+recomputed from raw state.
 """
 
 from __future__ import annotations
@@ -162,3 +164,37 @@ def oracle_outcomes(positions: Dict[int, Tuple[float, float]],
                 for j, (o_sender, o_start, o_end) in enumerate(frames))
             fates[i, rx] = "collision" if clash else "delivered"
     return fates
+
+
+def naive_membership(protocol, subscribed, theirs, hb_delay: float):
+    """What a recompute-everything membership layer derives right now.
+
+    The from-scratch oracle for the change-driven stack: it reads only
+    raw state (the test's own model of the subscription set, the event
+    rows, the neighbour rows, the host) and shares no code with the
+    caches it checks.  Returns ``(advertised, verdict, hb_delay)``: the
+    advertised set by a full scan of the store, the heartbeat matching
+    verdict against ``theirs`` by a double loop over topic paths, and
+    the Fig. 8 period that follows ``hb_delay`` given the mean of every
+    known speed.
+    """
+    host = protocol.host
+    advertised = set(subscribed)
+    for row in protocol.events:
+        event = row.event
+        if (event.event_id.publisher == host.id
+                and host.now < event.published_at + event.validity):
+            advertised.add(event.topic)
+    verdict = False
+    for mine in advertised:
+        for other in theirs:
+            shared = min(len(mine.parts), len(other.parts))
+            if mine.parts[:shared] == other.parts[:shared]:
+                verdict = True
+    speeds = [row.speed for row in protocol.neighborhood
+              if row.speed is not None]
+    if host.current_speed() is not None:
+        speeds.append(host.current_speed())
+    mean = sum(speeds) / len(speeds) if speeds else None
+    return (frozenset(advertised), verdict,
+            protocol.config.adapted_hb_delay(mean, hb_delay))

@@ -84,6 +84,28 @@ class TestLifecycle:
         assert len(node._periodics) <= 65
         assert sum(t.running for t in node._periodics) == 2
 
+    def test_many_live_handles_prune_in_amortised_constant_time(
+            self, sim, rngs):
+        """Regression: with more than 64 handles live at once the fixed
+        ``> 64`` threshold rebuilt the list on *every* call (quadratic
+        in the number armed).  The list now prunes when it has doubled."""
+        node, _ = make_node(sim, rngs)
+        node.start()
+        timers = [node.schedule(1000.0, lambda: None) for _ in range(5000)]
+        tasks = [node.periodic(1000.0, lambda: None) for _ in range(5000)]
+        assert node._timers.prune_passes <= 16
+        assert node._periodics.prune_passes <= 16
+        # Dead entries are still dropped once the list doubles again.
+        for timer in timers:
+            timer.cancel()
+        for task in tasks:
+            task.stop()
+        for _ in range(5001):
+            node.schedule(1000.0, lambda: None).cancel()
+            node.periodic(1000.0, lambda: None).stop()
+        assert len(node._timers) <= 65
+        assert len(node._periodics) <= 65
+
     def test_crash_is_idempotent(self, sim, rngs):
         node, _ = make_node(sim, rngs)
         node.start()

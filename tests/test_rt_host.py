@@ -121,6 +121,30 @@ class TestTimerContract:
             assert len(host._timers) <= 65
         run(body())
 
+    def test_many_live_handles_prune_in_amortised_constant_time(self):
+        """Regression: with more than 64 handles live at once the fixed
+        ``> 64`` threshold rebuilt the list on *every* call (quadratic
+        in the number armed).  The list now prunes when it has doubled."""
+        async def body():
+            host, _, _ = make_host()
+            timers = [host.schedule(1000.0, lambda: None)
+                      for _ in range(5000)]
+            tasks = [host.periodic(1000.0, lambda: None)
+                     for _ in range(5000)]
+            assert host._timers.prune_passes <= 16
+            assert host._periodics.prune_passes <= 16
+            # Dead entries are still dropped once the list doubles again.
+            for timer in timers:
+                timer.cancel()
+            for task in tasks:
+                task.stop()
+            for _ in range(5001):
+                host.schedule(1000.0, lambda: None).cancel()
+                host.periodic(1000.0, lambda: None).stop()
+            assert len(host._timers) <= 65
+            assert len(host._periodics) <= 65
+        run(body())
+
 
 class TestPeriodicContract:
     def test_ticks_repeat_until_stop(self):

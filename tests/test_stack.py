@@ -132,6 +132,22 @@ class TestHeartbeatMembership:
                                           speed=10.0))
         assert membership.hb_delay == 1.0    # 40/10 = 4 clamped to 1
 
+    def test_restart_without_stop_readapts_on_next_reception(self):
+        """A second ``start`` resets HBDelay under the same tasks and the
+        same table; the next reception must adapt it again, although no
+        speed moved since the last recomputation."""
+        host = FakeHost(speed=20.0)
+        membership, _ = self.build(host, hb_upper_bound=5.0)
+        membership.start()
+        hb = Heartbeat(sender=5, subscriptions=frozenset_of(".a"),
+                       speed=20.0)
+        membership.on_heartbeat(hb)
+        assert membership.hb_delay == 2.0
+        membership.start()
+        assert membership.hb_delay == 1.0
+        membership.on_heartbeat(hb)
+        assert membership.hb_delay == 2.0
+
     def test_stop_and_reset_clear_tasks_and_table(self):
         host = FakeHost()
         membership, counters = self.build(host)
