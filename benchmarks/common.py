@@ -1,6 +1,6 @@
-"""Shared infrastructure for the figure benchmarks.
+"""Shared infrastructure for the benchmarks.
 
-Every ``bench_figNN.py`` regenerates one of the paper's figures at the
+``bench_experiments.py`` regenerates every registered figure at the
 scale selected by ``REPRO_SCALE`` (quick by default, paper for the full
 grids) and:
 
@@ -8,11 +8,6 @@ grids) and:
   ``bench_output.txt`` when run with ``tee``),
 * writes the full rows (including std-dev columns) to
   ``benchmarks/results/<figure>.csv`` for EXPERIMENTS.md bookkeeping.
-
-Figures 17-19 plot different metrics of the *same* simulation campaign
-(the paper ran one sweep and reported four views of it), so the underlying
-sweep is computed once per scale and shared across those benchmarks via
-:func:`shared_frugality_sweep`.
 """
 
 from __future__ import annotations
@@ -22,28 +17,25 @@ import os
 import pathlib
 import subprocess
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.harness import parallel
 from repro.harness.cache import ResultCache, default_cache_dir
-from repro.harness.experiments import (ExperimentResult,
-                                       frugality_comparison)
+from repro.harness.experiments import ExperimentResult
 from repro.harness.presets import Scale, get_scale
 from repro.harness.reporting import (format_engine_stats, format_experiment,
                                      to_csv)
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-_SWEEP_CACHE: Dict[Tuple[str, Tuple[str, ...]], ExperimentResult] = {}
-
 
 def configure_engine() -> parallel.ParallelRunner:
     """Install the benchmark execution engine from the environment.
 
     ``REPRO_JOBS`` selects the worker count (0 = all CPUs, default 1).
-    Every ``bench_fig*`` sweep goes through
-    :func:`repro.harness.parallel.run_seeds`, so this single
-    configuration parallelises the whole suite.
+    Every figure sweep goes through the process-wide engine
+    (:func:`repro.study.run_study`), so this single configuration
+    parallelises the whole suite.
 
     The result cache is **opt-in** here (``REPRO_CACHE=1``), the
     opposite of the CLI's default: this is a *timing* suite, and a warm
@@ -67,33 +59,6 @@ def engine_stats_line() -> str:
 
 def scale() -> Scale:
     return get_scale()
-
-
-def shared_frugality_sweep(protocols: Tuple[str, ...]) -> ExperimentResult:
-    """The Figs. 17-20 sweep, computed once per (scale, protocol set)."""
-    s = scale()
-    key = (s.name, tuple(sorted(protocols)))
-    cached = _SWEEP_CACHE.get(key)
-    if cached is None:
-        cached = frugality_comparison(s, protocols=protocols,
-                                      experiment_id="fig17-20",
-                                      title="Frugality sweep")
-        _SWEEP_CACHE[key] = cached
-    return cached
-
-
-def view(sweep: ExperimentResult, experiment_id: str, title: str,
-         metric: str) -> ExperimentResult:
-    """Project one figure's metric out of the shared sweep."""
-    result = ExperimentResult(experiment_id=experiment_id, title=title,
-                              parameters=dict(sweep.parameters))
-    for row in sweep.rows:
-        result.rows.append({
-            "protocol": row["protocol"], "events": row["events"],
-            "interest": row["interest"],
-            metric: row[metric], metric + "_std": row[metric + "_std"],
-            "reliability": row["reliability"]})
-    return result
 
 
 #: Tables rendered during this session; the conftest terminal-summary hook

@@ -7,9 +7,12 @@
   (process pool, deterministic ordering, cache integration),
 * :mod:`repro.harness.cache` — the on-disk result cache,
 * :mod:`repro.harness.presets` — `quick` vs `paper` experiment scales,
-* :mod:`repro.harness.experiments` — one function per paper figure
-  (Figs. 11-20) plus ablations,
-* :mod:`repro.harness.reporting` — ASCII tables and CSV output.
+* :mod:`repro.harness.experiments` — the experiment result type, the
+  scenario factories and the config transforms the declared studies
+  (:mod:`repro.study.studies`, Figs. 11-20 plus ablations) sweep,
+* :mod:`repro.harness.reporting` — ASCII tables and CSV output,
+* :mod:`repro.harness.cli` — the command line over the declaration
+  registry (the one harness module that imports :mod:`repro.study`).
 """
 
 from repro.harness.scenario import (CitySectionSpec, FixedPositionsSpec,
@@ -23,13 +26,11 @@ from repro.harness.runner import (Aggregate, MultiSeedResult, aggregate,
 from repro.harness.cache import ResultCache, code_version_tag, config_digest
 from repro.harness.parallel import EngineStats, ParallelRunner
 from repro.harness.presets import PAPER, QUICK, SMOKE, Scale, get_scale
-from repro.harness.experiments import (ALL_EXPERIMENTS, ExperimentResult,
-                                       churn_scenario, city_scenario,
-                                       energy_scenario,
-                                       frugality_comparison, rwp_scenario)
+from repro.harness.experiments import (ExperimentResult, churn_scenario,
+                                       city_scenario, energy_scenario,
+                                       rwp_scenario)
 from repro.harness.reporting import (availability_timeline,
                                      depletion_timeline,
-                                     experiment_pivot,
                                      format_engine_stats,
                                      format_experiment, format_table,
                                      reliability_grid, to_csv)
@@ -64,16 +65,13 @@ __all__ = [
     "SMOKE",
     "Scale",
     "get_scale",
-    "ALL_EXPERIMENTS",
     "ExperimentResult",
     "churn_scenario",
     "city_scenario",
     "energy_scenario",
-    "frugality_comparison",
     "rwp_scenario",
     "availability_timeline",
     "depletion_timeline",
-    "experiment_pivot",
     "format_experiment",
     "format_table",
     "reliability_grid",

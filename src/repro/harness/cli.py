@@ -28,11 +28,11 @@ from typing import List, Optional
 
 from repro.harness import experiments, parallel
 from repro.harness.cache import ResultCache, default_cache_dir
-from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.presets import get_scale
-from repro.harness.reporting import (experiment_pivot, format_engine_stats,
-                                     format_experiment, to_csv)
+from repro.harness.reporting import (format_engine_stats, format_experiment,
+                                     to_csv)
 from repro.sim.shard import ShardConfig
+from repro.study.studies import ALL_EXPERIMENTS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,15 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment id (fig11..fig20, abl-gc, abl-backoff, "
              "abl-adaptive-hb, abl-ids, abl-dutycycle, abl-outage, "
              "energy-lifetime, churn-resilience, protocol-matrix, "
-             "loopback-bridge, city-scale, study-frontier), 'all', "
-             "'list', or 'study' (declarative studies; see --list/--run)")
-    parser.add_argument(
-        "--list", action="store_true",
-        help="with 'study': list the registered study declarations")
-    parser.add_argument(
-        "--run", default=None, metavar="STUDY",
-        help="with 'study': run one registered study by id "
-             "(e.g. 'study --run study-frontier')")
+             "loopback-bridge, city-scale, study-frontier), 'all' or "
+             "'list'")
     parser.add_argument(
         "--scale", default=None, choices=["smoke", "quick", "paper"],
         help="experiment scale (default: REPRO_SCALE env or quick; "
@@ -86,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
              "./.repro-cache)")
     parser.add_argument(
         "--csv", default=None,
-        help="write the result rows to this CSV file")
+        help="write the result rows to this CSV file (one experiment; "
+             "'all' takes --out-dir)")
     parser.add_argument(
         "--out-dir", default=None,
         help="with 'all': write one CSV per experiment into this directory")
@@ -113,9 +107,6 @@ def run_one(experiment_id: str, scale_name: Optional[str],
     runner.stats.reset()
     result = ALL_EXPERIMENTS[experiment_id](scale)
     print(format_experiment(result))
-    pivot = experiment_pivot(result)
-    if pivot:
-        print("\n" + pivot)
     for note in result.notes:
         print("\n" + note)
     print(format_engine_stats(runner.stats, jobs=runner.jobs,
@@ -126,33 +117,37 @@ def run_one(experiment_id: str, scale_name: Optional[str],
         print(f"\nwrote {csv_path}")
 
 
+def _ignored_flag(args: argparse.Namespace,
+                  shard_config: ShardConfig) -> Optional[str]:
+    """Why this flag combination would silently drop a flag, or None."""
+    if args.epoch is not None and not shard_config:
+        return ("--epoch only spaces the sharded engine's barriers; "
+                "add --shards K|RxC")
+    if args.csv is not None and args.experiment == "all":
+        return "'all' writes one CSV per experiment; use --out-dir, not --csv"
+    if args.out_dir is not None and args.experiment != "all":
+        return "--out-dir only applies to 'all'; use --csv for one experiment"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         print("available experiments:")
-        for name in ALL_EXPERIMENTS:
-            doc = (ALL_EXPERIMENTS[name].__doc__ or "").strip()
-            print(f"  {name:16s} {doc.splitlines()[0]}")
+        for name, run in ALL_EXPERIMENTS.items():
+            print(f"  {name:16s} {run.__doc__.strip().splitlines()[0]}")
         return 0
-    if args.experiment == "study":
-        # Imported lazily: only the study path needs the declarations.
-        from repro.study.studies import STUDIES
-        if args.run is None:
-            print("registered studies (run with 'study --run <id>'):")
-            for study in STUDIES.values():
-                print(f"  {study.study_id:16s} {study.summary}")
-            return 0
-        if args.run not in STUDIES:
-            print(f"unknown study {args.run!r}; try 'study --list'",
-                  file=sys.stderr)
-            return 2
     try:
         epoch = (None if args.epoch in (None, "auto")
                  else float(args.epoch))
         shard_config = ShardConfig.parse(args.shards, epoch=epoch)
     except ValueError as exc:
         print(f"bad --shards/--epoch: {exc}", file=sys.stderr)
+        return 2
+    ignored = _ignored_flag(args, shard_config)
+    if ignored:
+        print(ignored, file=sys.stderr)
         return 2
     configure_engine(args.jobs, args.no_cache, args.cache_dir)
     experiments.DEFAULT_SHARDS = shard_config
@@ -164,11 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 run_one(name, args.scale, str(out_dir / f"{name}.csv"),
                         seed=args.seed)
                 print()
-            return 0
-        if args.experiment == "study":
-            # Every registered study is also an ALL_EXPERIMENTS entry,
-            # so the study path reuses the standard run/print/CSV flow.
-            run_one(args.run, args.scale, args.csv, seed=args.seed)
             return 0
         if args.experiment not in ALL_EXPERIMENTS:
             print(f"unknown experiment {args.experiment!r}; "

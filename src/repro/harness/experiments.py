@@ -1,40 +1,38 @@
-"""One function per paper figure (Figs. 11-20) plus the design ablations.
+"""The experiment result type and the scenario factories behind it.
 
-Every function takes a :class:`~repro.harness.presets.Scale` and returns an
-:class:`ExperimentResult` whose rows carry the swept parameters and the
-measured metrics — the same rows the benchmark harness prints and
-EXPERIMENTS.md records.  At `paper` scale the sweeps match the paper's
-grids; at `quick` scale they are coarsened but keep the endpoints, so the
-qualitative shape (who wins, where the knees are) remains visible.
+Every reproduced figure and ablation is a declaration
+(:mod:`repro.study.studies`); this module holds what those declarations
+are built from: :class:`ExperimentResult` (the rows one experiment
+produces), the scenario factories for the paper's two mobility settings
+(Section 5.1) and the ``config -> config`` transforms the study axes
+sweep — one per concept, so a figure, an ablation and the
+``study-frontier`` cube cannot drift apart.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from repro.core import registry
 from repro.core.config import FrugalConfig
 from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
-from repro.faults import ChurnConfig, FaultConfig, RegionalOutage
-from repro.harness.presets import Scale, get_scale
-# run_seeds resolves through the parallel execution engine: experiments
-# transparently use whatever --jobs / cache configuration the CLI or
-# benchmark suite installed via repro.harness.parallel.configure().
-from repro.harness.parallel import run_seeds
-from repro.harness.runner import aggregate
+from repro.faults import ChurnConfig, FaultConfig
+from repro.harness.presets import Scale
 from repro.harness.scenario import (CityGridSpec, CitySectionSpec,
-                                    Publication, RandomWaypointSpec,
-                                    ScenarioConfig, StationarySpec)
-from repro.net import MediumConfig, RadioConfig
+                                    MobilitySpec, Publication,
+                                    RandomWaypointSpec, ScenarioConfig,
+                                    StationarySpec)
+from repro.net import RadioConfig
+from repro.sim.shard import ShardConfig
 
-#: Shard plan applied to every scenario the experiment builders emit —
-#: a plain count or a full :class:`~repro.sim.shard.ShardConfig`.
-#: 0 keeps the classic single-world engine; the CLI's ``--shards`` /
-#: ``--epoch`` flags rebind this for the duration of one invocation so
-#: any figure can run on the sharded engine (bit-identical across shard
-#: counts, tile shapes and epoch lengths — see ``repro.sim.shard``).
+#: Shard plan applied to every scenario the factories emit — a plain
+#: count or a full :class:`~repro.sim.shard.ShardConfig`.  0 keeps the
+#: classic single-world engine; the CLI's ``--shards`` / ``--epoch``
+#: flags rebind this for the duration of one invocation so any figure
+#: can run on the sharded engine (bit-identical across shard counts,
+#: tile shapes and epoch lengths — see ``repro.sim.shard``).
 DEFAULT_SHARDS = 0
 
 
@@ -45,9 +43,8 @@ def _apply_shards(config: ScenarioConfig) -> ScenarioConfig:
     return config.with_changes(shards=DEFAULT_SHARDS)
 
 
-def _shards_label() -> str:
+def shards_label() -> str:
     """A printable tag for the active shard plan (``off`` / ``1x4``)."""
-    from repro.sim.shard import ShardConfig
     return ShardConfig.coerce(DEFAULT_SHARDS).plan_label
 
 
@@ -105,9 +102,35 @@ class ExperimentResult:
         return out
 
 
+
 # --------------------------------------------------------------------------
-# Scenario builders
+# Scenario factories
 # --------------------------------------------------------------------------
+
+def rwp_mobility(scale: Scale, speed_min: float,
+                 speed_max: float) -> MobilitySpec:
+    """Random waypoint over the scale's area; parked when the top speed
+    is 0 (Fig. 11's stationary column)."""
+    if speed_max <= 0:
+        return StationarySpec(width=scale.rwp_area_m,
+                              height=scale.rwp_area_m)
+    return RandomWaypointSpec(
+        width=scale.rwp_area_m, height=scale.rwp_area_m,
+        speed_min=speed_min, speed_max=speed_max, pause_time=1.0)
+
+
+def rwp_publications(n_events: int,
+                     validity: float) -> Tuple[Publication, ...]:
+    """``n_events`` publications 2 s apart, publishers rotating."""
+    return tuple(
+        Publication(at=2.0 + 2.0 * i, validity=validity, publisher=i)
+        for i in range(n_events))
+
+
+def _covering_duration(publications: Tuple[Publication, ...]) -> float:
+    """Run length that outlives every publication's validity by 5 s."""
+    return max(p.at + p.validity for p in publications) + 5.0
+
 
 def rwp_scenario(scale: Scale, speed_min: float, speed_max: float,
                  validity: float, interest: float,
@@ -115,22 +138,12 @@ def rwp_scenario(scale: Scale, speed_min: float, speed_max: float,
                  duration: Optional[float] = None,
                  frugal: Optional[FrugalConfig] = None) -> ScenarioConfig:
     """A random-waypoint trial with the paper's Section 5.1 settings."""
-    if speed_max <= 0:
-        mobility = StationarySpec(width=scale.rwp_area_m,
-                                  height=scale.rwp_area_m)
-    else:
-        mobility = RandomWaypointSpec(
-            width=scale.rwp_area_m, height=scale.rwp_area_m,
-            speed_min=speed_min, speed_max=speed_max, pause_time=1.0)
-    pubs = tuple(
-        Publication(at=2.0 + 2.0 * i, validity=validity, publisher=i)
-        for i in range(n_events))
-    last_pub = max(p.at for p in pubs)
+    pubs = rwp_publications(n_events, validity)
     return _apply_shards(ScenarioConfig(
         n_processes=scale.rwp_processes,
-        mobility=mobility,
+        mobility=rwp_mobility(scale, speed_min, speed_max),
         duration=duration if duration is not None
-        else last_pub + validity + 5.0,
+        else _covering_duration(pubs),
         warmup=scale.rwp_warmup,
         protocol=protocol,
         frugal=frugal or FrugalConfig.paper_random_waypoint(),
@@ -143,266 +156,108 @@ def city_scenario(scale: Scale, validity: float, interest: float,
                   hb_upper: float = 1.0, publisher: int = 0,
                   protocol: str = "frugal") -> ScenarioConfig:
     """A city-section trial on the synthetic campus map."""
+    pubs = (Publication(at=5.0, validity=validity, publisher=publisher),)
     return _apply_shards(ScenarioConfig(
         n_processes=scale.city_processes,
         mobility=CitySectionSpec(),
-        duration=5.0 + validity + 5.0,
+        duration=_covering_duration(pubs),
         warmup=scale.city_warmup,
         protocol=protocol,
         frugal=FrugalConfig.paper_city_section(hb_upper_bound=hb_upper),
         radio=RadioConfig.paper_city_section(),
         subscriber_fraction=interest,
-        publications=(Publication(at=5.0, validity=validity,
-                                  publisher=publisher),)))
+        publications=pubs))
 
 
-def _city_rotated_reliabilities(scale: Scale, validity: float,
-                                interest: float,
-                                hb_upper: float = 1.0) -> List[float]:
-    """Mean reliability per publisher, rotating the original publisher
-    (the paper: "all processes, in turn, become the original publisher")."""
-    per_publisher: List[float] = []
-    for rotation in range(scale.city_publisher_rotations):
-        cfg = city_scenario(scale, validity, interest,
-                            hb_upper=hb_upper, publisher=rotation)
-        multi = run_seeds(cfg, scale.seed_list())
-        per_publisher.append(multi.reliability.mean)
-    return per_publisher
+#: Paper city density — 15 processes over the 1200x900 m campus.
+CITY_SCALE_DENSITY_KM2 = 15 / (1.2 * 0.9)
+#: Street-grid block pitch, metres (campus map: ~190 m blocks).
+CITY_SCALE_BLOCK_M = 200.0
 
 
-# --------------------------------------------------------------------------
-# Random waypoint reliability (Figs. 11, 12)
-# --------------------------------------------------------------------------
-
-FIG11_SPEEDS_FULL = [0.0, 1.0, 5.0, 10.0, 20.0, 30.0, 40.0]
-FIG11_SPEEDS_COARSE = [0.0, 5.0, 10.0, 30.0]
-VALIDITIES_FULL = [20.0, 60.0, 100.0, 140.0, 180.0]
-VALIDITIES_COARSE = [30.0, 90.0, 180.0]
-INTERESTS_FULL = [0.2, 0.4, 0.6, 0.8, 1.0]
-INTERESTS_COARSE = [0.2, 0.6, 1.0]
-
-
-def fig11(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 11: reliability vs (speed x validity) at 20 % and 80 % interest."""
-    scale = scale or get_scale()
-    speeds = scale.pick(FIG11_SPEEDS_FULL, FIG11_SPEEDS_COARSE)
-    validities = scale.pick(VALIDITIES_FULL, VALIDITIES_COARSE)
-    result = ExperimentResult(
-        experiment_id="fig11",
-        title="Reliability vs validity, speed and subscriber fraction "
-              "(random waypoint)",
-        parameters={"scale": scale.name, "speeds": speeds,
-                    "validities": validities, "interests": [0.2, 0.8]})
-    for interest in (0.2, 0.8):
-        for speed in speeds:
-            for validity in validities:
-                cfg = rwp_scenario(scale, speed, speed, validity, interest)
-                multi = run_seeds(cfg, scale.seed_list())
-                agg = multi.reliability
-                result.rows.append({
-                    "interest": interest, "speed": speed,
-                    "validity": validity,
-                    "reliability": agg.mean, "reliability_std": agg.std})
-    return result
+def city_scale_grid(n: int) -> CityGridSpec:
+    """A street grid sized to hold ``n`` processes at the paper's city
+    density, 4:3 aspect ratio."""
+    area_km2 = n / CITY_SCALE_DENSITY_KM2
+    width_m = math.sqrt(area_km2 * 4.0 / 3.0) * 1000.0
+    height_m = area_km2 * 1e6 / width_m
+    return CityGridSpec(
+        columns=max(3, round(width_m / CITY_SCALE_BLOCK_M)),
+        rows=max(3, round(height_m / CITY_SCALE_BLOCK_M)),
+        width=width_m, height=height_m)
 
 
-def fig12(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 12: reliability vs (validity x interest), speeds ~ U(1, 40)."""
-    scale = scale or get_scale()
-    validities = scale.pick(VALIDITIES_FULL, VALIDITIES_COARSE)
-    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
-    result = ExperimentResult(
-        experiment_id="fig12",
-        title="Reliability in a heterogeneous network (speeds 1-40 m/s)",
-        parameters={"scale": scale.name, "validities": validities,
-                    "interests": interests})
-    for interest in interests:
-        for validity in validities:
-            cfg = rwp_scenario(scale, 1.0, 40.0, validity, interest)
-            multi = run_seeds(cfg, scale.seed_list())
-            agg = multi.reliability
-            result.rows.append({
-                "interest": interest, "validity": validity,
-                "reliability": agg.mean, "reliability_std": agg.std})
-    return result
+def city_scale_scenario(scale: Scale, n: int, validity: float = 60.0,
+                        interest: float = 0.2,
+                        protocol: str = "frugal") -> ScenarioConfig:
+    """One large city-section trial: ``n`` processes on
+    :func:`city_scale_grid`."""
+    pubs = (Publication(at=5.0, validity=validity),)
+    return _apply_shards(ScenarioConfig(
+        n_processes=n,
+        mobility=city_scale_grid(n),
+        duration=_covering_duration(pubs),
+        warmup=scale.city_warmup,
+        protocol=protocol,
+        frugal=FrugalConfig.paper_city_section(),
+        radio=RadioConfig.paper_city_section(),
+        subscriber_fraction=interest,
+        publications=pubs))
 
 
 # --------------------------------------------------------------------------
-# City section reliability (Figs. 13-16)
+# Config transforms (what the study axes sweep)
 # --------------------------------------------------------------------------
 
-def fig13(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 13: reliability vs heartbeat upper bound (city section)."""
-    scale = scale or get_scale()
-    bounds = scale.pick([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 3.0, 5.0])
-    result = ExperimentResult(
-        experiment_id="fig13",
-        title="Reliability vs heartbeat upper-bound period (city section, "
-              "validity 150 s, 100% subscribers)",
-        parameters={"scale": scale.name, "hb_upper_bounds": bounds})
-    for bound in bounds:
-        per_pub = _city_rotated_reliabilities(scale, validity=150.0,
-                                              interest=1.0, hb_upper=bound)
-        agg = aggregate(per_pub)
-        result.rows.append({"hb_upper": bound,
-                            "reliability": agg.mean,
-                            "reliability_std": agg.std})
-    return result
+def with_validity(config: ScenarioConfig,
+                  validity: float) -> ScenarioConfig:
+    """Every publication lives ``validity`` seconds; the run covers it."""
+    pubs = tuple(dataclasses.replace(p, validity=validity)
+                 for p in config.publications)
+    return config.with_changes(publications=pubs,
+                               duration=_covering_duration(pubs))
 
 
-def fig14(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 14: reliability vs subscriber fraction (city section)."""
-    scale = scale or get_scale()
-    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
-    result = ExperimentResult(
-        experiment_id="fig14",
-        title="Reliability vs subscriber fraction (city section, "
-              "validity 150 s, heartbeat bound 1 s)",
-        parameters={"scale": scale.name, "interests": interests})
-    for interest in interests:
-        per_pub = _city_rotated_reliabilities(scale, validity=150.0,
-                                              interest=interest)
-        agg = aggregate(per_pub)
-        result.rows.append({"interest": interest,
-                            "reliability": agg.mean,
-                            "reliability_std": agg.std})
-    return result
+def with_publisher(config: ScenarioConfig,
+                   publisher: int) -> ScenarioConfig:
+    """Process ``publisher`` originates the (single) publication — the
+    paper: "all processes, in turn, become the original publisher"."""
+    pub, = config.publications
+    return config.with_changes(
+        publications=(dataclasses.replace(pub, publisher=publisher),))
 
 
-def fig15(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 15: max-min reliability spread across publishers."""
-    scale = scale or get_scale()
-    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
-    result = ExperimentResult(
-        experiment_id="fig15",
-        title="Reliability spread between publishers vs subscriber "
-              "fraction (city section)",
-        parameters={"scale": scale.name, "interests": interests})
-    for interest in interests:
-        per_pub = _city_rotated_reliabilities(scale, validity=150.0,
-                                              interest=interest)
-        result.rows.append({"interest": interest,
-                            "spread": max(per_pub) - min(per_pub),
-                            "best": max(per_pub), "worst": min(per_pub)})
-    return result
+def with_awake_fraction(config: ScenarioConfig,
+                        awake: float) -> ScenarioConfig:
+    """Install a heartbeat-aligned duty cycle (1.0 = always on) on an
+    energy-instrumented config, so one beacon exchange fits every
+    awake window."""
+    if awake < 1.0:
+        duty = DutyCycleConfig.heartbeat_aligned(
+            config.frugal.hb_upper_bound, awake)
+    else:
+        duty = DutyCycleConfig.always_on()
+    return config.with_changes(
+        energy=dataclasses.replace(config.energy, duty_cycle=duty))
 
 
-def fig16(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 16: reliability vs event validity period (city section)."""
-    scale = scale or get_scale()
-    validities = scale.pick([25.0, 50.0, 75.0, 100.0, 125.0, 150.0],
-                            [25.0, 75.0, 150.0])
-    result = ExperimentResult(
-        experiment_id="fig16",
-        title="Reliability vs validity period (city section, "
-              "100% subscribers)",
-        parameters={"scale": scale.name, "validities": validities})
-    for validity in validities:
-        per_pub = _city_rotated_reliabilities(scale, validity=validity,
-                                              interest=1.0)
-        agg = aggregate(per_pub)
-        result.rows.append({"validity": validity,
-                            "reliability": agg.mean,
-                            "reliability_std": agg.std})
-    return result
+def with_churn(config: ScenarioConfig, mean_session_s: Optional[float],
+               mean_rest_s: float = 45.0) -> ScenarioConfig:
+    """Install exponential population churn: up-sessions of mean
+    ``mean_session_s``, down-rests of mean ``mean_rest_s``.  ``None``
+    is the churn-free baseline, still fault-instrumented (empty config)
+    so its summary carries the same availability columns."""
+    if mean_session_s is None:
+        faults = FaultConfig()
+    else:
+        faults = FaultConfig(churn=ChurnConfig(
+            mean_session_s=mean_session_s, mean_rest_s=mean_rest_s))
+    return config.with_changes(faults=faults)
 
 
-# --------------------------------------------------------------------------
-# Frugality comparison (Figs. 17-20)
-# --------------------------------------------------------------------------
-
-EVENTS_FULL = [1, 5, 10, 15, 20]
-EVENTS_COARSE = [1, 10, 20]
-
-#: Which protocols each paper figure actually plots.
-FIG17_PROTOCOLS = ("frugal", "interest-flooding", "simple-flooding")
-FIG18_PROTOCOLS = ("frugal", "interest-flooding", "simple-flooding")
-FIG19_PROTOCOLS = ("frugal", "interest-flooding", "simple-flooding")
-FIG20_PROTOCOLS = ("frugal", "interest-flooding", "neighbor-flooding")
-
-
-def frugality_comparison(scale: Optional[Scale] = None,
-                         protocols: Sequence[str] = FIG17_PROTOCOLS,
-                         experiment_id: str = "fig17-20",
-                         title: str = "Frugality comparison",
-                         metric_names: Sequence[str] = (
-                             "bandwidth_bytes", "events_sent",
-                             "duplicates", "parasites"),
-                         ) -> ExperimentResult:
-    """The shared Figs. 17-20 sweep: protocols x #events x interest.
-
-    All protocols run the identical mobility/subscription draw per seed
-    (paired seeds), at 10 m/s over a 180 s window, 400-byte events with a
-    validity long enough to stay live for the whole window — the paper's
-    frugality measurement conditions.
-    """
-    scale = scale or get_scale()
-    events_counts = scale.pick(EVENTS_FULL, EVENTS_COARSE)
-    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
-    result = ExperimentResult(
-        experiment_id=experiment_id, title=title,
-        parameters={"scale": scale.name, "protocols": list(protocols),
-                    "events": events_counts, "interests": interests})
-    for protocol in protocols:
-        for n_events in events_counts:
-            for interest in interests:
-                cfg = rwp_scenario(scale, 10.0, 10.0, validity=180.0,
-                                   interest=interest, n_events=n_events,
-                                   protocol=protocol, duration=180.0)
-                multi = run_seeds(cfg, scale.seed_list())
-                summary = multi.summary()
-                row = {"protocol": protocol, "events": n_events,
-                       "interest": interest,
-                       "reliability": summary["reliability"].mean}
-                for name in metric_names:
-                    row[name] = summary[name].mean
-                    row[name + "_std"] = summary[name].std
-                result.rows.append(row)
-    return result
-
-
-def fig17(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 17: bandwidth per process vs (#events x interest)."""
-    return frugality_comparison(
-        scale, protocols=FIG17_PROTOCOLS, experiment_id="fig17",
-        title="Bandwidth used per process (random waypoint, 10 m/s)",
-        metric_names=("bandwidth_bytes",))
-
-
-def fig18(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 18: events sent per process vs (#events x interest)."""
-    return frugality_comparison(
-        scale, protocols=FIG18_PROTOCOLS, experiment_id="fig18",
-        title="Events sent per process (random waypoint, 10 m/s)",
-        metric_names=("events_sent",))
-
-
-def fig19(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 19: duplicates received per process vs (#events x interest)."""
-    return frugality_comparison(
-        scale, protocols=FIG19_PROTOCOLS, experiment_id="fig19",
-        title="Duplicates received per process (random waypoint, 10 m/s)",
-        metric_names=("duplicates",))
-
-
-def fig20(scale: Optional[Scale] = None) -> ExperimentResult:
-    """Fig. 20: parasite events received per process."""
-    return frugality_comparison(
-        scale, protocols=FIG20_PROTOCOLS, experiment_id="fig20",
-        title="Parasite events received per process "
-              "(random waypoint, 10 m/s)",
-        metric_names=("parasites",))
-
-
-# --------------------------------------------------------------------------
-# Energy experiments (the frugality claim priced in joules)
-# --------------------------------------------------------------------------
-
-#: The two protocols the energy comparison pits against each other:
-#: the frugal protocol vs the strongest flooding baseline (Fig. 20's
-#: neighbours'-interests flooder, the only one that is interest-aware
-#: on both sides).
-ENERGY_PROTOCOLS = ("frugal", "neighbor-flooding")
+def churn_per_min(mean_session_s: Optional[float]) -> float:
+    """Expected leaves per node per minute (0 = no churn)."""
+    return 0.0 if mean_session_s is None else 60.0 / mean_session_s
 
 
 def energy_scenario(scale: Scale, protocol: str,
@@ -414,419 +269,26 @@ def energy_scenario(scale: Scale, protocol: str,
 
     Uses the power-save radio profile (cheap idle carrier sense), where
     TX/RX airtime dominates the budget — the regime in which protocol
-    frugality translates most directly into battery lifetime.  Duty
-    cycling, when enabled, is aligned to the frugal heartbeat period so
-    one beacon exchange fits every awake window.
+    frugality translates most directly into battery lifetime.
     """
     cfg = rwp_scenario(scale, 10.0, 10.0, validity=duration,
                        interest=interest, n_events=n_events,
                        protocol=protocol, duration=duration)
-    if awake_fraction < 1.0:
-        duty = DutyCycleConfig.heartbeat_aligned(
-            cfg.frugal.hb_upper_bound, awake_fraction)
-    else:
-        duty = DutyCycleConfig.always_on()
-    return cfg.with_changes(energy=EnergyConfig(
+    return with_awake_fraction(cfg.with_changes(energy=EnergyConfig(
         profile=PowerProfile.power_save(),
-        battery_capacity_j=battery_j,
-        duty_cycle=duty))
-
-
-ENERGY_METRICS = ("joules_per_node", "joules_per_delivery", "lifetime_s",
-                  "survivor_fraction", "survivor_reliability")
-
-
-def energy_lifetime(scale: Optional[Scale] = None,
-                    batteries: Sequence[Optional[float]] = (None, 40.0, 28.0)
-                    ) -> ExperimentResult:
-    """energy-lifetime: joules, network lifetime and survivors.
-
-    Sweeps protocol x battery capacity on paired seeds.  The mains row
-    (capacity None) prices the paper's frugality claim in joules per
-    delivered event; the finite-capacity rows turn the same scenario into
-    a network-lifetime experiment — flooding listeners burn their budget
-    on parasite airtime and die mid-run, frugal nodes coast.
-    """
-    scale = scale or get_scale()
-    result = ExperimentResult(
-        experiment_id="energy-lifetime",
-        title="Energy per delivery and network lifetime "
-              "(random waypoint, 10 m/s, power-save radio)",
-        parameters={"scale": scale.name, "protocols": list(ENERGY_PROTOCOLS),
-                    "batteries_j": ["mains" if b is None else b
-                                    for b in batteries]})
-    for protocol in ENERGY_PROTOCOLS:
-        for battery in batteries:
-            cfg = energy_scenario(scale, protocol, battery_j=battery)
-            multi = run_seeds(cfg, scale.seed_list())
-            summary = multi.summary()
-            row = {"protocol": protocol,
-                   "battery_j": (float("inf") if battery is None
-                                 else battery),
-                   "reliability": summary["reliability"].mean}
-            for name in ENERGY_METRICS:
-                row[name] = summary[name].mean
-                row[name + "_std"] = summary[name].std
-            result.rows.append(row)
-    return result
-
-
-def ablation_dutycycle(scale: Optional[Scale] = None,
-                       awake_fractions: Sequence[float] = (1.0, 0.5, 0.25)
-                       ) -> ExperimentResult:
-    """abl-dutycycle: sleep schedules as a protocol-visible ablation.
-
-    Every node sleeps the same synchronised fraction of each heartbeat
-    period.  The frugal protocol's reactive traffic rides the awake
-    windows, so it keeps its reliability while its radio bill drops; the
-    flooder's clock-driven frames pile up at window starts and collide,
-    so it pays in reliability for the joules it saves.
-    """
-    from repro.study import run_study
-    from repro.study.studies import dutycycle_study
-    scale = scale or get_scale()
-    return run_study(dutycycle_study(
-        scale, awake_fractions=tuple(awake_fractions))).experiment
-
-
-# --------------------------------------------------------------------------
-# Fault & churn experiments (availability as an evaluation axis)
-# --------------------------------------------------------------------------
-
-#: Frugal vs the two canonical Section 5.2 flooders under churn: the
-#: interest-aware flooder (closest competitor) and the blind flooder
-#: (upper bound on redundancy, hence on churn tolerance per byte).
-CHURN_PROTOCOLS = ("frugal", "interest-flooding", "simple-flooding")
-
-#: Mean session lengths swept by ``churn-resilience``; ``None`` is the
-#: churn-free baseline row (instrumented with an *empty* fault config so
-#: every row carries the availability columns).
-CHURN_SESSIONS_FULL = (None, 240.0, 120.0, 60.0, 30.0)
-CHURN_SESSIONS_COARSE = (None, 120.0, 30.0)
-
-#: Metrics every fault-instrumented summary exposes.
-FAULT_METRICS = ("availability", "churn_reliability",
-                 "recovery_latency_s", "downtime_s")
+        battery_capacity_j=battery_j)), awake_fraction)
 
 
 def churn_scenario(scale: Scale, protocol: str,
                    mean_session_s: Optional[float],
-                   mean_rest_s: float = 45.0,
                    n_events: int = 5, interest: float = 0.8,
                    duration: float = 120.0) -> ScenarioConfig:
-    """A random-waypoint trial under population churn.
+    """A random-waypoint trial under population churn (:func:`with_churn`).
 
-    Nodes alternate exponential up-sessions (mean ``mean_session_s``)
-    and down-rests (mean ``mean_rest_s``); ``mean_session_s=None``
-    yields the churn-free baseline, still fault-instrumented (empty
-    config) so its summary carries the same availability columns.
     Events outlive the churn rests, so the store-and-forward phase —
     not raw luck — decides who catches up.
     """
     cfg = rwp_scenario(scale, 10.0, 10.0, validity=100.0,
                        interest=interest, n_events=n_events,
                        protocol=protocol, duration=duration)
-    if mean_session_s is None:
-        faults = FaultConfig()
-    else:
-        faults = FaultConfig(churn=ChurnConfig(
-            mean_session_s=mean_session_s, mean_rest_s=mean_rest_s))
-    return cfg.with_changes(faults=faults)
-
-
-def churn_resilience(scale: Optional[Scale] = None) -> ExperimentResult:
-    """churn-resilience: delivery under churn, frugal vs flooders.
-
-    Sweeps protocol x churn rate on paired seeds.  ``churn_per_min`` is
-    the expected leaves per node per minute (0 = no churn); the
-    ``churn_reliability`` column uses churn-aware denominators, so the
-    gap between it and plain ``reliability`` is exactly the deliveries
-    that were physically impossible, not protocol failures.
-    """
-    scale = scale or get_scale()
-    sessions = scale.pick(CHURN_SESSIONS_FULL, CHURN_SESSIONS_COARSE)
-    result = ExperimentResult(
-        experiment_id="churn-resilience",
-        title="Delivery under population churn "
-              "(random waypoint, 10 m/s, exponential sessions)",
-        parameters={"scale": scale.name,
-                    "protocols": list(CHURN_PROTOCOLS),
-                    "mean_sessions_s": ["none" if s is None else s
-                                        for s in sessions]})
-    for protocol in CHURN_PROTOCOLS:
-        for session in sessions:
-            cfg = churn_scenario(scale, protocol, session)
-            multi = run_seeds(cfg, scale.seed_list())
-            summary = multi.summary()
-            row = {"protocol": protocol,
-                   "churn_per_min": (0.0 if session is None
-                                     else 60.0 / session),
-                   "reliability": summary["reliability"].mean,
-                   "bandwidth_bytes": summary["bandwidth_bytes"].mean,
-                   "duplicates": summary["duplicates"].mean}
-            for name in FAULT_METRICS:
-                row[name] = summary[name].mean
-                row[name + "_std"] = summary[name].std
-            result.rows.append(row)
-    return result
-
-
-def protocol_matrix(scale: Optional[Scale] = None) -> ExperimentResult:
-    """protocol-matrix: every registered protocol under churn.
-
-    The registry-powered cross product: each *visible* entry of
-    :mod:`repro.core.registry` — the frugal protocol, the three
-    Section 5.2 flooders, both broadcast-storm schemes, the lpbcast
-    gossip baseline, and any custom registration — runs the PR-4 churn
-    scenarios on paired seeds.  One sweep answers "how does a new
-    strategy behave under availability stress" without touching the
-    harness; hidden verification entries are excluded.
-    """
-    scale = scale or get_scale()
-    sessions = scale.pick(CHURN_SESSIONS_FULL, CHURN_SESSIONS_COARSE)
-    protocols = registry.names()
-    result = ExperimentResult(
-        experiment_id="protocol-matrix",
-        title="Every registered protocol under population churn "
-              "(random waypoint, 10 m/s, exponential sessions)",
-        parameters={"scale": scale.name, "protocols": protocols,
-                    "mean_sessions_s": ["none" if s is None else s
-                                        for s in sessions]})
-    for protocol in protocols:
-        for session in sessions:
-            cfg = churn_scenario(scale, protocol, session)
-            multi = run_seeds(cfg, scale.seed_list())
-            summary = multi.summary()
-            row = {"protocol": protocol,
-                   "churn_per_min": (0.0 if session is None
-                                     else 60.0 / session),
-                   "reliability": summary["reliability"].mean,
-                   "bandwidth_bytes": summary["bandwidth_bytes"].mean,
-                   "duplicates": summary["duplicates"].mean,
-                   "parasites": summary["parasites"].mean}
-            for name in FAULT_METRICS:
-                row[name] = summary[name].mean
-                row[name + "_std"] = summary[name].std
-            result.rows.append(row)
-    return result
-
-
-def ablation_outage(scale: Optional[Scale] = None) -> ExperimentResult:
-    """abl-outage: a regional outage knocks out the middle of the map.
-
-    One circular outage centred on the area, radius a fraction of the
-    half-side, from t=20 s to t=80 s of a 120 s window.  ``silence``
-    (radios jammed, state survives) is compared against ``crash``
-    (state lost) and the no-outage baseline: the frugal protocol's
-    validity periods are what lets the silenced region catch up.
-    """
-    from repro.study import run_study
-    from repro.study.studies import outage_study
-    scale = scale or get_scale()
-    return run_study(outage_study(scale)).experiment
-
-
-# --------------------------------------------------------------------------
-# Related work (paper Section 6): broadcast-storm schemes
-# --------------------------------------------------------------------------
-
-def related_work_comparison(scale: Optional[Scale] = None
-                            ) -> ExperimentResult:
-    """Frugal vs the broadcast-storm schemes the paper positions against.
-
-    The probabilistic and counter-based schemes (Ni et al.) forward each
-    event at most once, so — unlike the Section 5.2 flooders — they cannot
-    exploit validity periods: whoever is outside the connected component
-    at publish time is lost forever.  The frugal protocol's store-and-
-    forward phase is exactly what fixes that.
-    """
-    scale = scale or get_scale()
-    protocols = ["frugal", "gossip-flooding", "counter-flooding",
-                 "simple-flooding"]
-    result = ExperimentResult(
-        experiment_id="related-work",
-        title="Frugal vs broadcast-storm schemes (one-shot forwarding)",
-        parameters={"scale": scale.name, "protocols": protocols})
-    for protocol in protocols:
-        cfg = rwp_scenario(scale, 10.0, 10.0, validity=120.0, interest=0.8,
-                           n_events=3, protocol=protocol, duration=150.0)
-        multi = run_seeds(cfg, scale.seed_list())
-        summary = multi.summary()
-        result.rows.append({
-            "protocol": protocol,
-            "reliability": summary["reliability"].mean,
-            "bandwidth_bytes": summary["bandwidth_bytes"].mean,
-            "duplicates": summary["duplicates"].mean,
-            "events_sent": summary["events_sent"].mean})
-    return result
-
-
-# --------------------------------------------------------------------------
-# Ablations (design choices DESIGN.md calls out)
-# --------------------------------------------------------------------------
-
-def ablation_gc(scale: Optional[Scale] = None,
-                capacity: int = 8) -> ExperimentResult:
-    """abl-gc: eviction policies under memory pressure.
-
-    Many events with mixed validities flow through a tiny event table;
-    the policy decides who survives to be re-disseminated.  Measured:
-    reliability (long- and short-validity events averaged together).
-    """
-    # Imported lazily: repro.study imports this module for the scenario
-    # builders and ExperimentResult.
-    from repro.study import run_study
-    from repro.study.studies import gc_study
-    scale = scale or get_scale()
-    return run_study(gc_study(scale, capacity=capacity)).experiment
-
-
-def ablation_backoff(scale: Optional[Scale] = None) -> ExperimentResult:
-    """abl-backoff: the contention back-off vs sending immediately."""
-    from repro.study import run_study
-    from repro.study.studies import backoff_study
-    scale = scale or get_scale()
-    return run_study(backoff_study(scale)).experiment
-
-
-def ablation_heartbeat(scale: Optional[Scale] = None) -> ExperimentResult:
-    """abl-adaptive-hb: speed-adaptive heartbeat vs static period.
-
-    With a loose upper bound (5 s) the adaptive rule ``x / avgSpeed``
-    shortens the beacon period as the network speeds up; the static
-    variant stays at the bound and detects neighbours late.
-    """
-    from repro.study import run_study
-    from repro.study.studies import adaptive_hb_study
-    scale = scale or get_scale()
-    return run_study(adaptive_hb_study(scale)).experiment
-
-
-def ablation_ids(scale: Optional[Scale] = None) -> ExperimentResult:
-    """abl-ids: exchanging event ids first vs pushing events blindly."""
-    from repro.study import run_study
-    from repro.study.studies import ids_study
-    scale = scale or get_scale()
-    return run_study(ids_study(scale)).experiment
-
-
-# --------------------------------------------------------------------------
-# City-scale: large grid maps at the paper's city density
-# --------------------------------------------------------------------------
-
-#: Paper city density — 15 processes over the 1200x900 m campus.
-CITY_SCALE_DENSITY_KM2 = 15 / (1.2 * 0.9)
-#: Street-grid block pitch, metres (campus map: ~190 m blocks).
-CITY_SCALE_BLOCK_M = 200.0
-#: Populations swept per scale.  The full list is the tentpole target
-#: (one large world, sharded); smoke/quick shrink the population but
-#: keep the density and the map idiom.
-CITY_SCALE_POPULATIONS = {
-    "smoke": [40, 80],
-    "quick": [100, 200],
-    "paper": [2000, 5000, 10000],
-}
-
-
-def city_scale_scenario(scale: Scale, n: int, validity: float = 60.0,
-                        interest: float = 0.2,
-                        protocol: str = "frugal") -> ScenarioConfig:
-    """One large city-section trial: ``n`` processes on a street grid
-    sized to hold the paper's city density at a 4:3 aspect ratio."""
-    area_km2 = n / CITY_SCALE_DENSITY_KM2
-    width_m = math.sqrt(area_km2 * 4.0 / 3.0) * 1000.0
-    height_m = area_km2 * 1e6 / width_m
-    mobility = CityGridSpec(
-        columns=max(3, round(width_m / CITY_SCALE_BLOCK_M)),
-        rows=max(3, round(height_m / CITY_SCALE_BLOCK_M)),
-        width=width_m, height=height_m)
-    return _apply_shards(ScenarioConfig(
-        n_processes=n,
-        mobility=mobility,
-        duration=5.0 + validity + 5.0,
-        warmup=scale.city_warmup,
-        protocol=protocol,
-        frugal=FrugalConfig.paper_city_section(),
-        radio=RadioConfig.paper_city_section(),
-        subscriber_fraction=interest,
-        publications=(Publication(at=5.0, validity=validity),)))
-
-
-def city_scale(scale: Optional[Scale] = None) -> ExperimentResult:
-    """city-scale: one metropolitan world per population step.
-
-    Unlike the per-figure city runs (15 processes, one campus), each row
-    here is a *single* large world at the paper's density — the family
-    the sharded engine exists for.  Rows record delivery and cost
-    metrics plus mean wall-clock per run, so the same table doubles as
-    the scaling reference for ``--shards`` (results are bit-identical
-    for any shard count; only the wall-clock column moves).
-    """
-    scale = scale or get_scale()
-    populations = CITY_SCALE_POPULATIONS.get(
-        scale.name, CITY_SCALE_POPULATIONS["quick"])
-    result = ExperimentResult(
-        experiment_id="city-scale",
-        title="City-section scaling: street grids at paper density, "
-              "one world per population",
-        parameters={"scale": scale.name, "populations": populations,
-                    "density_km2": round(CITY_SCALE_DENSITY_KM2, 2),
-                    "shards": _shards_label()})
-    for n in populations:
-        cfg = city_scale_scenario(scale, n)
-        multi = run_seeds(cfg, scale.seed_list())
-        summary = multi.summary()
-        result.rows.append({
-            "n": n,
-            "width_m": round(cfg.mobility.width, 1),
-            "height_m": round(cfg.mobility.height, 1),
-            "reliability": summary["reliability"].mean,
-            "reliability_std": summary["reliability"].std,
-            "bandwidth_bytes": summary["bandwidth_bytes"].mean,
-            "events_sent": summary["events_sent"].mean,
-            "duplicates": summary["duplicates"].mean,
-            "wallclock_s": multi.metric(lambda r: r.wallclock_s).mean})
-    return result
-
-
-def loopback_bridge(scale: Optional[Scale] = None) -> ExperimentResult:
-    """loopback-bridge: sim-predicted vs UDP-measured, side by side."""
-    # Imported lazily: the rt package imports this module for
-    # ExperimentResult, and the runtime is only needed when asked for.
-    from repro.rt.bridge import loopback_bridge as _bridge
-    return _bridge(scale)
-
-
-def study_frontier(scale: Optional[Scale] = None) -> ExperimentResult:
-    """study-frontier: the frugality Pareto frontier, cube-swept.
-
-    A protocol x churn-rate x duty-cycle cube, every cell energy- and
-    fault-instrumented, with automatic Pareto-frontier extraction over
-    churn-aware reliability (max), joules per node (min), bandwidth
-    (min) and recovery latency (min) — the study the declarative layer
-    exists for (declared in :mod:`repro.study.studies`).  The result's
-    notes carry the pivot grid and the frontier/dominated tables the
-    CLI prints below the rows.
-    """
-    from repro.study import run_study
-    from repro.study.studies import frontier_study
-    scale = scale or get_scale()
-    return run_study(frontier_study(scale)).experiment
-
-
-ALL_EXPERIMENTS: Dict[str, Callable[[Optional[Scale]], ExperimentResult]] = {
-    "fig11": fig11, "fig12": fig12, "fig13": fig13, "fig14": fig14,
-    "fig15": fig15, "fig16": fig16, "fig17": fig17, "fig18": fig18,
-    "fig19": fig19, "fig20": fig20,
-    "abl-gc": ablation_gc, "abl-backoff": ablation_backoff,
-    "abl-adaptive-hb": ablation_heartbeat, "abl-ids": ablation_ids,
-    "abl-dutycycle": ablation_dutycycle,
-    "related-work": related_work_comparison,
-    "energy-lifetime": energy_lifetime,
-    "churn-resilience": churn_resilience,
-    "abl-outage": ablation_outage,
-    "protocol-matrix": protocol_matrix,
-    "loopback-bridge": loopback_bridge,
-    "city-scale": city_scale,
-    "study-frontier": study_frontier,
-}
+    return with_churn(cfg, mean_session_s)

@@ -238,8 +238,8 @@ class ParallelRunner:
 # Process-wide default runner
 # --------------------------------------------------------------------------
 #
-# The experiment functions (harness/experiments.py) call the module-level
-# run_seeds/run_matrix below, which delegate to one configurable default
+# Declared studies (repro.study.run_study) and the module-level
+# run_seeds/run_matrix below go through one configurable default
 # runner.  The CLI configures it from its --jobs/--no-cache flags and the
 # benchmark suite from REPRO_JOBS (cache opt-in via REPRO_CACHE=1);
 # library users can pass an explicit runner instead.

@@ -145,18 +145,6 @@ def availability_timeline(timeline, buckets: int = 10) -> str:
     return format_table(rows)
 
 
-#: Per-experiment pivot renderings the CLI appends below the row table:
-#: experiment id -> kwargs for :func:`pivot_table` (``row_key`` /
-#: ``col_key`` may each be one column name or a tuple of them).  The
-#: ``protocol-matrix`` sweep is the flagship consumer — a protocol x
-#: churn-rate grid of churn-aware reliability reads like the paper's
-#: comparison figures.
-EXPERIMENT_PIVOTS: Dict[str, Dict[str, object]] = {
-    "protocol-matrix": {"row_key": "protocol", "col_key": "churn_per_min",
-                        "value_key": "churn_reliability"},
-}
-
-
 def _key_tuple(keys) -> tuple:
     """Normalise one column name or a sequence of them to a tuple."""
     return (keys,) if isinstance(keys, str) else tuple(keys)
@@ -200,27 +188,6 @@ def pivot_table(rows: Sequence[Dict], row_keys, col_keys,
             line[_col_label(cv)] = lookup.get((rv, cv), float("nan"))
         table.append(line)
     return format_table(table)
-
-
-def experiment_pivot(result: ExperimentResult) -> Optional[str]:
-    """The registered pivot grid for this experiment, or ``None``.
-
-    Returns a rendered comparison grid (see :data:`EXPERIMENT_PIVOTS`)
-    when the experiment id has one and the rows carry the needed
-    columns; the CLI prints it after the flat table.
-    """
-    spec = EXPERIMENT_PIVOTS.get(result.experiment_id)
-    if spec is None or not result.rows:
-        return None
-    row_keys = _key_tuple(spec["row_key"])
-    col_keys = _key_tuple(spec["col_key"])
-    value_key = spec["value_key"]
-    needed = set(row_keys) | set(col_keys) | {value_key}
-    if not needed.issubset(result.rows[0]):
-        return None
-    title = f"-- {value_key} by {' x '.join(row_keys)} --"
-    return title + "\n" + pivot_table(result.rows, row_keys, col_keys,
-                                      value_key)
 
 
 def reliability_grid(result: ExperimentResult, row_key: str,

@@ -12,9 +12,9 @@ multi-key pivots (:class:`PivotSpec`), component delta tables, and
 Pareto-frontier extraction (:class:`Objective`,
 :func:`pareto_frontier`).
 
-The registered declarations live in :mod:`repro.study.studies`; the
-six ``abl-*`` entries are proven result-identical to their frozen
-hand-written originals by ``tests/test_study.py``.
+The registered declarations — every figure, ablation and sweep — live
+in :mod:`repro.study.studies`; ``tests/golden_experiments.json`` pins
+the CSV bytes of each.
 """
 
 from repro.study.analysis import (DominatedPoint, FrontierResult,
@@ -25,8 +25,8 @@ from repro.study.engine import StudyResult, run_study
 from repro.study.spec import (Axis, Component, Metric, Objective,
                               PivotSpec, StudyCell, StudySpec, Toggles,
                               Variant, expand, set_field_path)
-from repro.study.studies import (STUDIES, Study, build_study, get_study,
-                                 study_names)
+from repro.study.studies import (ALL_EXPERIMENTS, STUDIES, Study,
+                                 build_study, get_study, study_names)
 
 __all__ = [
     "Axis", "Component", "Variant", "Toggles", "Metric", "Objective",
@@ -34,5 +34,6 @@ __all__ = [
     "StudyResult", "run_study",
     "DominatedPoint", "FrontierResult", "dominates", "pareto_frontier",
     "frontier_report", "component_deltas", "delta_report", "pivot_report",
-    "Study", "STUDIES", "study_names", "get_study", "build_study",
+    "Study", "STUDIES", "ALL_EXPERIMENTS", "study_names", "get_study",
+    "build_study",
 ]

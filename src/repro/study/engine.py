@@ -7,7 +7,8 @@ execution engine (:mod:`repro.harness.parallel`) — so worker pools
 stay saturated across cell boundaries and the on-disk result cache
 answers every previously-computed cell, making re-runs compute only
 dirty cells — then fold the per-seed results into one
-:class:`~repro.harness.experiments.ExperimentResult` row per cell.
+:class:`~repro.harness.experiments.ExperimentResult` row per cell (per
+group of cells under a folded axis).
 
 Analysis (component delta tables, the declared pivot, the Pareto
 frontier) is rendered into ``ExperimentResult.notes`` so the CLI
@@ -17,11 +18,11 @@ prints it below the row table without any per-study code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import parallel
 from repro.harness.experiments import ExperimentResult
-from repro.harness.runner import MultiSeedResult
+from repro.harness.runner import MultiSeedResult, aggregate
 from repro.study import analysis
 from repro.study.spec import StudyCell, StudySpec, Toggles, expand
 
@@ -32,9 +33,8 @@ __all__ = ["StudyResult", "run_study"]
 class StudyResult:
     """A fully executed study: per-seed results folded into rows.
 
-    ``experiment`` is the flat row table (identical in shape to what a
-    hand-written experiment function returns — the declaration-
-    equivalence suite asserts ``==`` against the frozen originals);
+    ``experiment`` is the flat row table (its CSV bytes are what
+    ``tests/golden_experiments.json`` pins per declaration);
     ``per_cell`` keeps the underlying
     :class:`~repro.harness.runner.MultiSeedResult` of every cell for
     ad-hoc analysis beyond the declared metrics.
@@ -54,24 +54,35 @@ class StudyResult:
                                         self.spec.objectives)
 
 
-def _metric_value(spec: StudySpec, multi: MultiSeedResult,
+def _fill_metrics(spec: StudySpec, points: Sequence[MultiSeedResult],
                   row: Dict[str, object]) -> None:
-    summary = multi.summary()
+    """Write the metric columns of one row from its grid points (one
+    point, or one per value of the folded axis)."""
+    folded = spec.folded_axis() is not None
+    summaries = [multi.summary() for multi in points]
     for metric in spec.metrics:
         if metric.derive is not None:
-            row[metric.column] = metric.derive(multi)
-            continue
-        key = metric.key or metric.column
-        if key not in summary:
-            raise KeyError(
-                f"study {spec.study_id!r}: metric key {key!r} not in "
-                f"the scenario summary; known keys: {sorted(summary)} "
-                f"(energy/fault metrics appear only when the base "
-                f"config is instrumented)")
-        agg = summary[key]
-        row[metric.column] = agg.mean
-        if metric.std:
-            row[metric.column + "_std"] = agg.std
+            values, spread = [metric.derive(multi) for multi in points], None
+        else:
+            key = metric.key or metric.column
+            if key not in summaries[0]:
+                raise KeyError(
+                    f"study {spec.study_id!r}: metric key {key!r} not in "
+                    f"the scenario summary; known keys: "
+                    f"{sorted(summaries[0])} (energy/fault metrics appear "
+                    f"only when the base config is instrumented)")
+            values = [summary[key].mean for summary in summaries]
+            spread = summaries[0][key].std          # across the seeds
+        if folded and metric.fold is not None:
+            value, spread = metric.fold(values), None
+        elif folded:
+            across = aggregate(values)              # across the points
+            value, spread = across.mean, across.std
+        else:
+            value, = values
+        row[metric.column] = value
+        if metric.std and spread is not None:
+            row[metric.column + "_std"] = spread
 
 
 def _notes(spec: StudySpec, rows: List[Dict[str, object]]) -> List[str]:
@@ -98,7 +109,8 @@ def run_study(spec: StudySpec,
     so the CLI's ``--jobs``/cache flags apply transparently).  Results
     are bit-identical to running each cell through
     :func:`~repro.harness.parallel.run_seeds` in a nested loop — the
-    batching only changes scheduling, never values or row order.
+    batching only changes scheduling, never values or row order.  A
+    folded axis is rightmost, so the cells of one row are consecutive.
     """
     runner = runner or parallel.get_default_runner()
     cells = expand(spec)
@@ -106,14 +118,15 @@ def run_study(spec: StudySpec,
     configs = [cell.config.with_changes(seed=seed)
                for cell in cells for seed in seeds]
     results = runner.run_configs(configs)
-    per_cell: List[MultiSeedResult] = []
+    per_cell = [
+        MultiSeedResult(results=results[i * len(seeds):(i + 1) * len(seeds)])
+        for i in range(len(cells))]
+    folded = spec.folded_axis()
+    width = len(folded.values) if folded is not None else 1
     rows: List[Dict[str, object]] = []
-    for i, cell in enumerate(cells):
-        chunk = results[i * len(seeds):(i + 1) * len(seeds)]
-        multi = MultiSeedResult(results=list(chunk))
-        per_cell.append(multi)
-        row: Dict[str, object] = dict(cell.cells)
-        _metric_value(spec, multi, row)
+    for start in range(0, len(cells), width):
+        row: Dict[str, object] = dict(cells[start].cells)
+        _fill_metrics(spec, per_cell[start:start + width], row)
         rows.append(row)
     experiment = ExperimentResult(
         experiment_id=spec.study_id, title=spec.title,

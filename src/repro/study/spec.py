@@ -21,8 +21,9 @@ plus a handful of declarations into a full experiment matrix:
 execution (that is :func:`repro.study.engine.run_study`'s job).  The
 expansion order is the grid declaration order with the *rightmost*
 dimension varying fastest, exactly like the nested ``for`` loops the
-hand-written experiments used — which is what lets the collapsed
-``abl-*`` studies reproduce their frozen originals row for row.
+hand-written experiments used — which is what lets every declaration
+reproduce its pinned CSV (``tests/golden_experiments.json``) row for
+row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.harness.scenario import ScenarioConfig
 
@@ -98,6 +100,12 @@ class Axis:
     ``cells`` maps a value to the parameter cells of its result row
     (default ``{name: value}``); axes over composite values use it to
     explode a tuple into several row columns.
+
+    A ``folded`` axis is swept like any other but emits no row cells:
+    its points are reduced into *one* row per combination of the other
+    dimensions (see :attr:`Metric.fold`) — the paper's "all processes,
+    in turn, become the original publisher" is a folded publisher axis.
+    It must be the rightmost grid dimension.
     """
 
     name: str
@@ -105,6 +113,7 @@ class Axis:
     path: Optional[Union[str, Tuple[str, ...]]] = None
     apply: Optional[Callable[[ScenarioConfig, object], ScenarioConfig]] = None
     cells: Optional[Callable[[object], Dict[str, object]]] = None
+    folded: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -125,8 +134,12 @@ class Axis:
         """One ``(row cells, config transform)`` pair per value."""
         out = []
         for value in self.values:
-            cells = (dict(self.cells(value)) if self.cells is not None
-                     else {self.name: value})
+            if self.folded:
+                cells = {}
+            elif self.cells is not None:
+                cells = dict(self.cells(value))
+            else:
+                cells = {self.name: value}
 
             def transform(config, _value=value):
                 if self.apply is not None:
@@ -274,12 +287,19 @@ class Metric:
     ``<column>_std``.  ``derive`` computes the value from the whole
     :class:`~repro.harness.runner.MultiSeedResult` instead (e.g. mean
     wall-clock), overriding the summary lookup.
+
+    Under a folded axis the column reduces the per-point values (one
+    seed-mean per folded point, declaration order): by default through
+    :func:`~repro.harness.runner.aggregate` — their mean, and with
+    ``std=True`` their deviation as ``<column>_std`` — or through
+    ``fold(values) -> float`` when given (``max``, a spread, ...).
     """
 
     column: str
     key: Optional[str] = None
     std: bool = False
     derive: Optional[Callable] = None
+    fold: Optional[Callable[[Sequence[float]], float]] = None
 
 
 @dataclass(frozen=True)
@@ -361,6 +381,16 @@ class StudySpec:
             raise ValueError(
                 f"study {self.study_id!r} repeats metric columns: "
                 f"{columns}")
+        for dim in self.grid[:-1]:
+            if isinstance(dim, Axis) and dim.folded:
+                raise ValueError(
+                    f"study {self.study_id!r}: folded axis {dim.name!r} "
+                    f"must be the rightmost grid dimension")
+
+    def folded_axis(self) -> Optional[Axis]:
+        """The folded (rightmost) axis, or ``None`` when rows are cells."""
+        last = self.grid[-1]
+        return last if isinstance(last, Axis) and last.folded else None
 
     def variant_keys(self) -> Tuple[str, ...]:
         """Row-cell keys contributed by the Toggles dimensions."""

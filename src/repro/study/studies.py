@@ -1,43 +1,296 @@
-"""The declared studies: every ``abl-*`` ablation plus new sweeps.
+"""The declared studies: every figure, ablation and sweep of the repo.
 
-Each entry collapses a formerly hand-written experiment function into
-a :class:`~repro.study.spec.StudySpec` declaration — the six builders
-here replace ~150 lines of bespoke sweep loops, and the declaration-
-equivalence suite (``tests/test_study.py``) proves each one
-result-identical to its frozen original
-(:mod:`repro.harness.frozen`).  ``study-frontier`` is the study the
-old framework made too expensive to write: a protocol x churn-rate x
-duty-cycle cube with automatic Pareto-frontier extraction over
-reliability, joules, bytes and catch-up latency.
+Each entry is a :class:`~repro.study.spec.StudySpec` builder — base
+scenario, ordered grid, metrics — registered in :data:`STUDIES`, the
+single declaration registry.  :data:`ALL_EXPERIMENTS` (what the CLI,
+the benchmarks and ``all`` iterate) is derived from it: one
+``Scale -> ExperimentResult`` runner per declaration, plus
+``loopback-bridge``, whose real-socket half cannot be a spec.  The CSV
+bytes of every declaration are pinned by
+``tests/golden_experiments.json``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.energy import DutyCycleConfig
-from repro.faults import ChurnConfig, FaultConfig, RegionalOutage
+from repro.core import registry
 from repro.core.config import FrugalConfig
-from repro.harness.experiments import (ENERGY_PROTOCOLS, FAULT_METRICS,
-                                       energy_scenario, rwp_scenario)
-from repro.harness.presets import Scale
+from repro.faults import FaultConfig, RegionalOutage
+from repro.harness.experiments import (CITY_SCALE_DENSITY_KM2,
+                                       ExperimentResult, churn_per_min,
+                                       churn_scenario, city_scale_grid,
+                                       city_scale_scenario, city_scenario,
+                                       energy_scenario, rwp_mobility,
+                                       rwp_publications, rwp_scenario,
+                                       shards_label, with_awake_fraction,
+                                       with_churn, with_publisher,
+                                       with_validity)
+from repro.harness.presets import Scale, get_scale
 from repro.harness.scenario import ScenarioConfig
+from repro.study.engine import run_study
 from repro.study.spec import (Axis, Component, Metric, Objective,
                               PivotSpec, StudySpec, Toggles, Variant)
 
-__all__ = ["Study", "STUDIES", "study_names", "get_study", "build_study",
-           "gc_study", "backoff_study", "adaptive_hb_study", "ids_study",
-           "dutycycle_study", "outage_study", "frontier_study"]
+__all__ = ["Study", "STUDIES", "ALL_EXPERIMENTS", "study_names",
+           "get_study", "build_study", "loopback_bridge"]
 
 
 # --------------------------------------------------------------------------
-# Collapsed ablations (result-identical to repro.harness.frozen)
+# Shared axes
+# --------------------------------------------------------------------------
+
+VALIDITIES_FULL = [20.0, 60.0, 100.0, 140.0, 180.0]
+VALIDITIES_COARSE = [30.0, 90.0, 180.0]
+INTERESTS_FULL = [0.2, 0.4, 0.6, 0.8, 1.0]
+INTERESTS_COARSE = [0.2, 0.6, 1.0]
+
+#: Mean session lengths swept by the churn studies; ``None`` is the
+#: churn-free baseline row (instrumented with an *empty* fault config so
+#: every row carries the availability columns).
+CHURN_SESSIONS_FULL = (None, 240.0, 120.0, 60.0, 30.0)
+CHURN_SESSIONS_COARSE = (None, 120.0, 30.0)
+
+#: Metrics every fault-instrumented summary exposes.
+FAULT_METRICS = ("availability", "churn_reliability",
+                 "recovery_latency_s", "downtime_s")
+
+
+def _interest_axis(interests: Sequence[float]) -> Axis:
+    return Axis(name="interest", path="subscriber_fraction",
+                values=interests)
+
+
+def _validity_axis(validities: Sequence[float]) -> Axis:
+    return Axis(name="validity", values=validities, apply=with_validity)
+
+
+def _publisher_rotation(scale: Scale) -> Axis:
+    """The paper's "all processes, in turn, become the original
+    publisher": folded, so each row reduces over the publishers."""
+    return Axis(name="publisher", apply=with_publisher, folded=True,
+                values=range(scale.city_publisher_rotations))
+
+
+def _churn_axis(sessions: Sequence[Optional[float]]) -> Axis:
+    return Axis(name="churn", values=sessions, apply=with_churn,
+                cells=lambda s: {"churn_per_min": churn_per_min(s)})
+
+
+def _awake_axis(awake_fractions: Sequence[float]) -> Axis:
+    return Axis(name="awake_fraction", values=awake_fractions,
+                apply=with_awake_fraction)
+
+
+def _session_labels(sessions: Sequence[Optional[float]]) -> list:
+    return ["none" if s is None else s for s in sessions]
+
+
+# --------------------------------------------------------------------------
+# Random waypoint reliability (Figs. 11, 12)
+# --------------------------------------------------------------------------
+
+FIG11_SPEEDS_FULL = [0.0, 1.0, 5.0, 10.0, 20.0, 30.0, 40.0]
+FIG11_SPEEDS_COARSE = [0.0, 5.0, 10.0, 30.0]
+
+
+def fig11_study(scale: Scale) -> StudySpec:
+    """Fig. 11: reliability vs speed x validity at 20 % / 80 % interest."""
+    speeds = scale.pick(FIG11_SPEEDS_FULL, FIG11_SPEEDS_COARSE)
+    validities = scale.pick(VALIDITIES_FULL, VALIDITIES_COARSE)
+    interests = [0.2, 0.8]
+    return StudySpec(
+        study_id="fig11",
+        title="Reliability vs validity, speed and subscriber fraction "
+              "(random waypoint)",
+        base=rwp_scenario(scale, speeds[0], speeds[0], validities[0],
+                          interests[0]),
+        grid=(_interest_axis(interests),
+              Axis(name="speed", values=speeds,
+                   apply=lambda cfg, speed: cfg.with_changes(
+                       mobility=rwp_mobility(scale, speed, speed))),
+              _validity_axis(validities)),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability", std=True),),
+        parameters={"scale": scale.name, "speeds": speeds,
+                    "validities": validities, "interests": interests})
+
+
+def fig12_study(scale: Scale) -> StudySpec:
+    """Fig. 12: reliability vs (validity x interest), speeds ~ U(1, 40)."""
+    validities = scale.pick(VALIDITIES_FULL, VALIDITIES_COARSE)
+    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
+    return StudySpec(
+        study_id="fig12",
+        title="Reliability in a heterogeneous network (speeds 1-40 m/s)",
+        base=rwp_scenario(scale, 1.0, 40.0, validities[0], interests[0]),
+        grid=(_interest_axis(interests), _validity_axis(validities)),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability", std=True),),
+        parameters={"scale": scale.name, "validities": validities,
+                    "interests": interests})
+
+
+# --------------------------------------------------------------------------
+# City section reliability (Figs. 13-16): every row folds the publisher
+# rotation
+# --------------------------------------------------------------------------
+
+def fig13_study(scale: Scale) -> StudySpec:
+    """Fig. 13: reliability vs heartbeat upper bound (city section)."""
+    bounds = scale.pick([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 3.0, 5.0])
+    return StudySpec(
+        study_id="fig13",
+        title="Reliability vs heartbeat upper-bound period (city section, "
+              "validity 150 s, 100% subscribers)",
+        base=city_scenario(scale, validity=150.0, interest=1.0),
+        grid=(Axis(name="hb_upper", path="frugal.hb_upper_bound",
+                   values=bounds),
+              _publisher_rotation(scale)),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability", std=True),),
+        parameters={"scale": scale.name, "hb_upper_bounds": bounds})
+
+
+def _interest_rotation_study(scale: Scale, study_id: str, title: str,
+                             metrics: Tuple[Metric, ...]) -> StudySpec:
+    """Figs. 14/15: one interest x publisher sweep, two reductions."""
+    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
+    return StudySpec(
+        study_id=study_id, title=title,
+        base=city_scenario(scale, validity=150.0, interest=interests[0]),
+        grid=(_interest_axis(interests), _publisher_rotation(scale)),
+        seeds=tuple(scale.seed_list()),
+        metrics=metrics,
+        parameters={"scale": scale.name, "interests": interests})
+
+
+def fig14_study(scale: Scale) -> StudySpec:
+    """Fig. 14: reliability vs subscriber fraction (city section)."""
+    return _interest_rotation_study(
+        scale, "fig14",
+        "Reliability vs subscriber fraction (city section, "
+        "validity 150 s, heartbeat bound 1 s)",
+        (Metric("reliability", std=True),))
+
+
+def fig15_study(scale: Scale) -> StudySpec:
+    """Fig. 15: max-min reliability spread across publishers."""
+    return _interest_rotation_study(
+        scale, "fig15",
+        "Reliability spread between publishers vs subscriber "
+        "fraction (city section)",
+        (Metric("spread", key="reliability",
+                fold=lambda per_pub: max(per_pub) - min(per_pub)),
+         Metric("best", key="reliability", fold=max),
+         Metric("worst", key="reliability", fold=min)))
+
+
+def fig16_study(scale: Scale) -> StudySpec:
+    """Fig. 16: reliability vs event validity period (city section)."""
+    validities = scale.pick([25.0, 50.0, 75.0, 100.0, 125.0, 150.0],
+                            [25.0, 75.0, 150.0])
+    return StudySpec(
+        study_id="fig16",
+        title="Reliability vs validity period (city section, "
+              "100% subscribers)",
+        base=city_scenario(scale, validity=validities[0], interest=1.0),
+        grid=(_validity_axis(validities), _publisher_rotation(scale)),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability", std=True),),
+        parameters={"scale": scale.name, "validities": validities})
+
+
+# --------------------------------------------------------------------------
+# Frugality comparison (Figs. 17-20): four views of one sweep
+# --------------------------------------------------------------------------
+
+EVENTS_FULL = [1, 5, 10, 15, 20]
+EVENTS_COARSE = [1, 10, 20]
+
+_FLOODERS = ("frugal", "interest-flooding", "simple-flooding")
+
+#: figure -> (title, the protocols the paper plots, the metric shown).
+FRUGALITY_FIGURES = {
+    "fig17": ("Bandwidth used per process", _FLOODERS, "bandwidth_bytes"),
+    "fig18": ("Events sent per process", _FLOODERS, "events_sent"),
+    "fig19": ("Duplicates received per process", _FLOODERS, "duplicates"),
+    "fig20": ("Parasite events received per process",
+              ("frugal", "interest-flooding", "neighbor-flooding"),
+              "parasites"),
+}
+
+
+def frugality_study(scale: Scale, figure: str) -> StudySpec:
+    """Figs. 17-20: protocols x #events x interest on paired seeds.
+
+    All protocols run the identical mobility/subscription draw per seed,
+    at 10 m/s over a 180 s window, 400-byte events with a validity long
+    enough to stay live for the whole window — the paper's frugality
+    measurement conditions.  The four figures share every cell their
+    protocol sets have in common, so with a result cache the second
+    figure simulates only what the first did not.
+    """
+    title, protocols, metric = FRUGALITY_FIGURES[figure]
+    events = scale.pick(EVENTS_FULL, EVENTS_COARSE)
+    interests = scale.pick(INTERESTS_FULL, INTERESTS_COARSE)
+    return StudySpec(
+        study_id=figure, title=f"{title} (random waypoint, 10 m/s)",
+        base=rwp_scenario(scale, 10.0, 10.0, validity=180.0,
+                          interest=interests[0], n_events=events[0],
+                          protocol=protocols[0], duration=180.0),
+        grid=(Axis(name="protocol", values=protocols),
+              Axis(name="events", values=events,
+                   apply=lambda cfg, n: cfg.with_changes(
+                       publications=rwp_publications(n, 180.0))),
+              _interest_axis(interests)),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability"), Metric(metric, std=True)),
+        parameters={"scale": scale.name, "protocols": list(protocols),
+                    "events": events, "interests": interests})
+
+
+# --------------------------------------------------------------------------
+# Related work (paper Section 6): broadcast-storm schemes
+# --------------------------------------------------------------------------
+
+def related_work_study(scale: Scale) -> StudySpec:
+    """related-work: frugal vs the broadcast-storm schemes.
+
+    The probabilistic and counter-based schemes (Ni et al.) forward each
+    event at most once, so — unlike the Section 5.2 flooders — they
+    cannot exploit validity periods: whoever is outside the connected
+    component at publish time is lost forever.  The frugal protocol's
+    store-and-forward phase is exactly what fixes that.
+    """
+    protocols = ["frugal", "gossip-flooding", "counter-flooding",
+                 "simple-flooding"]
+    return StudySpec(
+        study_id="related-work",
+        title="Frugal vs broadcast-storm schemes (one-shot forwarding)",
+        base=rwp_scenario(scale, 10.0, 10.0, validity=120.0, interest=0.8,
+                          n_events=3, protocol=protocols[0],
+                          duration=150.0),
+        grid=(Axis(name="protocol", values=protocols),),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability"), Metric("bandwidth_bytes"),
+                 Metric("duplicates"), Metric("events_sent")),
+        parameters={"scale": scale.name, "protocols": protocols})
+
+
+# --------------------------------------------------------------------------
+# Ablations (design choices DESIGN.md calls out)
 # --------------------------------------------------------------------------
 
 def gc_study(scale: Scale, capacity: int = 8) -> StudySpec:
-    """abl-gc as a declaration: one axis over the eviction policy."""
+    """abl-gc: eviction policies under memory pressure.
+
+    Many events with mixed validities flow through a tiny event table;
+    the policy decides who survives to be re-disseminated.  Measured:
+    reliability (long- and short-validity events averaged together).
+    """
     policies = ["validity-forward", "remaining-validity", "fifo", "random"]
     frugal = FrugalConfig.paper_random_waypoint().with_changes(
         event_table_capacity=capacity)
@@ -57,7 +310,7 @@ def gc_study(scale: Scale, capacity: int = 8) -> StudySpec:
 
 
 def backoff_study(scale: Scale) -> StudySpec:
-    """abl-backoff as a declaration: back-off/suppression toggles."""
+    """abl-backoff: the contention back-off vs sending immediately."""
     base = rwp_scenario(scale, 10.0, 10.0, validity=180.0, interest=0.8,
                         n_events=5, duration=180.0,
                         frugal=FrugalConfig.paper_random_waypoint())
@@ -89,7 +342,12 @@ def backoff_study(scale: Scale) -> StudySpec:
 
 
 def adaptive_hb_study(scale: Scale) -> StudySpec:
-    """abl-adaptive-hb as a declaration: toggle x speed grid."""
+    """abl-adaptive-hb: speed-adaptive heartbeat vs static period.
+
+    With a loose upper bound (5 s) the adaptive rule ``x / avgSpeed``
+    shortens the beacon period as the network speeds up; the static
+    variant stays at the bound and detects neighbours late.
+    """
     speeds = [5.0, 20.0, 40.0]
     frugal = FrugalConfig.paper_random_waypoint().with_changes(
         hb_upper_bound=5.0)
@@ -106,7 +364,7 @@ def adaptive_hb_study(scale: Scale) -> StudySpec:
         title="Adaptive vs static heartbeat (hb upper bound 5 s)",
         base=base,
         grid=(toggles,
-              Axis(name="speed", values=tuple(speeds),
+              Axis(name="speed", values=speeds,
                    path=("mobility.speed_min", "mobility.speed_max"))),
         seeds=tuple(scale.seed_list()),
         metrics=(Metric("reliability"), Metric("bandwidth_bytes")),
@@ -114,7 +372,7 @@ def adaptive_hb_study(scale: Scale) -> StudySpec:
 
 
 def ids_study(scale: Scale) -> StudySpec:
-    """abl-ids as a declaration: the id-exchange toggle."""
+    """abl-ids: exchanging event ids first vs pushing events blindly."""
     base = rwp_scenario(scale, 10.0, 10.0, validity=180.0, interest=0.8,
                         n_events=5, duration=180.0,
                         frugal=FrugalConfig.paper_random_waypoint())
@@ -136,36 +394,137 @@ def ids_study(scale: Scale) -> StudySpec:
         parameters={"scale": scale.name})
 
 
-def _apply_awake_fraction(config: ScenarioConfig,
-                          awake: float) -> ScenarioConfig:
-    """Install a heartbeat-aligned duty cycle (1.0 = always on)."""
-    if awake < 1.0:
-        duty = DutyCycleConfig.heartbeat_aligned(
-            config.frugal.hb_upper_bound, awake)
-    else:
-        duty = DutyCycleConfig.always_on()
-    return config.with_changes(
-        energy=dataclasses.replace(config.energy, duty_cycle=duty))
+# --------------------------------------------------------------------------
+# Energy (the frugality claim priced in joules)
+# --------------------------------------------------------------------------
+
+#: The two protocols the energy comparison pits against each other:
+#: the frugal protocol vs the strongest flooding baseline (Fig. 20's
+#: neighbours'-interests flooder, the only one that is interest-aware
+#: on both sides).
+ENERGY_PROTOCOLS = ("frugal", "neighbor-flooding")
+
+ENERGY_METRICS = ("joules_per_node", "joules_per_delivery", "lifetime_s",
+                  "survivor_fraction", "survivor_reliability")
+
+
+def energy_lifetime_study(scale: Scale,
+                          batteries: Sequence[Optional[float]] = (
+                              None, 40.0, 28.0)) -> StudySpec:
+    """energy-lifetime: joules, network lifetime and survivors.
+
+    Sweeps protocol x battery capacity on paired seeds.  The mains row
+    (capacity None) prices the paper's frugality claim in joules per
+    delivered event; the finite-capacity rows turn the same scenario into
+    a network-lifetime experiment — flooding listeners burn their budget
+    on parasite airtime and die mid-run, frugal nodes coast.
+    """
+    return StudySpec(
+        study_id="energy-lifetime",
+        title="Energy per delivery and network lifetime "
+              "(random waypoint, 10 m/s, power-save radio)",
+        base=energy_scenario(scale, ENERGY_PROTOCOLS[0]),
+        grid=(Axis(name="protocol", values=ENERGY_PROTOCOLS),
+              Axis(name="battery_j", path="energy.battery_capacity_j",
+                   values=batteries,
+                   cells=lambda b: {"battery_j": (float("inf") if b is None
+                                                  else b)})),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability"),)
+        + tuple(Metric(name, std=True) for name in ENERGY_METRICS),
+        parameters={"scale": scale.name,
+                    "protocols": list(ENERGY_PROTOCOLS),
+                    "batteries_j": ["mains" if b is None else b
+                                    for b in batteries]})
 
 
 def dutycycle_study(scale: Scale,
                     awake_fractions: Tuple[float, ...] = (1.0, 0.5, 0.25)
                     ) -> StudySpec:
-    """abl-dutycycle as a declaration: protocol x awake-fraction grid."""
-    base = energy_scenario(scale, ENERGY_PROTOCOLS[0], awake_fraction=1.0)
+    """abl-dutycycle: sleep schedules as a protocol-visible ablation.
+
+    Every node sleeps the same synchronised fraction of each heartbeat
+    period.  The frugal protocol's reactive traffic rides the awake
+    windows, so it keeps its reliability while its radio bill drops; the
+    flooder's clock-driven frames pile up at window starts and collide,
+    so it pays in reliability for the joules it saves.
+    """
     return StudySpec(
         study_id="abl-dutycycle",
         title="Duty-cycling ablation (heartbeat-aligned sleep windows)",
-        base=base,
-        grid=(Axis(name="protocol", values=tuple(ENERGY_PROTOCOLS)),
-              Axis(name="awake_fraction", values=tuple(awake_fractions),
-                   apply=_apply_awake_fraction)),
+        base=energy_scenario(scale, ENERGY_PROTOCOLS[0]),
+        grid=(Axis(name="protocol", values=ENERGY_PROTOCOLS),
+              _awake_axis(awake_fractions)),
         seeds=tuple(scale.seed_list()),
         metrics=(Metric("reliability"), Metric("joules_per_node"),
                  Metric("joules_per_delivery"), Metric("bandwidth_bytes")),
         parameters={"scale": scale.name,
                     "protocols": list(ENERGY_PROTOCOLS),
                     "awake_fractions": list(awake_fractions)})
+
+
+# --------------------------------------------------------------------------
+# Faults & churn (availability as an evaluation axis)
+# --------------------------------------------------------------------------
+
+#: Frugal vs the two canonical Section 5.2 flooders under churn: the
+#: interest-aware flooder (closest competitor) and the blind flooder
+#: (upper bound on redundancy, hence on churn tolerance per byte).
+CHURN_PROTOCOLS = ("frugal", "interest-flooding", "simple-flooding")
+
+
+def _churn_sweep(scale: Scale, study_id: str, title: str,
+                 protocols: Sequence[str], cost_metrics: Sequence[str],
+                 pivot: Optional[PivotSpec] = None) -> StudySpec:
+    """protocol x churn rate on paired seeds.
+
+    ``churn_per_min`` is the expected leaves per node per minute (0 =
+    no churn); ``churn_reliability`` uses churn-aware denominators, so
+    the gap between it and plain ``reliability`` is exactly the
+    deliveries that were physically impossible, not protocol failures.
+    """
+    sessions = scale.pick(CHURN_SESSIONS_FULL, CHURN_SESSIONS_COARSE)
+    return StudySpec(
+        study_id=study_id, title=title,
+        base=churn_scenario(scale, protocols[0], None),
+        grid=(Axis(name="protocol", values=protocols),
+              _churn_axis(sessions)),
+        seeds=tuple(scale.seed_list()),
+        metrics=tuple(Metric(name) for name in cost_metrics)
+        + tuple(Metric(name, std=True) for name in FAULT_METRICS),
+        parameters={"scale": scale.name, "protocols": list(protocols),
+                    "mean_sessions_s": _session_labels(sessions)},
+        pivot=pivot)
+
+
+def churn_resilience_study(scale: Scale) -> StudySpec:
+    """churn-resilience: delivery under churn, frugal vs flooders."""
+    return _churn_sweep(
+        scale, "churn-resilience",
+        "Delivery under population churn "
+        "(random waypoint, 10 m/s, exponential sessions)",
+        CHURN_PROTOCOLS, ("reliability", "bandwidth_bytes", "duplicates"))
+
+
+def protocol_matrix_study(scale: Scale) -> StudySpec:
+    """protocol-matrix: every registered protocol under churn.
+
+    The registry-powered cross product: each *visible* entry of
+    :mod:`repro.core.registry` — the frugal protocol, the three
+    Section 5.2 flooders, both broadcast-storm schemes, the lpbcast
+    gossip baseline, and any custom registration — runs the churn
+    scenarios on paired seeds.  One sweep answers "how does a new
+    strategy behave under availability stress" without touching the
+    harness; hidden verification entries are excluded.
+    """
+    return _churn_sweep(
+        scale, "protocol-matrix",
+        "Every registered protocol under population churn "
+        "(random waypoint, 10 m/s, exponential sessions)",
+        registry.names(),
+        ("reliability", "bandwidth_bytes", "duplicates", "parasites"),
+        pivot=PivotSpec(rows="protocol", cols="churn_per_min",
+                        value="churn_reliability"))
 
 
 def _apply_outage(config: ScenarioConfig, value) -> ScenarioConfig:
@@ -182,7 +541,14 @@ def _apply_outage(config: ScenarioConfig, value) -> ScenarioConfig:
 
 
 def outage_study(scale: Scale) -> StudySpec:
-    """abl-outage as a declaration: one composite outage axis."""
+    """abl-outage: a regional outage knocks out the middle of the map.
+
+    One circular outage centred on the area, radius a fraction of the
+    half-side, from t=20 s to t=80 s of a 120 s window.  ``silence``
+    (radios jammed, state survives) is compared against ``crash``
+    (state lost) and the no-outage baseline: the frugal protocol's
+    validity periods are what lets the silenced region catch up.
+    """
     fractions = scale.pick([0.25, 0.5, 0.75], [0.5])
     variants = [("none", 0.0)] + [(kind, frac)
                                   for kind in ("silence", "crash")
@@ -205,27 +571,63 @@ def outage_study(scale: Scale) -> StudySpec:
 
 
 # --------------------------------------------------------------------------
-# New studies the old framework made too expensive to write
+# City-scale: large grid maps at the paper's city density
 # --------------------------------------------------------------------------
 
-#: Mean session lengths swept by ``study-frontier`` (None = no churn).
-FRONTIER_SESSIONS_FULL = (None, 240.0, 120.0, 60.0, 30.0)
-FRONTIER_SESSIONS_COARSE = (None, 120.0, 30.0)
+#: Populations swept per scale.  The full list is the sharded engine's
+#: target (one large world); smoke/quick shrink the population but keep
+#: the density and the map idiom.
+CITY_SCALE_POPULATIONS = {
+    "smoke": [40, 80],
+    "quick": [100, 200],
+    "paper": [2000, 5000, 10000],
+}
+
+
+def _city_scale_cells(n: int) -> Dict[str, object]:
+    grid = city_scale_grid(n)
+    return {"n": n, "width_m": round(grid.width, 1),
+            "height_m": round(grid.height, 1)}
+
+
+def city_scale_study(scale: Scale) -> StudySpec:
+    """city-scale: one metropolitan world per population step.
+
+    Unlike the per-figure city runs (15 processes, one campus), each row
+    here is a *single* large world at the paper's density — the family
+    the sharded engine exists for.  Rows record delivery and cost
+    metrics plus mean wall-clock per run, so the same table doubles as
+    the scaling reference for ``--shards`` (results are bit-identical
+    for any shard count; only the wall-clock column moves).
+    """
+    populations = CITY_SCALE_POPULATIONS.get(
+        scale.name, CITY_SCALE_POPULATIONS["quick"])
+    return StudySpec(
+        study_id="city-scale",
+        title="City-section scaling: street grids at paper density, "
+              "one world per population",
+        base=city_scale_scenario(scale, populations[0]),
+        grid=(Axis(name="n", values=populations,
+                   apply=lambda cfg, n: city_scale_scenario(scale, n),
+                   cells=_city_scale_cells),),
+        seeds=tuple(scale.seed_list()),
+        metrics=(Metric("reliability", std=True),
+                 Metric("bandwidth_bytes"), Metric("events_sent"),
+                 Metric("duplicates"),
+                 Metric("wallclock_s", derive=lambda multi: multi.metric(
+                     lambda r: r.wallclock_s).mean)),
+        parameters={"scale": scale.name, "populations": populations,
+                    "density_km2": round(CITY_SCALE_DENSITY_KM2, 2),
+                    "shards": shards_label()})
+
+
+# --------------------------------------------------------------------------
+# The frugality frontier: a cube no hand-written loop was worth writing
+# --------------------------------------------------------------------------
 
 #: Protocols raced across the frontier cube: the frugal protocol, the
 #: strongest interest-aware flooder, and the lpbcast gossip baseline.
 FRONTIER_PROTOCOLS = ("frugal", "neighbor-flooding", "gossip")
-
-
-def _apply_churn_session(config: ScenarioConfig,
-                         session) -> ScenarioConfig:
-    """Install exponential churn (``None`` = instrumented churn-free)."""
-    if session is None:
-        faults = FaultConfig()
-    else:
-        faults = FaultConfig(churn=ChurnConfig(
-            mean_session_s=session, mean_rest_s=45.0))
-    return config.with_changes(faults=faults)
 
 
 def frontier_study(scale: Scale) -> StudySpec:
@@ -241,30 +643,22 @@ def frontier_study(scale: Scale) -> StudySpec:
     where nothing needed catching up, which is genuinely optimal —
     churn-free cells simply never pay that cost.
     """
-    sessions = scale.pick(FRONTIER_SESSIONS_FULL, FRONTIER_SESSIONS_COARSE)
+    sessions = scale.pick(CHURN_SESSIONS_FULL, CHURN_SESSIONS_COARSE)
     awake_fractions = scale.pick([1.0, 0.5, 0.25], [1.0, 0.5])
-    base = energy_scenario(scale, FRONTIER_PROTOCOLS[0],
-                           awake_fraction=1.0)
     return StudySpec(
         study_id="study-frontier",
         title="Frugality frontier: protocol x churn x duty-cycle "
               "(random waypoint, 10 m/s, power-save radio)",
-        base=base,
+        base=energy_scenario(scale, FRONTIER_PROTOCOLS[0]),
         grid=(Axis(name="protocol", values=FRONTIER_PROTOCOLS),
-              Axis(name="churn", values=tuple(sessions),
-                   apply=_apply_churn_session,
-                   cells=lambda s: {"churn_per_min":
-                                    0.0 if s is None else 60.0 / s}),
-              Axis(name="awake_fraction", values=tuple(awake_fractions),
-                   apply=_apply_awake_fraction)),
+              _churn_axis(sessions), _awake_axis(awake_fractions)),
         seeds=tuple(scale.seed_list()),
         metrics=(Metric("churn_reliability"), Metric("reliability"),
                  Metric("joules_per_node"), Metric("bandwidth_bytes"),
                  Metric("recovery_latency_s"), Metric("duplicates")),
         parameters={"scale": scale.name,
                     "protocols": list(FRONTIER_PROTOCOLS),
-                    "mean_sessions_s": ["none" if s is None else s
-                                        for s in sessions],
+                    "mean_sessions_s": _session_labels(sessions),
                     "awake_fractions": list(awake_fractions)},
         objectives=(Objective("churn_reliability", "max"),
                     Objective("joules_per_node", "min"),
@@ -288,31 +682,32 @@ class Study:
     build: Callable[..., StudySpec]
 
 
-STUDIES: Dict[str, Study] = {
-    study.study_id: study for study in (
-        Study("abl-gc",
-              "eviction policies under memory pressure (axis grid)",
-              gc_study),
-        Study("abl-backoff",
-              "back-off / suppression component toggles",
-              backoff_study),
-        Study("abl-adaptive-hb",
-              "adaptive-heartbeat toggle x speed grid",
-              adaptive_hb_study),
-        Study("abl-ids",
-              "event-id exchange toggle vs blind push",
-              ids_study),
-        Study("abl-dutycycle",
-              "protocol x awake-fraction duty-cycle grid",
-              dutycycle_study),
-        Study("abl-outage",
-              "regional outage kind x radius composite axis",
-              outage_study),
-        Study("study-frontier",
-              "protocol x churn x duty-cycle cube with Pareto frontier",
-              frontier_study),
-    )
-}
+def _study(study_id: str, build: Callable[..., StudySpec],
+           summary: Optional[str] = None) -> Study:
+    """Register ``build``; its docstring's first line is the summary."""
+    return Study(study_id,
+                 summary or build.__doc__.strip().splitlines()[0], build)
+
+
+#: The single declaration registry, in ``repro list`` / ``all`` order.
+STUDIES: Dict[str, Study] = {study.study_id: study for study in (
+    _study("fig11", fig11_study), _study("fig12", fig12_study),
+    _study("fig13", fig13_study), _study("fig14", fig14_study),
+    _study("fig15", fig15_study), _study("fig16", fig16_study),
+    *(_study(figure, functools.partial(frugality_study, figure=figure),
+             f"Fig. {figure[3:]}: {title.lower()} vs (#events x interest).")
+      for figure, (title, _, _) in FRUGALITY_FIGURES.items()),
+    _study("abl-gc", gc_study), _study("abl-backoff", backoff_study),
+    _study("abl-adaptive-hb", adaptive_hb_study),
+    _study("abl-ids", ids_study), _study("abl-dutycycle", dutycycle_study),
+    _study("related-work", related_work_study),
+    _study("energy-lifetime", energy_lifetime_study),
+    _study("churn-resilience", churn_resilience_study),
+    _study("abl-outage", outage_study),
+    _study("protocol-matrix", protocol_matrix_study),
+    _study("city-scale", city_scale_study),
+    _study("study-frontier", frontier_study),
+)}
 
 
 def study_names() -> Tuple[str, ...]:
@@ -332,3 +727,33 @@ def get_study(study_id: str) -> Study:
 def build_study(study_id: str, scale: Scale, **kwargs) -> StudySpec:
     """Build the registered study's spec for ``scale``."""
     return get_study(study_id).build(scale, **kwargs)
+
+
+def _experiment(study: Study
+                ) -> Callable[[Optional[Scale]], ExperimentResult]:
+    def run(scale: Optional[Scale] = None) -> ExperimentResult:
+        return run_study(study.build(scale or get_scale())).experiment
+    run.__doc__ = study.summary
+    return run
+
+
+def loopback_bridge(scale: Optional[Scale] = None) -> ExperimentResult:
+    """loopback-bridge: sim-predicted vs UDP-measured, side by side."""
+    # Imported on demand: the asyncio runtime is only needed when this
+    # experiment is asked for.
+    from repro.rt.bridge import loopback_bridge as bridge
+    return bridge(scale)
+
+
+def _experiments():
+    for study in STUDIES.values():
+        if study.study_id == "city-scale":     # its historical slot
+            yield "loopback-bridge", loopback_bridge
+        yield study.study_id, _experiment(study)
+
+
+#: Everything runnable by id — one ``Scale -> ExperimentResult`` runner
+#: per declaration, plus ``loopback-bridge`` (its rt half opens real
+#: sockets, so it cannot be a spec).
+ALL_EXPERIMENTS: Dict[str, Callable[[Optional[Scale]],
+                                    ExperimentResult]] = dict(_experiments())

@@ -41,10 +41,10 @@ class TestMain:
         # Pin the run to a tiny scale so the test stays fast: the CLI looks
         # the experiment up in ALL_EXPERIMENTS, which we can patch.
         from repro.harness import cli
-        from repro.harness.experiments import fig13
         from tests.test_experiments import TINY
+        real = cli.ALL_EXPERIMENTS["fig13"]
         monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig13",
-                            lambda scale: fig13(TINY))
+                            lambda scale: real(TINY))
         path = tmp_path / "fig13.csv"
         assert main(["fig13", "--csv", str(path)]) == 0
         out = capsys.readouterr().out
@@ -54,28 +54,44 @@ class TestMain:
             rows = list(csv.DictReader(f))
         assert len(rows) == 3          # TINY sweeps 1/3/5 s bounds
 
-    def test_study_lists_registered_declarations(self, capsys):
-        assert main(["study"]) == 0
-        out = capsys.readouterr().out
-        for study_id in ("abl-gc", "abl-dutycycle", "study-frontier"):
-            assert study_id in out
-        assert main(["study", "--list"]) == 0
-        assert "study-frontier" in capsys.readouterr().out
+    def test_list_prints_23_ids_with_summaries(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 23
+        assert all(len(line.split(None, 1)) == 2 for line in lines)
 
-    def test_study_unknown_id_fails(self, capsys):
-        assert main(["study", "--run", "abl-typo"]) == 2
-        assert "unknown study" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, names", [
+        (["fig13", "--epoch", "0.5"], "--epoch"),
+        (["all", "--csv", "out.csv"], "--csv"),
+        (["fig13", "--out-dir", "out"], "--out-dir"),
+    ])
+    def test_flag_that_would_be_ignored_is_rejected(self, capsys,
+                                                    monkeypatch, argv,
+                                                    names):
+        """A flag the chosen route cannot honour exits 2 with a one-line
+        message before any engine is configured."""
+        from repro.harness import cli
+        monkeypatch.setattr(cli, "configure_engine", lambda *a: pytest.fail(
+            "engine configured before the flags were checked"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert names in err and len(err.splitlines()) == 1
+
+    def test_removed_study_route_flags_are_unknown(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig13", "--list"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig13", "--run", "abl-ids"])
 
     def test_study_run_prints_notes(self, capsys, monkeypatch):
         # Route the registered entry to a tiny-scale run so the test
-        # stays fast; the study path reuses the ALL_EXPERIMENTS flow.
+        # stays fast; a declaration's notes print below its rows.
         from repro.harness import cli
-        from repro.harness.experiments import ALL_EXPERIMENTS
         from tests.test_experiments import TINY
-        real = ALL_EXPERIMENTS["abl-ids"]
+        real = cli.ALL_EXPERIMENTS["abl-ids"]
         monkeypatch.setitem(cli.ALL_EXPERIMENTS, "abl-ids",
                             lambda scale: real(TINY))
-        assert main(["study", "--run", "abl-ids"]) == 0
+        assert main(["abl-ids"]) == 0
         out = capsys.readouterr().out
         assert "abl-ids" in out
         assert "component deltas" in out

@@ -359,16 +359,19 @@ class TestEnergyExperiments:
     def test_frugal_cheaper_per_delivery_than_flooding(self, tiny):
         """The headline claim, in joules: frugal spends measurably less
         energy per delivered event than neighbours'-interests flooding."""
-        from repro.harness.experiments import energy_lifetime
-        result = energy_lifetime(tiny, batteries=(None,))
+        from repro.study import build_study, run_study
+        result = run_study(build_study("energy-lifetime", tiny,
+                                       batteries=(None,))).experiment
         frugal = result.filter(protocol="frugal")[0]
         flood = result.filter(protocol="neighbor-flooding")[0]
         assert frugal["joules_per_delivery"] < flood["joules_per_delivery"]
         assert frugal["joules_per_node"] < flood["joules_per_node"]
 
     def test_dutycycle_ablation_shape(self, tiny):
-        from repro.harness.experiments import ablation_dutycycle
-        result = ablation_dutycycle(tiny, awake_fractions=(1.0, 0.5))
+        from repro.study import build_study, run_study
+        result = run_study(build_study(
+            "abl-dutycycle", tiny,
+            awake_fractions=(1.0, 0.5))).experiment
         assert len(result.rows) == 4          # 2 protocols x 2 fractions
         for protocol in ("frugal", "neighbor-flooding"):
             rows = result.filter(protocol=protocol)

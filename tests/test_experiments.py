@@ -1,4 +1,4 @@
-"""Tests for the per-figure experiment functions (repro.harness.experiments).
+"""Tests for the registered experiments and their scenario factories.
 
 These run miniature versions of each experiment — a dedicated `tiny`
 scale far smaller than `quick` — to verify the sweep structure, row
@@ -7,16 +7,16 @@ schemas and the qualitative trends the benchmarks rely on.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.harness.experiments import (ALL_EXPERIMENTS, CHURN_PROTOCOLS,
-                                       ablation_backoff, ablation_gc,
-                                       ablation_heartbeat, ablation_ids,
-                                       ablation_outage, churn_resilience,
-                                       churn_scenario, city_scenario,
-                                       fig11, fig13, fig15,
-                                       frugality_comparison, rwp_scenario)
+from repro.harness.experiments import (churn_scenario, city_scenario,
+                                       rwp_scenario)
 from repro.harness.presets import PAPER, QUICK, SMOKE, Scale, get_scale
+from repro.study import (ALL_EXPERIMENTS, Axis, Metric, build_study,
+                         run_study)
+from repro.study.studies import CHURN_PROTOCOLS
 
 TINY = Scale(
     name="tiny",
@@ -77,7 +77,7 @@ class TestScenarioBuilders:
 
 class TestReliabilityExperiments:
     def test_fig11_rows_cover_sweep(self):
-        result = fig11(TINY)
+        result = ALL_EXPERIMENTS["fig11"](TINY)
         assert result.experiment_id == "fig11"
         speeds = set(result.column("speed"))
         assert speeds == set(TINY.pick([0.0, 1.0, 5.0, 10.0, 20.0, 30.0,
@@ -91,18 +91,18 @@ class TestReliabilityExperiments:
         """The paper's headline: 80% interest reaches far higher
         reliability than 20% at equal speed/validity (sparse networks
         fail)."""
-        result = fig11(TINY)
+        result = ALL_EXPERIMENTS["fig11"](TINY)
         high = [r["reliability"] for r in result.filter(interest=0.8)]
         low = [r["reliability"] for r in result.filter(interest=0.2)]
         assert sum(high) / len(high) >= sum(low) / len(low)
 
     def test_fig13_row_schema(self):
-        result = fig13(TINY)
+        result = ALL_EXPERIMENTS["fig13"](TINY)
         assert set(result.column("hb_upper")) == {1.0, 3.0, 5.0}
         assert all("reliability" in row for row in result.rows)
 
     def test_fig15_spread_is_max_minus_min(self):
-        result = fig15(TINY)
+        result = ALL_EXPERIMENTS["fig15"](TINY)
         for row in result.rows:
             assert row["spread"] == pytest.approx(
                 row["best"] - row["worst"])
@@ -110,16 +110,27 @@ class TestReliabilityExperiments:
 
 
 class TestFrugalityExperiments:
-    def test_comparison_runs_all_protocols(self):
-        result = frugality_comparison(
-            TINY, protocols=("frugal", "simple-flooding"))
+    @pytest.fixture(scope="class")
+    def result(self):
+        """The Fig. 17 declaration, narrowed to two protocols and widened
+        to all four frugality metrics — declarations are data."""
+        spec = build_study("fig17", TINY)
+        spec = dataclasses.replace(
+            spec,
+            grid=(Axis(name="protocol",
+                       values=("frugal", "simple-flooding")),)
+            + spec.grid[1:],
+            metrics=tuple(Metric(name) for name in (
+                "bandwidth_bytes", "events_sent", "duplicates",
+                "parasites")))
+        return run_study(spec).experiment
+
+    def test_comparison_runs_all_protocols(self, result):
         assert set(r["protocol"] for r in result.rows) == \
             {"frugal", "simple-flooding"}
 
-    def test_frugal_beats_flooding_on_all_four_metrics(self):
+    def test_frugal_beats_flooding_on_all_four_metrics(self, result):
         """The paper's core claim, at any scale."""
-        result = frugality_comparison(
-            TINY, protocols=("frugal", "simple-flooding"))
         frugal = result.filter(protocol="frugal", events=20, interest=1.0)[0]
         flood = result.filter(protocol="simple-flooding", events=20,
                               interest=1.0)[0]
@@ -131,22 +142,23 @@ class TestFrugalityExperiments:
 
 class TestAblations:
     def test_gc_ablation_covers_all_policies(self):
-        result = ablation_gc(TINY, capacity=4)
+        result = run_study(build_study("abl-gc", TINY,
+                                       capacity=4)).experiment
         assert set(result.column("policy")) == {
             "validity-forward", "remaining-validity", "fifo", "random"}
 
     def test_backoff_ablation_variants(self):
-        result = ablation_backoff(TINY)
+        result = ALL_EXPERIMENTS["abl-backoff"](TINY)
         variants = set(result.column("variant"))
         assert variants == {"backoff+suppression", "no-suppression",
                             "no-backoff"}
 
     def test_heartbeat_ablation_shape(self):
-        result = ablation_heartbeat(TINY)
+        result = ALL_EXPERIMENTS["abl-adaptive-hb"](TINY)
         assert len(result.rows) == 6      # 2 variants x 3 speeds
 
     def test_ids_ablation_shape(self):
-        result = ablation_ids(TINY)
+        result = ALL_EXPERIMENTS["abl-ids"](TINY)
         assert [r["id_exchange"] for r in result.rows] == [True, False]
 
 
@@ -157,7 +169,7 @@ class TestChurnExperiments:
         assert cfg.faults.churn is None and not cfg.faults.plan.events
 
     def test_churn_resilience_shape_and_trends(self):
-        result = churn_resilience(TINY)
+        result = ALL_EXPERIMENTS["churn-resilience"](TINY)
         rates = sorted({r["churn_per_min"] for r in result.rows})
         assert rates[0] == 0.0 and len(rates) == 3
         assert {r["protocol"] for r in result.rows} == set(CHURN_PROTOCOLS)
@@ -173,8 +185,7 @@ class TestChurnExperiments:
 
     def test_protocol_matrix_covers_every_visible_protocol(self):
         from repro.core import registry
-        from repro.harness.experiments import protocol_matrix
-        result = protocol_matrix(TINY)
+        result = ALL_EXPERIMENTS["protocol-matrix"](TINY)
         measured = {r["protocol"] for r in result.rows}
         assert measured == set(registry.names())
         assert "gossip" in measured                    # the new baseline
@@ -186,7 +197,7 @@ class TestChurnExperiments:
             assert row["churn_reliability"] >= row["reliability"] - 1e-12
 
     def test_outage_ablation_shape(self):
-        result = ablation_outage(TINY)
+        result = ALL_EXPERIMENTS["abl-outage"](TINY)
         kinds = [r["outage"] for r in result.rows]
         assert kinds[0] == "none"
         assert set(kinds) == {"none", "silence", "crash"}

@@ -13,6 +13,7 @@ interpreters costs seconds; every test that needs parallelism reuses it.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -22,13 +23,13 @@ from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
 from repro.harness import parallel
 from repro.harness.cache import ResultCache
-from repro.harness.experiments import frugality_comparison
 from repro.harness.parallel import EngineStats, ParallelRunner
 from repro.harness.presets import Scale
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec)
 from repro.net import RadioConfig
+from repro.study import Axis, build_study, run_study
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -210,16 +211,17 @@ class TestCachedSweep:
         cache performs no scenario executions at all."""
         cache = ResultCache(tmp_path / "cache")
         runner = parallel.configure(jobs=1, cache=cache)
+        spec = build_study("fig17", NANO)
+        spec = dataclasses.replace(spec, grid=(
+            Axis(name="protocol", values=("frugal",)),) + spec.grid[1:])
         try:
-            first = frugality_comparison(NANO, protocols=("frugal",),
-                                         experiment_id="fig17-20")
+            first = run_study(spec).experiment
             cells = runner.stats.executed
             assert cells > 0
             assert runner.stats.cache_hits == 0
 
             runner.stats.reset()
-            second = frugality_comparison(NANO, protocols=("frugal",),
-                                          experiment_id="fig17-20")
+            second = run_study(spec).experiment
             assert runner.stats.executed == 0, \
                 "warm rerun must answer every cell from the cache"
             assert runner.stats.cache_hits == cells

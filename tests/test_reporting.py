@@ -141,41 +141,36 @@ class TestPivotTable:
 
 
 class TestExperimentPivot:
+    """The one pivot mechanism: a declaration's ``PivotSpec``, rendered
+    by ``pivot_report`` into the result's notes."""
+
+    ROWS = [{"protocol": "frugal", "churn_per_min": 0.0,
+             "churn_reliability": 1.0},
+            {"protocol": "gossip", "churn_per_min": 0.0,
+             "churn_reliability": 0.9}]
+
+    def pivot(self, study_id):
+        from repro.study import build_study
+        from tests.test_experiments import TINY
+        return build_study(study_id, TINY).pivot
+
     def test_protocol_matrix_gets_a_pivot(self):
-        from repro.harness.experiments import ExperimentResult
-        from repro.harness.reporting import experiment_pivot
-        result = ExperimentResult(
-            experiment_id="protocol-matrix", title="t", parameters={},
-            rows=[{"protocol": "frugal", "churn_per_min": 0.0,
-                   "churn_reliability": 1.0},
-                  {"protocol": "gossip", "churn_per_min": 0.0,
-                   "churn_reliability": 0.9}])
-        text = experiment_pivot(result)
-        assert text is not None
+        from repro.study import pivot_report
+        text = pivot_report(self.ROWS, self.pivot("protocol-matrix"))
         assert "churn_reliability by protocol" in text
         assert "frugal" in text and "gossip" in text
 
     def test_protocol_matrix_rendering_byte_identical(self):
         """Golden output from before pivot generalisation: the
-        registered protocol-matrix pivot must render unchanged."""
-        from repro.harness.experiments import ExperimentResult
-        from repro.harness.reporting import experiment_pivot
-        result = ExperimentResult(
-            experiment_id="protocol-matrix", title="t", parameters={},
-            rows=[{"protocol": "frugal", "churn_per_min": 0.0,
-                   "churn_reliability": 1.0},
-                  {"protocol": "gossip", "churn_per_min": 0.0,
-                   "churn_reliability": 0.9}])
-        assert experiment_pivot(result) == (
-            "-- churn_reliability by protocol --\n"
+        declared protocol-matrix pivot must render the same grid (the
+        title line names the column key since it became a PivotSpec)."""
+        from repro.study import pivot_report
+        assert pivot_report(self.ROWS, self.pivot("protocol-matrix")) == (
+            "-- churn_reliability by protocol over churn_per_min --\n"
             "protocol | churn_per_min=0\n"
             "---------+----------------\n"
             "  frugal |               1\n"
             "  gossip |             0.9")
 
     def test_unregistered_experiment_has_none(self):
-        from repro.harness.experiments import ExperimentResult
-        from repro.harness.reporting import experiment_pivot
-        result = ExperimentResult(experiment_id="fig11", title="t",
-                                  parameters={}, rows=[{"x": 1}])
-        assert experiment_pivot(result) is None
+        assert self.pivot("fig11") is None

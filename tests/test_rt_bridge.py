@@ -89,7 +89,7 @@ class TestBridgeRun:
         assert "frugal" in str(err.value)
 
     def test_registered_in_all_experiments(self):
-        from repro.harness.experiments import ALL_EXPERIMENTS
+        from repro.study import ALL_EXPERIMENTS
         assert "loopback-bridge" in ALL_EXPERIMENTS
 
 

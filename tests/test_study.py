@@ -1,39 +1,42 @@
 """Tests for the declarative study subsystem (repro.study).
 
-The heart is the declaration-equivalence suite: every collapsed
-``abl-*`` study must reproduce its frozen hand-written original
-(:mod:`repro.harness.frozen`) row for row and byte for byte, serial,
-parallel and cached alike.  Around it: unit tests for field-path
-setting, grid expansion determinism, component-toggle composition and
-Pareto-dominance edge cases.
+Unit tests for field-path setting, grid expansion determinism,
+component-toggle composition, folded axes and Pareto-dominance edge
+cases, plus the serial == parallel == cached identity of a study run.
+That every registered declaration reproduces the CSV bytes of the
+hand-written loop it replaced is ``tests/test_golden_experiments.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.harness import frozen, parallel
+import repro
+from repro.harness import parallel
 from repro.harness.cache import ResultCache
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.reporting import to_csv
+from repro.harness.experiments import rwp_scenario, with_publisher
+from repro.harness.runner import aggregate
 from repro.harness.scenario import ScenarioConfig
-from repro.study import (Axis, Component, Metric, Objective, PivotSpec,
-                         StudySpec, Toggles, Variant, dominates, expand,
-                         pareto_frontier, run_study, set_field_path)
+from repro.study import (ALL_EXPERIMENTS, Axis, Component, Metric,
+                         Objective, PivotSpec, StudySpec, Toggles, Variant,
+                         dominates, expand, pareto_frontier, run_study,
+                         set_field_path)
 from repro.study.analysis import frontier_report
 from repro.study.studies import STUDIES, build_study, get_study, ids_study
 from tests.test_experiments import TINY
 
-# One seed keeps the six frozen-vs-study reruns affordable; row
-# identity does not depend on the seed count.
+# Expansion-only registry tests never run a scenario; one seed keeps
+# their specs small.
 TINY1 = dataclasses.replace(TINY, seeds=1)
 
 
 def tiny_config(**changes) -> ScenarioConfig:
     """A minimal scenario config for expansion-only tests (never run)."""
-    from repro.harness.experiments import rwp_scenario
     cfg = rwp_scenario(TINY, 10.0, 10.0, validity=30.0, interest=0.5)
     return cfg.with_changes(**changes) if changes else cfg
 
@@ -256,10 +259,76 @@ class TestPareto:
         assert "p=a" in text            # the dominating witness label
 
 
+class TestFoldedAxis:
+    """``Axis(folded=True)``: swept, reduced into one row, no cells."""
+
+    PROTOCOLS = Axis(name="protocol", values=("frugal", "gossip"))
+
+    @staticmethod
+    def publishers(*values) -> Axis:
+        return Axis(name="publisher", values=values, folded=True,
+                    apply=with_publisher)
+
+    def test_width_one_fold_equals_unfolded_spec(self):
+        metrics = (Metric("reliability"), Metric("bandwidth_bytes"))
+        flat = run_study(tiny_spec(grid=(self.PROTOCOLS,),
+                                   metrics=metrics))
+        folded = run_study(tiny_spec(
+            grid=(self.PROTOCOLS, self.publishers(0)), metrics=metrics))
+        assert folded.experiment.rows == flat.experiment.rows
+
+    def test_fold_reduces_point_means_in_declaration_order(self):
+        seen = []
+
+        def spread(values):
+            seen.append(list(values))
+            return max(values) - min(values)
+
+        result = run_study(tiny_spec(
+            grid=(self.PROTOCOLS, self.publishers(2, 0, 1)), seeds=(0, 1),
+            metrics=(Metric("reliability", std=True),
+                     Metric("spread", key="reliability", fold=spread))))
+        assert len(result.cells) == 6 and len(result.experiment.rows) == 2
+        for i, row in enumerate(result.experiment.rows):
+            means = [multi.reliability.mean
+                     for multi in result.per_cell[3 * i:3 * i + 3]]
+            assert seen[i] == means     # exactly the per-point seed-means
+            across = aggregate(means)
+            assert row == {"protocol": self.PROTOCOLS.values[i],
+                           "reliability": across.mean,
+                           "reliability_std": across.std,
+                           "spread": max(means) - min(means)}
+        publishers = [cell.config.publications[0].publisher
+                      for cell in result.cells]
+        assert publishers == [2, 0, 1, 2, 0, 1]
+
+    def test_folded_axis_must_be_rightmost(self):
+        with pytest.raises(ValueError, match="'publisher'.*rightmost"):
+            tiny_spec(grid=(self.publishers(0, 1), self.PROTOCOLS))
+
+    def test_folded_axis_contributes_no_row_keys(self):
+        spec = tiny_spec(grid=(self.PROTOCOLS, self.publishers(0, 1)))
+        assert spec.axis_keys() == ("protocol",)
+        assert all(cell.cells.keys() == {"protocol"}
+                   for cell in expand(spec))
+
+
 class TestRegistry:
     def test_every_study_registered_as_experiment(self):
-        assert set(STUDIES) <= set(ALL_EXPERIMENTS)
+        assert set(ALL_EXPERIMENTS) - set(STUDIES) == {"loopback-bridge"}
         assert "study-frontier" in STUDIES
+
+    @pytest.mark.parametrize("first", ["repro.study", "repro.harness",
+                                       "repro.rt"])
+    def test_packages_import_in_any_order(self, first):
+        """harness never imports study (only its CLI does), so each
+        package can be the first import of a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", f"import {first}"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_unknown_study_names_known_ones(self):
         with pytest.raises(KeyError, match="known studies"):
@@ -279,23 +348,7 @@ class TestRegistry:
 
 
 class TestDeclarationEquivalence:
-    """The tentpole proof: collapsed studies == frozen hand-written."""
-
-    @pytest.mark.parametrize("study_id", sorted(frozen.FROZEN_ABLATIONS))
-    def test_study_reproduces_frozen_ablation(self, study_id, tmp_path):
-        reference = frozen.FROZEN_ABLATIONS[study_id](TINY1)
-        collapsed = ALL_EXPERIMENTS[study_id](TINY1)
-        assert collapsed.rows == reference.rows
-        # Same column order per row, so the CSVs are byte-identical.
-        assert ([list(r) for r in collapsed.rows]
-                == [list(r) for r in reference.rows])
-        assert collapsed.parameters == reference.parameters
-        assert collapsed.title == reference.title
-        assert collapsed.experiment_id == reference.experiment_id
-        ref_csv, new_csv = tmp_path / "ref.csv", tmp_path / "new.csv"
-        to_csv(reference, str(ref_csv))
-        to_csv(collapsed, str(new_csv))
-        assert ref_csv.read_bytes() == new_csv.read_bytes()
+    """One study, three schedulers, identical rows."""
 
     def test_serial_parallel_and_cached_runs_identical(self, tmp_path):
         spec = ids_study(TINY)
