@@ -12,6 +12,7 @@ from repro.core.topics import Topic, subscriptions_related
 from repro.net.medium import WirelessMedium
 from repro.net.messages import Heartbeat
 from repro.net.radio import RadioConfig
+from repro.sim.batch import LegTable, TxLog
 from repro.sim.kernel import Simulator
 from repro.sim.space import SpatialGrid, Vec2
 
@@ -36,6 +37,41 @@ def test_spatial_grid_query(benchmark):
 
     found = benchmark(grid.query_radius, center, 442.0)
     assert isinstance(found, list)
+
+
+def test_receiver_resolution_150_nodes(benchmark):
+    """One frame's receiver resolution at the paper's density: 150
+    moving nodes over 25 km², 442 m range, anchors 25 m stale."""
+    rng = random.Random(1)
+    grid = SpatialGrid(cell_size=442.0 * 1.125)
+    legs = LegTable(grid, slack_m=442.0 / 8.0)
+    for i in range(150):
+        x, y = rng.uniform(0, 5000), rng.uniform(0, 5000)
+        grid.insert(i, Vec2(x, y))
+        legs.note(i, (x, y, x + 40.0, y + 30.0, 0.0, 10.0))
+
+    hits = benchmark(legs.audible, 5.0, 2500.0, 2500.0, 442.0)
+    assert hits == sorted(hits) and 1 <= len(hits) <= 15
+
+
+def test_txlog_tail_scan(benchmark):
+    """Carrier sense plus one frame's collision verdicts against a log
+    holding a full 1 s horizon of history (150 rows, the frugal
+    workload's average): the tail scan reads the last few."""
+    rng = random.Random(2)
+    log = TxLog(horizon_s=1.0)
+    airtime = 1.2e-3
+    for k in range(150):
+        log.add(k, rng.uniform(0, 5000), rng.uniform(0, 5000), 442.0,
+                k / 150.0, airtime)
+    receivers = [(200 + i, 2400.0 + 50.0 * i, 2500.0) for i in range(5)]
+    last = 149 / 150.0
+
+    def sense_and_judge():
+        return (log.busy(2500.0, 2500.0, 1.0),
+                log.corrupt_verdicts(149, last, last + airtime, receivers))
+
+    assert benchmark(sense_and_judge) == (False, None)
 
 
 def test_topic_matching(benchmark):
@@ -66,6 +102,7 @@ def test_medium_broadcast_150_nodes(benchmark):
             self.pos = pos
             self.alive = True
             self.asleep = False
+            self.silenced = False
         @property
         def listening(self):
             return self.alive and not self.asleep

@@ -16,17 +16,22 @@ Maps are :class:`networkx.Graph` instances wrapped in :class:`StreetMap`;
 nodes are intersections with ``pos`` attributes (:class:`Vec2`), edges are
 road segments with ``speed_limit`` (m/s), ``popularity`` (> 0, relative
 traffic share) and ``length`` (m, derived).
+
+``networkx`` is imported where a map is built or routed, not at module
+import: random-waypoint worlds, ``repro list`` and warm-cache reruns
+never touch a street map and should not pay for the library.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.sim.space import Vec2
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclass
@@ -45,6 +50,7 @@ class StreetMap:
     _nodes_cache: List[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        import networkx as nx
         if self.graph.number_of_nodes() == 0:
             raise ValueError("street map has no intersections")
         if not nx.is_connected(self.graph):
@@ -101,6 +107,7 @@ class StreetMap:
         key = (src, dst)
         path = self._route_cache.get(key)
         if path is None:
+            import networkx as nx
             path = nx.shortest_path(self.graph, src, dst,
                                     weight="route_cost")
             self._route_cache[key] = path
@@ -127,6 +134,7 @@ def grid_map(columns: int, rows: int, width: float, height: float,
     """
     if columns < 2 or rows < 2:
         raise ValueError("grid needs at least 2x2 intersections")
+    import networkx as nx
     rng = random.Random(seed)
     graph = nx.Graph()
     dx = width / (columns - 1)

@@ -24,24 +24,31 @@ displacement within a frame is negligible.
 
 Frame resolution
 ----------------
-There is one frame engine.  "Who can hear this frame?" is answered in
-two steps — a grid prune, then an exact batched re-filter:
+There is one frame engine, and each of its questions is one pass over
+plain floats (:mod:`repro.sim.batch`):
 
 * each node's mobility model *pushes* position anchors into a
   :class:`~repro.sim.space.SpatialGrid` (``MobilityModel.on_move``),
   re-anchoring at leg boundaries and every ``anchor slack`` metres along
   a leg, so an anchor is never more than the slack distance away from
-  the node's true position; receiver resolution queries the grid with
-  ``range + slack``, a superset of the true audible set, in ascending-id
-  order (:meth:`SpatialGrid.query_radius` sorts), which fixes the order
-  of every delivery, energy charge and RNG draw;
-* nodes also push *leg states* (:meth:`MobilityModel.leg_state`) into a
-  :class:`~repro.sim.batch.LegTable`, which interpolates every
-  candidate's exact position with the same float64 arithmetic as
-  ``position()`` and confirms range with ``math.hypot`` — the grid is a
-  pruning accelerator, never an approximation;
-* recent transmissions live in a :class:`~repro.sim.batch.TxLog`, which
-  serves carrier sense and per-receiver collision verdicts;
+  the node's true position, and *leg states*
+  (:meth:`MobilityModel.leg_state`) into a
+  :class:`~repro.sim.batch.LegTable`;
+* "who can hear this frame?" is :meth:`LegTable.audible
+  <repro.sim.batch.LegTable.audible>` — the one receiver-resolution
+  routine, shared by :meth:`WirelessMedium._transmit`,
+  :meth:`WirelessMedium.nodes_within` and the shard engine.  It walks
+  the grid's cell block of reach ``range + slack`` (a superset of the
+  true audible set), interpolates every member's exact position with the
+  same float64 arithmetic as ``position()`` and confirms range with
+  ``math.hypot`` — the grid is a pruning accelerator, never an
+  approximation.  Survivors come back as ``(id, x, y)`` tuples in
+  ascending-id order, which fixes the order of every delivery, energy
+  charge and RNG draw;
+* recent transmissions live in a start-ordered
+  :class:`~repro.sim.batch.TxLog`, which serves carrier sense and
+  per-receiver collision verdicts by reading back from its newest row
+  and stopping one maximum airtime before the instant asked about;
 * the K per-receiver deliveries of one frame are a *single* kernel
   event (:meth:`WirelessMedium._deliver_batch`), walked in ascending
   receiver id.  A frame's overlap set is final at its end time (the
@@ -51,14 +58,14 @@ two steps — a grid prune, then an exact batched re-filter:
 
 Exactness is held by the test suite, not by a second engine:
 ``tests/golden_digests.json`` pins digests taken from a naive O(N)
-full-scan medium, and the brute-force oracle in ``tests/helpers.py``
-re-derives every delivery/collision verdict from first principles.
+full-scan medium, and the brute-force oracles in ``tests/helpers.py``
+re-derive every delivery/collision verdict from first principles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.messages import Message, SizeModel
 from repro.net.radio import RadioConfig
@@ -168,14 +175,13 @@ class WirelessMedium:
         self._rng = rng
         self._nodes: Dict[int, "Node"] = {}
         # Node anchors, exact legs and recent transmissions.  The grid's
-        # cell size equals the inflated query radius, so every range
-        # query touches exactly a 3x3 block of cells.
+        # cell size equals the inflated radio range, so receiver
+        # resolution touches exactly a 3x3 block of cells.
         range_m = radio.communication_range_m()
         slack = self.config.anchor_slack_m
         self._slack_m = slack if slack is not None else range_m / 8.0
-        self._query_radius_m = range_m + self._slack_m
-        self._grid = SpatialGrid(self._query_radius_m)
-        self._legs = batch.LegTable()
+        self._grid = SpatialGrid(range_m + self._slack_m)
+        self._legs = batch.LegTable(self._grid, self._slack_m)
         self._txlog = batch.TxLog(self.config.history_horizon_s)
         # Observability hooks (metrics collector subscribes to these).
         self.on_transmit: Optional[Callable[[int, Message, int], None]] = None
@@ -279,18 +285,15 @@ class WirelessMedium:
         """Registered nodes whose *exact* position lies within
         ``radius_m`` of ``pos``, in ascending-id order.
 
-        Resolution mirrors receiver resolution: the spatial index is
-        queried with ``radius + slack`` (an anchor is never staler than
-        the slack distance) and candidates are re-filtered against exact
-        interpolated positions.  Used by the fault subsystem to resolve
-        regional outage membership.
+        This *is* receiver resolution (:meth:`LegTable.audible
+        <repro.sim.batch.LegTable.audible>`) with a caller-chosen centre
+        and radius.  Used by the fault subsystem to resolve regional
+        outage membership.
         """
         if radius_m < 0:
             raise ValueError(f"radius_m must be >= 0: {radius_m}")
-        ids = self._grid.query_radius(pos, radius_m + self._slack_m)
-        hits = self._legs.audible([i for i in ids if i in self._nodes],
-                                  self.sim.now, pos.x, pos.y, radius_m)
-        return [self._nodes[i] for i, _ in hits]
+        return [self._nodes[i] for i, _, _ in
+                self._legs.audible(self.sim.now, pos.x, pos.y, radius_m)]
 
     # -- sending --------------------------------------------------------------------
 
@@ -336,10 +339,10 @@ class WirelessMedium:
     def _transmit(self, sender: "Node", pos: Vec2, message: Message) -> None:
         """Put one frame on the air and arm its single delivery event.
 
-        The audible set is resolved for all grid candidates at once
-        (exact interpolated positions from the :class:`LegTable`), then
-        walked in ascending-id order: the listening filter and RX-energy
-        charges happen per node, so a battery depleted mid-walk (which
+        The audible set is resolved up front (exact interpolated
+        positions from the :class:`LegTable`), then walked in
+        ascending-id order: the listening filter and RX-energy charges
+        happen per node, so a battery depleted mid-walk (which
         unregisters the node) only ever affects that node.  A sleeping
         radio is deaf *and* free: it neither receives the frame nor pays
         the RX energy for it.
@@ -362,19 +365,17 @@ class WirelessMedium:
             self.shard_ingress(tx)
             return
         tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
-                                 tx.start, tx.end)
-        audible = self._legs.audible(
-            self._grid.query_radius(pos, self._query_radius_m,
-                                    exclude=sender.id),
-            now, pos.x, pos.y, tx.range_m)
-        receivers: List[Tuple[int, Vec2]] = []
-        for node_id, rx_pos in audible:
+                                 now, duration)
+        receivers: List[batch.Hit] = []
+        for hit in self._legs.audible(now, pos.x, pos.y, tx.range_m,
+                                      exclude=sender.id):
+            node_id = hit[0]
             node = self._nodes.get(node_id)
             if node is None or not node.listening:
                 continue
             if self.on_rx_window is not None:
                 self.on_rx_window(node_id, duration)
-            receivers.append((node_id, rx_pos))
+            receivers.append(hit)
         if receivers:
             self.sim.schedule(duration, self._deliver_batch, tx, tx_seq,
                               receivers)
@@ -382,7 +383,7 @@ class WirelessMedium:
     # -- receiving -------------------------------------------------------------------
 
     def _deliver_batch(self, tx: Transmission, tx_seq: int,
-                       receivers: List[Tuple[int, Vec2]]) -> None:
+                       receivers: List[batch.Hit]) -> None:
         """Deliver one frame to its whole receiver set in one event.
 
         Collision verdicts are computed once for the batch — safe
@@ -397,16 +398,14 @@ class WirelessMedium:
         corrupted = None
         if self.config.model_collisions:
             corrupted = self._txlog.corrupt_verdicts(
-                tx_seq, tx.start, tx.end,
-                [node_id for node_id, _ in receivers],
-                [rx_pos for _, rx_pos in receivers])
-        for k, (receiver_id, _) in enumerate(receivers):
+                tx_seq, tx.start, tx.end, receivers)
+        for k, hit in enumerate(receivers):
+            receiver_id = hit[0]
             node = self._nodes.get(receiver_id)
             if node is None or not node.listening:
                 continue  # crashed, drained or duty-cycled off mid-frame
             self._finish_delivery(tx, receiver_id, node,
-                                  corrupted is not None
-                                  and bool(corrupted[k]))
+                                  corrupted is not None and corrupted[k])
 
     def _finish_delivery(self, tx: Transmission, receiver_id: int,
                          node: "Node", corrupted: bool) -> None:

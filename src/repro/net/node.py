@@ -291,7 +291,7 @@ class Node:
         self.medium.note_position(self.id, pos)
 
     def _announce_leg(self) -> None:
-        """Forward a leg-state push into the medium's batch engine."""
+        """Forward a leg-state push into the medium's leg table."""
         self.medium.note_leg(self.id, self.mobility.leg_state())
 
     def receive(self, message: Message) -> None:

@@ -123,6 +123,7 @@ from repro.metrics import MetricsCollector
 from repro.net import Node, WirelessMedium
 from repro.net.medium import Transmission
 from repro.sim import RngRegistry, Simulator
+from repro.sim.batch import Hit
 from repro.sim.shard.config import (DEFAULT_EPOCH_S, ShardConfig,
                                     resolve_epoch_s)
 from repro.sim.shard.partition import ShardPlan
@@ -426,7 +427,7 @@ class ShardMedium(WirelessMedium):
         if not self._bbox_may_hear(tx):
             return   # no resident node within reach: provably no-op
         duration = tx.end - tx.start
-        for node_id, rx_pos in self._audible_residents(tx):
+        for node_id, rx_x, rx_y in self._audible_residents(tx):
             node = self._nodes.get(node_id)
             if node is None or not node.listening:
                 continue
@@ -436,22 +437,20 @@ class ShardMedium(WirelessMedium):
             if node is None or not node.listening:
                 continue   # the RX charge drained its battery
             corrupted = (self.config.model_collisions
-                         and self._corrupt_verdict(frame, node_id, rx_pos))
+                         and self._corrupt_verdict(frame, node_id,
+                                                   rx_x, rx_y))
             self._finish_delivery(tx, node_id, node, corrupted)
 
-    def _audible_residents(self, tx: Transmission
-                           ) -> List[Tuple[int, Vec2]]:
+    def _audible_residents(self, tx: Transmission) -> List[Hit]:
         """Resident nodes (exact positions at the delivery instant,
-        ascending id) in range — the classic receiver resolution: grid
-        candidates re-filtered against exact interpolated positions."""
+        ascending id) in range — the classic receiver resolution, asked
+        at ``end + latency`` instead of at the frame's start."""
         pos = tx.sender_pos
-        ids = self._grid.query_radius(pos, self._query_radius_m,
-                                      exclude=tx.sender)
-        return self._legs.audible([i for i in ids if i in self._nodes],
-                                  self.sim.now, pos.x, pos.y, tx.range_m)
+        return self._legs.audible(self.sim.now, pos.x, pos.y, tx.range_m,
+                                  exclude=tx.sender)
 
     def _corrupt_verdict(self, frame: ShardFrame, receiver_id: int,
-                         rx_pos: Vec2) -> bool:
+                         rx_x: float, rx_y: float) -> bool:
         """Collision check at the delivery instant.
 
         Two shifted occupancies overlap iff the unshifted airtimes do
@@ -477,7 +476,8 @@ class ShardMedium(WirelessMedium):
                 continue   # real-time half duplex, handled above
             if not (otx.start < tx.end and tx.start < otx.end):
                 continue
-            if otx.audible_at(rx_pos):
+            at = otx.sender_pos
+            if math.hypot(at.x - rx_x, at.y - rx_y) <= otx.range_m:
                 return True
         return False
 

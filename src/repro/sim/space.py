@@ -118,32 +118,50 @@ class SpatialGrid:
             if not bucket:
                 del self._cells[cell]
 
+    def cell_block(self, x: float, y: float,
+                   radius: float) -> List[Set[int]]:
+        """The non-empty buckets of every cell a disc of ``radius``
+        around ``(x, y)`` can touch (live sets — do not mutate).
+
+        A superset of the objects within ``radius``: the caller applies
+        its own exact filter.  For radii larger than the cell size the
+        block widens accordingly, so correctness never depends on tuning
+        ``cell_size``.
+        """
+        size = self.cell_size
+        reach = max(1, math.ceil(radius / size))
+        cx = math.floor(x / size)
+        cy = math.floor(y / size)
+        cells = self._cells
+        block: List[Set[int]] = []
+        for ix in range(cx - reach, cx + reach + 1):
+            for iy in range(cy - reach, cy + reach + 1):
+                bucket = cells.get((ix, iy))
+                if bucket:
+                    block.append(bucket)
+        return block
+
     def query_radius(self, center: Vec2, radius: float,
                      exclude: int | None = None) -> List[int]:
-        """Return ids of all objects within ``radius`` of ``center``.
+        """Return ids of all objects within ``radius`` of ``center``,
+        ascending.
 
-        For radii larger than the cell size the scan widens accordingly, so
-        correctness never depends on tuning ``cell_size``.
+        The predicate is ``math.hypot(dx, dy) <= radius`` — the same one
+        :meth:`Vec2.distance_to` states; the squared form ``dx*dx +
+        dy*dy <= radius*radius`` underflows for tiny offsets and admits
+        points the distance excludes.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative: {radius=}")
-        reach = max(1, math.ceil(radius / self.cell_size))
-        cx, cy = self._cell_of(center)
-        r2 = radius * radius
+        positions = self._positions
         found: List[int] = []
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                bucket = self._cells.get((ix, iy))
-                if not bucket:
+        for bucket in self.cell_block(center.x, center.y, radius):
+            for obj_id in bucket:
+                if obj_id == exclude:
                     continue
-                for obj_id in bucket:
-                    if obj_id == exclude:
-                        continue
-                    p = self._positions[obj_id]
-                    dx = p.x - center.x
-                    dy = p.y - center.y
-                    if dx * dx + dy * dy <= r2:
-                        found.append(obj_id)
+                p = positions[obj_id]
+                if math.hypot(p.x - center.x, p.y - center.y) <= radius:
+                    found.append(obj_id)
         found.sort()
         return found
 

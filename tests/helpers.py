@@ -8,7 +8,10 @@ lets the protocol unit tests exercise the paper's pseudocode line by line.
 :class:`MediumStub` is the opposite double — a parked node for driving
 the wireless medium without a protocol — and :func:`oracle_outcomes` is
 the brute-force statement of the medium's physics those tests compare
-the production engine against.  :func:`naive_membership` plays the same
+the production engine against; :func:`full_scan_busy` and
+:func:`full_scan_verdicts` state the transmission log's two questions
+over *every* row ever written, with no ordering assumption and no
+bound.  :func:`naive_membership` plays the same
 role for the change-driven membership layer: everything it caches,
 recomputed from raw state.
 """
@@ -164,6 +167,34 @@ def oracle_outcomes(positions: Dict[int, Tuple[float, float]],
                 for j, (o_sender, o_start, o_end) in enumerate(frames))
             fates[i, rx] = "collision" if clash else "delivered"
     return fates
+
+
+#: One transmission-log row as the full-scan oracles read it:
+#: ``(seq, sender, x, y, range_m, start, end)``.
+LogRow = Tuple[int, int, float, float, float, float, float]
+
+
+def full_scan_busy(rows: Sequence[LogRow], px: float, py: float,
+                   now: float) -> bool:
+    """Carrier sense by scanning every row: is some frame still on the
+    air (``end > now``) and audible at ``(px, py)``?"""
+    return any(end > now and math.hypot(x - px, y - py) <= range_m
+               for _, _, x, y, range_m, _, end in rows)
+
+
+def full_scan_verdicts(rows: Sequence[LogRow], tx_seq: int,
+                       tx_start: float, tx_end: float,
+                       receivers: Sequence[Tuple[int, float, float]]
+                       ) -> List[bool]:
+    """Collision verdict per ``(id, x, y)`` receiver by scanning every
+    row: corrupted iff another frame strictly overlaps ``[tx_start,
+    tx_end)`` and was sent by the receiver (half duplex) or is audible
+    at its position."""
+    return [any(seq != tx_seq and start < tx_end and end > tx_start
+                and (sender == rx_id
+                     or math.hypot(x - rx_x, y - rx_y) <= range_m)
+                for seq, sender, x, y, range_m, start, end in rows)
+            for rx_id, rx_x, rx_y in receivers]
 
 
 def naive_membership(protocol, subscribed, theirs, hb_delay: float):

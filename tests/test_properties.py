@@ -3,6 +3,7 @@ protocol invariants."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -175,7 +176,7 @@ class TestSpatialGridProperties:
         center = Vec2(0.0, 0.0)
         expected = sorted(
             i for i, (x, y) in enumerate(points)
-            if (x * x + y * y) ** 0.5 <= radius)
+            if math.hypot(x, y) <= radius)
         assert grid.query_radius(center, radius) == expected
 
 

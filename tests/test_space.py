@@ -145,7 +145,7 @@ class TestSpatialGrid:
 # Property suites: randomized oracles for the grid and the shard partition
 # --------------------------------------------------------------------------
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.sim.shard.partition import ShardPlan  # noqa: E402
@@ -169,6 +169,10 @@ class TestSpatialGridProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(ops=_OPS, cell=st.floats(1.0, 100.0, allow_nan=False))
+    # 4.8e-257 squared underflows to 0.0: a squared-distance predicate
+    # admits the point at radius 0, the distance itself does not.
+    @example(ops=[("insert", 0, 0.0, 4.8e-257), ("query", 0.0, 0.0, 0.0)],
+             cell=1.0)
     def test_op_sequences_match_brute_force(self, ops, cell):
         grid = SpatialGrid(cell_size=cell)
         oracle = {}
