@@ -57,10 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the scale's seed_base, 0)")
     parser.add_argument(
         "--shards", default="0", metavar="K|RxC",
-        help="run every scenario on the sharded engine: a shard count "
-             "('4' = vertical stripes) or an RxC tile grid ('2x2'); "
-             "default 0 = classic single-world engine.  Sharded results "
-             "are bit-identical for every shard count and tile shape")
+        help="run every scenario on the sharded engine, which reports a "
+             "RETIMED universe (constant 1 s cross-node delivery latency, "
+             "per-node MAC streams) comparable only with other sharded "
+             "runs, never with --shards 0 (the default: classic "
+             "single-world engine).  A shard count ('4' = vertical "
+             "stripes) or an RxC tile grid ('2x2'); results are "
+             "bit-identical for every shard count and tile shape")
     parser.add_argument(
         "--epoch", default=None, metavar="SECONDS|auto",
         help="barrier spacing for the sharded engine (default auto; any "

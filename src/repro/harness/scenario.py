@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 import time as _wallclock
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # Importing the baseline package (and, via repro.core, the frugal
 # protocol module) populates the protocol registry this module
@@ -73,11 +73,10 @@ class MobilitySpec(abc.ABC):
         """An upper bound on any process's speed, m/s — or ``None``
         when the spec cannot bound it.
 
-        The sharded engine's geometric prunes (audibility routing, the
-        resident-bbox delivery prefilter) inflate their reach by
-        ``max_speed * dt`` drift margins; a spec that answers ``None``
-        simply disarms those prunes, which stays correct (everything
-        ships/resolves) at some wall-clock cost.
+        The sharded engine's audibility routing inflates its reach by
+        a ``max_speed * dt`` drift margin; a spec that answers ``None``
+        simply disarms the prune, which stays correct (every frame
+        ships everywhere) at some wall-clock cost.
         """
         return None
 
@@ -574,12 +573,19 @@ def select_subscribers(config: ScenarioConfig,
 
 @dataclass
 class World:
-    """A fully wired simulation, ready to run.
+    """A fully wired simulation and the four steps every trial walks.
+
+    :meth:`start`, :meth:`open_window`, :meth:`schedule_publications`,
+    :meth:`close` — the paper's Section 5.1 method.  ``run_scenario``
+    and the sharded engine are both sequences of those calls; they
+    differ in who advances ``sim`` in between and in when publications
+    are armed.  ``nodes`` holds the *resident* processes in ascending id
+    order: everyone for the classic engine, one shard's share otherwise.
 
     Iterates as the historical ``(sim, medium, collector, nodes,
     subscriber_ids)`` 5-tuple so existing unpacking call sites keep
-    working; the energy accountant (present only for energy-instrumented
-    configs) is reached by name.
+    working; the energy accountant and fault injector (present only for
+    instrumented configs) are reached by name.
     """
 
     sim: Simulator
@@ -589,29 +595,80 @@ class World:
     subscriber_ids: List[int]
     energy: Optional[EnergyAccountant] = None
     faults: Optional[FaultInjector] = None
+    #: ``(publication index, event)`` in firing order.
+    published: List[Tuple[int, Event]] = field(default_factory=list)
 
     def __iter__(self):
         return iter((self.sim, self.medium, self.collector, self.nodes,
                      self.subscriber_ids))
 
+    def start(self) -> None:
+        """Start every resident node (mobility first, then protocol)."""
+        for node in self.nodes:
+            node.start()
 
-def build_world(config: ScenarioConfig) -> World:
-    """Construct simulator, medium, nodes and collectors (no events yet).
+    def open_window(self) -> None:
+        """Begin the measurement window now: thaw the collector,
+        baseline the (lifetime-monotonic) protocol counters so captured
+        totals cover the window only, zero the energy meters and refill
+        batteries — warm-up traffic is free, lifetime clocks start here."""
+        self.collector.resume()
+        self.collector.mark_protocol_baseline(self.nodes)
+        if self.energy is not None:
+            self.energy.start_measurement()
 
-    Exposed separately from :func:`run_scenario` so tests and examples can
-    poke at a fully wired world before/while it runs.
-    """
-    sim = Simulator()
-    rngs = RngRegistry(config.seed)
-    medium = WirelessMedium(sim, config.radio, config=config.medium,
-                            sizes=config.sizes, rng=rngs.stream("medium"))
+    def schedule_publications(self, config: ScenarioConfig) -> None:
+        """Arm the publications whose publisher (an index into the
+        subscriber population) lives here; the rest are another
+        shard's to arm."""
+        residents = {node.id: node for node in self.nodes}
+        factories: Dict[int, EventFactory] = {}
+        for index, pub in enumerate(config.publications):
+            idx = pub.publisher if pub.publisher is not None else 0
+            publisher = residents.get(
+                self.subscriber_ids[idx % len(self.subscriber_ids)])
+            if publisher is None:
+                continue
+            factory = factories.setdefault(publisher.id,
+                                           EventFactory(publisher.id))
+            self.sim.call_at(config.warmup + pub.at, self._publish, index,
+                             publisher, factory,
+                             pub.topic or config.event_topic, pub)
+
+    def _publish(self, index: int, publisher: Node, factory: EventFactory,
+                 topic: str, pub: Publication) -> None:
+        event = factory.create(topic, validity=pub.validity,
+                               now=self.sim.now,
+                               payload_bytes=pub.payload_bytes)
+        self.published.append((index, event))
+        self.collector.record_publication(event)
+        publisher.protocol.publish(event)
+
+    def close(self) -> None:
+        """End the trial: settle the energy meters and fault timeline
+        and capture the window's protocol-counter totals."""
+        if self.energy is not None:
+            self.energy.finalize()
+        if self.faults is not None:
+            self.faults.finalize()
+        self.collector.capture_protocol_totals(self.nodes)
+
+
+def wire_world(config: ScenarioConfig, sim: Simulator, rngs: RngRegistry,
+               medium: WirelessMedium, residents: Sequence[int],
+               **fault_options) -> World:
+    """Wire collectors, the ``residents`` (ascending process ids) and
+    fault arming onto a medium — the one construction routine both
+    engines call.  ``fault_options`` reach the :class:`FaultInjector`:
+    the sharded engine passes the global ``population`` and per-receiver
+    loss streams, so fault draws do not depend on co-residency."""
     collector = MetricsCollector(medium)
     accountant = (EnergyAccountant(medium, config.energy)
                   if config.energy is not None else None)
     subscriber_ids = select_subscribers(config, rngs)
     subscriber_set = set(subscriber_ids)
     nodes: List[Node] = []
-    for i in range(config.n_processes):
+    for i in residents:
         protocol = make_protocol(config)
         node = Node(i, sim, medium,
                     mobility=config.mobility.build(i),
@@ -634,11 +691,24 @@ def build_world(config: ScenarioConfig) -> World:
         injector = FaultInjector(
             sim=sim, medium=medium, nodes=nodes, rngs=rngs,
             config=config.faults, start=config.warmup,
-            horizon=config.warmup + config.duration)
+            horizon=config.warmup + config.duration, **fault_options)
         injector.arm()
     return World(sim=sim, medium=medium, collector=collector, nodes=nodes,
                  subscriber_ids=subscriber_ids, energy=accountant,
                  faults=injector)
+
+
+def build_world(config: ScenarioConfig) -> World:
+    """Construct simulator, medium, nodes and collectors (no events yet).
+
+    Exposed separately from :func:`run_scenario` so tests and examples can
+    poke at a fully wired world before/while it runs.
+    """
+    sim = Simulator()
+    rngs = RngRegistry(config.seed)
+    medium = WirelessMedium(sim, config.radio, config=config.medium,
+                            sizes=config.sizes, rng=rngs.stream("medium"))
+    return wire_world(config, sim, rngs, medium, range(config.n_processes))
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -650,62 +720,27 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         return run_sharded_scenario(config)
     started = _wallclock.perf_counter()
     world = build_world(config)
-    sim, medium, collector, nodes, subscriber_ids = world
-    subscriber_set = set(subscriber_ids)
-    non_subscribers = [n.id for n in nodes if n.id not in subscriber_set]
-
-    for node in nodes:
-        node.start()
-
+    subscriber_set = set(world.subscriber_ids)
+    world.start()
     # Warm-up: mobility mixes, neighbourhoods form; traffic is not counted
     # (the paper discards the first 600 s of its random-waypoint runs).
     if config.warmup > 0:
-        collector.freeze()
-        sim.run(until=config.warmup)
-        collector.resume()
-    # Protocol counters are lifetime-monotonic; baseline them here so
-    # the captured totals cover the measurement window only, like every
-    # other metric.
-    collector.mark_protocol_baseline(nodes)
-    if world.energy is not None:
-        # Warm-up traffic is free: zero the meters and refill batteries
-        # so lifetime clocks start with the measurement window.
-        world.energy.start_measurement()
-
-    # Schedule the publications.
-    published: List[Event] = []
-    factories: Dict[int, EventFactory] = {}
-
-    def _do_publish(publisher_id: int, pub: Publication) -> None:
-        factory = factories.setdefault(publisher_id,
-                                       EventFactory(publisher_id))
-        event = factory.create(pub.topic or config.event_topic,
-                               validity=pub.validity, now=sim.now,
-                               payload_bytes=pub.payload_bytes)
-        published.append(event)
-        collector.record_publication(event)
-        nodes[publisher_id].protocol.publish(event)
-
-    for pub in config.publications:
-        idx = pub.publisher if pub.publisher is not None else 0
-        publisher_id = subscriber_ids[idx % len(subscriber_ids)]
-        sim.call_at(config.warmup + pub.at, _do_publish, publisher_id, pub)
-
-    sim.run(until=config.warmup + config.duration)
-
-    if world.energy is not None:
-        world.energy.finalize()
-    if world.faults is not None:
-        world.faults.finalize()
-    collector.capture_protocol_totals(nodes)
-
+        world.collector.freeze()
+        world.sim.run(until=config.warmup)
+    world.open_window()
+    # Armed after the warm-up run (a shard arms at build time): kernel
+    # sequence numbers break same-instant ties, so order is behaviour.
+    world.schedule_publications(config)
+    world.sim.run(until=config.warmup + config.duration)
+    world.close()
     return ScenarioResult(
         config=config,
-        collector=collector,
-        published_events=published,
-        subscriber_ids=subscriber_ids,
-        non_subscriber_ids=non_subscribers,
-        sim_events_processed=sim.events_processed,
+        collector=world.collector,
+        published_events=[event for _, event in world.published],
+        subscriber_ids=world.subscriber_ids,
+        non_subscriber_ids=[n.id for n in world.nodes
+                            if n.id not in subscriber_set],
+        sim_events_processed=world.sim.events_processed,
         wallclock_s=_wallclock.perf_counter() - started,
         energy=world.energy,
         faults=None if world.faults is None else world.faults.timeline)

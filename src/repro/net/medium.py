@@ -36,7 +36,7 @@ plain floats (:mod:`repro.sim.batch`):
   :class:`~repro.sim.batch.LegTable`;
 * "who can hear this frame?" is :meth:`LegTable.audible
   <repro.sim.batch.LegTable.audible>` — the one receiver-resolution
-  routine, shared by :meth:`WirelessMedium._transmit`,
+  routine, shared by :meth:`WirelessMedium._put_on_air`,
   :meth:`WirelessMedium.nodes_within` and the shard engine.  It walks
   the grid's cell block of reach ``range + slack`` (a superset of the
   true audible set), interpolates every member's exact position with the
@@ -55,6 +55,10 @@ plain floats (:mod:`repro.sim.batch`):
   overlap predicate is strict, so a transmission *starting* at the
   delivery instant never overlaps), hence verdicts computed once up
   front equal verdicts computed between deliveries.
+
+Sending ends in one overridable step, :meth:`WirelessMedium._put_on_air`
+(log, resolve, arm); the sharded engine's medium overrides it to queue
+the frame for its epoch-barrier exchange instead.
 
 Exactness is held by the test suite, not by a second engine:
 ``tests/golden_digests.json`` pins digests taken from a naive O(N)
@@ -197,15 +201,6 @@ class WirelessMedium:
         # the fault injector's link-loss model; None (the default) adds
         # zero work and zero RNG draws to the delivery path.
         self.extra_loss: Optional[Callable[[int, int], bool]] = None
-        # Shard-ingress hook: when set, a freshly assembled frame is
-        # handed to the sharded-execution layer instead of being
-        # resolved locally — the shard engine commits it at the next
-        # epoch barrier, routes it to every shard whose residents could
-        # hear it, and retimes its delivery to the exact instant
-        # ``end + latency`` inside the receiving shards' kernels (see
-        # repro.sim.shard).  Like ``extra_loss`` above, ``None`` (the
-        # default) adds zero work to the path.
-        self.shard_ingress: Optional[Callable[[Transmission], None]] = None
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
@@ -337,15 +332,11 @@ class WirelessMedium:
         return self._rng
 
     def _transmit(self, sender: "Node", pos: Vec2, message: Message) -> None:
-        """Put one frame on the air and arm its single delivery event.
+        """Assemble one frame, count it for its sender, put it on the air.
 
-        The audible set is resolved up front (exact interpolated
-        positions from the :class:`LegTable`), then walked in
-        ascending-id order: the listening filter and RX-energy charges
-        happen per node, so a battery depleted mid-walk (which
-        unregisters the node) only ever affects that node.  A sleeping
-        radio is deaf *and* free: it neither receives the frame nor pays
-        the RX energy for it.
+        Frame assembly, ``frames_sent`` and the TX hooks (metrics, TX
+        energy) belong to the sender whatever happens to the frame next;
+        :meth:`_put_on_air` is the one step a subclass replaces.
         """
         now = self.sim.now
         size = message.size_bytes(self.sizes)
@@ -358,17 +349,25 @@ class WirelessMedium:
             self.on_transmit(sender.id, message, size)
         if self.on_tx_window is not None:
             self.on_tx_window(sender.id, duration)
-        if self.shard_ingress is not None:
-            # Sharded execution: the sender's shard owns its TX metrics
-            # (counted above), then the frame leaves for the
-            # epoch-barrier exchange instead of local resolution.
-            self.shard_ingress(tx)
-            return
-        tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
-                                 now, duration)
+        self._put_on_air(tx, duration)
+
+    def _put_on_air(self, tx: Transmission, duration: float) -> None:
+        """Log the frame, resolve its receivers, arm its one delivery.
+
+        The audible set is resolved up front (exact interpolated
+        positions from the :class:`LegTable`), then walked in
+        ascending-id order: the listening filter and RX-energy charges
+        happen per node, so a battery depleted mid-walk (which
+        unregisters the node) only ever affects that node.  A sleeping
+        radio is deaf *and* free: it neither receives the frame nor pays
+        the RX energy for it.
+        """
+        pos = tx.sender_pos
+        tx_seq = self._txlog.add(tx.sender, pos.x, pos.y, tx.range_m,
+                                 tx.start, duration)
         receivers: List[batch.Hit] = []
-        for hit in self._legs.audible(now, pos.x, pos.y, tx.range_m,
-                                      exclude=sender.id):
+        for hit in self._legs.audible(tx.start, pos.x, pos.y, tx.range_m,
+                                      exclude=tx.sender):
             node_id = hit[0]
             node = self._nodes.get(node_id)
             if node is None or not node.listening:

@@ -21,8 +21,9 @@ from repro.sim.shard.config import (DEFAULT_EPOCH_S, DEFAULT_LATENCY_S,
                                     ShardConfig, resolve_epoch_s)
 from repro.sim.shard.partition import ShardPlan
 
-_ENGINE_EXPORTS = ("ShardFrame", "ShardMedium", "compute_barriers",
-                   "compute_ownership", "run_sharded_scenario")
+_ENGINE_EXPORTS = ("ShardFrame", "ShardMedium", "ShardWorkerLost",
+                   "compute_barriers", "compute_ownership",
+                   "run_sharded_scenario")
 
 __all__ = [
     "DEFAULT_EPOCH_S",
@@ -31,6 +32,7 @@ __all__ = [
     "ShardFrame",
     "ShardMedium",
     "ShardPlan",
+    "ShardWorkerLost",
     "compute_barriers",
     "compute_ownership",
     "resolve_epoch_s",

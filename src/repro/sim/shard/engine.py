@@ -54,8 +54,8 @@ How it works
   vertical-stripe plan.
 * **Slotted medium** — inside a shard, frames transmitted during an
   epoch are *invisible* until the next barrier (:class:`ShardMedium`
-  diverts them through the medium's ``shard_ingress`` hook into an
-  outbox).  At each barrier the driver gathers every shard's outbox,
+  overrides the medium's on-air step, ``_put_on_air``, to append them
+  to an outbox).  At each barrier the driver gathers every shard's outbox,
   sorts the union into the canonical ``(start, sender id, per-sender
   seq)`` order, and routes the committed batch by **audibility**: a
   frame ships to a shard only if the shard's resident bounding region,
@@ -96,12 +96,14 @@ single-world engine runs untouched.  Note the retimed universe is a
 zero-latency one — sharded runs are compared against each other, never
 against ``shards=0``.
 
-Backends: ``spawn`` runs each shard in its own process connected by a
-pipe; ``inproc`` steps the K worlds round-robin in this process (the
-bit-identical fallback used for K=1, inside daemonic pool workers, and
-on single-CPU hosts — CPU availability is measured container-aware via
-:func:`repro.harness.parallel.available_cpu_count`).
-``REPRO_SHARD_BACKEND`` forces either.
+Backends: one barrier loop (:func:`_run_barriers`) drives two kinds of
+shard handle that differ only in *where* a world is stepped — the
+:class:`_ShardWorld` itself in this process (``inproc``: K=1, daemonic
+pool workers, hosts without a second usable CPU), or a
+:class:`_SpawnedShard` over a pipe to a spawned worker that walks the
+same barrier list on its own, so epochs overlap (``spawn``).
+``REPRO_SHARD_BACKEND`` forces either; a worker that dies surfaces as
+:class:`ShardWorkerLost` naming its shard.
 """
 
 from __future__ import annotations
@@ -116,22 +118,21 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 
 from repro.core.base import ProtocolCounters
-from repro.core.events import Event, EventFactory
+from repro.core.events import Event
 from repro.energy import EnergyAccountant
-from repro.faults import FaultInjector, FaultTimeline
+from repro.faults import FaultTimeline
 from repro.metrics import MetricsCollector
-from repro.net import Node, WirelessMedium
+from repro.net import WirelessMedium
 from repro.net.medium import Transmission
 from repro.sim import RngRegistry, Simulator
-from repro.sim.batch import Hit
 from repro.sim.shard.config import (DEFAULT_EPOCH_S, ShardConfig,
                                     resolve_epoch_s)
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.space import Vec2
 
-#: Metres added to the radio range in every bounding-box prefilter —
-#: keeps the box tests strict supersets of the exact audibility
-#: predicate regardless of rounding, at zero cost.
+#: Metres added to the radio range by audibility routing — keeps the
+#: box test a strict superset of the exact audibility predicate
+#: regardless of rounding, at zero cost.
 _BBOX_SLACK_M = 1.0
 
 #: The conservative stand-down bounding box: covers everything, so
@@ -272,8 +273,8 @@ class ShardMedium(WirelessMedium):
 
     Differences from the classic :class:`WirelessMedium`:
 
-    * outgoing frames divert through ``shard_ingress`` into an epoch
-      outbox instead of resolving receivers immediately;
+    * outgoing frames go to an epoch outbox instead of resolving
+      receivers immediately (the ``_put_on_air`` override);
     * committed frames occupy the channel shifted by the universe's
       delivery latency — carrier sense sees a neighbour's frame over
       ``(start + L, end + L)`` and the sender's own over ``[start,
@@ -283,8 +284,8 @@ class ShardMedium(WirelessMedium):
     * CSMA back-off and uniform frame-loss draws come from per-node
       streams so their sequences are independent of shard composition
       (the send path and delivery gauntlet themselves are the parent's:
-      only ``_channel_busy``, ``_csma_delay`` and ``_loss_rng`` are
-      overridden);
+      only ``_put_on_air``, ``_channel_busy``, ``_csma_delay`` and
+      ``_loss_rng`` are overridden);
     * each ingested frame's delivery — receiver resolution, collision
       verdict, loss draws, protocol reaction — runs as a kernel event
       at its exact ``end + L``, *inside* the epoch, not at a barrier.
@@ -293,19 +294,11 @@ class ShardMedium(WirelessMedium):
     def __init__(self, sim, radio, config, sizes,
                  node_rng: Callable[[int], object],
                  loss_rng: Callable[[int], object],
-                 latency_s: float, epoch_s: float,
-                 max_speed_mps: Optional[float]):
+                 latency_s: float):
         super().__init__(sim, radio, config=config, sizes=sizes, rng=None)
         self._node_rng = node_rng
         self._receiver_loss_rng = loss_rng
         self._latency_s = latency_s
-        # The delivery-time resident bbox is recomputed lazily after
-        # every ingest, so it can be up to one epoch stale when a
-        # mid-epoch delivery consults it; bounded drift inflates the
-        # reach, unbounded drift disarms the prefilter.
-        self._drift_m = (None if max_speed_mps is None
-                         else max_speed_mps * epoch_s)
-        self.shard_ingress = self._shard_enqueue
         self._outbox: List[ShardFrame] = []
         self._tx_seq: Dict[int, int] = {}
         self._last_tx_end: Dict[int, float] = {}
@@ -313,12 +306,12 @@ class ShardMedium(WirelessMedium):
         self._log: List[ShardFrame] = []       # committed, start-sorted
         self._log_starts: List[float] = []
         self._max_airtime = 0.0
-        self._bbox: Optional[Tuple[float, float, float, float]] = None
-        self._bbox_valid = False
 
     # -- sending (epoch side) ----------------------------------------------
 
-    def _shard_enqueue(self, tx: Transmission) -> None:
+    def _put_on_air(self, tx: Transmission, duration: float) -> None:
+        """The frame leaves for the epoch-barrier exchange: nothing is
+        resolved locally, co-resident neighbours included."""
         seq = self._tx_seq.get(tx.sender, 0)
         self._tx_seq[tx.sender] = seq + 1
         self._outbox.append(ShardFrame(tx=tx, seq=seq))
@@ -374,7 +367,20 @@ class ShardMedium(WirelessMedium):
         audibility-routing input, recomputed exactly at every barrier
         (``None``: no residents; infinite: position unknown, prune must
         stand down)."""
-        return self._compute_bbox()
+        xs: List[float] = []
+        ys: List[float] = []
+        try:
+            for node in self._nodes.values():
+                pos = node.position()
+                xs.append(pos.x)
+                ys.append(pos.y)
+        except RuntimeError:
+            # Unstarted mobility: position unknown, so the prune must
+            # stand down entirely to stay conservative.
+            return _EVERYWHERE
+        if not xs:
+            return None   # no residents: nothing can hear anything
+        return (min(xs), min(ys), max(xs), max(ys))
 
     # -- receiving (barrier + retime side) ---------------------------------
 
@@ -389,7 +395,6 @@ class ShardMedium(WirelessMedium):
         starts after it), so appending preserves the sort — the
         per-barrier re-sort the stripe-era engine paid is gone.
         """
-        self._bbox_valid = False
         shift = self._latency_s
         for frame in frames:
             airtime = frame.tx.end - frame.tx.start
@@ -423,11 +428,14 @@ class ShardMedium(WirelessMedium):
                              self._resolve_frame, frame)
 
     def _resolve_frame(self, frame: ShardFrame) -> None:
+        """Deliver one committed frame at its ``end + latency``: the
+        classic receiver resolution and gauntlet, asked at the delivery
+        instant instead of at the frame's start."""
         tx = frame.tx
-        if not self._bbox_may_hear(tx):
-            return   # no resident node within reach: provably no-op
+        pos = tx.sender_pos
         duration = tx.end - tx.start
-        for node_id, rx_x, rx_y in self._audible_residents(tx):
+        for node_id, rx_x, rx_y in self._legs.audible(
+                self.sim.now, pos.x, pos.y, tx.range_m, exclude=tx.sender):
             node = self._nodes.get(node_id)
             if node is None or not node.listening:
                 continue
@@ -440,14 +448,6 @@ class ShardMedium(WirelessMedium):
                          and self._corrupt_verdict(frame, node_id,
                                                    rx_x, rx_y))
             self._finish_delivery(tx, node_id, node, corrupted)
-
-    def _audible_residents(self, tx: Transmission) -> List[Hit]:
-        """Resident nodes (exact positions at the delivery instant,
-        ascending id) in range — the classic receiver resolution, asked
-        at ``end + latency`` instead of at the frame's start."""
-        pos = tx.sender_pos
-        return self._legs.audible(self.sim.now, pos.x, pos.y, tx.range_m,
-                                  exclude=tx.sender)
 
     def _corrupt_verdict(self, frame: ShardFrame, receiver_id: int,
                          rx_x: float, rx_y: float) -> bool:
@@ -486,151 +486,75 @@ class ShardMedium(WirelessMedium):
         a merge artefact)."""
         return self._receiver_loss_rng(receiver_id)
 
-    # -- bounding-box prefilter --------------------------------------------
 
-    def register(self, node) -> None:
-        """Register a node and invalidate the population bounding box
-        (a repowered node can land outside the cached extent)."""
-        super().register(node)
-        self._bbox_valid = False
+class ShardWorkerLost(RuntimeError):
+    """A spawned shard worker died (or closed its pipe) mid-run."""
 
-    def _bbox_may_hear(self, tx: Transmission) -> bool:
-        """Could *any* resident hear this frame at its delivery
-        instant?  Conservative test of the radio disc against the
-        resident population's bounding box — cached since the last
-        ingest (or registration), hence up to one epoch stale, which
-        the drift inflation absorbs.  Skipping a frame that fails it is
-        observably a no-op for every K and epoch."""
-        if self._drift_m is None:
-            return True   # unbounded drift: the prefilter stands down
-        if not self._bbox_valid:
-            self._bbox = self._compute_bbox()
-            self._bbox_valid = True
-        box = self._bbox
-        if box is None:
-            return False
-        pos = tx.sender_pos
-        dx = max(box[0] - pos.x, 0.0, pos.x - box[2])
-        dy = max(box[1] - pos.y, 0.0, pos.y - box[3])
-        reach = tx.range_m + _BBOX_SLACK_M + self._drift_m
-        return dx * dx + dy * dy <= reach * reach
-
-    def _compute_bbox(self) -> Optional[Tuple[float, float, float, float]]:
-        min_x = min_y = math.inf
-        max_x = max_y = -math.inf
-        for node in self._nodes.values():
-            try:
-                pos = node.position()
-            except RuntimeError:
-                # Unstarted mobility: position unknown, so every prune
-                # must stand down entirely to stay conservative.
-                return _EVERYWHERE
-            min_x = min(min_x, pos.x)
-            min_y = min(min_y, pos.y)
-            max_x = max(max_x, pos.x)
-            max_y = max(max_y, pos.y)
-        if min_x is math.inf:
-            return None   # no residents: every frame is skippable
-        return (min_x, min_y, max_x, max_y)
+    def __init__(self, shard: int, barrier: float, exitcode: Optional[int]):
+        super().__init__(f"shard {shard} worker lost at the exchange for "
+                         f"barrier t={barrier} (exit code {exitcode})")
+        self.shard = shard
+        self.barrier = barrier
+        self.exitcode = exitcode
 
 
 class _ShardWorld:
-    """One shard's complete sub-world and its barrier-stepping driver."""
+    """One shard's sub-world, stepped from barrier to barrier — and the
+    in-process shard handle (``gather`` / ``ingest`` / ``finish`` /
+    ``close``; :class:`_SpawnedShard` is the same handle over a pipe).
 
-    def __init__(self, config, shard_index: int, owners: Sequence[int],
-                 epoch_s: float):
+    Nodes, collectors, fault arming and the trial lifecycle are the
+    harness's (``wire_world``); this class adds the medium and the
+    barrier protocol.  Each world owns a fresh ``RngRegistry(seed)`` and
+    the protocol is schedule-independent, so stepping K of them here is
+    bit-identical to spawning them.
+    """
+
+    def __init__(self, config, shard_index: int, owners: Sequence[int]):
         # Imported here (not at module top) to keep this module
         # importable without dragging the harness in at package-import
         # time; run_scenario imports us lazily for the same reason.
-        from repro.harness.scenario import make_protocol, select_subscribers
+        from repro.harness.scenario import wire_world
 
-        self.config = config
-        self.shard_index = shard_index
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.stats = {"drain_s": 0.0, "ingest_s": 0.0, "retime_s": 0.0,
-                      "frames_in": 0}
-        shards = ShardConfig.coerce(config.shards)
-        self.medium = ShardMedium(
-            self.sim, config.radio, config=config.medium,
-            sizes=config.sizes,
-            node_rng=lambda i: self.rngs.stream("shard-medium", i),
-            loss_rng=lambda i: self.rngs.stream("shard-loss", i),
-            latency_s=shards.latency_s, epoch_s=epoch_s,
-            max_speed_mps=config.mobility.max_speed_mps())
-        self.collector = MetricsCollector(self.medium)
-        self.energy = (EnergyAccountant(self.medium, config.energy)
-                       if config.energy is not None else None)
-        self.subscriber_ids = select_subscribers(config, self.rngs)
-        subscriber_set = set(self.subscriber_ids)
-        self.nodes: Dict[int, Node] = {}
-        for i in range(config.n_processes):
-            if owners[i] != shard_index:
-                continue
-            protocol = make_protocol(config)
-            node = Node(i, self.sim, self.medium,
-                        mobility=config.mobility.build(i),
-                        protocol=protocol,
-                        rng=self.rngs.stream("node", i),
-                        speed_sensor=config.speed_sensor)
-            topic = (config.event_topic if i in subscriber_set
-                     else config.other_topic)
-            protocol.subscribe(topic)
-            self.collector.track_node(node)
-            if self.energy is not None:
-                self.energy.track_node(node)
-            self.nodes[i] = node
-        self.faults = None
-        if config.faults is not None:
-            self.faults = FaultInjector(
-                sim=self.sim, medium=self.medium,
-                nodes=list(self.nodes.values()), rngs=self.rngs,
-                config=config.faults, start=config.warmup,
-                horizon=config.warmup + config.duration,
-                population=range(config.n_processes),
-                per_receiver_loss_rng=lambda i: self.rngs.stream(
-                    "shard-fault-loss", i))
-            self.faults.arm()
-        for node in self.nodes.values():
-            node.start()
-        self.published: List[Tuple[int, Event]] = []
-        self._factories: Dict[int, EventFactory] = {}
-        for index, pub in enumerate(config.publications):
-            idx = pub.publisher if pub.publisher is not None else 0
-            publisher_id = self.subscriber_ids[
-                idx % len(self.subscriber_ids)]
-            if publisher_id in self.nodes:
-                self.sim.call_at(config.warmup + pub.at,
-                                 self._do_publish, index, publisher_id,
-                                 pub)
-        self._warmup_pending = config.warmup > 0
-        if self._warmup_pending:
-            self.collector.freeze()
+        self.stats = {"drain_s": 0.0, "ingest_s": 0.0, "retime_s": 0.0}
+        sim = Simulator()
+        rngs = RngRegistry(config.seed)
+        medium = ShardMedium(
+            sim, config.radio, config=config.medium, sizes=config.sizes,
+            node_rng=lambda i: rngs.stream("shard-medium", i),
+            loss_rng=lambda i: rngs.stream("shard-loss", i),
+            latency_s=ShardConfig.coerce(config.shards).latency_s)
+        # Fault draws span the global population and use per-receiver
+        # streams, so they do not depend on who is co-resident.
+        self.world = world = wire_world(
+            config, sim, rngs, medium,
+            [i for i, owner in enumerate(owners) if owner == shard_index],
+            population=range(config.n_processes),
+            per_receiver_loss_rng=lambda i: rngs.stream(
+                "shard-fault-loss", i))
+        world.start()
+        # Armed at build time (the classic run arms after warm-up):
+        # kernel sequence numbers break same-instant ties, so this
+        # order is behaviour.
+        world.schedule_publications(config)
+        # The barrier at which metrics thaw (0: no warm-up, no such
+        # barrier — the window is open from the start).
+        self._thaw_at = config.warmup
+        if config.warmup > 0:
+            world.collector.freeze()
         else:
-            self.collector.mark_protocol_baseline(self.nodes.values())
-            if self.energy is not None:
-                self.energy.start_measurement()
-
-    def _do_publish(self, index: int, publisher_id: int, pub) -> None:
-        factory = self._factories.setdefault(publisher_id,
-                                             EventFactory(publisher_id))
-        event = factory.create(pub.topic or self.config.event_topic,
-                               validity=pub.validity, now=self.sim.now,
-                               payload_bytes=pub.payload_bytes)
-        self.published.append((index, event))
-        self.collector.record_publication(event)
-        self.nodes[publisher_id].protocol.publish(event)
+            world.open_window()
 
     # -- barrier protocol --------------------------------------------------
 
-    def advance_to(self, barrier: float
-                   ) -> Tuple[List[ShardFrame], Optional[Tuple]]:
+    def gather(self, barrier: float
+               ) -> Tuple[List[ShardFrame], Optional[Tuple]]:
         """Run the local kernel up to the barrier; drain the outbox and
         measure the resident bounding region for audibility routing."""
-        self.sim.run(until=barrier)
+        self.world.sim.run(until=barrier)
         t0 = _wallclock.perf_counter()
-        out = self.medium.collect_outbox()
-        bbox = self.medium.routing_bbox()
+        out = self.world.medium.collect_outbox()
+        bbox = self.world.medium.routing_bbox()
         self.stats["drain_s"] += _wallclock.perf_counter() - t0
         return out, bbox
 
@@ -639,37 +563,32 @@ class _ShardWorld:
         and (at the warm-up barrier) thaw metrics exactly as the
         classic run does after ``sim.run(until=warmup)``."""
         t0 = _wallclock.perf_counter()
-        self.medium.ingest_committed(routed, barrier)
+        self.world.medium.ingest_committed(routed, barrier)
         t1 = _wallclock.perf_counter()
-        self.medium.schedule_deliveries(routed)
+        self.world.medium.schedule_deliveries(routed)
         t2 = _wallclock.perf_counter()
         self.stats["ingest_s"] += t1 - t0
         self.stats["retime_s"] += t2 - t1
-        self.stats["frames_in"] += len(routed)
-        if self._warmup_pending and barrier == self.config.warmup:
-            self._warmup_pending = False
-            self.collector.resume()
-            self.collector.mark_protocol_baseline(self.nodes.values())
-            if self.energy is not None:
-                self.energy.start_measurement()
+        if barrier == self._thaw_at:
+            self.world.open_window()
 
     def finish(self) -> Dict[str, object]:
-        """Finalise collectors and emit this shard's picklable payload."""
-        if self.energy is not None:
-            self.energy.finalize()
-        if self.faults is not None:
-            self.faults.finalize()
-        self.collector.capture_protocol_totals(self.nodes.values())
+        """Close the trial and emit this shard's picklable payload."""
+        world = self.world
+        world.close()
         return {
-            "collector": self.collector.__getstate__(),
-            "published": self.published,
-            "energy": (None if self.energy is None
-                       else self.energy.__getstate__()),
-            "timeline": None if self.faults is None
-                        else self.faults.timeline,
-            "events": self.sim.events_processed,
+            "collector": world.collector.__getstate__(),
+            "published": world.published,
+            "energy": (None if world.energy is None
+                       else world.energy.__getstate__()),
+            "timeline": None if world.faults is None
+                        else world.faults.timeline,
+            "events": world.sim.events_processed,
             "stats": self.stats,
         }
+
+    def close(self) -> None:
+        """Nothing to reap in-process."""
 
 
 # -- backends ---------------------------------------------------------------
@@ -692,51 +611,19 @@ def _select_backend(shards: int) -> str:
         return "inproc"   # pool workers may not spawn children
     if choice != "auto":
         return choice
-    if shards < 2:
-        return "inproc"
-    if available_cpu_count() < 2:
-        return "inproc"   # no parallel hardware: skip the IPC tax
+    if shards < 2 or available_cpu_count() < 2:
+        return "inproc"   # nothing to run in parallel: skip the IPC tax
     return "spawn"
 
 
-def _run_inproc(config, owners: List[int], barriers: List[float],
-                epoch_s: float, margin: Optional[float]
-                ) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
-    """Round-robin the K shard worlds in this process.
-
-    Bit-identical to the spawn backend by construction: the barrier
-    protocol is schedule-independent, and each world owns a fresh
-    ``RngRegistry(seed)`` exactly as a worker process would.
-    """
-    count = ShardConfig.coerce(config.shards).shards
-    worlds = [_ShardWorld(config, s, owners, epoch_s)
-              for s in range(count)]
-    merge_s = 0.0
-    shipped = 0
-    for barrier in barriers:
-        drained = [world.advance_to(barrier) for world in worlds]
-        t0 = _wallclock.perf_counter()
-        merged: List[ShardFrame] = []
-        for batch, _bbox in drained:
-            merged.extend(batch)
-        merged.sort(key=_frame_key)
-        routed = [_filter_batch(merged, bbox, margin)
-                  for _batch, bbox in drained]
-        merge_s += _wallclock.perf_counter() - t0
-        shipped += sum(len(r) for r in routed)
-        for world, slice_ in zip(worlds, routed):
-            world.ingest(barrier, slice_)
-    driver = {"merge_s": merge_s, "frames_exchanged": float(shipped)}
-    return [world.finish() for world in worlds], driver
-
-
 def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
-                       barriers: List[float], epoch_s: float) -> None:
-    """Spawn-backend worker: one shard world driven over a pipe."""
+                       barriers: List[float]) -> None:
+    """Spawned worker: one shard world walking the barrier list on its
+    own, exchanging ``gather`` / ``ingest`` data over a pipe."""
     try:
-        world = _ShardWorld(config, shard_index, owners, epoch_s)
+        world = _ShardWorld(config, shard_index, owners)
         for barrier in barriers:
-            conn.send(("frames", world.advance_to(barrier)))
+            conn.send(("frames", world.gather(barrier)))
             world.ingest(barrier, conn.recv())
         conn.send(("done", world.finish()))
     except Exception:   # noqa: BLE001 - forwarded verbatim to the parent
@@ -748,67 +635,85 @@ def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
         conn.close()
 
 
-def _run_spawn(config, owners: List[int], barriers: List[float],
-               epoch_s: float, margin: Optional[float]
-               ) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
-    """Run each shard in its own spawned process, barrier-stepped.
+class _SpawnedShard:
+    """Shard handle: the world lives in a spawned worker process, which
+    runs ahead to each barrier unasked (so the K epochs overlap) and
+    receives — and deserialises — only the frames its residents could
+    hear."""
 
-    The parent performs the canonical merge and the audibility routing
-    (it sees every shard's resident bounding region), so each worker
-    receives — and serialises — only the frames its residents could
-    hear.
+    def __init__(self, config, index: int, owners: List[int],
+                 barriers: List[float]):
+        ctx = multiprocessing.get_context("spawn")
+        self.index = index
+        self._end = barriers[-1]
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_shard_worker_main,
+            args=(child_conn, config, index, owners, barriers),
+            name=f"shard-{index}", daemon=True)
+        self._proc.start()
+        child_conn.close()
+
+    def _exchange(self, barrier: float, op, *args):
+        """One pipe operation; a dead peer is named, not a bare EOF."""
+        try:
+            return op(*args)
+        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
+            # The pipe only closes when the worker exits, so this join
+            # is bounded; it is here to read the exit code.
+            self._proc.join(timeout=5)
+            raise ShardWorkerLost(self.index, barrier,
+                                  self._proc.exitcode) from exc
+
+    def gather(self, barrier: float):
+        """The worker's next message: its drained outbox and bbox."""
+        tag, data = self._exchange(barrier, self._conn.recv)
+        if tag == "error":
+            raise RuntimeError(f"shard {self.index} failed:\n{data}")
+        return data
+
+    def ingest(self, barrier: float, routed: List[ShardFrame]) -> None:
+        """Ship the routed slice; the worker ingests and runs on."""
+        self._exchange(barrier, self._conn.send, routed)
+
+    def finish(self) -> Dict[str, object]:
+        """The worker's final payload (sent after the end barrier)."""
+        return self.gather(self._end)
+
+    def close(self) -> None:
+        """Hang up and reap the worker (a closed pipe unblocks it)."""
+        self._conn.close()
+        self._proc.join(timeout=30)
+        if self._proc.is_alive():   # pragma: no cover - crash cleanup
+            self._proc.terminate()
+            self._proc.join(timeout=5)
+
+
+def _run_barriers(shards: Sequence, barriers: List[float],
+                  margin: Optional[float]) -> Tuple[List[dict], dict]:
+    """The barrier loop: gather, merge canonically, route, ingest.
+
+    The driver performs the canonical merge and the audibility routing
+    (it sees every shard's resident bounding region), so each shard
+    ingests only the frames its residents could hear.
     """
-    ctx = multiprocessing.get_context("spawn")
-    conns = []
-    procs = []
     merge_s = 0.0
     shipped = 0
-    count = ShardConfig.coerce(config.shards).shards
-    try:
-        for s in range(count):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, config, s, owners, barriers, epoch_s),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
-        for barrier in barriers:
-            drained = []
-            for s, conn in enumerate(conns):
-                tag, data = conn.recv()
-                if tag == "error":
-                    raise RuntimeError(f"shard {s} failed:\n{data}")
-                drained.append(data)
-            t0 = _wallclock.perf_counter()
-            merged: List[ShardFrame] = []
-            for batch, _bbox in drained:
-                merged.extend(batch)
-            merged.sort(key=_frame_key)
-            routed = [_filter_batch(merged, bbox, margin)
-                      for _batch, bbox in drained]
-            merge_s += _wallclock.perf_counter() - t0
-            shipped += sum(len(r) for r in routed)
-            for conn, slice_ in zip(conns, routed):
-                conn.send(slice_)
-        payloads: List[Dict[str, object]] = []
-        for s, conn in enumerate(conns):
-            tag, data = conn.recv()
-            if tag == "error":
-                raise RuntimeError(f"shard {s} failed:\n{data}")
-            payloads.append(data)
-        driver = {"merge_s": merge_s, "frames_exchanged": float(shipped)}
-        return payloads, driver
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():   # pragma: no cover - crash cleanup
-                proc.terminate()
-                proc.join(timeout=5)
+    for barrier in barriers:
+        drained = [shard.gather(barrier) for shard in shards]
+        t0 = _wallclock.perf_counter()
+        merged: List[ShardFrame] = []
+        for batch, _bbox in drained:
+            merged.extend(batch)
+        merged.sort(key=_frame_key)
+        routed = [_filter_batch(merged, bbox, margin)
+                  for _batch, bbox in drained]
+        merge_s += _wallclock.perf_counter() - t0
+        shipped += sum(len(r) for r in routed)
+        for shard, slice_ in zip(shards, routed):
+            shard.ingest(barrier, slice_)
+    driver = {"merge_s": merge_s, "frames_exchanged": float(shipped)}
+    return [shard.finish() for shard in shards], driver
 
 
 # -- merging ----------------------------------------------------------------
@@ -912,36 +817,34 @@ def run_sharded_scenario(config):
     owners, _plan = compute_ownership(config)
     barriers = compute_barriers(config.warmup, config.duration, epoch)
     margin = _routing_margin_m(config, shards.latency_s)
-    if _select_backend(shards.shards) == "spawn":
-        payloads, driver = _run_spawn(config, owners, barriers, epoch,
-                                      margin)
-    else:
-        payloads, driver = _run_inproc(config, owners, barriers, epoch,
-                                       margin)
+    spawn = _select_backend(shards.shards) == "spawn"
+    handles: List = []
+    try:
+        for index in range(shards.shards):
+            handles.append(
+                _SpawnedShard(config, index, owners, barriers) if spawn
+                else _ShardWorld(config, index, owners))
+        payloads, driver = _run_barriers(handles, barriers, margin)
+    finally:
+        for shard in handles:
+            shard.close()
 
     collector = _merge_collectors([p["collector"] for p in payloads])
     published = [event for _, event in
                  sorted((entry for p in payloads for entry in
                          p["published"]), key=lambda entry: entry[0])]
-    energy = None
-    if config.energy is not None:
-        energy = _merge_energy([p["energy"] for p in payloads])
-    timeline = None
-    if config.faults is not None:
-        timeline = _merge_timelines([p["timeline"] for p in payloads])
+    energy = (None if config.energy is None
+              else _merge_energy([p["energy"] for p in payloads]))
+    timeline = (None if config.faults is None
+                else _merge_timelines([p["timeline"] for p in payloads]))
     subscriber_ids = select_subscribers(config, RngRegistry(config.seed))
     subscriber_set = set(subscriber_ids)
     non_subscribers = [i for i in range(config.n_processes)
                        if i not in subscriber_set]
-    barrier_stats = {
-        "barriers": float(len(barriers)),
-        "epoch_s": epoch,
-        "frames_exchanged": driver["frames_exchanged"],
-        "drain_s": sum(p["stats"]["drain_s"] for p in payloads),
-        "merge_s": driver["merge_s"],
-        "ingest_s": sum(p["stats"]["ingest_s"] for p in payloads),
-        "retime_s": sum(p["stats"]["retime_s"] for p in payloads),
-    }
+    barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch,
+                     **driver}
+    for phase in ("drain_s", "ingest_s", "retime_s"):
+        barrier_stats[phase] = sum(p["stats"][phase] for p in payloads)
     return ScenarioResult(
         config=config,
         collector=collector,

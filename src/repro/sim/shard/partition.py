@@ -9,24 +9,19 @@ same along y.  Each axis gets the classic balanced integer split
 (``i*T//N .. (i+1)*T//N`` over ``T`` cells), so band widths differ by at
 most one cell and a world narrower than its band count simply leaves the
 surplus bands empty.  ``rows=1`` — the default — reproduces the PR 8
-vertical-stripe plan exactly: full-height stripes whose ownership and
-audibility predicates never consult y.
+vertical-stripe plan exactly: full-height stripes whose ownership never
+consults y.
 
-The plan answers two geometric questions:
+The plan answers one geometric question, :meth:`ShardPlan.shard_of` —
+which shard owns a position (positions outside the covered extent clamp
+to the nearest tile, so drifting mobility models never fall off the
+map).  Who can *hear* a frame is not the plan's business: owned nodes
+drift out of their home tile over time, so the exchange layer routes by
+each shard's resident bounding region, measured at every barrier.
 
-* :meth:`ShardPlan.shard_of` — which shard owns a position (positions
-  outside the covered extent clamp to the nearest tile, so drifting
-  mobility models never fall off the map);
-* :meth:`ShardPlan.mirror_shards` — which *other* shards could hear a
-  transmission from a position: every shard whose closed tile rectangle
-  intersects the closed disc of the radio range around it.  This is the
-  boundary-zone predicate of the sharded engine; the exchange layer
-  additionally prunes by each shard's *resident* bounding region, since
-  owned nodes drift out of their home tile over time.
-
-Both predicates are pure float comparisons on the band edges, so every
-worker computes the identical answers — the property suite in
-``tests/test_space.py`` checks them against brute-force oracles for
+Ownership is pure float comparisons on the band edges, so every worker
+computes the identical answer — the property suite in
+``tests/test_space.py`` checks it against brute-force oracles for
 stripes and tiles alike.
 """
 
@@ -165,62 +160,3 @@ class ShardPlan:
             return col
         row = bisect.bisect_right(self._edges(self._y_bands), pos.y)
         return row * self.cols + col
-
-    def mirror_shards(self, pos: Vec2, range_m: float) -> List[int]:
-        """Non-owner shards whose tile intersects the radio disc.
-
-        The region tested is the shard's *ownership region*, not its
-        bare tile: :meth:`shard_of` clamps out-of-extent positions into
-        the boundary bands, so boundary tiles extend to infinity on
-        their outer sides.  Each axis uses the classic closed-interval
-        check (``lo <= pos + r and pos - r <= hi`` — bit-identical to
-        the historical stripe predicate, which matters because band
-        edges are exact cell multiples and ``lo - pos`` rounds
-        differently from ``pos + r``); only when the point sits
-        diagonally off an interior tile corner does the Euclidean
-        ``hypot`` of the two axis gaps refine the verdict.  Empty tiles
-        are never mirrored into.
-        """
-        if range_m < 0:
-            raise ValueError(f"range_m must be >= 0: {range_m}")
-        owner = self.shard_of(pos)
-        cols = self.cols
-        hits: List[int] = []
-        for shard in range(self.shards):
-            if shard == owner:
-                continue
-            c_start, c_stop = self.columns[shard]
-            if c_start == c_stop:
-                continue
-            r_start, r_stop = self.row_bands[shard]
-            if r_start is not None and r_start == r_stop:
-                continue
-            x_lo, y_lo, x_hi, y_hi = self.tile(shard)
-            if shard % cols == 0:
-                x_lo = -math.inf
-            if shard % cols == cols - 1:
-                x_hi = math.inf
-            if not (x_lo <= pos.x + range_m
-                    and pos.x - range_m <= x_hi):
-                continue
-            if r_start is not None:
-                if shard // cols == 0:
-                    y_lo = -math.inf
-                if shard // cols == self.rows - 1:
-                    y_hi = math.inf
-                if not (y_lo <= pos.y + range_m
-                        and pos.y - range_m <= y_hi):
-                    continue
-                dx = max(x_lo - pos.x, 0.0, pos.x - x_hi)
-                dy = max(y_lo - pos.y, 0.0, pos.y - y_hi)
-                if dx > 0.0 and dy > 0.0 \
-                        and math.hypot(dx, dy) > range_m:
-                    continue
-            hits.append(shard)
-        return hits
-
-    def audible_shards(self, pos: Vec2, range_m: float) -> List[int]:
-        """Owner plus mirrors, ascending — every shard that must see a
-        frame transmitted from ``pos`` with radius ``range_m``."""
-        return sorted([self.shard_of(pos)] +
-                      self.mirror_shards(pos, range_m))

@@ -23,10 +23,14 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventFactory
+from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
+from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
+                          LinkLossConfig, RegionalOutage)
 from repro.harness.experiments import rwp_scenario
 from repro.harness.presets import QUICK
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
                                     ScenarioConfig)
+from repro.net import RadioConfig
 from repro.net.messages import Message
 from repro.sim.kernel import PeriodicTask, Simulator
 
@@ -113,6 +117,58 @@ def quick_rwp() -> ScenarioConfig:
     """The quick-scale fig11 config with a capped warm-up."""
     return cap_warmup(rwp_scenario(QUICK, 10.0, 10.0, validity=60.0,
                                    interest=0.8))
+
+
+def shard_rwp_frugal() -> ScenarioConfig:
+    """Fig. 11 family, shrunk: frugal over random waypoint, sized so a
+    shard partition is non-trivial (1300 m side, 150 m range: 8 grid
+    columns)."""
+    return ScenarioConfig(
+        n_processes=20,
+        mobility=RandomWaypointSpec(width=1300.0, height=1300.0,
+                                    speed_min=10.0, speed_max=10.0),
+        duration=30.0, warmup=4.0,
+        radio=RadioConfig(range_override_m=150.0),
+        subscriber_fraction=0.75,
+        publications=(Publication(at=2.0, validity=25.0),))
+
+
+def shard_rwp_flooding() -> ScenarioConfig:
+    """Fig. 17 family: simple flooding, same world."""
+    return shard_rwp_frugal().with_changes(protocol="simple-flooding")
+
+
+def shard_rwp_energy() -> ScenarioConfig:
+    """Energy-lifetime family: finite batteries, duty cycling, deaths."""
+    return shard_rwp_frugal().with_changes(energy=EnergyConfig(
+        profile=PowerProfile.power_save(),
+        battery_capacity_j=8.0,
+        duty_cycle=DutyCycleConfig.heartbeat_aligned(1.0, 0.5)))
+
+
+def shard_rwp_faults() -> ScenarioConfig:
+    """All four fault mechanisms at once: plan + churn + outage + loss."""
+    return shard_rwp_frugal().with_changes(faults=FaultConfig(
+        plan=FaultPlan((FaultEvent(at=5.0, kind="crash", fraction=0.25,
+                                   duration=10.0),)),
+        churn=ChurnConfig(mean_session_s=15.0, mean_rest_s=5.0,
+                          fraction=0.5),
+        outages=(RegionalOutage(at=8.0, duration=6.0,
+                                center=(650.0, 650.0), radius_m=300.0),),
+        loss=LinkLossConfig(link_loss_min=0.05, link_loss_max=0.15,
+                            burst_rate_per_s=0.05,
+                            burst_mean_duration_s=2.0,
+                            burst_loss_probability=0.8)))
+
+
+#: The sharded-engine scenario matrix: one config per family the
+#: engine-equality suites test (figure, flooding, energy, faults).
+SHARD_MATRIX = {
+    "rwp-frugal": shard_rwp_frugal,
+    "rwp-flooding": shard_rwp_flooding,
+    "rwp-energy-dutycycle": shard_rwp_energy,
+    "rwp-churn-faults": shard_rwp_faults,
+}
 
 
 class MediumStub:

@@ -5,9 +5,11 @@ timer wheel used to provide by running next to the production path.
 seed, generated once from the flat O(N) scan with per-task timers (the
 naive reference) before those twins were deleted.  The production engine
 must keep reproducing every digest bit for bit; a change that moves one
-is a behaviour change, not a refactor, and has to say so by regenerating
-the file (``PYTHONPATH=src python -m tests.test_golden``) in its own
-commit.
+is a behaviour change, not a refactor, and has to say so: delete the
+pin's key from the file, regenerate it (``PYTHONPATH=src python -m
+tests.test_golden`` computes and writes only the keys that are missing
+and leaves every existing value alone) and name the moved pin in the
+commit.  pytest is the drift check.
 
 A scenario digest covers everything the twin suites compared: the
 scenario summary, the summed protocol counters and the medium's five
@@ -15,13 +17,19 @@ frame counters, canonicalised by the result cache's own encoder.  A
 storm digest covers the per-node receive trace and frame counters of a
 scripted broadcast storm over parked stubs, where CSMA back-off and
 loss draws are in play and the brute-force oracle of
-``tests/helpers.py`` does not reach.
+``tests/helpers.py`` does not reach.  A sharded digest pins the retimed
+universe (``shards >= 1``: constant cross-node latency, per-node MAC
+streams) the same way, on the in-process backend: summary and protocol
+counters only, since a merged collector has no medium to count frames
+on.  K-, tile- and epoch-invariance say the shard plans agree with each
+other; these pins say they agree with yesterday.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import random
 from typing import Callable, Dict, Tuple
@@ -42,8 +50,9 @@ from repro.net import RadioConfig
 from repro.net.medium import MediumConfig, WirelessMedium
 from repro.net.messages import Heartbeat
 from repro.sim import Simulator
+from repro.sim.shard import ShardConfig
 from repro.sim.space import Vec2
-from tests.helpers import (MediumStub, cap_warmup, quick_rwp,
+from tests.helpers import (SHARD_MATRIX, MediumStub, cap_warmup, quick_rwp,
                            small_rwp)
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -150,8 +159,17 @@ STORMS: Dict[str, Tuple[MediumConfig, Tuple[int, ...]]] = {
                         tuple(range(3))),
 }
 
+#: Sharded runs: the ``tests/test_shard.py`` families under a stripe
+#: plan and a tile grid, seeds (0, 1) each.
+SHARD_PLANS = ("2", "2x2")
+SHARDED: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
+    f"shard-{name}/{plan}": (
+        lambda build=build, plan=plan: build().with_changes(
+            shards=ShardConfig.parse(plan)), (0, 1))
+    for name, build in SHARD_MATRIX.items() for plan in SHARD_PLANS}
+
 CASES = [f"{family}/s{seed}"
-         for table in (FAMILIES, STORMS)
+         for table in (FAMILIES, STORMS, SHARDED)
          for family, (_, seeds) in table.items() for seed in seeds]
 
 
@@ -162,14 +180,16 @@ def _sha256(payload) -> str:
 
 
 def scenario_digest(cfg: ScenarioConfig) -> str:
-    """sha256 of one run's summary + protocol + frame counters."""
+    """sha256 of one run's summary + protocol + frame counters (a
+    sharded run's merged collector has no medium, hence no frames)."""
     result = run_scenario(cfg)
+    payload = {"summary": result.summary(),
+               "protocol": result.protocol_counters().as_dict()}
     medium = result.collector.medium
-    return _sha256({
-        "summary": result.summary(),
-        "protocol": result.protocol_counters().as_dict(),
-        "frames": {name: getattr(medium, name) for name in FRAME_COUNTERS},
-    })
+    if medium is not None:
+        payload["frames"] = {name: getattr(medium, name)
+                             for name in FRAME_COUNTERS}
+    return _sha256(payload)
 
 
 def storm_digest(cfg: MediumConfig, seed: int) -> str:
@@ -203,7 +223,15 @@ def case_digest(case: str) -> str:
     family, _, seed = case.rpartition("/s")
     if family in STORMS:
         return storm_digest(STORMS[family][0], int(seed))
-    return scenario_digest(FAMILIES[family][0]().with_changes(seed=int(seed)))
+    build = (SHARDED if family in SHARDED else FAMILIES)[family][0]
+    return scenario_digest(build().with_changes(seed=int(seed)))
+
+
+@pytest.fixture(autouse=True)
+def _inproc_shards(monkeypatch):
+    """The sharded pins run on the in-process backend (bit-identical to
+    spawn, and Tier-1 spawns nothing extra)."""
+    monkeypatch.setenv("REPRO_SHARD_BACKEND", "inproc")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -218,6 +246,14 @@ def test_every_pin_has_a_case():
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(
-        {case: case_digest(case) for case in CASES},
-        indent=1, sort_keys=True) + "\n")
+    # Additive only: an existing pin is never recomputed here (delete
+    # its key first to move it on purpose).
+    pins = json.loads(GOLDEN_PATH.read_text())
+    missing = [case for case in CASES if case not in pins]
+    os.environ["REPRO_SHARD_BACKEND"] = "inproc"
+    for case in missing:
+        pins[case] = case_digest(case)
+        print(f"pinned {case}")
+    if missing:
+        GOLDEN_PATH.write_text(
+            json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -254,3 +254,40 @@ class TestHooks:
         medium.broadcast(0, hb(0))
         sim.run_until_idle()
         assert rx.received == []
+
+
+class TestOnAirOverride:
+    """``_put_on_air`` is the one step a subclass replaces — the seam
+    the sharded engine's medium rests on."""
+
+    def test_subclass_sees_each_frame_once_before_any_resolution(self, sim):
+        seen = []
+
+        class Diverting(WirelessMedium):
+            def _put_on_air(self, tx, duration):
+                seen.append((tx.sender, tx.start, duration, self.frames_sent,
+                             list(hooks), len(self._txlog), self.sim.pending))
+
+        medium = Diverting(sim, RadioConfig(range_override_m=100.0),
+                           rng=random.Random(0))
+        stubs = [MediumStub(i, Vec2(10.0 * i, 0)) for i in range(3)]
+        for stub in stubs:
+            medium.register(stub)
+        hooks = []
+        medium.on_transmit = lambda s, m, b: hooks.append("transmit")
+        medium.on_tx_window = lambda s, d: hooks.append("tx_window")
+        medium.on_rx_window = lambda r, d: hooks.append("rx_window")
+        medium.broadcast(0, hb(0))
+        medium.broadcast(1, hb(1))
+        sim.run_until_idle()
+        airtime = medium.radio.transmission_duration_s(
+            hb(0).size_bytes(medium.sizes))
+        # Once per frame; the sender-side accounting already happened,
+        # nothing on the receiving side did: no log row (so carrier
+        # sense let the second sender straight through), no RX charge,
+        # no delivery event.
+        assert seen == [
+            (0, 0.0, airtime, 1, ["transmit", "tx_window"], 0, 0),
+            (1, 0.0, airtime, 2, ["transmit", "tx_window"] * 2, 0, 0)]
+        assert all(stub.received == [] for stub in stubs)
+        assert medium.frames_delivered == 0

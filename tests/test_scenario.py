@@ -10,8 +10,9 @@ from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec, build_world,
                                     make_protocol, run_scenario,
-                                    select_subscribers)
-from repro.sim import RngRegistry
+                                    select_subscribers, wire_world)
+from repro.net import WirelessMedium
+from repro.sim import RngRegistry, Simulator
 
 
 def tiny_config(**changes) -> ScenarioConfig:
@@ -121,6 +122,71 @@ class TestBuildWorld:
                 assert Topic(cfg.event_topic) in topics
             else:
                 assert Topic(cfg.other_topic) in topics
+
+
+    def test_build_world_schedules_nothing(self):
+        """``build_world`` hands back the whole population unstarted
+        and walks none of the lifecycle steps: no publication is armed
+        and nothing is recorded until a caller asks (the e2e benchmark's
+        set-up path starts the nodes itself)."""
+        cfg = tiny_config()
+        world = build_world(cfg)
+        assert [n.id for n in world.nodes] == list(range(cfg.n_processes))
+        assert all(not n.alive for n in world.nodes)
+        assert world.sim.pending == 0
+        assert world.published == []
+        world.schedule_publications(cfg)
+        assert world.sim.pending == len(cfg.publications)
+
+
+class TestWorldLifecycle:
+    """The steps ``run_scenario`` and the sharded engine both walk."""
+
+    @staticmethod
+    def _partial_world(cfg, absent):
+        sim = Simulator()
+        rngs = RngRegistry(cfg.seed)
+        medium = WirelessMedium(sim, cfg.radio, config=cfg.medium,
+                                sizes=cfg.sizes, rng=rngs.stream("medium"))
+        return wire_world(cfg, sim, rngs, medium,
+                          [i for i in range(cfg.n_processes)
+                           if i not in absent])
+
+    def test_only_resident_publishers_are_armed(self):
+        cfg = tiny_config(publications=(
+            Publication(at=2.0, validity=30.0, publisher=1),
+            Publication(at=3.0, validity=30.0, publisher=0),
+            Publication(at=4.0, validity=30.0, publisher=0)))
+        subscribers = select_subscribers(cfg, RngRegistry(cfg.seed))
+        here, elsewhere = subscribers[0], subscribers[1]
+        world = self._partial_world(cfg, absent={elsewhere})
+        assert world.subscriber_ids == subscribers   # the global draw
+        assert elsewhere not in [n.id for n in world.nodes]
+        world.start()
+        before = world.sim.pending
+        world.schedule_publications(cfg)
+        assert world.sim.pending == before + 2
+        world.sim.run(until=cfg.warmup + 10.0)
+        # (publication index, event), in firing order; one factory per
+        # publisher, so its sequence numbers run on.
+        assert [(index, event.event_id.publisher, event.event_id.seq)
+                for index, event in world.published] == \
+            [(1, here, 0), (2, here, 1)]
+        assert set(world.collector.published) == \
+            {event.event_id for _, event in world.published}
+
+    def test_open_window_baselines_the_protocol_counters(self):
+        cfg = tiny_config(publications=())
+        world = build_world(cfg)
+        world.start()
+        world.sim.run(until=10.0)
+        world.open_window()
+        world.sim.run(until=11.0)
+        world.close()
+        lifetime = sum(n.protocol.counters.heartbeats_sent
+                       for n in world.nodes)
+        window = world.collector.protocol_totals.heartbeats_sent
+        assert 0 < window < lifetime
 
 
 class TestRunScenario:

@@ -16,20 +16,25 @@ shard boundaries through the epoch-barrier exchange.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import pytest
 
-from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
-from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
-                          LinkLossConfig, RegionalOutage)
 from repro.harness.cache import ResultCache, config_digest
 from repro.harness.experiments import ExperimentResult
 from repro.harness.parallel import ParallelRunner
 from repro.harness.reporting import to_csv
-from repro.harness.scenario import (Publication, RandomWaypointSpec,
-                                    ScenarioConfig, run_scenario)
-from repro.net import RadioConfig
+from repro.harness.scenario import run_scenario
 from repro.sim.shard import ShardConfig, resolve_epoch_s
-from repro.sim.shard.engine import compute_ownership
+from repro.sim.shard.engine import ShardWorkerLost, compute_ownership
+from tests.helpers import (SHARD_MATRIX as MATRIX,
+                           shard_rwp_energy as _rwp_energy,
+                           shard_rwp_faults as _rwp_faults,
+                           shard_rwp_frugal as _rwp_frugal)
 
 SEEDS = [0, 1]
 SHARD_COUNTS = [1, 2, 4]
@@ -38,56 +43,6 @@ SHARD_COUNTS = [1, 2, 4]
 EPOCHS = [0.1, 0.25, 1.0]
 #: The tile-shape ladder at K=4: horizontal bands, a grid, stripes.
 PLANS = [(4, 4), (4, 2), (4, 1)]   # (shards, rows) = 4x1, 2x2, 1x4
-
-
-def _rwp_frugal() -> ScenarioConfig:
-    """Fig. 11 family, shrunk: frugal over random waypoint."""
-    return ScenarioConfig(
-        n_processes=20,
-        mobility=RandomWaypointSpec(width=1300.0, height=1300.0,
-                                    speed_min=10.0, speed_max=10.0),
-        duration=30.0, warmup=4.0,
-        radio=RadioConfig(range_override_m=150.0),
-        subscriber_fraction=0.75,
-        publications=(Publication(at=2.0, validity=25.0),))
-
-
-def _rwp_flooding() -> ScenarioConfig:
-    """Fig. 17 family: simple flooding, same world."""
-    return _rwp_frugal().with_changes(protocol="simple-flooding")
-
-
-def _rwp_energy() -> ScenarioConfig:
-    """Energy-lifetime family: finite batteries, duty cycling, deaths."""
-    return _rwp_frugal().with_changes(energy=EnergyConfig(
-        profile=PowerProfile.power_save(),
-        battery_capacity_j=8.0,
-        duty_cycle=DutyCycleConfig.heartbeat_aligned(1.0, 0.5)))
-
-
-def _rwp_faults() -> ScenarioConfig:
-    """All four fault mechanisms at once: plan + churn + outage + loss."""
-    return _rwp_frugal().with_changes(faults=FaultConfig(
-        plan=FaultPlan((FaultEvent(at=5.0, kind="crash", fraction=0.25,
-                                   duration=10.0),)),
-        churn=ChurnConfig(mean_session_s=15.0, mean_rest_s=5.0,
-                          fraction=0.5),
-        outages=(RegionalOutage(at=8.0, duration=6.0,
-                                center=(650.0, 650.0), radius_m=300.0),),
-        loss=LinkLossConfig(link_loss_min=0.05, link_loss_max=0.15,
-                            burst_rate_per_s=0.05,
-                            burst_mean_duration_s=2.0,
-                            burst_loss_probability=0.8)))
-
-
-#: The K-invariance matrix: one config per scenario family tested by the
-#: engine-equality suites elsewhere (figure, flooding, energy, faults).
-MATRIX = {
-    "rwp-frugal": _rwp_frugal,
-    "rwp-flooding": _rwp_flooding,
-    "rwp-energy-dutycycle": _rwp_energy,
-    "rwp-churn-faults": _rwp_faults,
-}
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +181,37 @@ class TestSpawnBackend:
         assert spawned.summary() == inproc.summary()
         assert spawned.per_event_reports() == inproc.per_event_reports()
         assert spawned.sim_events_processed == inproc.sim_events_processed
+
+    def test_killed_worker_is_named(self, monkeypatch):
+        """A shard worker that dies surfaces as ``ShardWorkerLost``
+        carrying its shard index and exit code — not a bare
+        ``EOFError`` — and the run still reaps every sibling."""
+        victim = {}
+
+        def kill_first_child():
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                children = multiprocessing.active_children()
+                if children:
+                    victim["name"] = children[0].name
+                    os.kill(children[0].pid, signal.SIGKILL)
+                    return
+                time.sleep(0.005)
+
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
+        killer = threading.Thread(target=kill_first_child)
+        started = time.monotonic()
+        killer.start()
+        try:
+            with pytest.raises(ShardWorkerLost) as lost:
+                run_scenario(_rwp_frugal().with_changes(shards=2))
+        finally:
+            killer.join()
+        assert time.monotonic() - started < 10.0
+        assert victim["name"] == f"shard-{lost.value.shard}"
+        assert f"shard {lost.value.shard} " in str(lost.value)
+        assert lost.value.exitcode == -signal.SIGKILL
+        assert multiprocessing.active_children() == []
 
     def test_explicit_spawn_degrades_inside_daemonic_workers(
             self, monkeypatch):

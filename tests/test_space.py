@@ -270,56 +270,6 @@ class TestShardPlanProperties:
         assert plan.columns[-1][1] > math.floor(plan.max_x
                                                 / plan.cell_size)
 
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data(),
-           shards=st.integers(1, 6),
-           cell=st.floats(10.0, 200.0, allow_nan=False),
-           min_x=st.floats(-2000.0, 2000.0, allow_nan=False),
-           range_m=st.floats(0.0, 500.0, allow_nan=False))
-    def test_mirrors_are_exactly_the_disc_stripe_overlaps(self, data,
-                                                          shards, cell,
-                                                          min_x, range_m):
-        plan = ShardPlan(min_x=min_x, max_x=min_x + shards * cell + 1.0,
-                         shards=shards, cell_size=cell)
-        lo = plan.stripe(0)[0]
-        hi = plan.stripe(shards - 1)[1]
-        x = data.draw(st.floats(lo, hi, allow_nan=False, exclude_max=True))
-        pos = Vec2(x, data.draw(_COORD))
-        owner = plan.shard_of(pos)
-        mirrors = plan.mirror_shards(pos, range_m)
-        # Oracle: interval intersection computed the other way round.
-        want = [s for s in range(shards) if s != owner
-                and max(plan.stripe(s)[0], x - range_m)
-                <= min(plan.stripe(s)[1], x + range_m)]
-        assert mirrors == want
-        assert owner not in mirrors
-        audible = plan.audible_shards(pos, range_m)
-        assert audible == sorted(set([owner] + mirrors))
-        # Soundness — the engine's boundary-zone guarantee: the owner of
-        # any point within radio range is one of the audible shards.
-        dx = data.draw(st.floats(-range_m, range_m, allow_nan=False)) \
-            if range_m else 0.0
-        q = Vec2(min(max(x + dx, lo), math.nextafter(hi, lo)),
-                 pos.y)
-        assert plan.shard_of(q) in audible
-
-    @settings(max_examples=50, deadline=None)
-    @given(shards=st.integers(1, 6),
-           cell=st.floats(10.0, 200.0, allow_nan=False),
-           min_x=st.floats(-2000.0, 2000.0, allow_nan=False),
-           x=st.floats(-4000.0, 4000.0, allow_nan=False),
-           r_small=st.floats(0.0, 200.0, allow_nan=False),
-           r_grow=st.floats(0.0, 300.0, allow_nan=False))
-    def test_mirrors_grow_monotonically_with_range(self, shards, cell,
-                                                   min_x, x, r_small,
-                                                   r_grow):
-        plan = ShardPlan(min_x=min_x, max_x=min_x + shards * cell + 1.0,
-                         shards=shards, cell_size=cell)
-        pos = Vec2(x, 0.0)
-        small = set(plan.mirror_shards(pos, r_small))
-        large = set(plan.mirror_shards(pos, r_small + r_grow))
-        assert small <= large
-
 
 class TestShardPlanTiles:
     """The 2-D generalisation: R x C tile grids against brute oracles."""
@@ -359,73 +309,12 @@ class TestShardPlanTiles:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(),
-           rows=st.integers(1, 4), cols=st.integers(1, 4),
-           cell=st.floats(10.0, 200.0, allow_nan=False),
-           min_x=st.floats(-2000.0, 2000.0, allow_nan=False),
-           min_y=st.floats(-2000.0, 2000.0, allow_nan=False),
-           range_m=st.floats(0.0, 500.0, allow_nan=False))
-    def test_mirrors_are_exactly_the_disc_tile_overlaps(
-            self, data, rows, cols, cell, min_x, min_y, range_m):
-        plan = self._plan(data, rows, cols, cell, min_x, min_y)
-        pos = Vec2(data.draw(st.floats(min_x - 500.0, min_x + 3000.0,
-                                       allow_nan=False)),
-                   data.draw(st.floats(min_y - 500.0, min_y + 3000.0,
-                                       allow_nan=False)))
-        owner = plan.shard_of(pos)
-        mirrors = plan.mirror_shards(pos, range_m)
-        # Oracle: per-axis closed-interval checks against the clamped
-        # *ownership region* (boundary bands reach to infinity on their
-        # outer sides — shard_of clamps out-of-extent positions into
-        # them), refined by the corner distance only when the point is
-        # diagonally off an interior tile corner.
-        want = []
-        for s in range(plan.shards):
-            if s == owner:
-                continue
-            x_lo, y_lo, x_hi, y_hi = plan.tile(s)
-            if s % plan.cols == 0:
-                x_lo = -math.inf
-            if s % plan.cols == plan.cols - 1:
-                x_hi = math.inf
-            if s // plan.cols == 0:
-                y_lo = -math.inf
-            if s // plan.cols == plan.rows - 1:
-                y_hi = math.inf
-            if not (x_lo <= pos.x + range_m
-                    and pos.x - range_m <= x_hi):
-                continue
-            if not (y_lo <= pos.y + range_m
-                    and pos.y - range_m <= y_hi):
-                continue
-            dx = max(x_lo - pos.x, 0.0, pos.x - x_hi)
-            dy = max(y_lo - pos.y, 0.0, pos.y - y_hi)
-            if dx > 0.0 and dy > 0.0 and math.hypot(dx, dy) > range_m:
-                continue
-            want.append(s)
-        assert mirrors == want
-        assert owner not in mirrors
-        audible = plan.audible_shards(pos, range_m)
-        assert audible == sorted(set([owner] + mirrors))
-        # Soundness: the owner of any point within radio range of the
-        # sender is one of the audible shards.
-        if range_m:
-            r = data.draw(st.floats(0.0, range_m, allow_nan=False))
-            theta = data.draw(st.floats(0.0, 2 * math.pi,
-                                        allow_nan=False))
-            q = Vec2(pos.x + r * math.cos(theta),
-                     pos.y + r * math.sin(theta))
-            if q.distance_to(pos) <= range_m:
-                assert plan.shard_of(q) in audible
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data(),
            shards=st.integers(1, 6),
            cell=st.floats(10.0, 200.0, allow_nan=False),
-           min_x=st.floats(-2000.0, 2000.0, allow_nan=False),
-           range_m=st.floats(0.0, 500.0, allow_nan=False))
+           min_x=st.floats(-2000.0, 2000.0, allow_nan=False))
     def test_single_row_plan_is_bit_identical_to_the_stripe_plan(
-            self, data, shards, cell, min_x, range_m):
-        """rows=1 must reproduce the historical stripe predicates
+            self, data, shards, cell, min_x):
+        """rows=1 must reproduce the historical stripe ownership
         exactly — including never consulting y."""
         stripe_plan = ShardPlan(min_x=min_x,
                                 max_x=min_x + shards * cell + 1.0,
@@ -438,8 +327,6 @@ class TestShardPlanTiles:
                                        allow_nan=False)),
                    data.draw(st.floats(-1e6, 1e6, allow_nan=False)))
         assert tiled.shard_of(pos) == stripe_plan.shard_of(pos)
-        assert tiled.mirror_shards(pos, range_m) == \
-            stripe_plan.mirror_shards(pos, range_m)
 
     def test_rows_must_divide_the_shard_count(self):
         with pytest.raises(ValueError):
