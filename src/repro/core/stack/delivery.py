@@ -24,7 +24,7 @@ from typing import FrozenSet, Optional, Set
 
 from repro.core.base import Host, ProtocolCounters
 from repro.core.events import Event, EventId
-from repro.core.topics import Topic, subscription_matches_event
+from repro.core.topics import Topic, entitled
 
 
 class DeliveryLayer:
@@ -72,7 +72,7 @@ class DeliveryLayer:
 
     def matches(self, topic: Topic) -> bool:
         """Is the process entitled to events on ``topic``?"""
-        return subscription_matches_event(self._subscriptions, topic)
+        return entitled(self._subscriptions, topic)
 
     # -- hand-off ------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from repro.core.config import FrugalConfig
 from repro.core.events import Event, EventId
 from repro.core.stack.membership import HeartbeatMembership
 from repro.core.stack.store import EventStore
-from repro.core.topics import subscription_matches_event
+from repro.core.topics import entitled
 from repro.net.messages import EventBatch
 
 
@@ -104,8 +104,7 @@ class BackoffForwarding:
             for row in valid_rows:
                 if row.event_id in needed:
                     continue
-                if (subscription_matches_event(neighbor.subscriptions,
-                                               row.topic)
+                if (entitled(neighbor.subscriptions, row.topic)
                         and not neighbor.knows(row.event_id)):
                     needed.add(row.event_id)
         return sorted(needed)

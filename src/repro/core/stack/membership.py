@@ -58,13 +58,9 @@ from typing import Callable, Dict, FrozenSet, Optional
 from repro.core.base import Host, ProtocolCounters
 from repro.core.config import FrugalConfig
 from repro.core.tables import NeighborhoodTable
-from repro.core.topics import (Topic, subscription_matches_event,
+from repro.core.topics import (VERDICT_MEMO_SIZE, Topic, entitled,
                                subscriptions_related)
 from repro.net.messages import Heartbeat
-
-#: Distinct ``(mine, theirs)`` topic-set pairs whose matching verdict is
-#: kept; a world has a handful, so this only caps a pathological one.
-VERDICT_MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=VERDICT_MEMO_SIZE)
@@ -332,7 +328,7 @@ class TTLMembership:
     def any_interested(self, topic: Topic) -> bool:
         """Is at least one (unpruned) neighbour entitled to ``topic``?"""
         return any(
-            subscription_matches_event(info.subscriptions, topic)
+            entitled(info.subscriptions, topic)
             for info in self._neighbors.values())
 
     def __len__(self) -> int:

@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from repro.core.events import Event, EventId, StoredEvent
 from repro.core.gc import EvictionPolicy, ValidityForwardPolicy
-from repro.core.topics import Topic, subscription_matches_event
+from repro.core.topics import Topic, entitled
 
 
 class EventTableFull(RuntimeError):
@@ -177,7 +177,7 @@ class NeighborhoodTable:
     def interested_in(self, topic: Topic) -> List[NeighborEntry]:
         """Neighbours whose subscriptions entitle them to ``topic``."""
         return [e for e in self._entries.values()
-                if subscription_matches_event(e.subscriptions, topic)]
+                if entitled(e.subscriptions, topic)]
 
     # -- garbage collection ----------------------------------------------------------
 

@@ -20,7 +20,11 @@ Two relations drive the protocol:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
+
+#: Distinct topic-set pairs / (topic set, topic) pairs whose verdict is
+#: kept; a world has a handful, so this only caps a pathological one.
+VERDICT_MEMO_SIZE = 4096
 
 
 class TopicError(ValueError):
@@ -159,6 +163,18 @@ def subscription_matches_event(subscriptions: Iterable[Topic],
                                event_topic: Topic) -> bool:
     """Does any subscription entitle the holder to ``event_topic``?"""
     return any(sub.covers(event_topic) for sub in subscriptions)
+
+
+@lru_cache(maxsize=VERDICT_MEMO_SIZE)
+def entitled(subscriptions: FrozenSet[Topic], event_topic: Topic) -> bool:
+    """:func:`subscription_matches_event`, memoised per (frozen
+    subscription set, topic) pair.
+
+    A pure function of two immutable values, so there is nothing to
+    invalidate; the per-frame callers ask it of the same handful of
+    pairs for a whole run.
+    """
+    return subscription_matches_event(subscriptions, event_topic)
 
 
 def subscriptions_related(mine: Iterable[Topic],

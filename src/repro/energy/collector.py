@@ -8,6 +8,11 @@ per node, and handles battery depletion by powering the node down —
 detaching it from the medium mid-run.  Protocols are never instrumented
 directly, so the frugal protocol and the flooding baselines are billed by
 exactly the same meter.
+
+The accountant forwards each window's duration and nothing else: it puts
+no event on the kernel, and neither do mains-powered models (a window's
+end is charged across by the model's next sync); the only timers the
+subsystem owns are one per finite battery and one per duty cycler.
 """
 
 from __future__ import annotations
@@ -123,9 +128,10 @@ class EnergyAccountant:
     def __getstate__(self) -> dict:
         """Pickle frozen per-node meter readings, not live models.
 
-        Each :class:`EnergyModel` references the simulator (pending
-        depletion timers and all); shipping that across a process
-        boundary would drag the whole world along.  The pickled form
+        Each :class:`EnergyModel` references the simulator (a finite
+        battery's pending depletion timer and all); shipping that
+        across a process boundary would drag the whole world along.
+        The pickled form
         replaces every model with an immutable snapshot exposing the
         attributes the aggregate methods read (``total_joules``,
         ``joules_by_state``, ``depleted``), so an unpickled accountant
@@ -138,7 +144,7 @@ class EnergyAccountant:
                 node_id: _FrozenEnergyModel(
                     node_id=node_id,
                     total_joules=model.total_joules,
-                    joules_by_state=dict(model.joules_by_state),
+                    joules_by_state=model.joules_by_state,
                     depleted=model.depleted)
                 for node_id, model in self.models.items()
             },

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim.kernel import Simulator, Timer
 
@@ -68,18 +68,45 @@ class DutyCycleConfig:
         return cls(period_s=hb_period_s, awake_fraction=awake_fraction)
 
     # -- schedule arithmetic ----------------------------------------------------
+    #
+    # Window ``k`` is ``[k·period, (k+1)·period)`` and its awake part
+    # ends at ``k·period + awake_s``.  Every edge is computed from the
+    # integer index, never from ``time % period``: the remainder of an
+    # edge that is not exactly representable lands an ulp short of
+    # ``awake_s``, and a cycler that trusted it would re-arm at the
+    # timestamp it is standing on, forever.
+
+    def _window_index(self, time: float) -> int:
+        """The ``k`` whose window holds ``time``, judged by the same
+        products the edges are computed with."""
+        k = math.floor(time / self.period_s)
+        while (k + 1) * self.period_s <= time:
+            k += 1
+        while k * self.period_s > time:
+            k -= 1
+        return k
+
+    def next_edge_after(self, time: float) -> Tuple[bool, float]:
+        """``(awake, edge)``: whether the radio is up at ``time`` and the
+        first schedule edge strictly later than ``time``."""
+        k = self._window_index(time)
+        sleep_at = k * self.period_s + self.awake_s
+        if time < sleep_at:
+            return True, sleep_at
+        return False, (k + 1) * self.period_s
 
     def is_awake_at(self, time: float) -> bool:
         if not self.enabled:
             return True
-        return (time % self.period_s) < self.awake_s
+        return self.next_edge_after(time)[0]
 
     def next_wake_after(self, time: float) -> float:
         """The next window start at or after ``time`` (identity while
         awake: the radio is already up)."""
-        if self.is_awake_at(time):
+        if not self.enabled:
             return time
-        return math.ceil(time / self.period_s) * self.period_s
+        awake, edge = self.next_edge_after(time)
+        return time if awake else edge
 
 
 class DutyCycler:
@@ -98,18 +125,14 @@ class DutyCycler:
         self._arm()
 
     def _arm(self) -> None:
-        now = self.sim.now
-        period = self.config.period_s
-        offset = now % period
-        if offset < self.config.awake_s:
+        awake, edge = self.config.next_edge_after(self.sim.now)
+        if awake:
             # Inside an awake window: make sure the node is up, then
             # sleep at the window's end.
             self.node.wake()
-            delay = self.config.awake_s - offset
         else:
             self.node.sleep()
-            delay = period - offset
-        self._timer = self.sim.schedule(delay, self._flip)
+        self._timer = self.sim.call_at(edge, self._flip)
 
     def _flip(self) -> None:
         # Keep re-arming even while the node is crashed: sleep()/wake()

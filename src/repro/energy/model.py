@@ -16,11 +16,24 @@ simulation clock:
 
 States are charged lazily: joules accrue only at state *transitions*
 (``power(state) × elapsed``), so the accounting adds O(1) work per frame
-edge instead of per simulated second.  When a finite
-:class:`~repro.energy.battery.Battery` is attached, the model additionally
-keeps one kernel timer armed at the exact instant the battery would run
-dry at the current draw — depletion is detected on time, deterministically,
-not at the next transition.
+edge instead of per simulated second.  A window's *end* is a transition
+nobody reports, and the meter does not ask the kernel to: ``note_tx`` /
+``note_rx`` push the end onto a small per-model heap, and the next
+``_sync`` — whoever calls it — first charges up to every pending end
+that has passed, in order, each at the state in force when its segment
+began, then up to the present.  Those split points are what the golden
+digests pin (every float sum is taken over the same segments in the same
+order as if a timer had fired at each end); how the model came to be
+standing at them is not.
+
+A kernel timer is armed only where the model must *act* at an instant,
+which a mains-powered meter never does: it arms nothing, so an
+instrumented run's ``sim_events_processed`` no longer counts window
+ends.  A finite :class:`~repro.energy.battery.Battery` can run dry
+mid-state, so its model keeps exactly one timer, at the earlier of its
+next pending end and the instant the battery would empty at the current
+draw — depletion is detected on time, deterministically, not at the next
+transition.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
 from repro.energy.battery import Battery
 from repro.net.radio import RadioConfig, dbm_to_mw
@@ -41,6 +55,12 @@ class RadioState(enum.Enum):
     IDLE = "idle"
     SLEEP = "sleep"
     OFF = "off"          # battery drained: draws nothing, forever
+
+
+#: The meter's accumulators and draws live in plain lists indexed by a
+#: state's position in :class:`RadioState` declaration order.
+_STATES = tuple(RadioState)
+_TX, _RX, _IDLE, _SLEEP, _OFF = range(len(_STATES))
 
 
 @dataclass(frozen=True)
@@ -120,13 +140,16 @@ class EnergyModel:
         self.profile = profile
         self.battery = battery or Battery()
         self.on_depleted = on_depleted
-        self.joules_by_state: Dict[RadioState, float] = {
-            state: 0.0 for state in RadioState}
         self.transitions = 0
         self.depleted_at: Optional[float] = None
+        self._draws = tuple(profile.draw_w(state) for state in _STATES)
+        self._joules = [0.0] * len(_STATES)
+        self._finite = not self.battery.infinite
         self._since = sim.now
         self._tx_until = -math.inf
         self._rx_until = -math.inf
+        # Window ends not yet charged across (a heap of instants).
+        self._ends: List[float] = []
         self._asleep = False
         self._off = False
         self._depletion_timer: Optional[Timer] = None
@@ -136,50 +159,71 @@ class EnergyModel:
     # -- inspection -----------------------------------------------------------
 
     @property
+    def joules_by_state(self) -> Dict[RadioState, float]:
+        """The per-state tallies, as a fresh ``RadioState``-keyed dict."""
+        return dict(zip(_STATES, self._joules))
+
+    @property
     def total_joules(self) -> float:
-        return sum(self.joules_by_state.values())
+        return sum(self._joules)
 
     @property
     def state(self) -> RadioState:
-        return self._effective_state(self.sim.now)
+        return _STATES[self._slot(self.sim.now)]
 
     @property
     def depleted(self) -> bool:
         return self._off
 
-    def _effective_state(self, now: float) -> RadioState:
+    def _slot(self, at: float) -> int:
         if self._off:
-            return RadioState.OFF
-        if now < self._tx_until:
-            return RadioState.TX
-        if now < self._rx_until:
-            return RadioState.RX
+            return _OFF
+        if at < self._tx_until:
+            return _TX
+        if at < self._rx_until:
+            return _RX
         if self._asleep:
-            return RadioState.SLEEP
-        return RadioState.IDLE
+            return _SLEEP
+        return _IDLE
 
     # -- charging -------------------------------------------------------------
 
     def _sync(self) -> None:
-        """Charge the interval since the last transition at the state that
-        was in force *over* that interval, then re-arm depletion."""
+        """Charge up to the present, splitting at every window end that
+        has passed since the last sync, then re-arm depletion."""
         now = self.sim.now
-        elapsed = now - self._since
-        if elapsed > 0.0:
-            # The state during [since, now) is whatever was effective at
-            # its start: window edges always trigger a _sync, so the state
-            # cannot have changed silently mid-interval.
-            state = self._effective_state(self._since)
-            joules = self.profile.draw_w(state) * elapsed
-            drawn = self.battery.discharge(joules)
-            self.joules_by_state[state] += drawn
-            self._since = now
-            if self.battery.drained and not self._off:
-                self._power_off(now)
+        ends = self._ends
+        while ends and ends[0] <= now:
+            if self._charge_until(heappop(ends)):
                 return
-        else:
-            self._since = now
-        self._rearm_depletion(now)
+        if self._charge_until(now):
+            return
+        if self._finite:
+            self._rearm_depletion(now)
+
+    def _charge_until(self, until: float) -> bool:
+        """Charge ``[since, until)``; true when that emptied the battery.
+
+        The state over the segment is whatever was effective at its
+        start: every window edge is a segment boundary and every other
+        transition syncs before it takes effect, so the state cannot
+        have changed mid-segment.
+        """
+        elapsed = until - self._since
+        if elapsed <= 0.0:
+            return False
+        slot = self._slot(self._since)
+        joules = self._draws[slot] * elapsed
+        if self._finite:
+            joules = self.battery.discharge(joules)
+        elif joules < 0:
+            raise ValueError(f"cannot discharge a negative amount: {joules=}")
+        self._joules[slot] += joules
+        self._since = until
+        if self._finite and self.battery.drained and not self._off:
+            self._power_off(until)
+            return True
+        return False
 
     def _power_off(self, now: float) -> None:
         self._off = True
@@ -192,25 +236,27 @@ class EnergyModel:
             self.on_depleted(self.node_id)
 
     def _rearm_depletion(self, now: float) -> None:
-        if self._off or self.battery.infinite:
+        """Keep a finite battery's one timer at the next instant its
+        model must act: the next pending end (a sync there re-derives
+        the draw) or the battery running dry, whichever is earlier."""
+        if self._off or not self._finite:
             return
         if self._depletion_timer is not None:
             self._depletion_timer.cancel()
             self._depletion_timer = None
-        draw = self.profile.draw_w(self._effective_state(now))
-        horizon = self.battery.time_to_empty_s(draw)
-        if math.isinf(horizon):
-            return
-        if now + horizon <= now:
+        wake_at = now + self.battery.time_to_empty_s(
+            self._draws[self._slot(now)])
+        if wake_at <= now:
             # Float residue: the remaining charge buys less than one
             # representable slice of time — consider it spent, or the
             # rescheduled sync would spin forever at this timestamp.
             self.battery.discharge(self.battery.remaining_j)
             self._power_off(now)
             return
-        # Next TX/RX/sleep edge re-syncs anyway; this timer only matters
-        # when the node sits in one state long enough to die in it.
-        self._depletion_timer = self.sim.schedule(horizon, self._sync)
+        if self._ends and self._ends[0] < wake_at:
+            wake_at = self._ends[0]
+        if not math.isinf(wake_at):
+            self._depletion_timer = self.sim.call_at(wake_at, self._sync)
 
     # -- transition notifications (medium / duty cycler) -----------------------
 
@@ -219,24 +265,32 @@ class EnergyModel:
         if self._off:
             return
         self._sync()
-        end = self.sim.now + duration_s
+        if self._off:
+            return
+        now = self.sim.now
+        end = now + duration_s
         if end > self._tx_until:
             self._tx_until = end
             self.transitions += 1
-            self.sim.schedule(duration_s, self._sync)
-            self._rearm_depletion(self.sim.now)
+            heappush(self._ends, end)
+            if self._finite:
+                self._rearm_depletion(now)
 
     def note_rx(self, duration_s: float) -> None:
         """An audible frame overlaps the node for ``duration_s``."""
         if self._off or self._asleep:
             return
         self._sync()
-        end = self.sim.now + duration_s
+        if self._off:
+            return
+        now = self.sim.now
+        end = now + duration_s
         if end > self._rx_until:
             self._rx_until = end
             self.transitions += 1
-            self.sim.schedule(duration_s, self._sync)
-            self._rearm_depletion(self.sim.now)
+            heappush(self._ends, end)
+            if self._finite:
+                self._rearm_depletion(now)
 
     def sleep(self) -> None:
         if self._off or self._asleep:
@@ -265,26 +319,30 @@ class EnergyModel:
         called at measurement-window start so warm-up traffic is free,
         mirroring :meth:`MetricsCollector.resume`."""
         self._sync()
-        for state in self.joules_by_state:
-            self.joules_by_state[state] = 0.0
+        self._joules = [0.0] * len(_STATES)
         if recharge and not self._off:
             self.battery.recharge()
             self._rearm_depletion(self.sim.now)
 
     def revive(self) -> None:
         """A fresh battery was installed in a drained radio: leave OFF,
-        refill, and resume accounting from the current instant."""
+        refill, and resume accounting from the current instant.  Windows
+        that were open at death are forgotten, but their ends still lie
+        ahead as split points."""
         if not self._off:
             return
+        now = self.sim.now
         self._off = False
         self.depleted_at = None
-        self._since = self.sim.now
+        self._since = now
         self._tx_until = -math.inf
         self._rx_until = -math.inf
+        while self._ends and self._ends[0] <= now:
+            heappop(self._ends)
         self._asleep = False
         self.transitions += 1
         self.battery.recharge()
-        self._rearm_depletion(self.sim.now)
+        self._rearm_depletion(now)
 
     def finalize(self) -> None:
         """Charge up to the current instant (end of run)."""

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventId
-from repro.core.topics import subscription_matches_event
+from repro.core.topics import entitled
 from repro.net.medium import WirelessMedium
 from repro.net.messages import EventBatch, EventIdList, Heartbeat, Message
 from repro.net.node import Node
@@ -133,7 +133,7 @@ class MetricsCollector:
         subscriptions = node.protocol.subscriptions
         row = self.stats[receiver_id]
         for event in message.events:
-            if not subscription_matches_event(subscriptions, event.topic):
+            if not entitled(subscriptions, event.topic):
                 row.parasites_received += 1
                 continue
             key = (receiver_id, event.event_id)

@@ -13,7 +13,8 @@ the production engine against; :func:`full_scan_busy` and
 over *every* row ever written, with no ordering assumption and no
 bound.  :func:`naive_membership` plays the same
 role for the change-driven membership layer: everything it caches,
-recomputed from raw state.
+recomputed from raw state; :func:`naive_energy` for the energy meter:
+power integrated over a script by walking its sorted window edges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventFactory
-from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
+from repro.energy import (DutyCycleConfig, EnergyConfig, PowerProfile,
+                          RadioState)
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
 from repro.harness.experiments import rwp_scenario
@@ -285,3 +287,39 @@ def naive_membership(protocol, subscribed, theirs, hb_delay: float):
     mean = sum(speeds) / len(speeds) if speeds else None
     return (frozenset(advertised), verdict,
             protocol.config.adapted_hb_delay(mean, hb_delay))
+
+
+def naive_energy(script, profile: PowerProfile, capacity_j: Optional[float],
+                 until: float):
+    """``(joules by state, depleted_at, transitions)`` of a radio that
+    followed ``script`` — ``(time, "tx" | "rx" | "sleep" | "wake",
+    duration)`` rows — up to ``until``: power integrated between
+    consecutive window edges, TX over RX over SLEEP over IDLE, a deaf
+    radio hearing nothing and a dead one doing nothing."""
+    joules = dict.fromkeys(RadioState, 0.0)
+    left = math.inf if capacity_j is None else capacity_j
+    tx_until = rx_until = -math.inf
+    asleep, dead_at, transitions, now = False, None, 0, 0.0
+    edges = {until} | {t for t, _, _ in script} | {t + d for t, _, d in script}
+    for edge in sorted(e for e in edges if e <= until):
+        state = (RadioState.OFF if dead_at is not None else
+                 RadioState.TX if now < tx_until else
+                 RadioState.RX if now < rx_until else
+                 RadioState.SLEEP if asleep else RadioState.IDLE)
+        cost = profile.draw_w(state) * (edge - now)
+        if dead_at is None and cost >= left:
+            dead_at, cost = now + left / profile.draw_w(state), left
+            transitions += 1
+        joules[state] += cost
+        left -= cost
+        now = edge
+        for _, op, duration in (row for row in script if row[0] == edge):
+            if dead_at is not None or (op == "rx" and asleep):
+                continue
+            if op == "tx" and edge + duration > tx_until:
+                tx_until, transitions = edge + duration, transitions + 1
+            elif op == "rx" and edge + duration > rx_until:
+                rx_until, transitions = edge + duration, transitions + 1
+            elif op in ("sleep", "wake") and asleep != (op == "sleep"):
+                asleep, transitions = op == "sleep", transitions + 1
+    return joules, dead_at, transitions

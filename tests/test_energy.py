@@ -8,17 +8,20 @@ silent), and end-to-end scenario integration including determinism.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.energy import (Battery, DutyCycleConfig, EnergyAccountant,
-                          EnergyConfig, EnergyModel, PowerProfile,
-                          RadioState)
+from repro.energy import (Battery, DutyCycleConfig, DutyCycler,
+                          EnergyAccountant, EnergyConfig, EnergyModel,
+                          PowerProfile, RadioState)
 from repro.harness import ScenarioConfig, run_scenario
 from repro.harness.scenario import build_world
 from repro.net.radio import RadioConfig, dbm_to_mw
 from repro.sim.kernel import Simulator
+from tests.helpers import naive_energy, shard_rwp_energy
 
 
 # --------------------------------------------------------------------------
@@ -192,6 +195,213 @@ class TestEnergyModel:
 
 
 # --------------------------------------------------------------------------
+# Lazy window ends: the meter against a from-scratch oracle
+# --------------------------------------------------------------------------
+
+#: Power-of-two draws on a 1/64 s lattice: every product, sum and
+#: time-to-empty is exact, so the comparison below is ``==``.  The last
+#: profile is deliberately upside down (idle dearer than RX, RX dearer
+#: than TX): there a window's *end* raises the draw.
+DYADIC_PROFILES = (
+    PowerProfile(tx_w=2.0, rx_w=1.0, idle_w=0.5, sleep_w=0.0),
+    PowerProfile(tx_w=2.0, rx_w=1.0, idle_w=0.5, sleep_w=0.25),
+    PowerProfile(tx_w=0.25, rx_w=0.5, idle_w=2.0, sleep_w=1.0),
+)
+
+_tick = st.integers(0, 640).map(lambda k: k / 64.0)
+_rows = st.one_of(
+    st.tuples(_tick, st.sampled_from(("tx", "rx")),
+              st.integers(1, 128).map(lambda k: k / 64.0)),
+    st.tuples(_tick, st.sampled_from(("sleep", "wake")), st.just(0.0)))
+
+
+def live_timers(sim: Simulator, model: EnergyModel) -> int:
+    """The model's own uncancelled timers in the kernel queue."""
+    return sum(1 for _, _, timer in sim._queue
+               if timer.callback == model._sync and not timer.cancelled)
+
+
+def play(script, profile, capacity_j, until):
+    """Drive a model through ``script`` on a kernel; rows that share an
+    instant fire in script order."""
+    sim, model = make_model(profile=profile, capacity_j=capacity_j)
+    ops = {"tx": model.note_tx, "rx": model.note_rx,
+           "sleep": lambda _: model.sleep(), "wake": lambda _: model.wake()}
+    most_timers = 0
+
+    def step(op, duration):
+        nonlocal most_timers
+        ops[op](duration)
+        most_timers = max(most_timers, live_timers(sim, model))
+
+    for time, op, duration in script:
+        sim.call_at(time, step, op, duration)
+    sim.run(until=until, max_events=10_000)
+    model.finalize()
+    return sim, model, most_timers
+
+
+class TestLazyWindowEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(script=st.lists(_rows, max_size=24).map(
+               lambda rows: sorted(rows, key=lambda row: row[0])),
+           profile=st.sampled_from(DYADIC_PROFILES),
+           capacity_j=st.one_of(st.none(),
+                                st.integers(1, 400).map(lambda k: k / 16.0)),
+           until=st.integers(0, 768).map(lambda k: k / 64.0))
+    # The battery empties at t = 7 exactly, inside the sync of the TX
+    # note that arrives at t = 7: a dead radio opens no window.
+    @example(script=[(1.0, "rx", 1.0), (7.0, "tx", 1.0)],
+             profile=DYADIC_PROFILES[0], capacity_j=4.0, until=12.0)
+    def test_meter_equals_edge_walking_oracle(self, script, profile,
+                                              capacity_j, until):
+        sim, model, most_timers = play(script, profile, capacity_j, until)
+        joules, dead_at, transitions = naive_energy(script, profile,
+                                                    capacity_j, until)
+        assert model.joules_by_state == joules
+        assert model.depleted_at == dead_at
+        assert model.transitions == transitions
+        if capacity_j is None:
+            assert most_timers == 0 and sim.events_processed <= len(script)
+        else:
+            assert most_timers <= 1
+
+    def test_mains_meter_never_touches_the_kernel(self):
+        sim, model = make_model()
+        sim.schedule(50.0, lambda: None)
+        before = sim.pending
+        for k in range(200):
+            sim.run(until=0.01 * k)
+            model.note_rx(0.004)
+            model.note_tx(0.025 if k % 7 == 0 else 0.001)
+            if k % 50 == 25:
+                model.sleep()
+            elif k % 50 == 30:
+                model.wake()
+            assert sim.pending == before
+        model.reset_tallies()
+        model.finalize()
+        assert sim.pending == before and sim.events_processed == 0
+
+    def test_finite_meter_keeps_exactly_one_live_timer(self):
+        sim, model = make_model(capacity_j=1000.0)
+        for k in range(200):
+            sim.run(until=0.01 * k)
+            model.note_rx(0.004)
+            model.note_tx(0.025 if k % 7 == 0 else 0.001)
+            assert live_timers(sim, model) == 1
+        sim.run(until=10.0)
+        assert live_timers(sim, model) == 1 and not model.depleted
+
+    def test_ends_split_in_time_order_not_push_order(self):
+        """An RX window pushed first but ending last: the TX end inside
+        it must be charged across first."""
+        sim, model = make_model(profile=DYADIC_PROFILES[0])
+        model.note_rx(3.0)
+        model.note_tx(1.0)
+        sim.run(until=4.0)
+        model.finalize()
+        assert model.joules_by_state == {
+            RadioState.TX: 2.0, RadioState.RX: 2.0, RadioState.IDLE: 0.5,
+            RadioState.SLEEP: 0.0, RadioState.OFF: 0.0}
+
+    def test_an_end_beyond_the_horizon_is_not_charged(self):
+        sim, model = make_model(profile=DYADIC_PROFILES[0])
+        sim.run(until=1.0)
+        model.note_rx(5.0)
+        sim.run(until=3.0)
+        model.finalize()
+        assert model.joules_by_state[RadioState.RX] == 2.0
+        assert model.joules_by_state[RadioState.IDLE] == 0.5
+        assert model.state is RadioState.RX      # the window is still open
+        assert model.total_joules == 2.5
+
+    def test_depletion_is_exact_when_a_window_end_raises_the_draw(self):
+        """Time-to-empty at the RX draw overshoots once the window ends
+        into a dearer state: the timer must stop at the end first."""
+        deaths = []
+        sim, model = make_model(profile=DYADIC_PROFILES[2], capacity_j=4.5,
+                                on_depleted=deaths.append)
+        model.note_rx(1.0)               # 0.5 J, then 2 W idle: 2 s more
+        sim.run(until=100.0)
+        assert deaths == [0] and model.depleted_at == 3.0
+        assert model.joules_by_state[RadioState.RX] == 0.5
+        assert model.joules_by_state[RadioState.IDLE] == 4.0
+
+    def test_warmup_ends_survive_reset_and_revive(self):
+        """A window opened before the tallies are zeroed — or before a
+        dead radio is revived — still ends when it said it would."""
+        sim, model = make_model(profile=DYADIC_PROFILES[0])
+        sim.run(until=1.0)
+        model.note_rx(2.0)
+        sim.run(until=2.0)
+        model.reset_tallies()
+        sim.run(until=5.0)
+        model.finalize()
+        assert model.joules_by_state[RadioState.RX] == 1.0      # [2, 3)
+        assert model.joules_by_state[RadioState.IDLE] == 1.0    # [3, 5)
+
+        # Revival forgets the open window but not its end: the instant
+        # stays a split point, visible in the last bit of the float sum.
+        profile = PowerProfile(tx_w=2.0, rx_w=1.0, idle_w=0.3, sleep_w=0.0)
+        sim, model = make_model(profile=profile, capacity_j=1.0)
+        model.note_tx(1.9)
+        sim.run(until=0.7)                       # dead at 0.5, mid-window
+        assert model.depleted_at == 0.5
+        model.reset_tallies()
+        model.revive()
+        assert model.state is RadioState.IDLE
+        assert live_timers(sim, model) == 1
+        sim.run(until=3.1)
+        model.finalize()
+        split = 0.3 * (1.9 - 0.7) + 0.3 * (3.1 - 1.9)
+        assert split != 0.3 * (3.1 - 0.7)
+        assert model.joules_by_state[RadioState.IDLE] == split
+        assert model.joules_by_state[RadioState.TX] == 0.0
+
+        # An end that passed while the radio lay dead is not owed a
+        # timer when it is revived without a sync in between.
+        sim, model = make_model(profile=DYADIC_PROFILES[0], capacity_j=0.25)
+        model.note_tx(1.0)
+        sim.run(until=2.0)
+        assert model.depleted_at == 0.125
+        model.revive()
+        sim.run(until=3.0, max_events=10)
+        assert model.depleted_at == 2.5 and live_timers(sim, model) == 0
+
+    def test_negative_charge_is_rejected_on_mains_too(self):
+        """Mains skips the battery, not the battery's sanity check."""
+        profile = PowerProfile.power_save()
+        object.__setattr__(profile, "rx_w", -1.0)    # past __post_init__
+        sim, model = make_model(profile=profile)
+        model.note_rx(1.0)
+        sim.run(until=0.5)
+        with pytest.raises(ValueError, match="negative"):
+            model.finalize()
+
+    @pytest.mark.parametrize("capacity_j, some_die", [(8.0, False),
+                                                      (2.0, True)])
+    def test_state_durations_sum_to_the_measurement_window(self, capacity_j,
+                                                           some_die):
+        """ROADMAP 3(c): per node, the time spent in each state (joules
+        over draw), plus the time spent dead, is the window."""
+        cfg = shard_rwp_energy()
+        cfg = cfg.with_changes(energy=dataclasses.replace(
+            cfg.energy, battery_capacity_j=capacity_j))
+        result = run_scenario(cfg)
+        profile = cfg.energy.profile
+        assert bool(result.energy.deaths) == some_die
+        for model in result.energy.models.values():
+            powered = sum(joules / profile.draw_w(state) for state, joules
+                          in model.joules_by_state.items()
+                          if state is not RadioState.OFF)
+            dead = (cfg.warmup + cfg.duration - model.depleted_at
+                    if model.depleted else 0.0)
+            assert powered + dead == pytest.approx(cfg.duration, rel=1e-9)
+            assert model.joules_by_state[RadioState.OFF] == 0.0
+
+
+# --------------------------------------------------------------------------
 # Duty cycle
 # --------------------------------------------------------------------------
 
@@ -227,6 +437,40 @@ class TestDutyCycleConfig:
             DutyCycleConfig(awake_fraction=0.0)
         with pytest.raises(ValueError):
             DutyCycleConfig(awake_fraction=1.5)
+
+
+#: Schedules whose awake edge is not exactly representable: ``now %
+#: period`` lands an ulp short of ``awake_s`` there (t = 2.3, 4.1, 1.2,
+#: 4.6, 1.9, 0.45, 0.25, 0.91, 0.33, 1.62, 2.25, 2.75 respectively).
+NON_DYADIC_SCHEDULES = [
+    (1.0, 0.3), (1.0, 0.1), (1.0, 0.2), (1.0, 0.6), (1.0, 0.9), (0.3, 0.5),
+    (0.1, 0.5), (0.7, 0.3), (0.3, 0.1), (0.6, 0.7), (0.9, 0.5), (1.1, 0.5)]
+
+
+class TestDutyCycler:
+    @pytest.mark.parametrize("period_s, fraction", NON_DYADIC_SCHEDULES)
+    def test_every_edge_is_strictly_later_than_the_last(self, period_s,
+                                                        fraction):
+        cfg = DutyCycleConfig(period_s=period_s, awake_fraction=fraction)
+        sim = Simulator()
+        flips = []
+
+        class Radio:
+            def wake(self):
+                flips.append((sim.now, True))
+
+            def sleep(self):
+                flips.append((sim.now, False))
+
+        DutyCycler(sim, Radio(), cfg)
+        sim.run(until=130.0, max_events=10_000)
+        assert abs(len(flips) - 2 * 130.0 / period_s) <= 2
+        for (t0, up0), (t1, up1) in zip(flips, flips[1:]):
+            assert t1 > t0 and up1 != up0
+        for time, up in flips:
+            assert cfg.is_awake_at(time) == up
+            assert cfg.next_wake_after(time) == time if up else \
+                time < cfg.next_wake_after(time) <= time + period_s
 
 
 # --------------------------------------------------------------------------

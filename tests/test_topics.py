@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.topics import (Topic, TopicError, covers, related,
-                               subscription_matches_event,
+from repro.core.topics import (VERDICT_MEMO_SIZE, Topic, TopicError, covers,
+                               entitled, related, subscription_matches_event,
                                subscriptions_related)
 
 
@@ -123,6 +123,20 @@ class TestSubscriptionMatching:
 
     def test_empty_subscriptions_match_nothing(self):
         assert not subscription_matches_event([], Topic(".a"))
+
+    def test_entitled_is_the_same_verdict_memoised_by_value(self):
+        """Decoded heartbeats and re-published events carry *equal*
+        sets and topics, not identical ones: the memo must hit on those."""
+        subs = frozenset({Topic(".memo.sports"), Topic(".memo.news.tech")})
+        for path in (".memo.sports.football", ".memo.news.tech",
+                     ".memo.news.politics", ".memo"):
+            assert entitled(subs, Topic(path)) is \
+                subscription_matches_event(subs, Topic(path))
+        assert not entitled(frozenset(), Topic(".memo.a"))
+        hits = entitled.cache_info().hits
+        assert entitled(frozenset(set(subs)), Topic(".memo.news.tech"))
+        assert entitled.cache_info().hits == hits + 1
+        assert entitled.cache_info().maxsize == VERDICT_MEMO_SIZE
 
     def test_subscriptions_related_cross_pairs(self):
         mine = [Topic(".t0.t1")]
