@@ -47,8 +47,9 @@ class Host(Protocol):
         and an ``.active`` property (pending: not fired, not
         cancelled).  Both sides of the contract are load-bearing — the
         forwarding layer polls ``.active`` to dedupe its backoff timer —
-        so every Host implementation (sim ``Timer``, rt ``RtTimer``)
-        must provide them."""
+        so every Host implementation must provide them (both shipped
+        hosts hand out the kernel's ``Timer``, fired by the simulator
+        or by the rt runtime's loop clock)."""
 
     def periodic(self, period: float, callback: Callable[[], None],
                  jitter: float = 0.0) -> object:

@@ -36,6 +36,11 @@ so the payload is the measurements, not the megabytes of world graph.
 With ``jobs=1`` (the default) no pool and no pickling are involved at
 all: jobs run in-process, exactly as the historical serial
 ``run_seeds`` did, keeping tier-1 tests dependency- and subprocess-free.
+
+The pool is a ``concurrent.futures`` executor, not a
+``multiprocessing.Pool``, which silently replaces a killed worker and
+never yields its job (the sweep hangs).  A lost worker raises
+:class:`WorkerLost` instead.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, config_digest
 from repro.harness.runner import MultiSeedResult
 from repro.harness.scenario import (ScenarioConfig, ScenarioResult,
                                     run_scenario)
@@ -97,6 +102,26 @@ def _execute(config: ScenarioConfig) -> ScenarioResult:
     return run_scenario(config)
 
 
+def _mark_daemonic() -> None:
+    """Worker initializer: pool workers are daemonic, as
+    ``multiprocessing.Pool``'s were, so they may not spawn children
+    (the sharded engine degrades to in-process inside them)."""
+    multiprocessing.current_process().daemon = True
+
+
+class WorkerLost(RuntimeError):
+    """A worker process died (killed, crashed) before returning a job.
+
+    ``config_digest`` is the cache key of the first job whose result
+    never arrived; every result that arrived before it is cached.
+    """
+
+    def __init__(self, digest: str):
+        super().__init__(f"a --jobs worker process died before returning "
+                         f"config {digest}")
+        self.config_digest = digest
+
+
 @dataclass
 class EngineStats:
     """What a runner actually did, for cache-hit reporting."""
@@ -142,16 +167,20 @@ class ParallelRunner:
 
     def _ensure_pool(self):
         if self._pool is None:
-            ctx = multiprocessing.get_context("spawn")
-            self._pool = ctx.Pool(processes=self.jobs)
+            # Imported here, not at module level: concurrent.futures
+            # weighs ~1.3 MiB, which every `repro` command would pay.
+            from concurrent.futures import ProcessPoolExecutor
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_mark_daemonic)
         return self._pool
 
     def close(self) -> None:
         """Reap the worker pool (idempotent; the runner stays usable —
         the pool is recreated on the next parallel call)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "ParallelRunner":
@@ -173,9 +202,10 @@ class ParallelRunner:
         the pool (or run serially in-process for ``jobs=1``).  Output
         order is the input order by construction — completion order
         never leaks through.  Fresh results are written to the cache as
-        each one arrives (ordered ``imap``, not a batch ``map``), so a
-        run killed mid-sweep still leaves every completed cell on disk
-        and a rerun only computes what is actually missing.
+        each one arrives, so a run killed mid-sweep still leaves every
+        completed cell on disk and a rerun only computes what is
+        actually missing.  A worker that dies mid-job raises
+        :class:`WorkerLost`.
         """
         configs = list(configs)
         results: List[Optional[ScenarioResult]] = [None] * len(configs)
@@ -192,14 +222,26 @@ class ParallelRunner:
             if self.jobs == 1 or len(pending) == 1:
                 fresh = (_execute(configs[i]) for i in pending)
             else:
-                pool = self._ensure_pool()
-                fresh = pool.imap(_execute, [configs[i] for i in pending])
+                fresh = self._pooled([configs[i] for i in pending])
             for i, result in zip(pending, fresh):
                 results[i] = result
                 self.stats.executed += 1
                 if self.cache is not None:
                     self.cache.put(result)
         return results  # type: ignore[return-value]  # all filled above
+
+    def _pooled(self, configs: List[ScenarioConfig]
+                ) -> Iterator[ScenarioResult]:
+        """Results of ``configs`` from the pool, in input order; a
+        broken pool is reaped and surfaces as :class:`WorkerLost`."""
+        results = self._ensure_pool().map(_execute, configs)
+        from concurrent.futures.process import BrokenProcessPool
+        for config in configs:
+            try:
+                yield next(results)
+            except BrokenProcessPool as exc:
+                self.close()
+                raise WorkerLost(config_digest(config)) from exc
 
     def run_seeds(self, config: ScenarioConfig,
                   seeds: Iterable[int]) -> MultiSeedResult:

@@ -43,7 +43,9 @@ def event_reliability(collector: MetricsCollector, event: Event,
 
     ``subscriber_ids`` is the population entitled to the event (determined
     by the scenario, which knows who subscribed to what); deliveries after
-    the validity expiry are tallied separately as late.
+    the validity expiry are tallied separately as late.  ``collector`` is
+    anything answering ``deliveries_of(event_id)``: the sim's collector or
+    the rt runtime's :class:`~repro.rt.cluster.RtResult`.
     """
     subscriber_ids = list(subscriber_ids)
     times = collector.deliveries_of(event.event_id)

@@ -31,8 +31,9 @@ from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventFactory, EventId
 from repro.harness.scenario import (Publication, ScenarioConfig,
                                     make_protocol, select_subscribers)
-from repro.metrics import ReliabilityReport, mean_reliability
-from repro.rt.host import AsyncioHost, HostDatagramProtocol
+from repro.metrics import (ReliabilityReport, event_reliability,
+                           mean_reliability)
+from repro.rt.host import AsyncioHost
 from repro.sim import RngRegistry
 
 #: Fault actions the loopback cluster can inject — the subset of the
@@ -94,28 +95,16 @@ class RtResult:
         """Summed measurement-window counters across all nodes."""
         return ProtocolCounters.total(self.per_node_counters)
 
+    def deliveries_of(self, event_id: EventId) -> Dict[int, float]:
+        """``{node_id: first delivery time}`` for one event (the
+        :class:`~repro.metrics.MetricsCollector` query of that name)."""
+        return self.delivery_times.get(event_id, {})
+
     def per_event_reports(self) -> List[ReliabilityReport]:
-        """One in-time delivery report per published event, using the
-        sim's rule: delivered in time iff the node's first delivery
-        lands at or before the event's validity expiry."""
-        reports = []
-        for event in self.published_events:
-            times = self.delivery_times.get(event.event_id, {})
-            in_time = 0
-            late = 0
-            for node_id in self.subscriber_ids:
-                t = times.get(node_id)
-                if t is None:
-                    continue
-                if t <= event.expires_at:
-                    in_time += 1
-                else:
-                    late += 1
-            reports.append(ReliabilityReport(
-                event_id=event.event_id,
-                subscribers=len(self.subscriber_ids),
-                delivered_in_time=in_time, delivered_late=late))
-        return reports
+        """One in-time delivery report per published event, by the
+        sim's own rule (:func:`~repro.metrics.event_reliability`)."""
+        return [event_reliability(self, event, self.subscriber_ids)
+                for event in self.published_events]
 
     def reliability(self) -> float:
         """Mean measured reliability across the run's publications."""
@@ -195,8 +184,7 @@ class LoopbackCluster:
                          else config.other_topic)
                 protocol.subscribe(topic)
                 transport, _ = await loop.create_datagram_endpoint(
-                    lambda h=host: HostDatagramProtocol(h),
-                    local_addr=("127.0.0.1", 0))
+                    lambda h=host: h, local_addr=("127.0.0.1", 0))
                 hosts.append(host)
                 transports.append(transport)
 

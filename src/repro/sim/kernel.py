@@ -27,6 +27,11 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (scheduling in the past, running twice...)."""
 
 
+class InvalidPeriod(SimulationError, ValueError):
+    """A non-positive :class:`PeriodicTask` period: a kernel misuse and
+    a bad argument at once (the ``io.UnsupportedOperation`` pattern)."""
+
+
 class Timer:
     """A cancellable handle for a scheduled callback.
 
@@ -183,7 +188,8 @@ class PeriodicTask:
     The period can be changed on the fly with :meth:`set_period` — the
     frugal protocol adapts its heartbeat period to the observed neighbour
     speed (paper Fig. 8, ``computeHBDelay``), so this is a first-class
-    operation: the new period takes effect from the next tick.
+    operation: the new period takes effect from the next tick.  ``sim``
+    is any clock with ``schedule(delay, callback) -> Timer``.
     """
 
     def __init__(self, sim: Simulator, period: float,
@@ -192,7 +198,7 @@ class PeriodicTask:
                  rng=None,
                  start_delay: Optional[float] = None):
         if period <= 0:
-            raise SimulationError(f"period must be positive: {period=}")
+            raise InvalidPeriod(f"period must be positive: {period=}")
         self._sim = sim
         self._period = float(period)
         self._callback = callback
@@ -229,7 +235,7 @@ class PeriodicTask:
     def set_period(self, period: float) -> None:
         """Update the period; takes effect from the next re-arm."""
         if period <= 0:
-            raise SimulationError(f"period must be positive: {period=}")
+            raise InvalidPeriod(f"period must be positive: {period=}")
         self._period = float(period)
 
     @property

@@ -15,14 +15,27 @@ bound.  :func:`naive_membership` plays the same
 role for the change-driven membership layer: everything it caches,
 recomputed from raw state; :func:`naive_energy` for the energy meter:
 power integrated over a script by walking its sorted window edges.
+
+:class:`ScriptedProtocol` and :class:`FakeTransport` are the doubles
+for driving a real host: a protocol that only records its lifecycle and
+messages, and a UDP transport that only records ``sendto`` calls.
+:class:`SelfKillingSpec` is a world whose construction kills the worker
+process building it.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pathlib
 import random
+import signal
+import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.base import PubSubProtocol
 from repro.core.events import Event, EventFactory
 from repro.energy import (DutyCycleConfig, EnergyConfig, PowerProfile,
                           RadioState)
@@ -30,8 +43,9 @@ from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
 from repro.harness.experiments import rwp_scenario
 from repro.harness.presets import QUICK
-from repro.harness.scenario import (Publication, RandomWaypointSpec,
-                                    ScenarioConfig)
+from repro.harness.scenario import (MobilitySpec, Publication,
+                                    RandomWaypointSpec, ScenarioConfig)
+from repro.mobility import Stationary
 from repro.net import RadioConfig
 from repro.net.messages import Message
 from repro.sim.kernel import PeriodicTask, Simulator
@@ -87,6 +101,70 @@ class FakeHost:
     def clear(self) -> None:
         self.sent.clear()
         self.delivered.clear()
+
+
+class ScriptedProtocol(PubSubProtocol):
+    """Minimal concrete protocol recording its lifecycle and messages."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = 0
+        self.stopped = 0
+        self.messages = []
+
+    def on_start(self):
+        self.started += 1
+
+    def on_stop(self):
+        self.stopped += 1
+
+    def subscribe(self, topic):
+        pass
+
+    def unsubscribe(self, topic):
+        pass
+
+    def publish(self, event):
+        pass
+
+    @property
+    def subscriptions(self):
+        return frozenset()
+
+    def on_message(self, message):
+        self.messages.append(message)
+
+
+class FakeTransport:
+    """Collects sendto calls instead of hitting a socket."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, addr):
+        self.sent.append((data, addr))
+
+
+@dataclass(frozen=True)
+class SelfKillingSpec(MobilitySpec):
+    """Stationary nodes whose ``build()`` SIGKILLs the process running
+    it — but only in a child process, and only once ``cache_dir`` holds
+    ``after_entries`` cached results (so the jobs queued ahead of it
+    have provably arrived)."""
+
+    cache_dir: str
+    after_entries: int = 0
+    width: float = 500.0
+    height: float = 500.0
+
+    def build(self, index: int):
+        if multiprocessing.parent_process() is not None:
+            deadline = time.monotonic() + 30.0
+            while (len(list(pathlib.Path(self.cache_dir).glob("*.pkl")))
+                   < self.after_entries and time.monotonic() < deadline):
+                time.sleep(0.05)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return Stationary(width=self.width, height=self.height)
 
 
 def make_event(publisher: int = 99, seq: int = 0, topic: str = ".t",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import signal
 
 import pytest
 
@@ -22,14 +23,15 @@ from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
 from repro.harness import parallel
-from repro.harness.cache import ResultCache
-from repro.harness.parallel import EngineStats, ParallelRunner
+from repro.harness.cache import ResultCache, config_digest
+from repro.harness.parallel import EngineStats, ParallelRunner, WorkerLost
 from repro.harness.presets import Scale
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec)
 from repro.net import RadioConfig
 from repro.study import Axis, build_study, run_study
+from tests.helpers import SelfKillingSpec
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -239,6 +241,43 @@ class TestCachedSweep:
         assert extended.stats.cache_hits == 2
         assert extended.stats.executed == 2
         assert [r.config.seed for r in multi.results] == [0, 1, 2, 3]
+
+
+class TestWorkerLost:
+    def test_killed_worker_raises_keeps_arrivals_and_recovers(self,
+                                                             tmp_path):
+        """A SIGKILLed worker used to hang the sweep forever (the Pool
+        replaced it and never yielded its job).  Now the run fails
+        loudly, naming the lost job; what arrived first stays cached;
+        and the same runner works again on the next call."""
+        def hung(signum, frame):
+            raise TimeoutError("a killed worker hung the sweep")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            cache = ResultCache(tmp_path / "cache")
+            good = [_stationary_gossip().with_changes(seed=s)
+                    for s in range(4)]
+            bad = _stationary_gossip().with_changes(
+                mobility=SelfKillingSpec(cache_dir=str(cache.root),
+                                         after_entries=2))
+            with ParallelRunner(jobs=2, cache=cache) as runner:
+                with pytest.raises(WorkerLost) as lost:
+                    runner.run_configs(good[:2] + [bad] + good[2:])
+                assert lost.value.config_digest == config_digest(bad)
+                assert lost.value.config_digest in str(lost.value)
+                assert all(cache.get(c) is not None for c in good[:2])
+                assert cache.get(bad) is None
+
+                runner.stats.reset()
+                again = runner.run_configs(good)
+                assert [r.config.seed for r in again] == [0, 1, 2, 3]
+                assert runner.stats.cache_hits == 2
+                assert runner.stats.executed == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestValidation:

@@ -8,13 +8,18 @@ timing.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.base import ProtocolCounters
 from repro.harness.scenario import (FixedPositionsSpec, Publication,
                                     ScenarioConfig)
+from repro.metrics import MetricsCollector, event_reliability
 from repro.rt.bridge import grid_positions
-from repro.rt.cluster import RT_FAULT_KINDS, LoopbackCluster, RtFault
+from repro.rt.cluster import (RT_FAULT_KINDS, LoopbackCluster, RtFault,
+                              RtResult)
+from tests.helpers import make_event
 
 
 def tiny_config(protocol: str = "frugal", n: int = 5,
@@ -117,6 +122,31 @@ class TestClusterFaults:
             faults=(RtFault(at=0.2, kind="silence", node=victim),
                     RtFault(at=4.0, kind="restore", node=victim))).run()
         assert result.reliability() == 1.0
+
+
+class TestReportsWithoutSockets:
+    def test_hand_built_result_reports_like_the_sim(self):
+        """RtResult scores deliveries by the sim's own function: in time
+        up to and including expiry, late after, missing not at all."""
+        published = [make_event(seq=0, validity=60.0),
+                     make_event(seq=1, validity=60.0)]
+        times = {published[0].event_id: {1: 10.0, 2: 60.0, 3: 61.0,
+                                         9: 5.0}}   # 9: not a subscriber
+        result = RtResult(
+            config=tiny_config(), time_scale=1.0,
+            published_events=published, subscriber_ids=[1, 2, 3, 4],
+            delivery_times=times, per_node_counters=[], frames_sent=0,
+            datagrams_sent=0, wire_bytes_sent=0, frames_rejected=0,
+            wallclock_s=0.0)
+        collector = MetricsCollector(SimpleNamespace())
+        collector.delivery_times.update(times)
+        assert result.per_event_reports() == [
+            event_reliability(collector, event, [1, 2, 3, 4])
+            for event in published]
+        first, second = result.per_event_reports()
+        assert (first.delivered_in_time, first.delivered_late) == (2, 1)
+        assert (second.delivered_in_time, second.delivered_late) == (0, 0)
+        assert result.reliability() == pytest.approx((2 / 4 + 0) / 2)
 
 
 class TestValidation:

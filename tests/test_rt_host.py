@@ -15,57 +15,15 @@ import random
 import pytest
 
 from repro.core import FrugalConfig, FrugalPubSub
-from repro.core.base import PubSubProtocol
 from repro.core.events import Event, EventId
 from repro.core.topics import Topic
 from repro.net.messages import Heartbeat
 from repro.rt.codec import encode
 from repro.rt.host import AsyncioHost
+from tests.helpers import FakeTransport, ScriptedProtocol
 
 #: High compression so multi-virtual-second waits finish in milliseconds.
 SCALE = 200.0
-
-
-class ScriptedProtocol(PubSubProtocol):
-    """Minimal concrete protocol recording its lifecycle and messages."""
-
-    def __init__(self):
-        super().__init__()
-        self.started = 0
-        self.stopped = 0
-        self.messages = []
-
-    def on_start(self):
-        self.started += 1
-
-    def on_stop(self):
-        self.stopped += 1
-
-    def subscribe(self, topic):
-        pass
-
-    def unsubscribe(self, topic):
-        pass
-
-    def publish(self, event):
-        pass
-
-    @property
-    def subscriptions(self):
-        return frozenset()
-
-    def on_message(self, message):
-        self.messages.append(message)
-
-
-class FakeTransport:
-    """Collects sendto calls instead of hitting a socket."""
-
-    def __init__(self):
-        self.sent = []
-
-    def sendto(self, data, addr):
-        self.sent.append((data, addr))
 
 
 def make_host(time_scale: float = SCALE, peers: int = 2):
