@@ -27,14 +27,15 @@ Quickstart::
 
     result = run_scenario(ScenarioConfig.random_waypoint_demo(seed=1))
     print(result.reliability())
+
+Every package re-exports its names lazily (:mod:`repro._lazy`): importing
+``repro`` — or the harness, the cache and the CLI — loads no simulation
+engine code until something runs a world.
 """
 
-from repro.core import (Event, EventId, FrugalConfig, FrugalPubSub, Topic,
-                        TopicError)
-from repro.net import RadioConfig, SizeModel
-from repro.sim import Simulator
+from repro._lazy import lazy_exports
 
-__version__ = "1.0.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "Event",
@@ -48,3 +49,13 @@ __all__ = [
     "Simulator",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.events": ("Event", "EventId"),
+    "repro.core.config": ("FrugalConfig",),
+    "repro.core.protocol": ("FrugalPubSub",),
+    "repro.core.topics": ("Topic", "TopicError"),
+    "repro.net.radio": ("RadioConfig",),
+    "repro.net.messages": ("SizeModel",),
+    "repro.sim.kernel": ("Simulator",),
+})

@@ -10,9 +10,10 @@ one-shot forwarding), and the stack refactor contributed an
 lpbcast-style gossip baseline (periodic probabilistic rounds over a
 bounded digest buffer).
 
-Importing this package registers every baseline in the protocol registry
-(:mod:`repro.core.registry`), alongside the frozen pre-stack reference
-implementations (hidden entries, used by the paired-equality suite).
+Each module exposes a ``make_<name>(config)`` factory; the protocol
+registry (:mod:`repro.core.registry`) names those factories as data and
+imports a module the first time its protocol is instantiated, so
+validating a scenario config never loads this package.
 """
 
 from repro.baselines.base import FloodingProtocol
@@ -21,8 +22,6 @@ from repro.baselines.interest_flooding import InterestAwareFlooding
 from repro.baselines.neighbor_flooding import NeighborInterestFlooding
 from repro.baselines.storm import CounterFlooding, GossipFlooding
 from repro.baselines.gossip import GossipConfig, GossipPubSub
-from repro.baselines import reference
-from repro.core import registry
 
 __all__ = [
     "FloodingProtocol",
@@ -34,74 +33,3 @@ __all__ = [
     "GossipConfig",
     "GossipPubSub",
 ]
-
-
-def _register_builtins() -> None:
-    """Install the baseline strategies into the default registry.
-
-    Factories receive the full :class:`~repro.harness.scenario
-    .ScenarioConfig` (duck-typed) and read only the fields they need, so
-    paired sweeps can vary one protocol's knobs without perturbing the
-    others.  Idempotent: re-imports re-register identical entries.
-    """
-    registry.register(
-        "simple-flooding",
-        lambda c: SimpleFlooding(flood_period=c.flood_period),
-        description="flood everything every second, interests ignored",
-        replace=True)
-    registry.register(
-        "interest-flooding",
-        lambda c: InterestAwareFlooding(flood_period=c.flood_period),
-        description="flood only events the process subscribed to",
-        replace=True)
-    registry.register(
-        "neighbor-flooding",
-        lambda c: NeighborInterestFlooding(flood_period=c.flood_period),
-        description="flood subscribed events while an interested "
-                    "neighbour exists",
-        replace=True)
-    registry.register(
-        "gossip-flooding",
-        lambda c: GossipFlooding(probability=c.gossip_probability),
-        description="one-shot probabilistic broadcast-storm scheme",
-        replace=True)
-    registry.register(
-        "counter-flooding",
-        lambda c: CounterFlooding(threshold=c.counter_threshold),
-        description="one-shot counter-based broadcast-storm scheme",
-        replace=True)
-    registry.register(
-        "gossip",
-        lambda c: GossipPubSub(c.gossip),
-        description="lpbcast-style periodic gossip over a bounded "
-                    "digest buffer",
-        replace=True)
-    # Frozen pre-stack monoliths: valid protocol names (the paired
-    # bit-identity suite runs them through the full harness, including
-    # parallel workers) but hidden from protocol sweeps.
-    registry.register(
-        "legacy-frugal",
-        lambda c: reference.ReferenceFrugalPubSub(c.frugal),
-        description="pre-stack frugal monolith (verification reference)",
-        hidden=True, replace=True)
-    registry.register(
-        "legacy-simple-flooding",
-        lambda c: reference.ReferenceSimpleFlooding(
-            flood_period=c.flood_period),
-        description="pre-stack simple flooder (verification reference)",
-        hidden=True, replace=True)
-    registry.register(
-        "legacy-interest-flooding",
-        lambda c: reference.ReferenceInterestAwareFlooding(
-            flood_period=c.flood_period),
-        description="pre-stack interest flooder (verification reference)",
-        hidden=True, replace=True)
-    registry.register(
-        "legacy-neighbor-flooding",
-        lambda c: reference.ReferenceNeighborInterestFlooding(
-            flood_period=c.flood_period),
-        description="pre-stack neighbour flooder (verification reference)",
-        hidden=True, replace=True)
-
-
-_register_builtins()

@@ -21,3 +21,8 @@ class InterestAwareFlooding(FloodingProtocol):
 
     def _should_flood(self, event: Event) -> bool:
         return True   # everything stored passed the interest filter
+
+
+def make_interest_flooding(config) -> InterestAwareFlooding:
+    """Registry factory for ``interest-flooding``: reads ``flood_period``."""
+    return InterestAwareFlooding(flood_period=config.flood_period)

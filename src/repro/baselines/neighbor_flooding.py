@@ -67,3 +67,8 @@ class NeighborInterestFlooding(FloodingProtocol):
 
     def _on_heartbeat(self, hb: Heartbeat) -> None:
         self.membership.on_heartbeat(hb)
+
+
+def make_neighbor_flooding(config) -> NeighborInterestFlooding:
+    """Registry factory for ``neighbor-flooding``: reads ``flood_period``."""
+    return NeighborInterestFlooding(flood_period=config.flood_period)

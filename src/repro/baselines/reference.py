@@ -556,3 +556,25 @@ class ReferenceNeighborInterestFlooding(ReferenceFloodingProtocol):
     def _should_flood(self, event: Event) -> bool:
         self._prune_neighbors()
         return self._neighbor_interested(event)
+
+
+def make_legacy_frugal(config) -> ReferenceFrugalPubSub:
+    """Registry factory for ``legacy-frugal``: reads ``config.frugal``."""
+    return ReferenceFrugalPubSub(config.frugal)
+
+
+def make_legacy_simple_flooding(config) -> ReferenceSimpleFlooding:
+    """Registry factory for ``legacy-simple-flooding``."""
+    return ReferenceSimpleFlooding(flood_period=config.flood_period)
+
+
+def make_legacy_interest_flooding(config) -> ReferenceInterestAwareFlooding:
+    """Registry factory for ``legacy-interest-flooding``."""
+    return ReferenceInterestAwareFlooding(flood_period=config.flood_period)
+
+
+def make_legacy_neighbor_flooding(config
+                                  ) -> ReferenceNeighborInterestFlooding:
+    """Registry factory for ``legacy-neighbor-flooding``."""
+    return ReferenceNeighborInterestFlooding(
+        flood_period=config.flood_period)

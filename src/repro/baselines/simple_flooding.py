@@ -21,3 +21,8 @@ class SimpleFlooding(FloodingProtocol):
 
     def _should_flood(self, event: Event) -> bool:
         return True
+
+
+def make_simple_flooding(config) -> SimpleFlooding:
+    """Registry factory for ``simple-flooding``: reads ``flood_period``."""
+    return SimpleFlooding(flood_period=config.flood_period)

@@ -167,3 +167,15 @@ class CounterFlooding(_OneShotRebroadcast):
         copies = self._copies.pop(event.event_id, 0)
         if copies < self.threshold:
             self._broadcast(event)
+
+
+def make_gossip_flooding(config) -> GossipFlooding:
+    """Registry factory for ``gossip-flooding``: reads
+    ``gossip_probability``."""
+    return GossipFlooding(probability=config.gossip_probability)
+
+
+def make_counter_flooding(config) -> CounterFlooding:
+    """Registry factory for ``counter-flooding``: reads
+    ``counter_threshold``."""
+    return CounterFlooding(threshold=config.counter_threshold)

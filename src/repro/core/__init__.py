@@ -21,18 +21,12 @@ Layout:
   harness dispatches through,
 * :mod:`repro.core.protocol` — the three-phase frugal dissemination
   algorithm itself (Sections 4.2-4.4), composed from the stack layers.
+
+Names resolve lazily (:mod:`repro._lazy`): the harness reads configs and
+the registry without loading the protocol stack.
 """
 
-from repro.core.topics import Topic, TopicError, covers, related
-from repro.core.events import Event, EventId
-from repro.core.config import FrugalConfig
-from repro.core.tables import (NeighborhoodTable, NeighborEntry, EventTable,
-                               EventTableFull)
-from repro.core.gc import (EvictionPolicy, ValidityForwardPolicy, FifoPolicy,
-                           RandomPolicy, RemainingValidityPolicy, gc_score)
-from repro.core.base import PubSubProtocol, Host, ProtocolCounters
-from repro.core.registry import ProtocolEntry, ProtocolRegistry, REGISTRY
-from repro.core.protocol import FrugalPubSub
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Topic",
@@ -60,3 +54,17 @@ __all__ = [
     "REGISTRY",
     "FrugalPubSub",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.topics": ("Topic", "TopicError", "covers", "related"),
+    "repro.core.events": ("Event", "EventId"),
+    "repro.core.config": ("FrugalConfig",),
+    "repro.core.tables": ("NeighborhoodTable", "NeighborEntry", "EventTable",
+                          "EventTableFull"),
+    "repro.core.gc": ("EvictionPolicy", "ValidityForwardPolicy",
+                      "FifoPolicy", "RandomPolicy", "RemainingValidityPolicy",
+                      "gc_score"),
+    "repro.core.base": ("PubSubProtocol", "Host", "ProtocolCounters"),
+    "repro.core.registry": ("ProtocolEntry", "ProtocolRegistry", "REGISTRY"),
+    "repro.core.protocol": ("FrugalPubSub",),
+})

@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from typing import FrozenSet, Optional, Tuple
 
-from repro.core import registry
 from repro.core.base import PubSubProtocol
 from repro.core.config import FrugalConfig
 from repro.core.events import Event
@@ -295,8 +294,6 @@ class FrugalPubSub(PubSubProtocol):
                 f"events={len(self.events) if self.events else 0}>")
 
 
-registry.register(
-    "frugal",
-    lambda config: FrugalPubSub(config.frugal),
-    description="the paper's frugal store-and-forward protocol",
-    replace=True)   # module re-imports re-register identically
+def make_frugal(config) -> FrugalPubSub:
+    """Registry factory for ``frugal``: reads ``config.frugal``."""
+    return FrugalPubSub(config.frugal)

@@ -17,6 +17,12 @@ frozen pre-stack reference implementations
 can run them through the full harness without them showing up in
 comparison tables.
 
+The built-in protocols are data: :data:`BUILTINS` names each one's
+factory as ``"module:function"``, and :data:`REGISTRY` starts out
+holding one ordinary :class:`ProtocolEntry` per row, whose factory
+imports that module on its first call.  Validating a config or listing
+names therefore loads no protocol code.
+
 Worker processes of the parallel engine resolve names against *their
 own* import of the registry, so custom protocols must be registered at
 import time of a module the harness pulls in (see
@@ -25,14 +31,67 @@ import time of a module the harness pulls in (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List
+import importlib
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.core.base import PubSubProtocol
 
 #: A protocol factory: receives the full scenario config (duck-typed),
 #: returns a fresh protocol instance.
 ProtocolFactory = Callable[[object], PubSubProtocol]
+
+#: The built-in protocols: ``(name, "module:factory", description,
+#: hidden)``.  Each factory reads only the config fields its protocol
+#: needs, so paired sweeps can vary one protocol's knobs without
+#: perturbing the others.
+BUILTINS: Tuple[Tuple[str, str, str, bool], ...] = (
+    ("frugal", "repro.core.protocol:make_frugal",
+     "the paper's frugal store-and-forward protocol", False),
+    ("simple-flooding", "repro.baselines.simple_flooding:make_simple_flooding",
+     "flood everything every second, interests ignored", False),
+    ("interest-flooding",
+     "repro.baselines.interest_flooding:make_interest_flooding",
+     "flood only events the process subscribed to", False),
+    ("neighbor-flooding",
+     "repro.baselines.neighbor_flooding:make_neighbor_flooding",
+     "flood subscribed events while an interested neighbour exists", False),
+    ("gossip-flooding", "repro.baselines.storm:make_gossip_flooding",
+     "one-shot probabilistic broadcast-storm scheme", False),
+    ("counter-flooding", "repro.baselines.storm:make_counter_flooding",
+     "one-shot counter-based broadcast-storm scheme", False),
+    ("gossip", "repro.baselines.gossip:make_gossip",
+     "lpbcast-style periodic gossip over a bounded digest buffer", False),
+    # Frozen pre-stack monoliths: valid protocol names (the paired
+    # bit-identity suite runs them through the full harness, including
+    # parallel workers) but hidden from protocol sweeps.
+    ("legacy-frugal", "repro.baselines.reference:make_legacy_frugal",
+     "pre-stack frugal monolith (verification reference)", True),
+    ("legacy-simple-flooding",
+     "repro.baselines.reference:make_legacy_simple_flooding",
+     "pre-stack simple flooder (verification reference)", True),
+    ("legacy-interest-flooding",
+     "repro.baselines.reference:make_legacy_interest_flooding",
+     "pre-stack interest flooder (verification reference)", True),
+    ("legacy-neighbor-flooding",
+     "repro.baselines.reference:make_legacy_neighbor_flooding",
+     "pre-stack neighbour flooder (verification reference)", True),
+)
+
+
+def imported_factory(target: str) -> ProtocolFactory:
+    """A factory that imports ``"module:function"`` on its first call
+    and delegates to that function from then on."""
+    module, _, name = target.partition(":")
+    function = None
+
+    def factory(config) -> PubSubProtocol:
+        nonlocal function
+        if function is None:
+            function = getattr(importlib.import_module(module), name)
+        return function(config)
+
+    return factory
 
 
 @dataclass(frozen=True)
@@ -117,8 +176,17 @@ class ProtocolRegistry:
         return f"<ProtocolRegistry {self.names(include_hidden=True)}>"
 
 
-#: The process-wide default registry every harness surface consults.
-REGISTRY = ProtocolRegistry()
+def _with_builtins() -> ProtocolRegistry:
+    registry = ProtocolRegistry()
+    for name, target, description, hidden in BUILTINS:
+        registry.register(name, imported_factory(target),
+                          description=description, hidden=hidden)
+    return registry
+
+
+#: The process-wide default registry every harness surface consults,
+#: pre-loaded with :data:`BUILTINS`.
+REGISTRY = _with_builtins()
 
 
 def register(name: str, factory: ProtocolFactory, *, description: str = "",

@@ -29,13 +29,7 @@ from-scratch composition, and :mod:`repro.core.registry` for plugging
 the result into the experiment harness).
 """
 
-from repro.core.base import ProtocolCounters
-from repro.core.stack.delivery import DeliveryLayer
-from repro.core.stack.forwarding import (BackoffForwarding,
-                                         GossipForwarding,
-                                         PeriodicFloodForwarding)
-from repro.core.stack.membership import HeartbeatMembership, TTLMembership
-from repro.core.stack.store import EventStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ProtocolCounters",
@@ -47,3 +41,12 @@ __all__ = [
     "PeriodicFloodForwarding",
     "GossipForwarding",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.base": ("ProtocolCounters",),
+    "repro.core.stack.delivery": ("DeliveryLayer",),
+    "repro.core.stack.forwarding": ("BackoffForwarding", "GossipForwarding",
+                                    "PeriodicFloodForwarding"),
+    "repro.core.stack.membership": ("HeartbeatMembership", "TTLMembership"),
+    "repro.core.stack.store": ("EventStore",),
+})

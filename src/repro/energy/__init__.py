@@ -14,12 +14,13 @@ those bytes in joules so the frugality claim becomes quantitative:
 * :mod:`repro.energy.collector` — the per-world accountant that meters
   every node, powers down the drained ones mid-run, and aggregates
   joules-per-node / joules-per-delivery / network-lifetime metrics.
+
+None of these modules imports the kernel or the medium at load time (they
+receive them from the world that wires them), and names resolve lazily
+(:mod:`repro._lazy`), so a cached energy result reads without the engine.
 """
 
-from repro.energy.battery import Battery
-from repro.energy.collector import EnergyAccountant, EnergyConfig
-from repro.energy.dutycycle import DutyCycleConfig, DutyCycler
-from repro.energy.model import EnergyModel, PowerProfile, RadioState
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Battery",
@@ -31,3 +32,10 @@ __all__ = [
     "PowerProfile",
     "RadioState",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.energy.battery": ("Battery",),
+    "repro.energy.collector": ("EnergyAccountant", "EnergyConfig"),
+    "repro.energy.dutycycle": ("DutyCycleConfig", "DutyCycler"),
+    "repro.energy.model": ("EnergyModel", "PowerProfile", "RadioState"),
+})

@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.energy.battery import Battery
 from repro.energy.dutycycle import DutyCycleConfig, DutyCycler
 from repro.energy.model import EnergyModel, PowerProfile, RadioState
-from repro.net.medium import WirelessMedium
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.medium import WirelessMedium
     from repro.net.node import Node
 
 

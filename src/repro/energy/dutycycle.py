@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.sim.kernel import Simulator, Timer
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
+    from repro.sim.kernel import Simulator, Timer
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,13 @@ import enum
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.energy.battery import Battery
 from repro.net.radio import RadioConfig, dbm_to_mw
-from repro.sim.kernel import Simulator, Timer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.kernel import Simulator, Timer
 
 
 class RadioState(enum.Enum):

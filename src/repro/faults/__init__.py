@@ -26,14 +26,11 @@ A scenario opts in via ``ScenarioConfig.faults``; with ``faults=None``
 nothing here is imported into the run path and every result is
 bit-identical to a fault-free build (the paired-verification tests in
 ``tests/test_faults.py`` assert exactly that for the *empty*
-:class:`FaultConfig` too).
+:class:`FaultConfig` too).  Names resolve lazily (:mod:`repro._lazy`),
+and no module here loads the kernel or the medium at import time.
 """
 
-from repro.faults.churn import ChurnConfig
-from repro.faults.injector import FaultConfig, FaultInjector, FaultTimeline
-from repro.faults.loss import LinkLossConfig, LinkLossProcess
-from repro.faults.outage import RegionalOutage
-from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -47,3 +44,12 @@ __all__ = [
     "LinkLossProcess",
     "RegionalOutage",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.churn": ("ChurnConfig",),
+    "repro.faults.injector": ("FaultConfig", "FaultInjector",
+                              "FaultTimeline"),
+    "repro.faults.loss": ("LinkLossConfig", "LinkLossProcess"),
+    "repro.faults.outage": ("RegionalOutage",),
+    "repro.faults.plan": ("FAULT_KINDS", "FaultEvent", "FaultPlan"),
+})

@@ -26,13 +26,12 @@ from repro.faults.churn import ChurnConfig
 from repro.faults.loss import LinkLossConfig, LinkLossProcess
 from repro.faults.outage import RegionalOutage
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.net.medium import WirelessMedium
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.space import Vec2
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.medium import WirelessMedium
     from repro.net.node import Node
+    from repro.sim.kernel import Simulator
+    from repro.sim.rng import RngRegistry
 
 
 @dataclass(frozen=True)
@@ -308,6 +307,7 @@ class FaultInjector:
     # -- regional outages -----------------------------------------------------
 
     def _begin_outage(self, outage: RegionalOutage) -> None:
+        from repro.sim.space import Vec2
         center = Vec2(outage.center[0], outage.center[1])
         members = self.medium.nodes_within(center, outage.radius_m)
         kind = "crash" if outage.kind == "crash" else "silence"

@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.sim.kernel import Simulator
 from repro.sim.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)

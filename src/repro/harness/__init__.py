@@ -13,27 +13,25 @@
 * :mod:`repro.harness.reporting` — ASCII tables and CSV output,
 * :mod:`repro.harness.cli` — the command line over the declaration
   registry (the one harness module that imports :mod:`repro.study`).
+
+Import layering: the config, result, cache, study and CLI modules load
+no engine code — :mod:`~repro.harness.scenario` imports the kernel,
+medium, nodes and mobility models inside the functions that build a
+world — so a warm-cache rerun never loads the simulator.  The scenario
+names are bound eagerly (that module is engine-free, and every harness
+user loads it); the rest resolve lazily (:mod:`repro._lazy`).  Eager
+binding also keeps each name here the function ``scenario`` defined,
+even if that module's attribute is patched at run time later (the
+end-to-end benchmark's tracer wraps both bindings).
 """
 
+from repro._lazy import lazy_exports
 from repro.harness.scenario import (CitySectionSpec, FixedPositionsSpec,
                                     MobilitySpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     ScenarioResult, StationarySpec, World,
                                     build_world, known_protocols,
                                     make_protocol, run_scenario)
-from repro.harness.runner import (Aggregate, MultiSeedResult, aggregate,
-                                  run_matrix, run_seeds)
-from repro.harness.cache import ResultCache, code_version_tag, config_digest
-from repro.harness.parallel import EngineStats, ParallelRunner
-from repro.harness.presets import PAPER, QUICK, SMOKE, Scale, get_scale
-from repro.harness.experiments import (ExperimentResult, churn_scenario,
-                                       city_scenario, energy_scenario,
-                                       rwp_scenario)
-from repro.harness.reporting import (availability_timeline,
-                                     depletion_timeline,
-                                     format_engine_stats,
-                                     format_experiment, format_table,
-                                     reliability_grid, to_csv)
 
 __all__ = [
     "CitySectionSpec",
@@ -77,3 +75,20 @@ __all__ = [
     "reliability_grid",
     "to_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.harness.runner": ("Aggregate", "MultiSeedResult", "aggregate",
+                             "run_matrix", "run_seeds"),
+    "repro.harness.cache": ("ResultCache", "code_version_tag",
+                            "config_digest"),
+    "repro.harness.parallel": ("EngineStats", "ParallelRunner"),
+    "repro.harness.presets": ("PAPER", "QUICK", "SMOKE", "Scale",
+                              "get_scale"),
+    "repro.harness.experiments": ("ExperimentResult", "churn_scenario",
+                                  "city_scenario", "energy_scenario",
+                                  "rwp_scenario"),
+    "repro.harness.reporting": ("availability_timeline",
+                                "depletion_timeline", "format_engine_stats",
+                                "format_experiment", "format_table",
+                                "reliability_grid", "to_csv"),
+})

@@ -30,10 +30,13 @@ import json
 import os
 import pathlib
 import pickle
-import tempfile
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.harness.scenario import ScenarioConfig, ScenarioResult
+
+#: ``canonical``'s per-batch memo: ``id(obj) -> (obj, canonical form)``.
+#: Holding ``obj`` keeps its id from being reused while the memo lives.
+CanonicalMemo = Dict[int, Tuple[object, object]]
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -51,7 +54,7 @@ def default_cache_dir() -> pathlib.Path:
 # Stable config hashing
 # --------------------------------------------------------------------------
 
-def canonical(obj) -> object:
+def canonical(obj, memo: Optional[CanonicalMemo] = None) -> object:
     """Reduce ``obj`` to a JSON-serialisable structure that is stable
     across processes and Python invocations.
 
@@ -59,19 +62,35 @@ def canonical(obj) -> object:
     mobility-spec *class* must hash differently); dict keys are sorted;
     tuples and lists are interchangeable.  Floats rely on ``repr`` via
     ``json.dumps``, which is exact for round-trippable IEEE doubles.
+
+    ``memo`` caches the form of each *frozen* dataclass by identity, so
+    a sub-config shared by every config of a batch (the
+    ``with_changes`` copies of one base scenario) is reduced once.  It
+    must never be keyed by equality: ``1``, ``1.0`` and ``True`` compare
+    equal, as do ``0.0`` and ``-0.0``, yet each reduces to different
+    JSON — an equality-keyed memo would give two configs one key.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
+        frozen = memo is not None and \
+            type(obj).__dataclass_params__.frozen
+        if frozen:
+            hit = memo.get(id(obj))
+            if hit is not None:
+                return hit[1]
+        form = {
             "__type__": type(obj).__qualname__,
-            "fields": {f.name: canonical(getattr(obj, f.name))
+            "fields": {f.name: canonical(getattr(obj, f.name), memo)
                        for f in dataclasses.fields(obj)},
         }
+        if frozen:
+            memo[id(obj)] = (obj, form)
+        return form
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__qualname__, "name": obj.name}
     if isinstance(obj, (list, tuple)):
-        return [canonical(x) for x in obj]
+        return [canonical(x, memo) for x in obj]
     if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in sorted(obj.items())}
+        return {str(k): canonical(v, memo) for k, v in sorted(obj.items())}
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"cannot canonicalise {type(obj).__qualname__!r} "
@@ -97,12 +116,13 @@ def code_version_tag() -> str:
     return digest.hexdigest()[:16]
 
 
-def config_digest(config: ScenarioConfig,
-                  version: Optional[str] = None) -> str:
-    """The cache key for one fully-specified config (seed included)."""
+def config_digest(config: ScenarioConfig, version: Optional[str] = None,
+                  memo: Optional[CanonicalMemo] = None) -> str:
+    """The cache key for one fully-specified config (seed included);
+    ``memo`` is :func:`canonical`'s, shared across one batch."""
     payload = {
         "version": code_version_tag() if version is None else version,
-        "config": canonical(config),
+        "config": canonical(config, memo),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -128,17 +148,21 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def path_for(self, config: ScenarioConfig) -> pathlib.Path:
-        """On-disk entry path for ``config`` under the current code version."""
-        return self.root / f"{config_digest(config, self.version)}.pkl"
+    def path_for(self, config: ScenarioConfig,
+                 memo: Optional[CanonicalMemo] = None) -> pathlib.Path:
+        """On-disk entry path for ``config`` under the current code
+        version (``memo`` as for :func:`config_digest`)."""
+        return self.root / f"{config_digest(config, self.version, memo)}.pkl"
 
-    def get(self, config: ScenarioConfig) -> Optional[ScenarioResult]:
+    def get(self, config: ScenarioConfig,
+            memo: Optional[CanonicalMemo] = None
+            ) -> Optional[ScenarioResult]:
         """The cached result for ``config``, or None (miss).
 
         A corrupt, truncated or stale-schema entry is deleted and
         reported as a miss — the caller recomputes and overwrites.
         """
-        path = self.path_for(config)
+        path = self.path_for(config, memo)
         try:
             with open(path, "rb") as f:
                 result = pickle.load(f)
@@ -156,10 +180,12 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, result: ScenarioResult) -> None:
+    def put(self, result: ScenarioResult,
+            memo: Optional[CanonicalMemo] = None) -> None:
         """Store ``result`` under its config's key (atomic overwrite)."""
+        import tempfile
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(result.config)
+        path = self.path_for(result.config, memo)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:

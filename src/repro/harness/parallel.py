@@ -45,12 +45,11 @@ never yields its job (the sweep hangs).  A lost worker raises
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.harness.cache import ResultCache, config_digest
+from repro.harness.cache import CanonicalMemo, ResultCache, config_digest
 from repro.harness.runner import MultiSeedResult
 from repro.harness.scenario import (ScenarioConfig, ScenarioResult,
                                     run_scenario)
@@ -98,14 +97,21 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
 
 
 def _execute(config: ScenarioConfig) -> ScenarioResult:
-    """Top-level worker entry point (spawn requires it importable)."""
-    return run_scenario(config)
+    """Top-level worker entry point (spawn requires it importable).
+
+    The summary is derived here, in the worker, so its memo travels
+    with the result into the parent and the cache entry.
+    """
+    result = run_scenario(config)
+    result.summary()
+    return result
 
 
 def _mark_daemonic() -> None:
     """Worker initializer: pool workers are daemonic, as
     ``multiprocessing.Pool``'s were, so they may not spawn children
     (the sharded engine degrades to in-process inside them)."""
+    import multiprocessing
     multiprocessing.current_process().daemon = True
 
 
@@ -167,8 +173,10 @@ class ParallelRunner:
 
     def _ensure_pool(self):
         if self._pool is None:
-            # Imported here, not at module level: concurrent.futures
-            # weighs ~1.3 MiB, which every `repro` command would pay.
+            # Imported here, not at module level: multiprocessing and
+            # concurrent.futures weigh ~1.3 MiB, which every `repro`
+            # command — a warm-cache rerun included — would pay.
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -210,8 +218,13 @@ class ParallelRunner:
         configs = list(configs)
         results: List[Optional[ScenarioResult]] = [None] * len(configs)
         pending: List[int] = []
+        # One canonical form per shared sub-config object for the batch.
+        memo: CanonicalMemo = {}
         for i, config in enumerate(configs):
-            cached = self.cache.get(config) if self.cache else None
+            # ``is not None``: a ResultCache is sized by globbing its
+            # directory, and an empty one is still a cache.
+            cached = (self.cache.get(config, memo=memo)
+                      if self.cache is not None else None)
             if cached is not None:
                 results[i] = cached
                 self.stats.cache_hits += 1
@@ -227,7 +240,7 @@ class ParallelRunner:
                 results[i] = result
                 self.stats.executed += 1
                 if self.cache is not None:
-                    self.cache.put(result)
+                    self.cache.put(result, memo=memo)
         return results  # type: ignore[return-value]  # all filled above
 
     def _pooled(self, configs: List[ScenarioConfig]

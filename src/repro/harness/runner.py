@@ -81,10 +81,10 @@ class MultiSeedResult:
         The std of such a series is undefined and reported as ``nan``
         (the table renderer prints non-finite cells verbatim).
         """
-        keys = self.results[0].summary().keys()
-        series: Dict[str, List[float]] = {k: [] for k in keys}
-        for result in self.results:
-            for key, value in result.summary().items():
+        summaries = [result.summary() for result in self.results]
+        series: Dict[str, List[float]] = {k: [] for k in summaries[0]}
+        for summary in summaries:
+            for key, value in summary.items():
                 series[key].append(value)
         out: Dict[str, Aggregate] = {}
         for key, vals in series.items():

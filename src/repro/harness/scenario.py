@@ -18,6 +18,16 @@ Processes come in two populations, as in the paper's interest sweeps:
 The publishers of the scheduled publications are drawn from the subscriber
 population (the paper's scenarios always have the publisher interested in
 its own topic).
+
+Import layering
+---------------
+This module is loaded by everything that reads a config or a result —
+the cache, the study layer, the CLI, a spawned worker unpickling its
+job — so at import time it loads only configs, the registry and the
+metric arithmetic.  The engine (kernel, medium, nodes, mobility models,
+collectors) is imported inside the functions that build a world:
+:func:`wire_world`, :func:`build_world` and the specs' ``build`` /
+``street_map``.  A warm-cache rerun therefore never loads the simulator.
 """
 
 from __future__ import annotations
@@ -25,32 +35,33 @@ from __future__ import annotations
 import abc
 import time as _wallclock
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-# Importing the baseline package (and, via repro.core, the frugal
-# protocol module) populates the protocol registry this module
-# dispatches through — including in spawned worker processes, which
-# re-import this module to unpickle configs.
-from repro.baselines import GossipConfig
 from repro.core import registry
-from repro.core.base import ProtocolCounters, PubSubProtocol
-from repro.core.config import FrugalConfig
-from repro.core.events import Event, EventFactory
-from repro.energy import EnergyAccountant, EnergyConfig
-from repro.faults import FaultConfig, FaultInjector, FaultTimeline
-from repro.metrics import (MetricsCollector, ReliabilityReport,
-                           churn_aware_reliability, event_reliability,
-                           mean_reliability, recovery_latencies)
-from repro.mobility import (CitySection, MobilityModel, RandomWaypoint,
-                            Stationary, StreetMap, campus_map, grid_map)
-from repro.net import (MediumConfig, Node, RadioConfig, SizeModel,
-                       WirelessMedium)
-from repro.sim import RngRegistry, Simulator
-# Only the shard *config* (a plain dataclass); the engine itself stays
-# a lazy import inside run_scenario so the classic path never pays for
-# it (repro.sim.shard loads its engine module lazily for this reason).
-from repro.sim.shard import ShardConfig
-from repro.sim.space import Vec2
+from repro.core.base import ProtocolCounters
+from repro.core.config import FrugalConfig, GossipConfig
+from repro.metrics.reliability import (ReliabilityReport,
+                                       churn_aware_reliability,
+                                       event_reliability, mean_reliability,
+                                       recovery_latencies)
+from repro.net.messages import SizeModel
+from repro.net.radio import MediumConfig, RadioConfig
+from repro.sim.shard.config import ShardConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.base import PubSubProtocol
+    from repro.core.events import Event, EventFactory
+    from repro.energy.collector import EnergyAccountant, EnergyConfig
+    from repro.faults.injector import (FaultConfig, FaultInjector,
+                                       FaultTimeline)
+    from repro.metrics.collector import MetricsCollector
+    from repro.mobility.base import MobilityModel
+    from repro.mobility.maps import StreetMap
+    from repro.net.medium import WirelessMedium
+    from repro.net.node import Node
+    from repro.sim.kernel import Simulator
+    from repro.sim.rng import RngRegistry
+
 
 def known_protocols(include_hidden: bool = False) -> Tuple[str, ...]:
     """The registered protocol names (the historical ``PROTOCOLS`` tuple,
@@ -93,6 +104,8 @@ class RandomWaypointSpec(MobilitySpec):
 
     def build(self, index: int) -> MobilityModel:
         """Random-waypoint (or stationary, at 0 m/s) model for one process."""
+        from repro.mobility.random_waypoint import RandomWaypoint
+        from repro.mobility.stationary import Stationary
         if self.speed_max <= 0:
             return Stationary(width=self.width, height=self.height)
         return RandomWaypoint(self.width, self.height,
@@ -116,6 +129,7 @@ class CitySectionSpec(MobilitySpec):
 
     def build(self, index: int) -> MobilityModel:
         """Street-constrained city-section model for one process."""
+        from repro.mobility.city_section import CitySection
         return CitySection(self.street_map(),
                            stop_probability=self.stop_probability,
                            stop_min=self.stop_min, stop_max=self.stop_max)
@@ -138,6 +152,7 @@ def _map_speed_cap(street_map: StreetMap) -> float:
 def _campus_map_cached(seed: int) -> StreetMap:
     cached = _MAP_CACHE.get(seed)
     if cached is None:
+        from repro.mobility.maps import campus_map
         cached = campus_map(seed=seed)
         _MAP_CACHE[seed] = cached
     return cached
@@ -170,6 +185,7 @@ class CityGridSpec(MobilitySpec):
 
     def build(self, index: int) -> MobilityModel:
         """Street-constrained city model for one process."""
+        from repro.mobility.city_section import CitySection
         return CitySection(self.street_map(),
                            stop_probability=self.stop_probability,
                            stop_min=self.stop_min, stop_max=self.stop_max)
@@ -180,6 +196,7 @@ class CityGridSpec(MobilitySpec):
                self.map_seed)
         cached = _GRID_MAP_CACHE.get(key)
         if cached is None:
+            from repro.mobility.maps import grid_map
             cached = grid_map(columns=self.columns, rows=self.rows,
                               width=self.width, height=self.height,
                               seed=self.map_seed,
@@ -204,6 +221,7 @@ class StationarySpec(MobilitySpec):
 
     def build(self, index: int) -> MobilityModel:
         """Fixed-random-position model for one process."""
+        from repro.mobility.stationary import Stationary
         return Stationary(width=self.width, height=self.height)
 
     def max_speed_mps(self) -> float:
@@ -230,6 +248,8 @@ class FixedPositionsSpec(MobilitySpec):
 
     def build(self, index: int) -> MobilityModel:
         """Fixed-position model for one process."""
+        from repro.mobility.stationary import Stationary
+        from repro.sim.space import Vec2
         x, y = self.positions[index % len(self.positions)]
         return Stationary(position=Vec2(x, y))
 
@@ -370,6 +390,10 @@ class ScenarioResult:
     from its live simulation world (see ``MetricsCollector.__getstate__``
     and ``EnergyAccountant.__getstate__``): the payload is measurements
     only, a few kilobytes instead of the megabytes of world graph.
+
+    :meth:`summary` is computed once and memoised on the result; the
+    parallel engine asks for it in the worker, so the memo travels in
+    the pickle and a cache hit reads it instead of re-deriving it.
     """
 
     config: ScenarioConfig
@@ -388,6 +412,10 @@ class ScenarioResult:
     #: for classic runs; excluded from equality (timings are noise).
     barrier_stats: Optional[Dict[str, float]] = field(default=None,
                                                       compare=False)
+    #: The memoised :meth:`summary`.  The class default ``None`` is what
+    #: a pickle written before the memo existed reads back as.
+    _summary: Optional[Dict[str, float]] = field(default=None, init=False,
+                                                 compare=False, repr=False)
 
     # -- reliability -------------------------------------------------------------
 
@@ -441,8 +469,11 @@ class ScenarioResult:
         paper's frugality claim priced in energy instead of bytes."""
         if self.energy is None:
             return 0.0
-        delivered = sum(r.delivered_in_time for r in
-                        self.per_event_reports())
+        return self._joules_per_delivery(self.per_event_reports())
+
+    def _joules_per_delivery(self, reports: List[ReliabilityReport]
+                             ) -> float:
+        delivered = sum(r.delivered_in_time for r in reports)
         if delivered == 0:
             return float("inf")
         return self.energy.total_joules() / delivered
@@ -472,12 +503,20 @@ class ScenarioResult:
         lasted — did the network serve the devices that stayed up?"""
         if self.energy is None:
             return self.reliability()
+        return self._survivor_reliability(None)
+
+    def _survivor_reliability(
+            self, reports: Optional[List[ReliabilityReport]]) -> float:
+        """``reports``, the all-subscriber reports when the caller has
+        them, are reused when no battery died: they are then exactly
+        the survivors' reports."""
         dead = set(self.energy.depleted_ids())
         survivors = [i for i in self.subscriber_ids if i not in dead]
         if not survivors:
             return 0.0
-        reports = [event_reliability(self.collector, event, survivors)
-                   for event in self.published_events]
+        if dead or reports is None:
+            reports = [event_reliability(self.collector, event, survivors)
+                       for event in self.published_events]
         return mean_reliability(reports)
 
     # -- faults (only when the scenario is fault-instrumented) ----------------------
@@ -517,9 +556,21 @@ class ScenarioResult:
     def summary(self) -> Dict[str, float]:
         """The four paper metrics plus reliability (and, for
         energy-/fault-instrumented scenarios, the energy and
-        availability metrics), flat."""
+        availability metrics), flat.
+
+        Computed on first call and memoised; every call returns a fresh
+        copy, so callers may mutate what they get.
+        """
+        if self._summary is None:
+            self._summary = self._compute_summary()
+        return dict(self._summary)
+
+    def _compute_summary(self) -> Dict[str, float]:
+        # One pass of per-event reports feeds reliability, joules per
+        # delivery and (when no battery died) survivor reliability.
+        reports = self.per_event_reports()
         out = {
-            "reliability": self.reliability(),
+            "reliability": mean_reliability(reports),
             "bandwidth_bytes": self.bandwidth_per_process_bytes(),
             "events_sent": self.events_sent_per_process(),
             "duplicates": self.duplicates_per_process(),
@@ -528,10 +579,10 @@ class ScenarioResult:
         if self.energy is not None:
             out.update({
                 "joules_per_node": self.joules_per_node(),
-                "joules_per_delivery": self.joules_per_delivery(),
+                "joules_per_delivery": self._joules_per_delivery(reports),
                 "lifetime_s": self.network_lifetime_s(),
                 "survivor_fraction": self.survivor_fraction(),
-                "survivor_reliability": self.survivor_reliability(),
+                "survivor_reliability": self._survivor_reliability(reports),
             })
         if self.faults is not None:
             out.update({
@@ -621,6 +672,7 @@ class World:
         """Arm the publications whose publisher (an index into the
         subscriber population) lives here; the rest are another
         shard's to arm."""
+        from repro.core.events import EventFactory
         residents = {node.id: node for node in self.nodes}
         factories: Dict[int, EventFactory] = {}
         for index, pub in enumerate(config.publications):
@@ -662,6 +714,10 @@ def wire_world(config: ScenarioConfig, sim: Simulator, rngs: RngRegistry,
     engines call.  ``fault_options`` reach the :class:`FaultInjector`:
     the sharded engine passes the global ``population`` and per-receiver
     loss streams, so fault draws do not depend on co-residency."""
+    from repro.energy.collector import EnergyAccountant
+    from repro.faults.injector import FaultInjector
+    from repro.metrics.collector import MetricsCollector
+    from repro.net.node import Node
     collector = MetricsCollector(medium)
     accountant = (EnergyAccountant(medium, config.energy)
                   if config.energy is not None else None)
@@ -704,6 +760,9 @@ def build_world(config: ScenarioConfig) -> World:
     Exposed separately from :func:`run_scenario` so tests and examples can
     poke at a fully wired world before/while it runs.
     """
+    from repro.net.medium import WirelessMedium
+    from repro.sim.kernel import Simulator
+    from repro.sim.rng import RngRegistry
     sim = Simulator()
     rngs = RngRegistry(config.seed)
     medium = WirelessMedium(sim, config.radio, config=config.medium,

@@ -3,15 +3,11 @@
 Everything is measured at the *medium* level (bytes on air, receptions)
 and the *application* level (deliveries), never inside a protocol — so the
 frugal protocol and the flooding baselines are scored by the same ruler.
+Names resolve lazily (:mod:`repro._lazy`): reliability over a cached
+result needs neither the medium nor the tracer.
 """
 
-from repro.metrics.collector import MetricsCollector, NodeStats
-from repro.metrics.reliability import (ReliabilityReport,
-                                       churn_aware_reliability,
-                                       event_reliability, mean_reliability,
-                                       recovery_latencies,
-                                       reliability_spread)
-from repro.metrics.trace import ProtocolTracer, TraceRecord
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MetricsCollector",
@@ -25,3 +21,13 @@ __all__ = [
     "ProtocolTracer",
     "TraceRecord",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.collector": ("MetricsCollector", "NodeStats"),
+    "repro.metrics.reliability": ("ReliabilityReport",
+                                  "churn_aware_reliability",
+                                  "event_reliability", "mean_reliability",
+                                  "recovery_latencies",
+                                  "reliability_spread"),
+    "repro.metrics.trace": ("ProtocolTracer", "TraceRecord"),
+})

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventId
 from repro.core.topics import entitled
-from repro.net.medium import WirelessMedium
-from repro.net.messages import EventBatch, EventIdList, Heartbeat, Message
-from repro.net.node import Node
+from repro.net.messages import EventBatch, Message
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.medium import WirelessMedium
+    from repro.net.node import Node
 
 
 @dataclass

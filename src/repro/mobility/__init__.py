@@ -16,13 +16,12 @@ wireless medium never sees stale, tick-quantised coordinates.
   (the paper's 0 m/s data points).
 * :func:`~repro.mobility.maps.campus_map` — a synthetic 1200x900 m street
   network standing in for the EPFL campus map used by the paper.
+
+Names resolve lazily (:mod:`repro._lazy`); the harness's mobility specs
+import a model only when they build one.
 """
 
-from repro.mobility.base import MobilityModel, Leg
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.city_section import CitySection
-from repro.mobility.stationary import Stationary
-from repro.mobility.maps import StreetMap, campus_map, grid_map
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MobilityModel",
@@ -34,3 +33,11 @@ __all__ = [
     "campus_map",
     "grid_map",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mobility.base": ("MobilityModel", "Leg"),
+    "repro.mobility.random_waypoint": ("RandomWaypoint",),
+    "repro.mobility.city_section": ("CitySection",),
+    "repro.mobility.stationary": ("Stationary",),
+    "repro.mobility.maps": ("StreetMap", "campus_map", "grid_map"),
+})

@@ -20,16 +20,13 @@ picklable per-stack counter dataclass every protocol layer writes into
 (defined next to the host interface to keep the import graph acyclic;
 the network layer is where the counts become observable, via
 ``MetricsCollector.capture_protocol_totals``).
+
+The medium's configuration (:class:`~repro.net.radio.MediumConfig`)
+lives beside the radio's, so a scenario config is readable without
+loading the medium; names resolve lazily (:mod:`repro._lazy`).
 """
 
-from repro.core.base import ProtocolCounters
-from repro.net.radio import (PathLossModel, RadioConfig, dbm_to_mw,
-                             mw_to_dbm, free_space_path_loss_db,
-                             two_ray_path_loss_db)
-from repro.net.messages import (Heartbeat, EventIdList, EventBatch,
-                                Message, SizeModel)
-from repro.net.medium import WirelessMedium, MediumConfig, Transmission
-from repro.net.node import Node
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PathLossModel",
@@ -49,3 +46,14 @@ __all__ = [
     "Node",
     "ProtocolCounters",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.base": ("ProtocolCounters",),
+    "repro.net.radio": ("PathLossModel", "RadioConfig", "MediumConfig",
+                        "dbm_to_mw", "mw_to_dbm", "free_space_path_loss_db",
+                        "two_ray_path_loss_db"),
+    "repro.net.messages": ("Heartbeat", "EventIdList", "EventBatch",
+                           "Message", "SizeModel"),
+    "repro.net.medium": ("WirelessMedium", "Transmission"),
+    "repro.net.node": ("Node",),
+})

@@ -13,6 +13,10 @@ what the protocol behaviour actually depends on), :class:`RadioConfig`
 accepts an explicit ``range_override_m`` used by the paper presets, keeping
 the reproduction calibrated to the published radii regardless of the exact
 antenna heights Qualnet assumed.
+
+:class:`MediumConfig` (the MAC knobs :class:`~repro.net.medium
+.WirelessMedium` reads) lives here too, beside the radio it configures,
+so a scenario config can be built and read without loading the medium.
 """
 
 from __future__ import annotations
@@ -183,3 +187,52 @@ class RadioConfig:
         """
         return cls(tx_power_dbm=4.0, sensitivity_dbm=-70.0,
                    data_rate_bps=1_000_000.0, range_override_m=10.0)
+
+
+@dataclass(frozen=True)
+class MediumConfig:
+    """Medium/MAC behaviour knobs.
+
+    Attributes
+    ----------
+    csma_enabled:
+        Whether senders carrier-sense and back off before transmitting.
+    max_csma_retries:
+        Back-off attempts before the frame is sent regardless (802.11
+        eventually seizes a busy channel).
+    csma_backoff_min_s / csma_backoff_max_s:
+        Uniform back-off window bounds, seconds.
+    frame_loss_probability:
+        Per-reception uniform loss probability in [0, 1] (fading hook).
+    model_collisions:
+        Whether overlapping audible frames corrupt each other.
+    anchor_slack_m:
+        Maximum distance (metres) a node's true position may drift from
+        its indexed anchor before the mobility model re-anchors it.
+        ``None`` derives ``communication_range / 8``.  Smaller values mean
+        tighter range queries but more re-anchor events.
+    history_horizon_s:
+        Seconds a finished transmission stays available for collision
+        checks.  Must exceed the longest frame airtime (milliseconds);
+        the default of 1 s is three orders of magnitude above it.
+    """
+
+    csma_enabled: bool = True
+    max_csma_retries: int = 6
+    csma_backoff_min_s: float = 0.5e-3
+    csma_backoff_max_s: float = 4e-3
+    frame_loss_probability: float = 0.0
+    model_collisions: bool = True
+    anchor_slack_m: Optional[float] = None
+    history_horizon_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.frame_loss_probability <= 1.0:
+            raise ValueError("frame_loss_probability must be in [0,1]")
+        if self.csma_backoff_min_s < 0 or \
+                self.csma_backoff_max_s < self.csma_backoff_min_s:
+            raise ValueError("need 0 <= backoff_min <= backoff_max")
+        if self.anchor_slack_m is not None and self.anchor_slack_m <= 0:
+            raise ValueError("anchor_slack_m must be positive")
+        if self.history_horizon_s <= 0:
+            raise ValueError("history_horizon_s must be positive")

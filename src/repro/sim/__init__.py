@@ -12,12 +12,12 @@ facilities the protocol layer actually observes:
   draws of another),
 * :mod:`repro.sim.space` — 2-D vector math and a uniform-grid spatial index
   used by the wireless medium for O(neighbourhood) range queries.
+
+Names resolve lazily (:mod:`repro._lazy`), so reading a seed stream
+(:mod:`repro.sim.rng`) does not load the kernel.
 """
 
-from repro.sim.kernel import (Simulator, Timer, PeriodicTask,
-                              SimulationError)
-from repro.sim.rng import RngRegistry
-from repro.sim.space import Vec2, SpatialGrid
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -28,3 +28,10 @@ __all__ = [
     "Vec2",
     "SpatialGrid",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.kernel": ("Simulator", "Timer", "PeriodicTask",
+                         "SimulationError"),
+    "repro.sim.rng": ("RngRegistry",),
+    "repro.sim.space": ("Vec2", "SpatialGrid"),
+})

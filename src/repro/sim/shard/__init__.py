@@ -11,19 +11,14 @@ count, tile shape or (sound) epoch length.  Enabled per scenario with
 :class:`~repro.sim.shard.config.ShardConfig`; the default ``shards=0``
 keeps the classic single-world engine.
 
-The engine module is loaded lazily (PEP 562): it imports the harness
-for world construction, while the harness imports *this* package for
-:class:`ShardConfig` — eager loading would be circular, and the classic
-engine should not pay for the sharded one anyway.
+Every name is loaded lazily (:mod:`repro._lazy`): the engine imports
+the harness for world construction, while the harness imports *this*
+package for :class:`ShardConfig` — eager loading would be circular, and
+neither the classic engine nor a config read should pay for the
+partition geometry or the sharded engine.
 """
 
-from repro.sim.shard.config import (DEFAULT_EPOCH_S, DEFAULT_LATENCY_S,
-                                    ShardConfig, resolve_epoch_s)
-from repro.sim.shard.partition import ShardPlan
-
-_ENGINE_EXPORTS = ("ShardFrame", "ShardMedium", "ShardWorkerLost",
-                   "compute_barriers", "compute_ownership",
-                   "run_sharded_scenario")
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_EPOCH_S",
@@ -39,11 +34,11 @@ __all__ = [
     "run_sharded_scenario",
 ]
 
-
-def __getattr__(name: str):
-    """Resolve engine exports on first touch (lazy import)."""
-    if name in _ENGINE_EXPORTS:
-        from repro.sim.shard import engine
-        return getattr(engine, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.shard.config": ("DEFAULT_EPOCH_S", "DEFAULT_LATENCY_S",
+                               "ShardConfig", "resolve_epoch_s"),
+    "repro.sim.shard.partition": ("ShardPlan",),
+    "repro.sim.shard.engine": ("ShardFrame", "ShardMedium",
+                               "ShardWorkerLost", "compute_barriers",
+                               "compute_ownership", "run_sharded_scenario"),
+})

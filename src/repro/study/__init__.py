@@ -14,19 +14,10 @@ Pareto-frontier extraction (:class:`Objective`,
 
 The registered declarations — every figure, ablation and sweep — live
 in :mod:`repro.study.studies`; ``tests/golden_experiments.json`` pins
-the CSV bytes of each.
+the CSV bytes of each.  Names resolve lazily (:mod:`repro._lazy`).
 """
 
-from repro.study.analysis import (DominatedPoint, FrontierResult,
-                                  component_deltas, delta_report,
-                                  dominates, frontier_report,
-                                  pareto_frontier, pivot_report)
-from repro.study.engine import StudyResult, run_study
-from repro.study.spec import (Axis, Component, Metric, Objective,
-                              PivotSpec, StudyCell, StudySpec, Toggles,
-                              Variant, expand, set_field_path)
-from repro.study.studies import (ALL_EXPERIMENTS, STUDIES, Study,
-                                 build_study, get_study, study_names)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Axis", "Component", "Variant", "Toggles", "Metric", "Objective",
@@ -37,3 +28,16 @@ __all__ = [
     "Study", "STUDIES", "ALL_EXPERIMENTS", "study_names", "get_study",
     "build_study",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.study.analysis": ("DominatedPoint", "FrontierResult",
+                             "component_deltas", "delta_report", "dominates",
+                             "frontier_report", "pareto_frontier",
+                             "pivot_report"),
+    "repro.study.engine": ("StudyResult", "run_study"),
+    "repro.study.spec": ("Axis", "Component", "Metric", "Objective",
+                         "PivotSpec", "StudyCell", "StudySpec", "Toggles",
+                         "Variant", "expand", "set_field_path"),
+    "repro.study.studies": ("ALL_EXPERIMENTS", "STUDIES", "Study",
+                            "build_study", "get_study", "study_names"),
+})

@@ -184,6 +184,30 @@ class TestDigest:
         assert len(digests) == len(variants), \
             "ShardConfig fields must never share a cache entry"
 
+    def test_batch_memo_keys_by_identity_never_equality(self):
+        """``1``, ``1.0`` and ``True`` compare equal, as do ``0.0`` and
+        ``-0.0``, yet canonicalise to different JSON: a memo shared by
+        a batch must still give each its own key, and must not change
+        any key at all."""
+        configs = [base_config(frugal=FrugalConfig(hb_delay=v))
+                   for v in (1, 1.0, True)]
+        configs += [base_config(frugal=FrugalConfig(hb_jitter=v))
+                    for v in (0.0, -0.0)]
+        assert configs[0] == configs[1] == configs[2]
+        assert configs[3] == configs[4]
+        plain = [config_digest(c) for c in configs]
+        memo = {}
+        assert [config_digest(c, memo=memo) for c in configs] == plain
+        assert len(set(plain)) == len(plain)
+
+    def test_batch_memo_reduces_a_shared_sub_config_once(self):
+        frugal = FrugalConfig(hb_upper_bound=2.0)
+        configs = [base_config(frugal=frugal, seed=s) for s in range(3)]
+        memo = {}
+        digests = [config_digest(c, memo=memo) for c in configs]
+        assert digests == [config_digest(c) for c in configs]
+        assert memo[id(frugal)][0] is frugal
+
     def test_int_shards_and_equivalent_config_share_a_digest(self):
         """``shards=4`` coerces to ``ShardConfig(shards=4)`` before the
         digest, so the two spellings hit the same cache entry."""

@@ -15,7 +15,8 @@ against:
 * maintenance invariants of the spatial index under mobility, battery
   death and repowering, and of the transmission log's horizon;
 * a fresh interpreter that simulates without ever importing numpy or
-  networkx.
+  networkx, and one that reads a cached result without importing the
+  engine at all.
 
 Whole-scenario behaviour is pinned separately in ``tests/test_golden.py``.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -566,4 +568,58 @@ class TestImportFootprint:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_warm_cache_read_loads_no_engine(self, tmp_path):
+        """A fresh interpreter imports the CLI, reads a cached energy-
+        and fault-instrumented result and summarises it without loading
+        the kernel, the medium, the protocol stack, mobility, rt or a
+        process pool; the first protocol instantiation then loads the
+        protocol module, and an unknown name is still rejected up front
+        with all eleven built-ins listed."""
+        from repro.energy import EnergyConfig
+        from repro.faults import ChurnConfig, FaultConfig
+        config = small_rwp().with_changes(
+            duration=5.0, energy=EnergyConfig(battery_capacity_j=40.0),
+            faults=FaultConfig(churn=ChurnConfig(mean_session_s=3.0,
+                                                 mean_rest_s=2.0)))
+        ResultCache(tmp_path).put(run_scenario(config))
+        (tmp_path / "config.pickle").write_bytes(pickle.dumps(config))
+        script = (
+            "import pathlib, pickle, sys\n"
+            "import repro.harness.cli\n"
+            "from repro.harness.cache import ResultCache\n"
+            "root = pathlib.Path(sys.argv[1])\n"
+            "config = pickle.loads((root / 'config.pickle').read_bytes())\n"
+            "summary = ResultCache(root).get(config).summary()\n"
+            "assert 'joules_per_node' in summary, summary\n"
+            "assert 'availability' in summary, summary\n"
+            "forbidden = {'repro.sim.kernel', 'repro.sim.batch',\n"
+            "             'repro.sim.space', 'repro.sim.shard.engine',\n"
+            "             'repro.net.medium', 'repro.net.node',\n"
+            "             'repro.core.stack', 'repro.core.protocol',\n"
+            "             'repro.baselines', 'repro.mobility', 'repro.rt',\n"
+            "             'multiprocessing', 'concurrent.futures'}\n"
+            "loaded = forbidden & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+            "ours = [m for m in sys.modules if m.split('.')[0] == 'repro']\n"
+            "assert len(ours) <= 45, sorted(ours)\n"
+            "from repro.core import registry\n"
+            "from repro.harness.scenario import ScenarioConfig\n"
+            "registry.create('frugal', config)\n"
+            "assert 'repro.core.protocol' in sys.modules\n"
+            "try:\n"
+            "    ScenarioConfig(n_processes=2, mobility=config.mobility,\n"
+            "                   duration=5.0, protocol='nope')\n"
+            "except ValueError as exc:\n"
+            "    names = registry.names(include_hidden=True)\n"
+            "    assert len(names) == 11, names\n"
+            "    assert all(name in str(exc) for name in names), exc\n"
+            "else:\n"
+            "    raise AssertionError('unknown protocol accepted')\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
         assert done.returncode == 0, done.stderr

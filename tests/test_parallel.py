@@ -231,6 +231,39 @@ class TestCachedSweep:
         finally:
             parallel.configure(jobs=1, cache=None)
 
+    def test_runner_never_sizes_the_cache(self, tmp_path):
+        """``ResultCache.__len__`` globs the directory: asking a cache
+        for its truth value cost a scan per cell, and read an empty
+        cache as no cache at all.  Only ``is not None`` may decide."""
+        class Unsized(ResultCache):
+            def __len__(self):
+                raise AssertionError("the runner sized the cache")
+
+        config = _rwp_frugal()
+        cold = ParallelRunner(jobs=1, cache=Unsized(tmp_path))
+        cold.run_seeds(config, [0])
+        assert (cold.stats.executed, cold.stats.cache_hits) == (1, 0)
+        warm = ParallelRunner(jobs=1, cache=Unsized(tmp_path))
+        warm.run_seeds(config, [0])
+        assert (warm.stats.executed, warm.stats.cache_hits) == (0, 1)
+
+    def test_hit_reads_the_workers_summary(self, tmp_path, monkeypatch):
+        """The summary is derived where the result is computed and
+        stored with it: answering from the cache re-derives nothing."""
+        from repro.harness import scenario
+        config = _rwp_energy()
+        expected = ParallelRunner(jobs=1, cache=ResultCache(tmp_path)) \
+            .run_seeds(config, [0]).results[0].summary()
+
+        def rederived(*args):
+            raise AssertionError("a cache hit recomputed its summary")
+
+        monkeypatch.setattr(scenario, "event_reliability", rederived)
+        monkeypatch.setattr(scenario, "mean_reliability", rederived)
+        hit = ParallelRunner(jobs=1, cache=ResultCache(tmp_path)) \
+            .run_seeds(config, [0]).results[0]
+        assert hit.summary() == expected
+
     def test_partial_cache_computes_only_missing_cells(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         config = _rwp_frugal()

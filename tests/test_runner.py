@@ -85,6 +85,25 @@ class TestSummaryInfGuard:
             multi.summary()
 
 
+class _CountingResult(_StubResult):
+    def __init__(self, summary):
+        super().__init__(summary)
+        self.calls = 0
+
+    def summary(self):
+        self.calls += 1
+        return super().summary()
+
+
+class TestSummaryCalls:
+    def test_each_result_is_summarised_once(self):
+        results = [_CountingResult({"reliability": 0.5}),
+                   _CountingResult({"reliability": 1.0})]
+        assert MultiSeedResult(results=results).summary()[
+            "reliability"].mean == 0.75
+        assert [r.calls for r in results] == [1, 1]
+
+
 class TestAggregateFormatting:
     """Pin __str__ exactly: reports and EXPERIMENTS.md diffs depend on it."""
 

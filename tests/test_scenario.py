@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.baselines import SimpleFlooding
 from repro.core.protocol import FrugalPubSub
+from repro.energy import EnergyConfig, PowerProfile
+from repro.faults import ChurnConfig, FaultConfig
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec, build_world,
@@ -251,3 +256,98 @@ class TestRunScenario:
         result = run_scenario(tiny_config(protocol="simple-flooding"))
         assert result.reliability() == 1.0
         assert result.duplicates_per_process() > 10
+
+
+def _unshared_summary(result) -> dict:
+    """The summary assembled from the public per-metric methods, each
+    deriving its own per-event reports (the pre-memo definition)."""
+    out = {
+        "reliability": result.reliability(),
+        "bandwidth_bytes": result.bandwidth_per_process_bytes(),
+        "events_sent": result.events_sent_per_process(),
+        "duplicates": result.duplicates_per_process(),
+        "parasites": result.parasites_per_process(),
+    }
+    if result.energy is not None:
+        out.update({
+            "joules_per_node": result.joules_per_node(),
+            "joules_per_delivery": result.joules_per_delivery(),
+            "lifetime_s": result.network_lifetime_s(),
+            "survivor_fraction": result.survivor_fraction(),
+            "survivor_reliability": result.survivor_reliability(),
+        })
+    if result.faults is not None:
+        out.update({
+            "availability": result.availability(),
+            "churn_reliability": result.churn_reliability(),
+            "recovery_latency_s": result.recovery_latency_s(),
+            "downtime_s": result.mean_downtime_s(),
+        })
+    return out
+
+
+def _bits(summary: dict) -> str:
+    """Keys, order and float bits (``repr`` tells -0.0 from 0.0)."""
+    return repr(list(summary.items()))
+
+
+#: A plain result, mains and battery energy results (the battery one, in
+#: a sparse world, loses half its nodes, so survivor reliability takes
+#: its own path and differs from reliability) and a churned fault result.
+MEMO_CASES = {
+    "plain": {},
+    "energy": {"energy": EnergyConfig(profile=PowerProfile.power_save())},
+    "energy-deaths": {
+        "mobility": RandomWaypointSpec(width=1500.0, height=1500.0,
+                                       speed_min=10.0, speed_max=10.0),
+        "energy": EnergyConfig(profile=PowerProfile.power_save(),
+                               battery_capacity_j=12.15)},
+    "faults": {"faults": FaultConfig(churn=ChurnConfig(
+        mean_session_s=20.0, mean_rest_s=10.0))},
+}
+
+
+class TestSummaryMemo:
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_memoised_recomputed_and_pickled_are_bit_identical(self, case):
+        result = run_scenario(tiny_config(**MEMO_CASES[case]))
+        expected = _bits(_unshared_summary(result))
+        fresh = pickle.loads(pickle.dumps(result))     # no memo yet
+        assert _bits(result.summary()) == expected
+        assert _bits(result.summary()) == expected     # from the memo
+        assert _bits(pickle.loads(pickle.dumps(result)).summary()) \
+            == expected
+        assert _bits(fresh.summary()) == expected
+
+    def test_battery_deaths_take_the_survivor_path(self):
+        """The case above is only meaningful if some subscribers died,
+        some survived, and the two reliabilities differ."""
+        result = run_scenario(tiny_config(**MEMO_CASES["energy-deaths"]))
+        dead = set(result.energy.depleted_ids())
+        assert dead & set(result.subscriber_ids)
+        assert set(result.subscriber_ids) - dead
+        summary = result.summary()
+        assert summary["survivor_reliability"] != summary["reliability"]
+
+    def test_pickle_without_the_memo_field_still_summarises(self):
+        result = run_scenario(tiny_config())
+        result.summary()
+        legacy = copy.copy(result)
+        del vars(legacy)["_summary"]       # as written before the memo
+        clone = pickle.loads(pickle.dumps(legacy))
+        assert "_summary" not in vars(clone)
+        assert clone.summary() == _unshared_summary(result)
+
+    def test_mutating_the_returned_dict_leaves_the_memo(self):
+        result = run_scenario(tiny_config())
+        expected = _unshared_summary(result)
+        handed_out = result.summary()
+        handed_out["reliability"] = -1.0
+        handed_out["extra"] = 1.0
+        assert result.summary() == expected
+
+    def test_memo_is_not_part_of_equality(self):
+        result = run_scenario(tiny_config())
+        unsummarised = copy.copy(result)
+        result.summary()
+        assert result == unsummarised
