@@ -60,7 +60,7 @@ def test_protocol_hot_paths(benchmark):
     max_n = int(os.environ.get("REPRO_BENCH_PROTOCOLS_MAX_N",
                                POPULATIONS[-1]))
     populations = [n for n in POPULATIONS if n <= max_n]
-    protocols = registry.names()          # hidden references excluded
+    protocols = registry.names()          # every registered protocol
 
     rows: List[Dict[str, object]] = []
 

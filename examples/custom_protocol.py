@@ -6,10 +6,12 @@ strategy into four swappable layers — membership, store, delivery,
 forwarding — and the registry (:mod:`repro.core.registry`) plugs any
 composition into the experiment harness by name.  This example builds
 **selective gossip**: the lpbcast-style gossip rounds of the built-in
-``gossip`` baseline, but with the frugal protocol's TTL membership bolted
-on so a node only spends a round when some *current* neighbour is
-interested — a hybrid no built-in offers, in ~80 lines, none of which
-touch the harness.
+``gossip`` baseline, but with the neighbours'-interests flooder's TTL
+membership bolted on so a node only spends a round when some *current*
+neighbour is interested — a hybrid no built-in offers.  It is a
+:class:`~repro.core.stack.StackProtocol` declaration plus one gated
+forwarding layer: 60 lines, none of which touch the harness or re-type
+the reception loop.
 
 Run::
 
@@ -21,120 +23,72 @@ from __future__ import annotations
 import sys
 
 from repro.core import registry
-from repro.core.base import PubSubProtocol
+from repro.core.base import ProtocolCounters
 from repro.core.stack import (DeliveryLayer, EventStore, GossipForwarding,
-                              TTLMembership)
+                              StackProtocol, TTLMembership)
 from repro.harness import QUICK, run_matrix, rwp_scenario
 from repro.harness.reporting import format_table
-from repro.net.messages import EventBatch, Heartbeat
 
 
-class SelectiveGossip(PubSubProtocol):
+class GatedGossipForwarding(GossipForwarding):
+    """Gossip rounds that are spent only on events some current
+    neighbour of the membership view is interested in."""
+
+    def __init__(self, counters, membership, **gossip):
+        super().__init__(counters, **gossip)
+        self.membership = membership
+
+    def _tick(self) -> None:
+        now = self._host.now
+        self._store.purge_expired(now)
+        self.membership.prune(now)
+        rows = [row for row in self._store
+                if self.membership.any_interested(row.topic)]
+        if not rows:
+            return
+        if self._host.rng.random() >= self.forward_probability:
+            return
+        self.broadcast(tuple(row.event for row in rows[-self.fanout:]))
+
+
+class SelectiveGossip(StackProtocol):
     """Gossip rounds, but only while an interested neighbour is around.
 
-    Composition: TTL membership (heartbeats + lazily pruned neighbour
-    view), a bounded FIFO digest buffer, exactly-once delivery, and
-    probabilistic gossip forwarding whose rounds this class gates on the
-    membership view.
+    Declaration: TTL membership (heartbeats + lazily pruned neighbour
+    view), a bounded FIFO digest buffer, and the membership-gated gossip
+    rounds above.  The stack supplies the lifecycle and the reception
+    loop: every event heard is buffered, subscribed ones are delivered
+    exactly once.
     """
 
     def __init__(self, probability: float = 0.75, fanout: int = 8,
                  buffer_capacity: int = 32):
         # Defaults mirror the built-in GossipConfig, so the comparison
         # below isolates exactly one variable: the membership gate.
-        super().__init__()
-        self.delivery = DeliveryLayer(self.counters)
-        self.membership = TTLMembership(
-            self.counters, heartbeat_period=1.0, ttl=2.5,
-            subscriptions=lambda: self.delivery.subscriptions,
-            jitter=0.05)
-        self.buffer = EventStore.bounded_fifo(buffer_capacity)
-        self.forwarding = GossipForwarding(
-            self.counters, period=1.0, jitter=0.05,
-            forward_probability=probability, fanout=fanout)
-        self._round_task = None
-        self._running = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def attach(self, host) -> None:
-        super().attach(host)
-        self.delivery.attach(host)
-        self.membership.attach(host)
-        self.forwarding.attach(host, self.buffer)
+        counters = ProtocolCounters()
+        delivery = DeliveryLayer(counters)
+        membership = TTLMembership(
+            counters, heartbeat_period=1.0, ttl=2.5,
+            subscriptions=lambda: delivery.subscriptions, jitter=0.05)
+        super().__init__(
+            counters, delivery, EventStore.bounded_fifo(buffer_capacity),
+            GatedGossipForwarding(counters, membership, period=1.0,
+                                  jitter=0.05,
+                                  forward_probability=probability,
+                                  fanout=fanout),
+            membership)
 
     def on_start(self) -> None:
+        # Beacons before rounds: each task draws its first jitter as it
+        # is armed, so the order is part of the outcome.
         self._running = True
         self.membership.start()
-        # The gossip task is *not* started: rounds are driven manually
-        # from the membership-gated tick below.
-        self._round_task = self.host.periodic(1.0, self._gated_round,
-                                              jitter=0.05)
-
-    def on_stop(self) -> None:
-        self._running = False
-        self.membership.stop()
-        if self._round_task is not None:
-            self._round_task.stop()
-            self._round_task = None
-        self.buffer.clear()
-        self.delivery.reset()
-
-    # -- the hybrid: membership-gated gossip rounds -------------------------
-
-    def _gated_round(self) -> None:
-        now = self.host.now
-        self.buffer.purge_expired(now)
-        self.membership.prune(now)
-        rows = [row for row in self.buffer
-                if self.membership.any_interested(row.topic)]
-        if not rows:
-            return
-        if self.host.rng.random() >= self.forwarding.forward_probability:
-            return
-        newest = rows[-self.forwarding.fanout:]
-        self.forwarding.broadcast(tuple(row.event for row in newest))
-
-    # -- pub/sub surface ----------------------------------------------------
-
-    @property
-    def subscriptions(self):
-        return self.delivery.subscriptions
-
-    def subscribe(self, topic) -> None:
-        self.delivery.subscribe(topic)
-
-    def unsubscribe(self, topic) -> None:
-        self.delivery.unsubscribe(topic)
+        self.forwarding.start()
 
     def publish(self, event) -> None:
-        host = self._require_attached()
-        self.buffer.store(event, host.now)
+        self.store.store(event, self._require_attached().now)
         self.delivery.deliver_once(event)
         self.forwarding.broadcast((event,))
-
-    def on_message(self, message) -> None:
-        if not self._running:
-            return
-        if isinstance(message, Heartbeat):
-            self.membership.on_heartbeat(message)
-            return
-        if not isinstance(message, EventBatch):
-            return
-        now = self.host.now
-        for event in message.events:
-            subscribed = self.delivery.matches(event.topic)
-            if not subscribed:
-                self.counters.parasites_dropped += 1
-            if event.event_id in self.buffer:
-                if subscribed:
-                    self.counters.duplicates_dropped += 1
-                continue
-            if not event.is_valid(now):
-                continue
-            self.buffer.store(event, now)
-            if subscribed:
-                self.delivery.deliver_once(event)
 
 
 def main(seed: int = 0) -> None:

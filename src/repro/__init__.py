@@ -35,7 +35,7 @@ engine code until something runs a world.
 
 from repro._lazy import lazy_exports
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "Event",

@@ -1,4 +1,4 @@
-"""Shared machinery of the paper's three flooding comparators (Section 5.2).
+"""Shared declaration of the paper's three flooding comparators (Section 5.2).
 
 All three variants rebroadcast events on a fixed period (the paper: "an
 event is sent every second"), differing only in *which* events a process
@@ -11,155 +11,43 @@ stores and re-floods:
   *and* at least one current neighbour is interested in (which requires
   heartbeats to learn neighbour interests).
 
-The common behaviour is a composition of the :mod:`repro.core.stack`
-layers: an unbounded :class:`~repro.core.stack.store.EventStore` (memory
-thrift is precisely what the frugal protocol adds; the paper's comparison
-charges the baselines their natural cost), the
-:class:`~repro.core.stack.delivery.DeliveryLayer` for app hand-off and
-duplicate/parasite accounting, and
+Each is a :class:`~repro.core.stack.protocol.StackProtocol` over an
+unbounded :class:`~repro.core.stack.store.EventStore` (memory thrift is
+precisely what the frugal protocol adds; the paper's comparison charges
+the baselines their natural cost) and
 :class:`~repro.core.stack.forwarding.PeriodicFloodForwarding` for the
-1-second rebroadcast tick.  Subclasses only supply the
-:meth:`_should_store` / :meth:`_should_flood` predicates.  Behaviour is
-bit-identical to the pre-stack monolith
-(:class:`repro.baselines.reference.ReferenceFloodingProtocol`), proven by
-``tests/test_stack_equivalence.py``.
+1-second rebroadcast tick.  A variant declares only its store predicate
+(:attr:`~repro.core.stack.protocol.StackProtocol.stores_parasites`) and
+its flood predicate (:meth:`FloodingProtocol._should_flood`).
 """
 
 from __future__ import annotations
 
-import abc
-from typing import FrozenSet, Set
-
-from repro.core.base import PubSubProtocol
-from repro.core.events import Event, EventId
+from repro.core.base import ProtocolCounters
+from repro.core.events import Event
 from repro.core.stack.delivery import DeliveryLayer
 from repro.core.stack.forwarding import PeriodicFloodForwarding
+from repro.core.stack.protocol import StackProtocol
 from repro.core.stack.store import EventStore
-from repro.core.topics import Topic
-from repro.net.messages import EventBatch, Heartbeat, Message
 
 
-class FloodingProtocol(PubSubProtocol):
-    """Base class for the three flooding baselines.
-
-    Subclasses decide, via :meth:`_should_store` and
-    :meth:`_should_flood`, what enters the local store and what goes out
-    on each tick.
-    """
-
-    #: Rebroadcast period in seconds (the paper's "every one second").
-    flood_period: float = 1.0
+class FloodingProtocol(StackProtocol):
+    """Base declaration of the three flooding baselines."""
 
     def __init__(self, flood_period: float = 1.0,
                  flood_jitter: float = 0.05):
-        super().__init__()
-        if flood_period <= 0:
-            raise ValueError(f"flood_period must be positive: {flood_period}")
-        self.flood_period = float(flood_period)
-        self.flood_jitter = float(flood_jitter)
-        self.delivery = DeliveryLayer(self.counters)
-        self.store = EventStore.unbounded()
-        self.forwarding = PeriodicFloodForwarding(
-            self.counters, self.flood_period, self.flood_jitter,
-            self._should_flood)
-        self._running = False
-
-    # -- application-facing API ------------------------------------------------
-
-    @property
-    def subscriptions(self) -> FrozenSet[Topic]:
-        """Current subscription set."""
-        return self.delivery.subscriptions
-
-    def subscribe(self, topic: Topic | str) -> None:
-        """Register interest in ``topic`` and its subtopics."""
-        self.delivery.subscribe(topic)
-
-    def unsubscribe(self, topic: Topic | str) -> None:
-        """Drop a subscription."""
-        self.delivery.unsubscribe(topic)
+        counters = ProtocolCounters()
+        super().__init__(
+            counters, DeliveryLayer(counters), EventStore.unbounded(),
+            PeriodicFloodForwarding(counters, flood_period, flood_jitter,
+                                    self._should_flood))
 
     def publish(self, event: Event) -> None:
         """Store, deliver locally and flood immediately."""
-        host = self._require_attached()
-        self.store.store(event, host.now)
+        self.store.store(event, self._require_attached().now)
         self.delivery.deliver_once(event)
-        self.forwarding.flood_now([event])
+        self.forwarding.flood_now((event,))
 
-    # -- lifecycle -----------------------------------------------------------------
-
-    def attach(self, host) -> None:
-        """Bind to a host: wire the delivery and forwarding layers."""
-        super().attach(host)
-        self.delivery.attach(host)
-        self.forwarding.attach(host, self.store)
-
-    def detach(self) -> None:
-        """Sever the host binding on every layer (stop first)."""
-        super().detach()
-        self.delivery.detach()
-        self.forwarding.detach()
-
-    def on_start(self) -> None:
-        """Boot: arm the periodic flood task."""
-        self._running = True
-        self.forwarding.start()
-
-    def on_stop(self) -> None:
-        """Crash/shutdown: stop flooding, lose store and history."""
-        self._running = False
-        self.forwarding.stop()
-        self.store.clear()
-        self.delivery.reset()
-
-    # -- network-facing API ------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        """Dispatch a received frame by message kind."""
-        if not self._running:
-            return
-        if isinstance(message, EventBatch):
-            self._on_event_batch(message)
-        elif isinstance(message, Heartbeat):
-            self._on_heartbeat(message)
-
-    def _on_heartbeat(self, hb: Heartbeat) -> None:
-        """Only the neighbours'-interests variant listens to heartbeats."""
-
-    def _on_event_batch(self, msg: EventBatch) -> None:
-        now = self.host.now
-        for event in msg.events:
-            subscribed = self.delivery.matches(event.topic)
-            if not subscribed:
-                self.counters.parasites_dropped += 1
-            if event.event_id in self.store:
-                if subscribed:
-                    self.counters.duplicates_dropped += 1
-                continue
-            if not event.is_valid(now):
-                continue
-            if self._should_store(event, subscribed):
-                self.store.store(event, now)
-            if subscribed:
-                self.delivery.deliver_once(event)
-
-    # -- variant hooks -----------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def _should_store(self, event: Event, subscribed: bool) -> bool:
-        """Keep this received event for future re-flooding?"""
-
-    @abc.abstractmethod
     def _should_flood(self, event: Event) -> bool:
         """Include this stored event in the next flood tick?"""
-
-    # -- introspection ------------------------------------------------------------------------
-
-    @property
-    def stored_event_ids(self) -> Set[EventId]:
-        """Ids of every currently stored event."""
-        return self.store.event_ids()
-
-    def __repr__(self) -> str:   # pragma: no cover - debugging aid
-        return (f"<{type(self).__name__} store={len(self.store)} "
-                f"sent={self.counters.batches_sent}>")
+        return True

@@ -10,17 +10,12 @@ metrics charge that cost).
 from __future__ import annotations
 
 from repro.baselines.base import FloodingProtocol
-from repro.core.events import Event
 
 
 class InterestAwareFlooding(FloodingProtocol):
     """Flood only events the process itself subscribed to."""
 
-    def _should_store(self, event: Event, subscribed: bool) -> bool:
-        return subscribed
-
-    def _should_flood(self, event: Event) -> bool:
-        return True   # everything stored passed the interest filter
+    stores_parasites = False
 
 
 def make_interest_flooding(config) -> InterestAwareFlooding:

@@ -10,17 +10,10 @@ maximal bandwidth, duplicate and parasite cost.
 from __future__ import annotations
 
 from repro.baselines.base import FloodingProtocol
-from repro.core.events import Event
 
 
 class SimpleFlooding(FloodingProtocol):
     """Flood everything, interests ignored."""
-
-    def _should_store(self, event: Event, subscribed: bool) -> bool:
-        return True
-
-    def _should_flood(self, event: Event) -> bool:
-        return True
 
 
 def make_simple_flooding(config) -> SimpleFlooding:

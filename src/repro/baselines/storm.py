@@ -12,97 +12,37 @@ current connected component before mobility breaks it.
 
 Both deliver to the application exactly like the other baselines (only
 subscribed events, duplicates dropped) but forward *irrespective of
-interests* — storm schemes are routing-layer, not pub/sub-layer.
+interests* — storm schemes are routing-layer, not pub/sub-layer.  They
+hold no store: an id set remembers every event heard, and
+:class:`~repro.core.stack.forwarding.OneShotForwarding` sends the one
+rebroadcast the scheme decides on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from typing import Dict
 
-from repro.core.base import PubSubProtocol
+from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventId
-from repro.core.topics import Topic, subscription_matches_event
-from repro.net.messages import EventBatch, Message
+from repro.core.stack.delivery import DeliveryLayer
+from repro.core.stack.forwarding import OneShotForwarding
+from repro.core.stack.protocol import StackProtocol
 
 
-class _OneShotRebroadcast(PubSubProtocol):
-    """Shared machinery: deliver-once, forward-at-most-once."""
+class _OneShotRebroadcast(StackProtocol):
+    """Shared declaration: no store, an id set, forward-at-most-once."""
 
     def __init__(self):
-        super().__init__()
-        self._subscriptions: Set[Topic] = set()
-        self._seen: Set[EventId] = set()
-        self._running = False
-
-    # -- application-facing API ----------------------------------------------
-
-    @property
-    def subscriptions(self) -> FrozenSet[Topic]:
-        return frozenset(self._subscriptions)
-
-    def subscribe(self, topic: Topic | str) -> None:
-        self._subscriptions.add(Topic(topic))
-
-    def unsubscribe(self, topic: Topic | str) -> None:
-        self._subscriptions.discard(Topic(topic))
+        counters = ProtocolCounters()
+        super().__init__(counters, DeliveryLayer(counters), None,
+                         OneShotForwarding(counters), seen=set())
 
     def publish(self, event: Event) -> None:
-        if self.host is None:
-            raise RuntimeError("protocol is not attached to a host")
-        self._seen.add(event.event_id)
-        self._deliver_if_subscribed(event)
-        self._broadcast(event)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def on_start(self) -> None:
-        self._running = True
-
-    def on_stop(self) -> None:
-        self._running = False
-        self._seen.clear()
-
-    # -- reception -------------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if not self._running or not isinstance(message, EventBatch):
-            return
-        for event in message.events:
-            subscribed = subscription_matches_event(self._subscriptions,
-                                                    event.topic)
-            if not subscribed:
-                self.counters.parasites_dropped += 1
-            if event.event_id in self._seen:
-                if subscribed:
-                    self.counters.duplicates_dropped += 1
-                self._on_duplicate(event)
-                continue
-            self._seen.add(event.event_id)
-            if not event.is_valid(self.host.now):
-                continue
-            if subscribed:
-                self._deliver_if_subscribed(event)
-            self._on_first_copy(event)
-
-    def _deliver_if_subscribed(self, event: Event) -> None:
-        if subscription_matches_event(self._subscriptions, event.topic):
-            self.counters.delivered_count += 1
-            self.host.deliver(event)
-
-    def _broadcast(self, event: Event) -> None:
-        if not event.is_valid(self.host.now):
-            return
-        self.host.send(EventBatch(sender=self.host.id, events=(event,)))
-        self.counters.batches_sent += 1
-        self.counters.events_forwarded += 1
-
-    # -- scheme hooks --------------------------------------------------------------------
-
-    def _on_first_copy(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _on_duplicate(self, event: Event) -> None:
-        """Counter-based scheme listens to duplicates; others ignore."""
+        """Deliver locally and broadcast immediately."""
+        self._require_attached()
+        self.seen.add(event.event_id)
+        self.delivery.deliver_once(event)
+        self.forwarding.broadcast(event)
 
 
 class GossipFlooding(_OneShotRebroadcast):
@@ -115,19 +55,20 @@ class GossipFlooding(_OneShotRebroadcast):
 
     def __init__(self, probability: float = 0.6,
                  forward_delay_max: float = 0.1):
-        super().__init__()
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0,1]: {probability}")
         if forward_delay_max < 0:
             raise ValueError("forward_delay_max must be >= 0")
+        super().__init__()
         self.probability = float(probability)
         self.forward_delay_max = float(forward_delay_max)
 
-    def _on_first_copy(self, event: Event) -> None:
-        if self.host.rng.random() >= self.probability:
-            return
-        delay = self.host.rng.uniform(0.0, self.forward_delay_max)
-        self.host.schedule(delay, self._broadcast, event)
+    def _accept(self, event: Event, subscribed: bool, now: float) -> None:
+        super()._accept(event, subscribed, now)
+        rng = self.host.rng
+        if rng.random() < self.probability:
+            self.host.schedule(rng.uniform(0.0, self.forward_delay_max),
+                               self.forwarding.broadcast, event)
 
 
 class CounterFlooding(_OneShotRebroadcast):
@@ -141,32 +82,34 @@ class CounterFlooding(_OneShotRebroadcast):
 
     def __init__(self, threshold: int = 3,
                  assessment_delay_max: float = 0.5):
-        super().__init__()
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1: {threshold}")
         if assessment_delay_max <= 0:
             raise ValueError("assessment_delay_max must be positive")
+        super().__init__()
         self.threshold = int(threshold)
         self.assessment_delay_max = float(assessment_delay_max)
         self._copies: Dict[EventId, int] = {}
 
     def on_stop(self) -> None:
+        """Crash/shutdown: also forget the pending copy counts."""
         super().on_stop()
         self._copies.clear()
 
-    def _on_first_copy(self, event: Event) -> None:
+    def _accept(self, event: Event, subscribed: bool, now: float) -> None:
+        super()._accept(event, subscribed, now)
         self._copies[event.event_id] = 1
-        delay = self.host.rng.uniform(0.0, self.assessment_delay_max)
-        self.host.schedule(delay, self._assess, event)
+        self.host.schedule(
+            self.host.rng.uniform(0.0, self.assessment_delay_max),
+            self._assess, event)
 
     def _on_duplicate(self, event: Event) -> None:
         if event.event_id in self._copies:
             self._copies[event.event_id] += 1
 
     def _assess(self, event: Event) -> None:
-        copies = self._copies.pop(event.event_id, 0)
-        if copies < self.threshold:
-            self._broadcast(event)
+        if self._copies.pop(event.event_id, 0) < self.threshold:
+            self.forwarding.broadcast(event)
 
 
 def make_gossip_flooding(config) -> GossipFlooding:

@@ -164,9 +164,9 @@ class PubSubProtocol(abc.ABC):
     cycles).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counters: Optional[ProtocolCounters] = None) -> None:
         self.host: Optional[Host] = None
-        self.counters = ProtocolCounters()
+        self.counters = ProtocolCounters() if counters is None else counters
 
     # -- lifecycle ------------------------------------------------------------
 

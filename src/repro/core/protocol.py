@@ -1,6 +1,6 @@
 """The frugal event-dissemination protocol (paper Sections 3-4).
 
-Three phases, composed from the :mod:`repro.core.stack` layers:
+Three phases, declared over :class:`~repro.core.stack.protocol.StackProtocol`:
 
 1. **Neighbourhood detection** — :class:`HeartbeatMembership`: a periodic
    heartbeat task broadcasts ``(id, subscriptions, [speed])``.  Receivers
@@ -22,12 +22,12 @@ Three phases, composed from the :mod:`repro.core.stack` layers:
    expired events first, then applies Equation 1 (see
    :mod:`repro.core.gc`).
 
-This class is the *composition root*: it owns one instance of each layer
-plus the shared counters, and keeps only the cross-layer glue (publish,
-batch reception, the id-announcement on a new neighbour).  The behaviour
-is bit-identical to the pre-stack monolith — same RNG draw order, same
-timer ordering — which ``tests/test_stack_equivalence.py`` proves
-against the frozen copy in :mod:`repro.baselines.reference`.
+The stack owns the lifecycle and the batch triage; this class keeps only
+the cross-phase glue: publish, the id announcement on a new neighbour,
+the advertised topic set, back-off suppression and the retrieve step
+after an interesting batch.  Delivery is keyed on the store row's
+``delivered`` flag, so an event evicted and later received again is
+delivered again.
 
 Fidelity deviations (documented in DESIGN.md, "Pseudocode fidelity notes"):
 
@@ -50,91 +50,36 @@ from __future__ import annotations
 import math
 from typing import FrozenSet, Optional, Tuple
 
-from repro.core.base import PubSubProtocol
+from repro.core.base import ProtocolCounters
 from repro.core.config import FrugalConfig
-from repro.core.events import Event
+from repro.core.events import Event, StoredEvent
 from repro.core.stack.delivery import DeliveryLayer
 from repro.core.stack.forwarding import BackoffForwarding
 from repro.core.stack.membership import HeartbeatMembership
+from repro.core.stack.protocol import StackProtocol
 from repro.core.stack.store import EventStore
 from repro.core.topics import Topic
-from repro.net.messages import EventBatch, EventIdList, Heartbeat, Message
+from repro.net.messages import EventBatch, EventIdList
 
 
-class FrugalPubSub(PubSubProtocol):
+class FrugalPubSub(StackProtocol):
     """The paper's frugal topic-based publish/subscribe protocol."""
 
     def __init__(self, config: Optional[FrugalConfig] = None):
-        super().__init__()
         self.config = config or FrugalConfig()
-        self.delivery = DeliveryLayer(self.counters)
-        self.membership = HeartbeatMembership(
-            self.config, self.counters,
-            advertised=self.advertised_topics,
+        counters = ProtocolCounters()
+        membership = HeartbeatMembership(
+            self.config, counters, advertised=self.advertised_topics,
             on_new_neighbor=self._on_new_neighbor)
-        self.forwarding = BackoffForwarding(self.config, self.counters,
-                                            self.membership)
-        self.events: Optional[EventStore] = None   # built on attach (needs rng)
-        self._running = False
+        super().__init__(
+            counters, DeliveryLayer(counters),
+            EventStore.from_config(self.config),
+            BackoffForwarding(self.config, counters, membership),
+            membership)
         # Last advertised_topics() result: (subscription view, store
         # generation, first instant it goes stale, the set itself).
         self._advertised: Optional[
             Tuple[FrozenSet[Topic], int, float, FrozenSet[Topic]]] = None
-
-    # -- lifecycle -----------------------------------------------------------------
-
-    def attach(self, host) -> None:
-        """Bind to a host: wire every layer, build the rng-backed store."""
-        super().attach(host)
-        self.events = EventStore.from_config(self.config, host.rng)
-        self._advertised = None   # a fresh store restarts its generation
-        self.delivery.attach(host)
-        self.membership.attach(host)
-        self.forwarding.attach(host, self.events)
-
-    def detach(self) -> None:
-        """Sever the host binding on every layer (stop first)."""
-        super().detach()
-        self.delivery.detach()
-        self.membership.detach()
-        self.forwarding.detach()
-
-    def on_start(self) -> None:
-        """Boot: reset the heartbeat period and arm the tasks."""
-        self._running = True
-        self.membership.start()
-
-    def on_stop(self) -> None:
-        """Crash/shutdown: stop tasks, lose all volatile state.
-
-        Volatile state is lost on crash: a recovered process rebuilds
-        its view from scratch (Section 2 allows crash/recover at any
-        time).  The lifetime counters survive.
-        """
-        self._running = False
-        self.membership.stop()
-        self.forwarding.cancel()
-        self.membership.reset()
-        if self.events is not None:
-            self.events.clear()
-        self.delivery.reset()
-
-    # -- application-facing API -------------------------------------------------------
-
-    @property
-    def subscriptions(self) -> FrozenSet[Topic]:
-        """Current subscription set."""
-        return self.delivery.subscriptions
-
-    def subscribe(self, topic: Topic | str) -> None:
-        """Register interest in ``topic`` and its subtopics (Fig. 5)."""
-        self.delivery.subscribe(topic)
-        self.membership.update_tasks()
-
-    def unsubscribe(self, topic: Topic | str) -> None:
-        """Drop a subscription; tasks stop when nothing is advertised."""
-        self.delivery.unsubscribe(topic)
-        self.membership.update_tasks()
 
     def publish(self, event: Event) -> None:
         """Inject a locally produced event (Fig. 9, ``publish``).
@@ -144,33 +89,22 @@ class FrugalPubSub(PubSubProtocol):
         way it remains available for dissemination at future encounters
         until its validity period ends.
         """
-        self._require_frugal_attached()
-        now = self.host.now
+        now = self._require_attached().now
         interested = self.neighborhood.interested_in(event.topic)
         if interested:
             self.forwarding.send_batch((event,))
-        row = self.events.store(event, now)
+        row = self._keep(event, now)
         if interested:
             row.forward_count += 1
+        self.membership.update_tasks()   # a pure publisher advertises now
+
+    def _keep(self, event: Event, now: float) -> StoredEvent:
+        """Store ``event`` and deliver it unless its row already was."""
+        row = self.store.store(event, now)
         if not row.delivered:
             row.delivered = True
             self.delivery.hand_off(event)
-        self.membership.update_tasks()   # a pure publisher advertises now
-
-    # -- network-facing API --------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        """Dispatch a received frame to the layer that handles its kind."""
-        if not self._running:
-            return
-        if isinstance(message, Heartbeat):
-            self.membership.on_heartbeat(message)
-        elif isinstance(message, EventIdList):
-            self._on_event_id_list(message)
-        elif isinstance(message, EventBatch):
-            self._on_event_batch(message)
-        # Unknown message kinds are ignored: the medium is shared with
-        # whatever other protocols the simulation mixes in.
+        return row
 
     # -- phase 1 glue: id announcements -----------------------------------------------------
 
@@ -181,28 +115,29 @@ class FrugalPubSub(PubSubProtocol):
         result is reused for as long as nothing it depends on changed:
         the subscription view is the same object (``subscribe`` /
         ``unsubscribe`` replace it), the store's ``generation`` is
-        unchanged (every path that adds or removes a row bumps it) and
-        ``now`` is still before the earliest ``expires_at`` among the
-        own valid publications folded in — ``Event.is_valid`` is
-        ``now < expires_at``, so the set shrinks at exactly that instant
-        and is rebuilt by a full scan then.  A process advertising only
-        its subscriptions gets the subscription view itself back.
+        unchanged (every path that adds or removes a row bumps it,
+        attaching included) and ``now`` is still before the earliest
+        ``expires_at`` among the own valid publications folded in —
+        ``Event.is_valid`` is ``now < expires_at``, so the set shrinks
+        at exactly that instant and is rebuilt by a full scan then.  A
+        process advertising only its subscriptions gets the subscription
+        view itself back.
         """
         subs = self.delivery.subscriptions
-        if self.events is None or self.host is None:
+        if self.host is None:
             return subs
         now = self.host.now
         cached = self._advertised
         if (cached is not None and cached[0] is subs
-                and cached[1] == self.events.generation and now < cached[2]):
+                and cached[1] == self.store.generation and now < cached[2]):
             return cached[3]
         own = self.host.id
-        own_valid = [row.event for row in self.events
+        own_valid = [row.event for row in self.store
                      if row.event_id.publisher == own and row.is_valid(now)]
         topics = (subs.union(e.topic for e in own_valid) if own_valid
                   else subs)
         stale_at = min((e.expires_at for e in own_valid), default=math.inf)
-        self._advertised = (subs, self.events.generation, stale_at, topics)
+        self._advertised = (subs, self.store.generation, stale_at, topics)
         return topics
 
     def _on_new_neighbor(self, neighbor_id: int,
@@ -217,7 +152,7 @@ class FrugalPubSub(PubSubProtocol):
         if not self.config.announce_on_new_neighbor:
             self.forwarding.retrieve()
             return
-        ids = self.events.valid_ids_for(their_subs, self.host.now)
+        ids = self.store.valid_ids_for(their_subs, self.host.now)
         self.host.send(EventIdList(sender=self.host.id,
                                    event_ids=tuple(ids)))
         self.counters.id_lists_sent += 1
@@ -233,40 +168,35 @@ class FrugalPubSub(PubSubProtocol):
 
     # -- phase 2 glue: batch reception -------------------------------------------------------
 
-    def _on_event_batch(self, msg: EventBatch) -> None:
-        """Fig. 9 lines 16-32: receive events, deliver, update the view."""
-        now = self.host.now
-        interested = False
+    def _on_event_batch(self, msg: EventBatch) -> bool:
+        """Fig. 9 lines 16-32: the sender holds every carried event and
+        the attached neighbour ids are about to — all of them are
+        presumed to know it; after the triage, an interesting reception
+        triggers the retrieve step."""
+        table, own = self.neighborhood, self.host.id
         for event in msg.events:
-            # The sender holds the event; the attached neighbour ids are
-            # about to receive it — all of them are presumed to know it.
-            self.neighborhood.record_known_event(msg.sender, event.event_id)
+            table.record_known_event(msg.sender, event.event_id)
             for nid in msg.neighbor_ids:
-                if nid != self.host.id:
-                    self.neighborhood.record_known_event(nid, event.event_id)
-            if not self.delivery.matches(event.topic):
-                self.counters.parasites_dropped += 1
-                continue
-            if event.event_id in self.events:
-                self.counters.duplicates_dropped += 1
-                continue
-            if not event.is_valid(now):
-                continue   # expired in flight; of no use to anyone
-            interested = True
+                if nid != own:
+                    table.record_known_event(nid, event.event_id)
+        interesting = super()._on_event_batch(msg)
+        if interesting:
+            self.forwarding.retrieve()
+        return interesting
+
+    def _accept(self, event: Event, subscribed: bool, now: float) -> None:
+        """Keep an event of interest, suppressing the pending back-off."""
+        if subscribed:
             if self.config.backoff_suppression:
                 self.forwarding.cancel()
-            row = self.events.store(event, now)
-            if not row.delivered:
-                row.delivered = True
-                self.delivery.hand_off(event)
-        if interested:
-            self.forwarding.retrieve()
+            self._keep(event, now)
 
-    # -- misc ---------------------------------------------------------------------------------
+    # -- introspection ---------------------------------------------------------------------
 
-    def _require_frugal_attached(self) -> None:
-        if self.host is None or self.events is None:
-            raise RuntimeError("protocol is not attached to a host")
+    @property
+    def events(self) -> EventStore:
+        """The bounded event table (Fig. 3)."""
+        return self.store
 
     @property
     def neighborhood(self):
@@ -287,11 +217,6 @@ class FrugalPubSub(PubSubProtocol):
     def _backoff_timer(self):
         """The armed back-off timer handle (tests peek at it)."""
         return self.forwarding.timer
-
-    def __repr__(self) -> str:   # pragma: no cover - debugging aid
-        subs = ",".join(sorted(str(t) for t in self.delivery.subscriptions))
-        return (f"<FrugalPubSub subs=[{subs}] "
-                f"events={len(self.events) if self.events else 0}>")
 
 
 def make_frugal(config) -> FrugalPubSub:

@@ -10,12 +10,8 @@ validation, ``make_protocol``, the CLI ``--protocol`` surface and the
 
 A factory receives the *full* scenario config (duck-typed — the registry
 lives below the harness and never imports it) and returns a fresh
-:class:`~repro.core.base.PubSubProtocol`.  Entries flagged ``hidden``
-are valid in configs but excluded from "every protocol" sweeps — the
-frozen pre-stack reference implementations
-(:mod:`repro.baselines.reference`) use this so the paired-equality suite
-can run them through the full harness without them showing up in
-comparison tables.
+:class:`~repro.core.base.PubSubProtocol`.  Every registered name is both
+valid in configs and part of "every protocol" sweeps.
 
 The built-in protocols are data: :data:`BUILTINS` names each one's
 factory as ``"module:function"``, and :data:`REGISTRY` starts out
@@ -41,41 +37,27 @@ from repro.core.base import PubSubProtocol
 #: returns a fresh protocol instance.
 ProtocolFactory = Callable[[object], PubSubProtocol]
 
-#: The built-in protocols: ``(name, "module:factory", description,
-#: hidden)``.  Each factory reads only the config fields its protocol
-#: needs, so paired sweeps can vary one protocol's knobs without
-#: perturbing the others.
-BUILTINS: Tuple[Tuple[str, str, str, bool], ...] = (
+#: The built-in protocols: ``(name, "module:factory", description)``.
+#: Each factory reads only the config fields its protocol needs, so
+#: paired sweeps can vary one protocol's knobs without perturbing the
+#: others.
+BUILTINS: Tuple[Tuple[str, str, str], ...] = (
     ("frugal", "repro.core.protocol:make_frugal",
-     "the paper's frugal store-and-forward protocol", False),
+     "the paper's frugal store-and-forward protocol"),
     ("simple-flooding", "repro.baselines.simple_flooding:make_simple_flooding",
-     "flood everything every second, interests ignored", False),
+     "flood everything every second, interests ignored"),
     ("interest-flooding",
      "repro.baselines.interest_flooding:make_interest_flooding",
-     "flood only events the process subscribed to", False),
+     "flood only events the process subscribed to"),
     ("neighbor-flooding",
      "repro.baselines.neighbor_flooding:make_neighbor_flooding",
-     "flood subscribed events while an interested neighbour exists", False),
+     "flood subscribed events while an interested neighbour exists"),
     ("gossip-flooding", "repro.baselines.storm:make_gossip_flooding",
-     "one-shot probabilistic broadcast-storm scheme", False),
+     "one-shot probabilistic broadcast-storm scheme"),
     ("counter-flooding", "repro.baselines.storm:make_counter_flooding",
-     "one-shot counter-based broadcast-storm scheme", False),
+     "one-shot counter-based broadcast-storm scheme"),
     ("gossip", "repro.baselines.gossip:make_gossip",
-     "lpbcast-style periodic gossip over a bounded digest buffer", False),
-    # Frozen pre-stack monoliths: valid protocol names (the paired
-    # bit-identity suite runs them through the full harness, including
-    # parallel workers) but hidden from protocol sweeps.
-    ("legacy-frugal", "repro.baselines.reference:make_legacy_frugal",
-     "pre-stack frugal monolith (verification reference)", True),
-    ("legacy-simple-flooding",
-     "repro.baselines.reference:make_legacy_simple_flooding",
-     "pre-stack simple flooder (verification reference)", True),
-    ("legacy-interest-flooding",
-     "repro.baselines.reference:make_legacy_interest_flooding",
-     "pre-stack interest flooder (verification reference)", True),
-    ("legacy-neighbor-flooding",
-     "repro.baselines.reference:make_legacy_neighbor_flooding",
-     "pre-stack neighbour flooder (verification reference)", True),
+     "lpbcast-style periodic gossip over a bounded digest buffer"),
 )
 
 
@@ -101,7 +83,6 @@ class ProtocolEntry:
     name: str
     factory: ProtocolFactory
     description: str = ""
-    hidden: bool = False
 
     def create(self, config) -> PubSubProtocol:
         """Instantiate the protocol for one scenario config."""
@@ -117,7 +98,7 @@ class ProtocolRegistry:
     # -- mutation ---------------------------------------------------------------
 
     def register(self, name: str, factory: ProtocolFactory, *,
-                 description: str = "", hidden: bool = False,
+                 description: str = "",
                  replace: bool = False) -> ProtocolEntry:
         """Add a protocol under ``name``; duplicate names raise unless
         ``replace`` is set (re-imports of the same module are
@@ -128,7 +109,7 @@ class ProtocolRegistry:
             raise ValueError(f"protocol {name!r} is already registered; "
                              f"pass replace=True to override")
         entry = ProtocolEntry(name=name, factory=factory,
-                              description=description, hidden=hidden)
+                              description=description)
         self._entries[name] = entry
         return entry
 
@@ -147,21 +128,19 @@ class ProtocolRegistry:
         except KeyError:
             raise ValueError(
                 f"unknown protocol {name!r}; known: "
-                f"{self.names(include_hidden=True)}") from None
+                f"{self.names()}") from None
 
     def create(self, name: str, config) -> PubSubProtocol:
         """Instantiate the protocol registered under ``name``."""
         return self.get(name).create(config)
 
-    def names(self, include_hidden: bool = False) -> List[str]:
-        """Registered names, sorted; hidden entries opt-in."""
-        return sorted(n for n, e in self._entries.items()
-                      if include_hidden or not e.hidden)
+    def names(self) -> List[str]:
+        """Registered names, sorted."""
+        return sorted(self._entries)
 
-    def entries(self, include_hidden: bool = False) -> List[ProtocolEntry]:
-        """Registered entries in name order; hidden entries opt-in."""
-        return [self._entries[n]
-                for n in self.names(include_hidden=include_hidden)]
+    def entries(self) -> List[ProtocolEntry]:
+        """Registered entries in name order."""
+        return [self._entries[n] for n in self.names()]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -170,17 +149,17 @@ class ProtocolRegistry:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.names(include_hidden=True))
+        return iter(self.names())
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
-        return f"<ProtocolRegistry {self.names(include_hidden=True)}>"
+        return f"<ProtocolRegistry {self.names()}>"
 
 
 def _with_builtins() -> ProtocolRegistry:
     registry = ProtocolRegistry()
-    for name, target, description, hidden in BUILTINS:
+    for name, target, description in BUILTINS:
         registry.register(name, imported_factory(target),
-                          description=description, hidden=hidden)
+                          description=description)
     return registry
 
 
@@ -190,10 +169,10 @@ REGISTRY = _with_builtins()
 
 
 def register(name: str, factory: ProtocolFactory, *, description: str = "",
-             hidden: bool = False, replace: bool = False) -> ProtocolEntry:
+             replace: bool = False) -> ProtocolEntry:
     """Register into the default registry (module-level convenience)."""
     return REGISTRY.register(name, factory, description=description,
-                             hidden=hidden, replace=replace)
+                             replace=replace)
 
 
 def unregister(name: str) -> None:
@@ -211,11 +190,11 @@ def create(name: str, config) -> PubSubProtocol:
     return REGISTRY.create(name, config)
 
 
-def names(include_hidden: bool = False) -> List[str]:
+def names() -> List[str]:
     """Names in the default registry (module-level convenience)."""
-    return REGISTRY.names(include_hidden=include_hidden)
+    return REGISTRY.names()
 
 
-def entries(include_hidden: bool = False) -> List[ProtocolEntry]:
+def entries() -> List[ProtocolEntry]:
     """Entries in the default registry (module-level convenience)."""
-    return REGISTRY.entries(include_hidden=include_hidden)
+    return REGISTRY.entries()

@@ -19,14 +19,17 @@ minimal :class:`repro.core.base.Host` interface:
 * **forwarding** (:mod:`repro.core.stack.forwarding`) — when held events
   go back on the air: the frugal back-off/suppression contention
   (:class:`BackoffForwarding`), the flooders' fixed-period rebroadcast
-  (:class:`PeriodicFloodForwarding`) and the gossip rounds of the
-  lpbcast-style baseline (:class:`GossipForwarding`).
+  (:class:`PeriodicFloodForwarding`), the gossip rounds of the
+  lpbcast-style baseline (:class:`GossipForwarding`) and the
+  broadcast-storm schemes' single rebroadcast (:class:`OneShotForwarding`).
 
 All layers share one :class:`repro.core.base.ProtocolCounters` instance
-per stack, and a protocol class is little more than the composition
-root wiring them together (see ``examples/custom_protocol.py`` for a
-from-scratch composition, and :mod:`repro.core.registry` for plugging
-the result into the experiment harness).
+per stack.  :class:`StackProtocol` (:mod:`repro.core.stack.protocol`)
+takes the layers through its constructor and owns the lifecycle and the
+one reception loop, so a protocol is a declaration: its layers plus a
+small hook (see ``examples/custom_protocol.py`` for a from-scratch
+declaration, and :mod:`repro.core.registry` for plugging the result
+into the experiment harness).
 """
 
 from repro._lazy import lazy_exports
@@ -40,13 +43,17 @@ __all__ = [
     "BackoffForwarding",
     "PeriodicFloodForwarding",
     "GossipForwarding",
+    "OneShotForwarding",
+    "StackProtocol",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.base": ("ProtocolCounters",),
     "repro.core.stack.delivery": ("DeliveryLayer",),
     "repro.core.stack.forwarding": ("BackoffForwarding", "GossipForwarding",
+                                    "OneShotForwarding",
                                     "PeriodicFloodForwarding"),
     "repro.core.stack.membership": ("HeartbeatMembership", "TTLMembership"),
+    "repro.core.stack.protocol": ("StackProtocol",),
     "repro.core.stack.store": ("EventStore",),
 })

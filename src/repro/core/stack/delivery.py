@@ -15,7 +15,7 @@ delivered" differently:
   protocol: an event evicted and later re-received is delivered again,
   by design);
 * :meth:`DeliveryLayer.deliver_once` — set-based exactly-once hand-off,
-  for stacks without per-row flags (the flooding and gossip baselines).
+  for stacks without per-row flags (every baseline).
 """
 
 from __future__ import annotations

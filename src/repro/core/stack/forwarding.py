@@ -1,6 +1,6 @@
 """The stack's forwarding layer: when held events go back on the air.
 
-Three policies cover every protocol in the repository:
+Four policies cover every protocol in the repository:
 
 * :class:`BackoffForwarding` — the frugal protocol's phase 2 (paper
   Figs. 7 and 9): compute what some matching neighbour lacks, arm a
@@ -13,11 +13,16 @@ Three policies cover every protocol in the repository:
 * :class:`GossipForwarding` — lpbcast-style rounds for the gossip
   baseline: each period, with a configurable probability, rebroadcast
   the newest events of a bounded digest buffer.
+* :class:`OneShotForwarding` — the broadcast-storm schemes: no task of
+  its own; the scheme decides once per event whether (and when) to
+  rebroadcast it.
 
 Each policy holds the stack's shared counters and writes
 ``batches_sent`` / ``events_forwarded``; randomness (back-off jitter,
 gossip coins) comes exclusively from the host's node-local rng stream,
-which is what keeps every composition seed-deterministic.
+which is what keeps every composition seed-deterministic.  All four
+share one wiring (:class:`_Forwarding`): bound to the host and the
+stack's store on attach, started and stopped with the stack.
 """
 
 from __future__ import annotations
@@ -33,7 +38,56 @@ from repro.core.topics import entitled
 from repro.net.messages import EventBatch
 
 
-class BackoffForwarding:
+class _Forwarding:
+    """The wiring every forwarding policy shares."""
+
+    def __init__(self, counters: ProtocolCounters):
+        self.counters = counters
+        self._host: Optional[Host] = None
+        self._store: Optional[EventStore] = None
+
+    def attach(self, host: Host, store: Optional[EventStore]) -> None:
+        """Bind the layer to the hosting node and the stack's store."""
+        self._host = host
+        self._store = store
+
+    def detach(self) -> None:
+        """Drop the host/store bindings (stack detach; stop first)."""
+        self._host = None
+        self._store = None
+
+    def start(self) -> None:
+        """Arm the policy's own task, if it has one."""
+
+    def stop(self) -> None:
+        """Cancel whatever the policy has pending."""
+
+
+class _PeriodicForwarding(_Forwarding):
+    """A policy driven by one jittered periodic task (``_tick``)."""
+
+    def __init__(self, counters: ProtocolCounters, period: float,
+                 jitter: float, what: str):
+        if period <= 0:
+            raise ValueError(f"{what} must be positive: {period}")
+        super().__init__(counters)
+        self.period = float(period)
+        self.jitter = float(jitter)
+        self._task = None
+
+    def start(self) -> None:
+        """Arm the periodic task."""
+        self._task = self._host.periodic(
+            self.period, self._tick, jitter=self.jitter)
+
+    def stop(self) -> None:
+        """Stop the periodic task."""
+        if self._task is not None:
+            self._task.stop()
+            self._task = None
+
+
+class BackoffForwarding(_Forwarding):
     """The frugal contention back-off (paper Figs. 7-9).
 
     Reads the membership layer's table (who lacks what) and the store
@@ -44,25 +98,15 @@ class BackoffForwarding:
 
     def __init__(self, config: FrugalConfig, counters: ProtocolCounters,
                  membership: HeartbeatMembership):
+        super().__init__(counters)
         self.config = config
-        self.counters = counters
         self.membership = membership
-        self._host: Optional[Host] = None
-        self._store: Optional[EventStore] = None
         self._timer = None
         self._bo_delay: Optional[float] = None      # the paper's "BODelay"
 
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, host: Host, store: EventStore) -> None:
-        """Bind the layer to the hosting node and the stack's store."""
-        self._host = host
-        self._store = store
-
-    def detach(self) -> None:
-        """Drop the host/store bindings (stack detach; cancel first)."""
-        self._host = None
-        self._store = None
+    def stop(self) -> None:
+        """Crash/shutdown: drop the pending back-off."""
+        self.cancel()
 
     # -- the back-off ----------------------------------------------------------------
 
@@ -159,7 +203,7 @@ class BackoffForwarding:
         return self._timer
 
 
-class PeriodicFloodForwarding:
+class PeriodicFloodForwarding(_PeriodicForwarding):
     """Fixed-period rebroadcast (the Section 5.2 flooding comparators).
 
     Each tick expires stale events from the store for good, then floods
@@ -168,42 +212,8 @@ class PeriodicFloodForwarding:
 
     def __init__(self, counters: ProtocolCounters, period: float,
                  jitter: float, should_flood: Callable[[Event], bool]):
-        if period <= 0:
-            raise ValueError(f"flood_period must be positive: {period}")
-        self.counters = counters
-        self.period = float(period)
-        self.jitter = float(jitter)
+        super().__init__(counters, period, jitter, "flood_period")
         self._should_flood = should_flood
-        self._host: Optional[Host] = None
-        self._store: Optional[EventStore] = None
-        self._task = None
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, host: Host, store: EventStore) -> None:
-        """Bind the layer to the hosting node and the stack's store."""
-        self._host = host
-        self._store = store
-
-    def detach(self) -> None:
-        """Drop the host/store bindings (stack detach; stop first)."""
-        self._host = None
-        self._store = None
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the periodic flood task."""
-        self._task = self._host.periodic(
-            self.period, self._tick, jitter=self.jitter)
-
-    def stop(self) -> None:
-        """Stop the periodic flood task."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
-    # -- flooding -------------------------------------------------------------------
 
     def _tick(self) -> None:
         now = self._host.now
@@ -222,7 +232,7 @@ class PeriodicFloodForwarding:
         self.counters.events_forwarded += len(events)
 
 
-class GossipForwarding:
+class GossipForwarding(_PeriodicForwarding):
     """lpbcast-style gossip rounds over a bounded digest buffer.
 
     Each period the layer expires stale buffer entries, then — with
@@ -234,48 +244,14 @@ class GossipForwarding:
 
     def __init__(self, counters: ProtocolCounters, period: float,
                  jitter: float, forward_probability: float, fanout: int):
-        if period <= 0:
-            raise ValueError(f"gossip period must be positive: {period}")
+        super().__init__(counters, period, jitter, "gossip period")
         if not 0.0 <= forward_probability <= 1.0:
             raise ValueError(f"forward_probability must be in [0,1]: "
                              f"{forward_probability}")
         if fanout < 1:
             raise ValueError(f"fanout must be >= 1: {fanout}")
-        self.counters = counters
-        self.period = float(period)
-        self.jitter = float(jitter)
         self.forward_probability = float(forward_probability)
         self.fanout = int(fanout)
-        self._host: Optional[Host] = None
-        self._store: Optional[EventStore] = None
-        self._task = None
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, host: Host, store: EventStore) -> None:
-        """Bind the layer to the hosting node and the digest buffer."""
-        self._host = host
-        self._store = store
-
-    def detach(self) -> None:
-        """Drop the host/store bindings (stack detach; stop first)."""
-        self._host = None
-        self._store = None
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the periodic gossip-round task."""
-        self._task = self._host.periodic(
-            self.period, self._tick, jitter=self.jitter)
-
-    def stop(self) -> None:
-        """Stop the periodic gossip-round task."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
-    # -- gossip rounds ----------------------------------------------------------------
 
     def _tick(self) -> None:
         now = self._host.now
@@ -296,3 +272,19 @@ class GossipForwarding:
         self._host.send(EventBatch(sender=self._host.id, events=events))
         self.counters.batches_sent += 1
         self.counters.events_forwarded += len(events)
+
+
+class OneShotForwarding(_Forwarding):
+    """Forward-at-most-once rebroadcast (the broadcast-storm schemes).
+
+    Arms nothing itself: the scheme schedules :meth:`broadcast` through
+    the host, whose crash path cancels what is still pending.
+    """
+
+    def broadcast(self, event: Event) -> None:
+        """Send ``event`` alone, unless it expired meanwhile."""
+        if not event.is_valid(self._host.now):
+            return
+        self._host.send(EventBatch(sender=self._host.id, events=(event,)))
+        self.counters.batches_sent += 1
+        self.counters.events_forwarded += 1

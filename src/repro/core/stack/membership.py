@@ -45,8 +45,9 @@ steady-state reception costs a few look-ups and comparisons:
 There is one path and no switch, and no running sum of speeds: a pass
 that does run scans the table in row order, because the order of the
 float additions is part of the golden digests.  The recompute-everything
-monolith in :mod:`repro.baselines.reference` stays naive on purpose —
-``tests/test_stack_equivalence.py`` compares the two on every family.
+oracle ``naive_membership`` (``tests/helpers.py``) is checked against
+this layer after every step of a hypothesis state machine
+(``tests/test_membership_incremental.py``).
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ class HeartbeatMembership:
         self.update_tasks()
 
     def stop(self) -> None:
-        """Stop both periodic tasks; the table is left to :meth:`reset`."""
+        """Stop both periodic tasks and forget every neighbour."""
         self._started = False
         self._stop_tasks()
+        self.reset()
 
     def reset(self) -> None:
         """Forget every neighbour (volatile state is lost on crash)."""
@@ -301,6 +303,9 @@ class TTLMembership:
             self._hb_task.stop()
             self._hb_task = None
         self._neighbors.clear()
+
+    def update_tasks(self) -> None:
+        """Nothing to re-arm: a beacon reads the subscriptions it sends."""
 
     # -- beaconing / reception -------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
+from repro.core.base import Host
 from repro.core.config import FrugalConfig
 from repro.core.events import EventId
 from repro.core.gc import FifoPolicy, make_policy
@@ -28,11 +29,11 @@ class EventStore(EventTable):
     """An :class:`EventTable` with stack-composition constructors."""
 
     @classmethod
-    def from_config(cls, config: FrugalConfig, rng) -> "EventStore":
+    def from_config(cls, config: FrugalConfig, rng=None) -> "EventStore":
         """The frugal protocol's store: bounded, policy-evicted.
 
-        ``rng`` is the host's node-local stream (only the ``random``
-        eviction policy draws from it).
+        ``rng`` is the stream the ``random`` eviction policy draws from;
+        :meth:`attach` sets it to the host's node-local stream.
         """
         return cls(capacity=config.event_table_capacity,
                    policy=make_policy(config.eviction_policy),
@@ -47,6 +48,11 @@ class EventStore(EventTable):
     def bounded_fifo(cls, capacity: Optional[int]) -> "EventStore":
         """A bounded digest buffer: expired-first, then oldest-first."""
         return cls(capacity=capacity, policy=FifoPolicy())
+
+    def attach(self, host: Host) -> None:
+        """Start empty on ``host``, evicting with its node-local rng."""
+        self.clear()
+        self._rng = host.rng
 
     def event_ids(self) -> Set[EventId]:
         """The ids of every stored event (valid or not)."""

@@ -63,10 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngRegistry
 
 
-def known_protocols(include_hidden: bool = False) -> Tuple[str, ...]:
+def known_protocols() -> Tuple[str, ...]:
     """The registered protocol names (the historical ``PROTOCOLS`` tuple,
     now answered live by :mod:`repro.core.registry`)."""
-    return tuple(registry.names(include_hidden=include_hidden))
+    return tuple(registry.names())
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +333,7 @@ class ScenarioConfig:
         if self.protocol not in registry.REGISTRY:
             raise ValueError(
                 f"protocol must be one of "
-                f"{registry.names(include_hidden=True)}: "
+                f"{registry.names()}: "
                 f"{self.protocol!r}")
         if not 0.0 < self.subscriber_fraction <= 1.0:
             raise ValueError("subscriber_fraction must be in (0, 1]")
@@ -603,8 +603,8 @@ def make_protocol(config: ScenarioConfig) -> PubSubProtocol:
 
     Dispatch goes through the protocol registry
     (:mod:`repro.core.registry`): any strategy registered there — the
-    built-ins, the hidden verification references, or a custom
-    composition of the stack layers — is constructible by name.
+    built-ins or a custom composition of the stack layers — is
+    constructible by name.
     """
     return registry.create(config.protocol, config)
 

@@ -509,13 +509,13 @@ def churn_resilience_study(scale: Scale) -> StudySpec:
 def protocol_matrix_study(scale: Scale) -> StudySpec:
     """protocol-matrix: every registered protocol under churn.
 
-    The registry-powered cross product: each *visible* entry of
+    The registry-powered cross product: each entry of
     :mod:`repro.core.registry` — the frugal protocol, the three
     Section 5.2 flooders, both broadcast-storm schemes, the lpbcast
     gossip baseline, and any custom registration — runs the churn
     scenarios on paired seeds.  One sweep answers "how does a new
     strategy behave under availability stress" without touching the
-    harness; hidden verification entries are excluded.
+    harness.
     """
     return _churn_sweep(
         scale, "protocol-matrix",

@@ -20,7 +20,8 @@ power integrated over a script by walking its sorted window edges.
 for driving a real host: a protocol that only records its lifecycle and
 messages, and a UDP transport that only records ``sendto`` calls.
 :class:`SelfKillingSpec` is a world whose construction kills the worker
-process building it.
+process building it.  :func:`run_subscription_dynamics` is a world
+whose processes subscribe, unsubscribe and publish throughout the run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import PubSubProtocol
+from repro.core.config import FrugalConfig
 from repro.core.events import Event, EventFactory
 from repro.energy import (DutyCycleConfig, EnergyConfig, PowerProfile,
                           RadioState)
@@ -44,7 +46,8 @@ from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
 from repro.harness.experiments import rwp_scenario
 from repro.harness.presets import QUICK
 from repro.harness.scenario import (MobilitySpec, Publication,
-                                    RandomWaypointSpec, ScenarioConfig)
+                                    RandomWaypointSpec, ScenarioConfig,
+                                    build_world)
 from repro.mobility import Stationary
 from repro.net import RadioConfig
 from repro.net.messages import Message
@@ -186,6 +189,75 @@ def small_rwp() -> ScenarioConfig:
         duration=40.0, warmup=4.0,
         subscriber_fraction=0.75,
         publications=(Publication(at=2.0, validity=30.0),))
+
+
+def dense_rwp(protocol: str = "frugal") -> ScenarioConfig:
+    """Eight processes at 10 m/s on a 900 m field, two publishers: the
+    base world of the ``stack-*`` golden families."""
+    return ScenarioConfig(
+        n_processes=8,
+        mobility=RandomWaypointSpec(width=900.0, height=900.0,
+                                    speed_min=10.0, speed_max=10.0),
+        duration=35.0, warmup=4.0,
+        protocol=protocol,
+        subscriber_fraction=0.75,
+        publications=(Publication(at=2.0, validity=28.0),
+                      Publication(at=5.0, validity=28.0, publisher=1)))
+
+
+DYNAMICS_TOPICS = (".paper.events.demo", ".paper.events", ".paper.other",
+                   ".paper.other.deep")
+
+
+def run_subscription_dynamics(protocol: str, seed: int) -> dict:
+    """The subscription-dynamics world: ``ScenarioConfig`` has no field
+    for subscription changes, so the world is built by the harness and
+    scripted here — sixty seeded subscribe / unsubscribe / publish steps
+    spread over the run, publications short enough to expire inside it,
+    among processes whose speeds keep changing.  Returns everything
+    observable about the outcome.
+    """
+    # Legs of 4-40 m/s on a small field under a 4 s heartbeat bound:
+    # speeds differ per process and per leg, and the adapted period is
+    # not pinned to the bound, so Fig. 8 has something to follow.
+    config = dense_rwp(protocol).with_changes(
+        seed=seed, publications=(),
+        mobility=RandomWaypointSpec(width=600.0, height=600.0,
+                                    speed_min=4.0, speed_max=40.0,
+                                    pause_time=0.5),
+        frugal=FrugalConfig(hb_upper_bound=4.0))
+    world = build_world(config)
+    sim, nodes = world.sim, world.nodes
+    script = random.Random(seed)
+    factories = {node.id: EventFactory(node.id) for node in nodes}
+
+    def publish(node, topic, validity):
+        node.protocol.publish(factories[node.id].create(
+            topic, validity=validity, now=sim.now, payload_bytes=64))
+
+    for step in range(60):
+        at = 1.0 + step * 0.6 + script.random() * 0.5
+        node = script.choice(nodes)
+        topic = script.choice(DYNAMICS_TOPICS)
+        action = script.choice(("subscribe", "unsubscribe", "publish"))
+        if action == "publish":
+            sim.call_at(at, publish, node, topic,
+                        script.choice((2.0, 7.5, 30.0)))
+        else:
+            sim.call_at(at, getattr(node.protocol, action), topic)
+    for node in nodes:
+        node.start()
+    sim.run(until=45.0)
+    return {
+        "events": sim.events_processed,
+        "frames": (world.medium.frames_sent, world.medium.frames_delivered,
+                   world.medium.frames_collided),
+        "nodes": [(node.protocol.counters.as_dict(),
+                   node.protocol.hb_delay,
+                   [str(t) for t in sorted(node.protocol.subscriptions)],
+                   [e.event_id for e in node.delivered_events])
+                  for node in nodes],
+    }
 
 
 def cap_warmup(cfg: ScenarioConfig) -> ScenarioConfig:

@@ -3,8 +3,8 @@
 Mirrors the CI ``ruff check`` (pydocstyle rules D101/D102/D103) for the
 ``repro.sim``, ``repro.net``, ``repro.harness`` and ``repro.faults``
 packages plus the protocol-stack surface (``repro.core.stack``,
-``repro.core.registry``, the ``repro.baselines.gossip`` and
-``repro.baselines.reference`` modules), so the docs contract is enforced
+``repro.core.registry``, ``repro.core.protocol`` and the
+``repro.baselines`` package), so the docs contract is enforced
 even where ruff is not installed: every public class, function, method
 and property in those trees must carry a docstring.  Private names
 (leading underscore) and dunders are exempt, matching the pydocstyle
@@ -22,8 +22,8 @@ import pytest
 
 DOCUMENTED_PACKAGES = ("repro.sim", "repro.sim.shard", "repro.net",
                        "repro.harness", "repro.faults", "repro.core.stack",
-                       "repro.core.registry", "repro.baselines.gossip",
-                       "repro.baselines.reference", "repro.rt",
+                       "repro.core.registry", "repro.core.protocol",
+                       "repro.baselines", "repro.rt",
                        "repro.study")
 
 

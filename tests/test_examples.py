@@ -90,7 +90,7 @@ class TestExamplesRun:
         assert factor > 1.0
         # The custom stack must have been unregistered on exit.
         from repro.core import registry
-        assert "selective-gossip" not in registry.names(include_hidden=True)
+        assert "selective-gossip" not in registry.names()
 
     @pytest.mark.slow
     def test_protocol_comparison(self, capsys):

@@ -23,6 +23,13 @@ streams) the same way, on the in-process backend: summary and protocol
 counters only, since a merged collector has no medium to count frames
 on.  K-, tile- and epoch-invariance say the shard plans agree with each
 other; these pins say they agree with yesterday.
+
+The ``stack-*`` and ``scripted-*`` pins stand where the frozen
+pre-stack protocol monoliths used to run beside the composed stacks:
+each was computed once under both implementations, found equal, and the
+monoliths deleted.  A scripted digest covers a scripted world's kernel
+event count, frame counters and every node's counters, heartbeat
+period, subscriptions and delivered ids.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Callable, Dict, Tuple
 
 import pytest
 
+from repro.core.config import FrugalConfig
 from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
@@ -52,8 +60,8 @@ from repro.net.messages import Heartbeat
 from repro.sim import Simulator
 from repro.sim.shard import ShardConfig
 from repro.sim.space import Vec2
-from tests.helpers import (SHARD_MATRIX, MediumStub, cap_warmup, quick_rwp,
-                           small_rwp)
+from tests.helpers import (SHARD_MATRIX, MediumStub, cap_warmup, dense_rwp,
+                           quick_rwp, run_subscription_dynamics, small_rwp)
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 
@@ -152,6 +160,90 @@ FAMILIES: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
             20.0, 6.0, 300.0), (0, 1)),
 }
 
+def _stack_city(protocol: str) -> ScenarioConfig:
+    return ScenarioConfig(
+        n_processes=6,
+        mobility=CitySectionSpec(),
+        duration=28.0, warmup=5.0,
+        protocol=protocol,
+        radio=RadioConfig.paper_city_section(),
+        subscriber_fraction=0.6,
+        publications=(Publication(at=2.0, validity=22.0),))
+
+
+def _stack_energy(protocol: str) -> ScenarioConfig:
+    return dense_rwp(protocol).with_changes(energy=EnergyConfig(
+        profile=PowerProfile.power_save(), battery_capacity_j=30.0,
+        duty_cycle=DutyCycleConfig.heartbeat_aligned(1.0, 0.5)))
+
+
+def _stack_faults(protocol: str) -> ScenarioConfig:
+    return _churn_faults(dense_rwp(protocol), 15.0, 5.0, 250.0)
+
+
+def _pure_publisher() -> ScenarioConfig:
+    """A subscriber of the event topic publishes on the *other* topic:
+    it advertises that topic only through its own publication, so the
+    advertised set changes mid-run when the short validity runs out."""
+    base = dense_rwp()
+    return base.with_changes(
+        subscriber_fraction=0.5,
+        publications=(
+            Publication(at=2.0, validity=9.0, topic=base.other_topic),
+            Publication(at=3.0, validity=28.0),
+            Publication(at=14.0, validity=6.5, topic=base.other_topic,
+                        publisher=1)))
+
+
+def _tiny_table() -> ScenarioConfig:
+    """A two-row event table: publications evict one another (own ones
+    included), so the advertised set follows the store, not the clock."""
+    return dense_rwp().with_changes(
+        frugal=FrugalConfig(event_table_capacity=2),
+        publications=tuple(
+            Publication(at=2.0 + 1.5 * i, validity=25.0 - i,
+                        publisher=i % 3,
+                        topic=None if i % 2 else ".paper.events.demo.sub")
+            for i in range(8)))
+
+
+#: The protocol-stack families: every built-in that once had a frozen
+#: pre-stack twin, on the worlds that exercised the membership layer's
+#: invalidation paths.  Pinned before the twins were deleted.
+STACK: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
+    f"stack-{family}-{protocol}": (build, (0, 1))
+    for (family, protocol), build in {
+        ("fig11-rwp", "frugal"): lambda: dense_rwp("frugal"),
+        ("fig14-city", "frugal"): lambda: _stack_city("frugal"),
+        ("fig17-frugality", "frugal"): lambda: dense_rwp(
+            "frugal").with_changes(subscriber_fraction=0.6),
+        ("fig17-frugality", "simple-flooding"):
+            lambda: dense_rwp("simple-flooding"),
+        ("fig17-frugality", "interest-flooding"):
+            lambda: dense_rwp("interest-flooding"),
+        ("fig17-frugality", "neighbor-flooding"):
+            lambda: dense_rwp("neighbor-flooding"),
+        ("energy-lifetime", "frugal"): lambda: _stack_energy("frugal"),
+        ("energy-lifetime", "neighbor-flooding"):
+            lambda: _stack_energy("neighbor-flooding"),
+        ("rwp-churn-faults", "frugal"): lambda: _stack_faults("frugal"),
+        ("rwp-churn-faults", "simple-flooding"):
+            lambda: _stack_faults("simple-flooding"),
+        ("rwp-churn-faults", "interest-flooding"):
+            lambda: _stack_faults("interest-flooding"),
+        ("pure-publisher-expiry", "frugal"): _pure_publisher,
+        ("tiny-event-table", "frugal"): _tiny_table,
+        ("tiny-tables-churn-faults", "frugal"): lambda: _stack_faults(
+            "frugal").with_changes(frugal=FrugalConfig(
+                event_table_capacity=2, neighborhood_capacity=2)),
+    }.items()}
+
+#: Scripted worlds: family name -> (protocol, seeds).  The digest covers
+#: everything :func:`tests.helpers.run_subscription_dynamics` returns.
+SCRIPTED: Dict[str, Tuple[str, Tuple[int, ...]]] = {
+    "scripted-subscription-dynamics": ("frugal", (0, 1)),
+}
+
 #: Scripted storms: family name -> (medium config, seeds).
 STORMS: Dict[str, Tuple[MediumConfig, Tuple[int, ...]]] = {
     "storm": (MediumConfig(csma_enabled=False), tuple(range(6))),
@@ -169,7 +261,7 @@ SHARDED: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
     for name, build in SHARD_MATRIX.items() for plan in SHARD_PLANS}
 
 CASES = [f"{family}/s{seed}"
-         for table in (FAMILIES, STORMS, SHARDED)
+         for table in (FAMILIES, STORMS, SHARDED, STACK, SCRIPTED)
          for family, (_, seeds) in table.items() for seed in seeds]
 
 
@@ -223,8 +315,11 @@ def case_digest(case: str) -> str:
     family, _, seed = case.rpartition("/s")
     if family in STORMS:
         return storm_digest(STORMS[family][0], int(seed))
-    build = (SHARDED if family in SHARDED else FAMILIES)[family][0]
-    return scenario_digest(build().with_changes(seed=int(seed)))
+    if family in SCRIPTED:
+        return _sha256(run_subscription_dynamics(SCRIPTED[family][0],
+                                                 int(seed)))
+    table = next(t for t in (FAMILIES, SHARDED, STACK) if family in t)
+    return scenario_digest(table[family][0]().with_changes(seed=int(seed)))
 
 
 @pytest.fixture(autouse=True)
@@ -243,6 +338,14 @@ def test_digest_matches_pin(case):
 
 def test_every_pin_has_a_case():
     assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(CASES)
+
+
+def test_scripted_world_exercises_the_stack():
+    nodes = run_subscription_dynamics("frugal", 0)["nodes"]
+    totals = [sum(counters[key] for counters, *_ in nodes)
+              for key in ("heartbeats_sent", "batches_sent",
+                          "delivered_count")]
+    assert all(total > 0 for total in totals), totals
 
 
 if __name__ == "__main__":

@@ -576,7 +576,7 @@ class TestImportFootprint:
         the kernel, the medium, the protocol stack, mobility, rt or a
         process pool; the first protocol instantiation then loads the
         protocol module, and an unknown name is still rejected up front
-        with all eleven built-ins listed."""
+        with all seven built-ins listed."""
         from repro.energy import EnergyConfig
         from repro.faults import ChurnConfig, FaultConfig
         config = small_rwp().with_changes(
@@ -612,8 +612,8 @@ class TestImportFootprint:
             "    ScenarioConfig(n_processes=2, mobility=config.mobility,\n"
             "                   duration=5.0, protocol='nope')\n"
             "except ValueError as exc:\n"
-            "    names = registry.names(include_hidden=True)\n"
-            "    assert len(names) == 11, names\n"
+            "    names = registry.names()\n"
+            "    assert len(names) == 7, names\n"
             "    assert all(name in str(exc) for name in names), exc\n"
             "else:\n"
             "    raise AssertionError('unknown protocol accepted')\n")

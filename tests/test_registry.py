@@ -1,9 +1,9 @@
 """The protocol registry (repro.core.registry).
 
-Registration semantics (duplicates, replace, hidden entries, unknown
-names) plus the end-to-end property that makes the registry useful: a
-custom protocol composed from the stack layers runs through the full
-scenario harness by name.
+Registration semantics (duplicates, replace, unknown names) plus the
+end-to-end property that makes the registry useful: a custom protocol
+composed from the stack layers runs through the full scenario harness
+by name.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class TestRegistrySemantics:
         reg.register("noop", lambda c: _Noop())
         with pytest.raises(ValueError, match="noop"):
             reg.get("missing")
-
-    def test_hidden_entries_excluded_from_names(self):
-        reg = ProtocolRegistry()
-        reg.register("visible", lambda c: _Noop())
-        reg.register("secret", lambda c: _Noop(), hidden=True)
-        assert reg.names() == ["visible"]
-        assert reg.names(include_hidden=True) == ["secret", "visible"]
-        assert [e.name for e in reg.entries()] == ["visible"]
 
     def test_unregister(self):
         reg = ProtocolRegistry()

@@ -82,8 +82,7 @@ class TestProtocolFactory:
         from repro.harness.scenario import known_protocols
         names = known_protocols()
         assert "gossip" in names and "frugal" in names
-        assert "legacy-frugal" not in names          # hidden from sweeps
-        assert "legacy-frugal" in known_protocols(include_hidden=True)
+        assert not any(name.startswith("legacy-") for name in names)
         assert isinstance(make_protocol(tiny_config(protocol="gossip")),
                           GossipPubSub)
 
