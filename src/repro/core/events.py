@@ -9,19 +9,23 @@ process transmitted the event — used by the Equation 1 eviction policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 from repro.core.topics import Topic
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class EventId:
+class EventId(NamedTuple):
     """Globally unique event identifier ``(publisher id, sequence no)``.
 
     The paper models ids as opaque 128-bit values; structuring them as
     (publisher, seq) keeps generation coordination-free while preserving
     uniqueness.  The wire-size model still charges the paper's 128 bits.
+
+    A plain tuple, so the per-reception set and dict look-ups hash and
+    compare it in C.  Its hash is ``hash((publisher, seq))``, which does
+    not depend on ``PYTHONHASHSEED``, so a set of ids iterates in one
+    order in every process.
     """
 
     publisher: int

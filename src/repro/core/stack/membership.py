@@ -69,9 +69,10 @@ def _related(mine: FrozenSet[Topic], theirs: FrozenSet[Topic]) -> bool:
     """The heartbeat matching rule, memoised per pair of topic sets.
 
     A pure function of two immutable sets, so there is nothing to
-    invalidate.  Keys compare by value: the simulator passes the very
-    objects the senders advertise (an identity hit), the ``rt/`` codec
-    passes equal decodes.
+    invalidate.  Topics are interned, so both runtimes hit by identity:
+    the simulator passes the very sets the senders advertise, and the
+    ``rt/`` codec decodes fresh sets of the same topic objects, which
+    hash and compare without a Python call.
     """
     return subscriptions_related(mine, theirs)
 

@@ -34,7 +34,7 @@ from repro.core.base import Host, ProtocolCounters, PubSubProtocol
 from repro.core.events import Event, EventId
 from repro.core.stack.delivery import DeliveryLayer
 from repro.core.stack.store import EventStore
-from repro.core.topics import Topic
+from repro.core.topics import Topic, entitled
 from repro.net.messages import EventBatch, EventIdList, Heartbeat, Message
 
 #: The frame kinds a stack can handle, and the method handling each.  A
@@ -165,19 +165,21 @@ class StackProtocol(PubSubProtocol):
     def _on_event_batch(self, msg: EventBatch) -> bool:
         """The triage: count each carried event as a parasite (no
         subscribed topic), a duplicate (already seen: counted only if
-        subscribed) or an in-flight expiry, and accept the rest.
+        subscribed) or an in-flight expiry, and accept the rest.  The
+        batch is matched against the subscriptions in force when it
+        arrives.
 
         Returns whether an event of interest was accepted.
         """
         now = self.host.now
         counters = self.counters
-        matches = self.delivery.matches
+        subscriptions = self.delivery.subscriptions
         seen = self.seen
-        held = self.store if seen is None else seen
+        held = self.store.ids if seen is None else seen
         on_duplicate = self._on_duplicate
         interesting = False
         for event in msg.events:
-            subscribed = matches(event.topic)
+            subscribed = entitled(subscriptions, event.topic)
             if not subscribed:
                 counters.parasites_dropped += 1
             if event.event_id in held:

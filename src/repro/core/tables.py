@@ -14,7 +14,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import (Dict, FrozenSet, Iterable, Iterator, KeysView, List,
+                    Optional, Set)
 
 from repro.core.events import Event, EventId, StoredEvent
 from repro.core.gc import EvictionPolicy, ValidityForwardPolicy
@@ -213,6 +214,9 @@ class EventTable:
         self.policy = policy or ValidityForwardPolicy()
         self._rng = rng
         self._rows: Dict[EventId, StoredEvent] = {}
+        #: A live view of the held ids: ``event_id in table.ids`` is the
+        #: membership test of ``in table``, done in C.
+        self.ids: KeysView[EventId] = self._rows.keys()
         self.generation = 0
         self.evictions_expired = 0
         self.evictions_policy = 0

@@ -19,12 +19,17 @@ Two relations drive the protocol:
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Tuple
 
 #: Distinct topic-set pairs / (topic set, topic) pairs whose verdict is
 #: kept; a world has a handful, so this only caps a pathological one.
 VERDICT_MEMO_SIZE = 4096
+
+#: The live topics, keyed by path (see :class:`Topic`).
+_INTERNED: "weakref.WeakValueDictionary[str, Topic]" = \
+    weakref.WeakValueDictionary()
 
 
 class TopicError(ValueError):
@@ -34,19 +39,31 @@ class TopicError(ValueError):
 class Topic:
     """An immutable, interned node of the topic hierarchy.
 
-    ``Topic(".a.b")`` and ``Topic(".a.b")`` compare equal and hash equally;
-    the root topic is ``Topic.root()`` (written ``.``).
+    ``Topic(".a.b") is Topic(".a.b")``: while a topic is alive, its path
+    names exactly one object, so equality and hashing are the identity
+    ones CPython does in C.  ``Topic(t)`` returns ``t``, and pickling or
+    copying re-interns.  The table is weak, so topics decoded off the
+    network do not pile up.  The root topic is ``Topic.root()`` (written
+    ``.``).
     """
 
     __slots__ = ("_parts", "_string", "__weakref__")
 
-    def __init__(self, path: str | "Topic"):
+    def __new__(cls, path: str | "Topic") -> "Topic":
         if isinstance(path, Topic):
-            self._parts = path._parts
-            self._string = path._string
-            return
-        self._parts = _parse(path)
-        self._string = "." + ".".join(self._parts) if self._parts else "."
+            return path
+        topic = _INTERNED.get(path) if isinstance(path, str) else None
+        if topic is None:
+            # A valid path is already in normal form, so it is the key.
+            parts = _parse(path)
+            topic = super().__new__(cls)
+            topic._parts = parts
+            topic._string = path
+            _INTERNED[path] = topic
+        return topic
+
+    def __reduce__(self):
+        return (Topic, (self._string,))
 
     # -- constructors -----------------------------------------------------------
 
@@ -113,13 +130,9 @@ class Topic:
 
     # -- dunder -------------------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Topic) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
     def __lt__(self, other: "Topic") -> bool:
+        if not isinstance(other, Topic):
+            return NotImplemented
         return self._parts < other._parts
 
     def __str__(self) -> str:
@@ -129,7 +142,6 @@ class Topic:
         return f"Topic({self._string!r})"
 
 
-@lru_cache(maxsize=4096)
 def _parse(path: str) -> Tuple[str, ...]:
     if not isinstance(path, str):
         raise TopicError(f"topic must be a string: {path!r}")

@@ -59,8 +59,9 @@ def canonical(obj, memo: Optional[CanonicalMemo] = None) -> object:
     across processes and Python invocations.
 
     Dataclasses carry their type name (two configs differing only in the
-    mobility-spec *class* must hash differently); dict keys are sorted;
-    tuples and lists are interchangeable.  Floats rely on ``repr`` via
+    mobility-spec *class* must hash differently), and so do NamedTuples,
+    in the same form; dict keys are sorted; other tuples and lists are
+    interchangeable.  Floats rely on ``repr`` via
     ``json.dumps``, which is exact for round-trippable IEEE doubles.
 
     ``memo`` caches the form of each *frozen* dataclass by identity, so
@@ -87,6 +88,12 @@ def canonical(obj, memo: Optional[CanonicalMemo] = None) -> object:
         return form
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__qualname__, "name": obj.name}
+    if isinstance(obj, tuple) and hasattr(type(obj), "_fields"):
+        return {
+            "__type__": type(obj).__qualname__,
+            "fields": {name: canonical(value, memo)
+                       for name, value in zip(obj._fields, obj)},
+        }
     if isinstance(obj, (list, tuple)):
         return [canonical(x, memo) for x in obj]
     if isinstance(obj, dict):

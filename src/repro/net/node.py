@@ -97,7 +97,7 @@ class HostNode(abc.ABC):
     def listening(self) -> bool:
         """Radio able to receive: powered, booted, not duty-cycled off
         and not fault-silenced."""
-        return self.alive and not self.asleep and not self.silenced
+        return self.alive and not self.asleep and not self._silence_depth
 
     def _flush_deferred(self) -> None:
         """Put queued frames on the air, if the radio is actually up

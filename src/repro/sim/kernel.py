@@ -83,17 +83,14 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulation time in seconds.  A plain attribute, read
+        #: on every reception, that only :meth:`run` writes.
+        self.now = float(start_time)
         self._queue: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -105,14 +102,14 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay=}")
-        return self.call_at(self._now + delay, callback, *args)
+        return self.call_at(self.now + delay, callback, *args)
 
     def call_at(self, time: float, callback: Callable[..., None],
                 *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}")
+                f"cannot schedule at {time} before now={self.now}")
         seq = next(self._seq)
         timer = Timer(time, seq, callback, args)
         heapq.heappush(self._queue, (time, seq, timer))
@@ -142,7 +139,7 @@ class Simulator:
             # (the post-decrement check below fired one iteration late);
             # an exhausted budget must reject *before* any callback runs.
             raise SimulationError(
-                f"max_events budget exhausted at t={self._now}")
+                f"max_events budget exhausted at t={self.now}")
         self._running = True
         self._stopped = False
         budget = max_events if max_events is not None else float("inf")
@@ -160,16 +157,16 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 heappop(queue)
-                self._now = time
+                self.now = time
                 head.fired = True
                 head.callback(*head.args)
                 self.events_processed += 1
                 budget -= 1
                 if budget <= 0:
                     raise SimulationError(
-                        f"max_events budget exhausted at t={self._now}")
+                        f"max_events budget exhausted at t={self.now}")
             if until is not None and not self._stopped:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
         finally:
             self._running = False
 

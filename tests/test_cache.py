@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines import GossipConfig
 from repro.core.config import FrugalConfig
+from repro.core.events import EventId
 from repro.energy import EnergyConfig, PowerProfile
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
@@ -127,6 +128,16 @@ class TestDigest:
     def test_canonical_rejects_unhashable_surprises(self):
         with pytest.raises(TypeError):
             canonical(object())
+
+    def test_canonical_event_id_keeps_its_dataclass_form(self):
+        """A NamedTuple reduces to the dataclass form, with its type
+        name: the pinned digests that carry event ids were computed with
+        that form, and a bare list would move them."""
+        assert canonical(EventId(1, 2)) == \
+            {"__type__": "EventId", "fields": {"publisher": 1, "seq": 2}}
+        assert canonical([EventId(3, 4)]) == \
+            [{"__type__": "EventId", "fields": {"publisher": 3, "seq": 4}}]
+        assert canonical((1, 2)) == [1, 2]
 
     def test_fault_change_table_covers_every_field(self):
         """A new FaultConfig field must come with a cache-key test."""

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.events import Event, EventFactory, EventId, StoredEvent
 from repro.core.topics import Topic
+
+#: Publisher ids and sequence numbers over the signs and widths a hash
+#: treats differently (a 64-bit wrap, beyond 64 bits, -1).
+INTS = (-10**30, -2**63, -2, -1, 0, 1, 7, 2**31, 2**63 - 1, 2**64 + 5)
 
 
 class TestEventId:
@@ -18,6 +24,29 @@ class TestEventId:
 
     def test_hashable(self):
         assert len({EventId(1, 1), EventId(1, 1), EventId(1, 2)}) == 2
+
+    @pytest.mark.parametrize("publisher", INTS)
+    @pytest.mark.parametrize("seq", INTS)
+    def test_hash_is_the_field_tuple_hash(self, publisher, seq):
+        """The frozen dataclass hashed ``(publisher, seq)``: the same
+        value keeps every id set and dict iterating in the same order."""
+        assert hash(EventId(publisher, seq)) == hash((publisher, seq))
+
+    def test_ordering_is_publisher_then_seq(self):
+        ids = [EventId(p, s) for p in (3, -1, 0) for s in (2, -5, 0)]
+        assert sorted(ids) == sorted(ids, key=lambda e: (e.publisher, e.seq))
+        assert EventId(0, 10**30) < EventId(1, -10**30)
+
+    def test_repr_and_fields(self):
+        eid = EventId(publisher=7, seq=42)
+        assert repr(eid) == "EventId(publisher=7, seq=42)"
+        assert (eid.publisher, eid.seq) == (7, 42)
+
+    def test_pickle_round_trip(self):
+        eid = EventId(2**63 - 1, -3)
+        clone = pickle.loads(pickle.dumps(eid))
+        assert type(clone) is EventId and clone == eid
+        assert str(clone) == f"{2**63 - 1}:-3"
 
 
 class TestEvent:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from repro.core.topics import (VERDICT_MEMO_SIZE, Topic, TopicError, covers,
-                               entitled, related, subscription_matches_event,
+from repro.core.topics import (_INTERNED, VERDICT_MEMO_SIZE, Topic,
+                               TopicError, covers, entitled, related,
+                               subscription_matches_event,
                                subscriptions_related)
+from repro.net.messages import Heartbeat
+from repro.rt.codec import decode, encode
 
 
 class TestParsing:
@@ -79,6 +88,87 @@ class TestStructure:
     def test_ordering(self):
         assert sorted([Topic(".b"), Topic(".a.z"), Topic(".a")]) == \
             [Topic(".a"), Topic(".a.z"), Topic(".b")]
+
+    def test_sorted_order_is_the_order_of_the_segment_tuples(self):
+        paths = [".b", ".a.z", ".", ".a", ".a.b.c", ".ab", ".a.b", ".b.a"]
+        topics = [Topic(p) for p in paths]
+        assert sorted(topics) == sorted(topics, key=lambda t: t.parts)
+        assert [str(t) for t in sorted(topics)] == \
+            [".", ".a", ".a.b", ".a.b.c", ".a.z", ".ab", ".b", ".b.a"]
+
+    def test_ordering_against_a_non_topic_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Topic(".a") < ".b"   # noqa: B015
+        with pytest.raises(TypeError):
+            ".b" > Topic(".a")   # noqa: B015
+        with pytest.raises(TypeError):
+            sorted([Topic(".a"), ".b"])
+
+
+class TestInterning:
+    """One live object per path: equality and hashing are identity."""
+
+    def test_one_object_per_path(self):
+        assert Topic(".a.b") is Topic(".a.b")
+        assert Topic(".a.b") is not Topic(".a.c")
+
+    def test_constructors_return_the_interned_object(self):
+        t = Topic(".i.j")
+        assert Topic(t) is t
+        assert Topic.root() is Topic(".")
+        assert Topic.from_parts(["i", "j"]) is t
+        assert Topic(".i.j.k").parent is t
+        assert t.child("k") is Topic(".i.j.k")
+        assert next(Topic(".i.j.k").ancestors()) is t
+
+    def test_pickle_and_copy_round_trip_to_the_same_object(self):
+        t = Topic(".i.pickled")
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        # Equality is identity, so an equal set holds the same objects.
+        subs = frozenset({t, Topic(".i.other")})
+        assert pickle.loads(pickle.dumps(subs)) == subs
+
+    def test_a_topic_from_a_spawn_worker_is_the_local_object(self):
+        t = Topic(".i.spawned")
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            assert pool.submit(Topic, ".i.spawned").result() is t
+
+    def test_not_equal_to_its_string(self):
+        assert Topic(".a") != ".a"
+        assert ".a" != Topic(".a")
+        assert Topic(".a") == Topic(".a")
+
+    @pytest.mark.parametrize("bad", [42, None, b".a", [".a"], 1.5])
+    def test_non_string_input_is_a_topic_error(self, bad):
+        with pytest.raises(TopicError):
+            Topic(bad)   # type: ignore[arg-type]
+
+    def test_malformed_input_is_not_interned(self):
+        size = len(_INTERNED)
+        with pytest.raises(TopicError):
+            Topic(".not..valid")
+        assert ".not..valid" not in _INTERNED
+        assert len(_INTERNED) == size
+
+    def test_network_decoded_topics_do_not_pile_up(self):
+        """The table is weak: 10 000 distinct topics decoded off the wire
+        leave it once their frames are dropped."""
+        gc.collect()
+        baseline = len(_INTERNED)
+        datagrams = [
+            encode(Heartbeat(sender=i, subscriptions=frozenset(
+                f".wire.t{i}.s{j}" for j in range(100))))
+            for i in range(100)]
+        decoded = [decode(d) for d in datagrams]
+        assert len(_INTERNED) >= baseline + 10_000
+        first = next(iter(decoded[0].subscriptions))
+        assert Topic(str(first)) is first
+        del decoded, first
+        gc.collect()
+        assert len(_INTERNED) <= baseline + 10
 
 
 class TestRelations:
