@@ -12,8 +12,10 @@ shapes and epoch lengths, and asserts
   streams with per-node streams, so classic and sharded are two
   distinct, each internally deterministic, universes);
 * **exact epoch invariance**: sweeping the barrier spacing (0.25 s and
-  the 1 s soundness bound) does not move a single bit — the retimed
-  exchange makes barrier placement unobservable;
+  the 1 s soundness bound, forced by patching the engine's
+  ``resolve_epoch_s``, since the spacing is not a setting) does not
+  move a single bit — the retimed exchange makes barrier placement
+  unobservable;
 * **barrier tax**: K = 1 must land within 5 % of the classic engine's
   wall-clock — the whole point of audibility routing, sorted-merge log
   ingestion and epoch-exact deliveries is that the sharded machinery is
@@ -49,11 +51,14 @@ import os
 import time
 from typing import Dict, List, Optional
 
+import pytest
+
 from common import publish_bench_json, publish_text, scale
 from repro.harness.experiments import city_scale_scenario
 from repro.harness.parallel import available_cpu_count
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.sim.shard import ShardConfig
+from repro.sim.shard import engine as shard_engine
 
 #: The tentpole population and the plans it is priced at: the stripe
 #: ladder plus one genuinely 2-D tile grid.
@@ -130,8 +135,11 @@ def test_shard_scaling(benchmark):
             if baseline is None:
                 baseline = wall
         for epoch in EPOCH_SWEEP:
-            sharded_run(f"1x2@{epoch}",
-                        ShardConfig(shards=2, epoch_s=epoch), baseline)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(shard_engine, "resolve_epoch_s",
+                              lambda *args, epoch=epoch: epoch)
+                sharded_run(f"1x2@{epoch}", ShardConfig(shards=2), baseline)
+            assert rows[-1]["epoch_s"] == epoch, "the patch missed"
         return rows
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
              "stripes) or an RxC tile grid ('2x2'); results are "
              "bit-identical for every shard count and tile shape")
     parser.add_argument(
-        "--epoch", default=None, metavar="SECONDS|auto",
-        help="barrier spacing for the sharded engine (default auto; any "
-             "value in (0, latency] yields bit-identical results, so "
-             "this is purely a wall-clock knob)")
-    parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for multi-seed sweeps (default: REPRO_JOBS "
              "env or 1 = serial in-process; 0 = all CPUs)")
@@ -120,12 +115,8 @@ def run_one(experiment_id: str, scale_name: Optional[str],
         print(f"\nwrote {csv_path}")
 
 
-def _ignored_flag(args: argparse.Namespace,
-                  shard_config: ShardConfig) -> Optional[str]:
+def _ignored_flag(args: argparse.Namespace) -> Optional[str]:
     """Why this flag combination would silently drop a flag, or None."""
-    if args.epoch is not None and not shard_config:
-        return ("--epoch only spaces the sharded engine's barriers; "
-                "add --shards K|RxC")
     if args.csv is not None and args.experiment == "all":
         return "'all' writes one CSV per experiment; use --out-dir, not --csv"
     if args.out_dir is not None and args.experiment != "all":
@@ -142,13 +133,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {name:16s} {run.__doc__.strip().splitlines()[0]}")
         return 0
     try:
-        epoch = (None if args.epoch in (None, "auto")
-                 else float(args.epoch))
-        shard_config = ShardConfig.parse(args.shards, epoch=epoch)
+        shard_config = ShardConfig.parse(args.shards)
     except ValueError as exc:
-        print(f"bad --shards/--epoch: {exc}", file=sys.stderr)
+        print(f"bad --shards: {exc}", file=sys.stderr)
         return 2
-    ignored = _ignored_flag(args, shard_config)
+    ignored = _ignored_flag(args)
     if ignored:
         print(ignored, file=sys.stderr)
         return 2

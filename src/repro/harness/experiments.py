@@ -29,10 +29,10 @@ from repro.sim.shard import ShardConfig
 
 #: Shard plan applied to every scenario the factories emit — a plain
 #: count or a full :class:`~repro.sim.shard.ShardConfig`.  0 keeps the
-#: classic single-world engine; the CLI's ``--shards`` / ``--epoch``
-#: flags rebind this for the duration of one invocation so any figure
-#: can run on the sharded engine (bit-identical across shard counts,
-#: tile shapes and epoch lengths — see ``repro.sim.shard``).
+#: classic single-world engine; the CLI's ``--shards`` flag rebinds
+#: this for the duration of one invocation so any figure can run on the
+#: sharded engine (bit-identical across shard counts and tile shapes —
+#: see ``repro.sim.shard``).
 DEFAULT_SHARDS = 0
 
 

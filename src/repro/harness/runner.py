@@ -1,4 +1,4 @@
-"""Multi-seed aggregation and the serial execution entry points.
+"""Multi-seed aggregation.
 
 The paper averages every data point over 30 differently seeded runs; this
 module owns the statistics of that loop.  Seeding is paired: the same seed
@@ -6,24 +6,20 @@ produces the same mobility traces and subscriber draw for every protocol,
 so protocol comparisons (Figs. 17-20) are paired comparisons, not
 independent samples.
 
-Scheduling (including the worker pool and the on-disk result cache) lives
-in :mod:`repro.harness.parallel`; the :func:`run_seeds`/:func:`run_matrix`
-functions here delegate to the process-wide engine, so existing callers
-transparently pick up whatever ``--jobs``/cache configuration the CLI or
-benchmark suite installed.
+Scheduling — :func:`~repro.harness.parallel.run_seeds`,
+:func:`~repro.harness.parallel.run_matrix`, the worker pool and the
+on-disk result cache — lives in :mod:`repro.harness.parallel`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from repro.harness.scenario import ScenarioConfig, ScenarioResult, \
-    run_scenario
+from repro.harness.scenario import ScenarioResult
 
-__all__ = ["Aggregate", "aggregate", "MultiSeedResult", "run_seeds",
-           "run_matrix", "run_scenario"]
+__all__ = ["Aggregate", "aggregate", "MultiSeedResult"]
 
 
 @dataclass(frozen=True)
@@ -101,26 +97,3 @@ class MultiSeedResult:
         """Reliability aggregated across the seeds."""
         return self.metric(lambda r: r.reliability())
 
-
-def run_seeds(config: ScenarioConfig,
-              seeds: Iterable[int]) -> MultiSeedResult:
-    """Run ``config`` once per seed (everything else held fixed).
-
-    Delegates to the process-wide execution engine — serial and uncached
-    by default, parallel and/or cached once the CLI or benchmark suite
-    has called :func:`repro.harness.parallel.configure`.
-    """
-    # Imported lazily: parallel imports this module for MultiSeedResult.
-    from repro.harness import parallel
-    return parallel.run_seeds(config, seeds)
-
-
-def run_matrix(configs: Dict[str, ScenarioConfig],
-               seeds: Iterable[int]) -> Dict[str, MultiSeedResult]:
-    """Run several named configurations over the same seed list.
-
-    Used by the protocol-comparison experiments: each protocol sees the
-    identical seeds, hence identical mobility and subscriber draws.
-    """
-    from repro.harness import parallel
-    return parallel.run_matrix(configs, seeds)

@@ -314,10 +314,9 @@ class ScenarioConfig:
     faults: Optional[FaultConfig] = None
     #: Sharded execution: either a plain shard count ``K`` (coerced to
     #: a stripe-plan :class:`~repro.sim.shard.ShardConfig`) or a full
-    #: ``ShardConfig`` choosing the tile grid, epoch length and
-    #: latency.  Summaries are invariant in the shard count, tile shape
-    #: and (sound) epoch length.  ``0`` — the default — keeps the
-    #: classic single-world engine.
+    #: ``ShardConfig`` choosing the tile grid and latency.  Summaries
+    #: are invariant in the shard count and tile shape.  ``0`` — the
+    #: default — keeps the classic single-world engine.
     shards: "ShardConfig" = 0  # type: ignore[assignment]
 
     def __post_init__(self) -> None:

@@ -36,7 +36,7 @@ plain floats (:mod:`repro.sim.batch`):
   :class:`~repro.sim.batch.LegTable`;
 * "who can hear this frame?" is :meth:`LegTable.audible
   <repro.sim.batch.LegTable.audible>` — the one receiver-resolution
-  routine, shared by :meth:`WirelessMedium._put_on_air`,
+  routine, shared by :meth:`WirelessMedium._listeners`,
   :meth:`WirelessMedium.nodes_within` and the shard engine.  It walks
   the grid's cell block of reach ``range + slack`` (a superset of the
   true audible set), interpolates every member's exact position with the
@@ -57,8 +57,9 @@ plain floats (:mod:`repro.sim.batch`):
   front equal verdicts computed between deliveries.
 
 Sending ends in one overridable step, :meth:`WirelessMedium._put_on_air`
-(log, resolve, arm); the sharded engine's medium overrides it to queue
-the frame for its epoch-barrier exchange instead.
+(log, ``_listeners``, arm ``_deliver_batch``); the sharded engine's
+medium overrides it to queue the frame for its epoch-barrier exchange,
+then runs the same two steps when the frame is delivered.
 
 Exactness is held by the test suite, not by a second engine:
 ``tests/golden_digests.json`` pins digests taken from a naive O(N)
@@ -79,6 +80,15 @@ from repro.sim.space import SpatialGrid, Vec2
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
+
+#: Seconds a finished frame stays available for collision checks (far
+#: above the longest airtime, milliseconds).
+HISTORY_HORIZON_S = 1.0
+
+
+def anchor_slack_m(range_m: float) -> float:
+    """Re-anchor distance (metres) for a radio range: an eighth of it."""
+    return range_m / 8.0
 
 
 @dataclass
@@ -112,7 +122,7 @@ class WirelessMedium:
         Physical-layer parameters; ``communication_range_m()`` sizes both
         the audible radius and the spatial-index cells.
     config:
-        MAC/indexing behaviour knobs (defaults to :class:`MediumConfig`).
+        MAC behaviour knobs (defaults to :class:`MediumConfig`).
     sizes:
         Wire-size model used to derive frame airtimes.
     rng:
@@ -133,11 +143,10 @@ class WirelessMedium:
         # cell size equals the inflated radio range, so receiver
         # resolution touches exactly a 3x3 block of cells.
         range_m = radio.communication_range_m()
-        slack = self.config.anchor_slack_m
-        self._slack_m = slack if slack is not None else range_m / 8.0
+        self._slack_m = anchor_slack_m(range_m)
         self._grid = SpatialGrid(range_m + self._slack_m)
         self._legs = batch.LegTable(self._grid, self._slack_m)
-        self._txlog = batch.TxLog(self.config.history_horizon_s)
+        self._txlog = batch.TxLog(HISTORY_HORIZON_S)
         # Observability hooks (metrics collector subscribes to these).
         self.on_transmit: Optional[Callable[[int, Message, int], None]] = None
         self.on_receive: Optional[Callable[[int, Message], None]] = None
@@ -268,9 +277,14 @@ class WirelessMedium:
     def _csma_delay(self, sender_id: int) -> float:
         lo = self.config.csma_backoff_min_s
         hi = self.config.csma_backoff_max_s
-        if self._rng is None or hi <= lo:
+        rng = self._mac_rng(sender_id)
+        if rng is None or hi <= lo:
             return lo
-        return self._rng.uniform(lo, hi)
+        return rng.uniform(lo, hi)
+
+    def _mac_rng(self, sender_id: int):
+        """The stream a CSMA back-off draw for this sender uses."""
+        return self._rng
 
     def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
         """Any audible transmission defers a sender — including its *own*
@@ -303,7 +317,18 @@ class WirelessMedium:
         self._put_on_air(tx, duration)
 
     def _put_on_air(self, tx: Transmission, duration: float) -> None:
-        """Log the frame, resolve its receivers, arm its one delivery.
+        """Log the frame, resolve its listeners, arm its one delivery."""
+        pos = tx.sender_pos
+        tx_seq = self._txlog.add(tx.sender, pos.x, pos.y, tx.range_m,
+                                 tx.start, duration)
+        receivers = self._listeners(tx, tx.start, duration)
+        if receivers:
+            self.sim.schedule(duration, self._deliver_batch, tx, tx_seq,
+                              receivers)
+
+    def _listeners(self, tx: Transmission, at: float,
+                   duration: float) -> List[batch.Hit]:
+        """The nodes listening to ``tx`` at ``at``, RX windows charged.
 
         The audible set is resolved up front (exact interpolated
         positions from the :class:`LegTable`), then walked in
@@ -314,10 +339,8 @@ class WirelessMedium:
         the RX energy for it.
         """
         pos = tx.sender_pos
-        tx_seq = self._txlog.add(tx.sender, pos.x, pos.y, tx.range_m,
-                                 tx.start, duration)
         receivers: List[batch.Hit] = []
-        for hit in self._legs.audible(tx.start, pos.x, pos.y, tx.range_m,
+        for hit in self._legs.audible(at, pos.x, pos.y, tx.range_m,
                                       exclude=tx.sender):
             node_id = hit[0]
             node = self._nodes.get(node_id)
@@ -326,9 +349,7 @@ class WirelessMedium:
             if self.on_rx_window is not None:
                 self.on_rx_window(node_id, duration)
             receivers.append(hit)
-        if receivers:
-            self.sim.schedule(duration, self._deliver_batch, tx, tx_seq,
-                              receivers)
+        return receivers
 
     # -- receiving -------------------------------------------------------------------
 
@@ -347,8 +368,7 @@ class WirelessMedium:
         """
         corrupted = None
         if self.config.model_collisions:
-            corrupted = self._txlog.corrupt_verdicts(
-                tx_seq, tx.start, tx.end, receivers)
+            corrupted = self._corrupt_verdicts(tx, tx_seq, receivers)
         for k, hit in enumerate(receivers):
             receiver_id = hit[0]
             node = self._nodes.get(receiver_id)
@@ -356,6 +376,12 @@ class WirelessMedium:
                 continue  # crashed, drained or duty-cycled off mid-frame
             self._finish_delivery(tx, receiver_id, node,
                                   corrupted is not None and corrupted[k])
+
+    def _corrupt_verdicts(self, tx: Transmission, tx_seq: int,
+                          receivers: List[batch.Hit]):
+        """Per-receiver collision verdicts, ``None`` if nothing clashed."""
+        return self._txlog.corrupt_verdicts(tx_seq, tx.start, tx.end,
+                                            receivers)
 
     def _finish_delivery(self, tx: Transmission, receiver_id: int,
                          node: "Node", corrupted: bool) -> None:

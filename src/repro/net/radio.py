@@ -206,15 +206,6 @@ class MediumConfig:
         Per-reception uniform loss probability in [0, 1] (fading hook).
     model_collisions:
         Whether overlapping audible frames corrupt each other.
-    anchor_slack_m:
-        Maximum distance (metres) a node's true position may drift from
-        its indexed anchor before the mobility model re-anchors it.
-        ``None`` derives ``communication_range / 8``.  Smaller values mean
-        tighter range queries but more re-anchor events.
-    history_horizon_s:
-        Seconds a finished transmission stays available for collision
-        checks.  Must exceed the longest frame airtime (milliseconds);
-        the default of 1 s is three orders of magnitude above it.
     """
 
     csma_enabled: bool = True
@@ -223,8 +214,6 @@ class MediumConfig:
     csma_backoff_max_s: float = 4e-3
     frame_loss_probability: float = 0.0
     model_collisions: bool = True
-    anchor_slack_m: Optional[float] = None
-    history_horizon_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.frame_loss_probability <= 1.0:
@@ -232,7 +221,3 @@ class MediumConfig:
         if self.csma_backoff_min_s < 0 or \
                 self.csma_backoff_max_s < self.csma_backoff_min_s:
             raise ValueError("need 0 <= backoff_min <= backoff_max")
-        if self.anchor_slack_m is not None and self.anchor_slack_m <= 0:
-            raise ValueError("anchor_slack_m must be positive")
-        if self.history_horizon_s <= 0:
-            raise ValueError("history_horizon_s must be positive")

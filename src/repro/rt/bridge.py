@@ -1,7 +1,7 @@
 """The loopback-bridge experiment: sim-predicted vs UDP-measured.
 
 For each protocol the bridge runs the *same* scenario twice — once
-through the discrete-event kernel (:func:`repro.harness.runner.run_seeds`)
+through the discrete-event kernel (:func:`repro.harness.parallel.run_seeds`)
 and once on a :class:`~repro.rt.cluster.LoopbackCluster` of real UDP
 sockets — and reports predicted-vs-measured reliability and per-node
 message overhead side by side.
@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.harness.experiments import ExperimentResult
+from repro.harness.parallel import run_seeds
 from repro.harness.presets import Scale, get_scale
-from repro.harness.runner import run_seeds
 from repro.harness.scenario import (FixedPositionsSpec, Publication,
                                     ScenarioConfig)
 from repro.rt.cluster import LoopbackCluster

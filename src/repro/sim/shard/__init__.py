@@ -21,7 +21,6 @@ partition geometry or the sharded engine.
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "DEFAULT_EPOCH_S",
     "DEFAULT_LATENCY_S",
     "ShardConfig",
     "ShardFrame",
@@ -35,8 +34,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.sim.shard.config": ("DEFAULT_EPOCH_S", "DEFAULT_LATENCY_S",
-                               "ShardConfig", "resolve_epoch_s"),
+    "repro.sim.shard.config": ("DEFAULT_LATENCY_S", "ShardConfig",
+                               "resolve_epoch_s"),
     "repro.sim.shard.partition": ("ShardPlan",),
     "repro.sim.shard.engine": ("ShardFrame", "ShardMedium",
                                "ShardWorkerLost", "compute_barriers",

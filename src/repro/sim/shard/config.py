@@ -1,4 +1,4 @@
-"""Sharded-execution configuration: tile shape, epoch length, latency.
+"""Sharded-execution configuration: tile shape and latency.
 
 :class:`ShardConfig` is the value of ``ScenarioConfig.shards``.  For
 backward compatibility a plain integer ``K`` is accepted everywhere a
@@ -6,8 +6,8 @@ backward compatibility a plain integer ``K`` is accepted everywhere a
 ``ShardConfig(shards=K)``), so ``config.with_changes(shards=4)`` keeps
 meaning "four vertical stripes".
 
-The three knobs
----------------
+The knobs
+---------
 * ``shards`` / ``rows`` — the tile grid.  ``shards=K`` total tiles,
   arranged as ``rows`` full-width bands of ``K // rows`` columns each
   (``rows=1``, the default, is the classic vertical-stripe plan; a
@@ -17,16 +17,13 @@ The three knobs
   delivered (and occupies the channel, as heard by everyone but its
   sender) exactly ``latency_s`` seconds after the classic engine would
   deliver it.  This constant air-to-delivery latency is what makes the
-  epoch length unobservable: a frame sent at ``s`` is committed at the
-  first barrier after ``s`` — no later than ``s + epoch`` — and first
-  *used* at ``s + latency_s``, so any ``epoch <= latency_s`` commits
-  every frame before any shard can observe it.  The default of 1 s sits
-  at the protocol stack's heartbeat cadence: one epoch of traffic is
-  about one heartbeat round.
-* ``epoch_s`` — the *performance* knob: barrier spacing.  Any value in
-  ``(0, latency_s]`` produces bit-identical results (asserted by
-  ``tests/test_shard.py``), so ``"auto"`` — the default — simply picks
-  the cheapest sound value via :func:`resolve_epoch_s`.
+  barrier spacing unobservable: a frame sent at ``s`` is committed at
+  the first barrier after ``s`` — no later than ``s + epoch`` — and
+  first *used* at ``s + latency_s``, so any ``epoch <= latency_s``
+  commits every frame before any shard can observe it — which is why
+  the spacing is not a setting (:func:`resolve_epoch_s` picks the
+  cheapest sound one).  The default of 1 s sits at the protocol stack's
+  heartbeat cadence: one epoch of traffic is about one heartbeat round.
 """
 
 from __future__ import annotations
@@ -34,11 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
-
-#: Historical barrier spacing (PR 8), kept as the explicit-epoch example
-#: value and the :func:`~repro.sim.shard.engine.compute_barriers`
-#: default.  Binary-exact, so every shard computes bit-equal barriers.
-DEFAULT_EPOCH_S = 0.25
 
 #: Default cross-node delivery latency, seconds — see the module
 #: docstring for why 1 s (one heartbeat round) is the reference point.
@@ -57,11 +49,6 @@ class ShardConfig:
     rows:
         Tile-grid rows ``R`` (must divide ``shards``); ``1`` gives the
         classic vertical stripes, ``R>1`` an ``R x (K/R)`` grid.
-    epoch_s:
-        Barrier spacing in seconds, or ``"auto"`` to derive it from the
-        scenario via :func:`resolve_epoch_s`.  Explicit values must lie
-        in ``(0, latency_s]`` — the soundness bound of the retimed
-        exchange — and should be binary-exact so barrier instants are.
     latency_s:
         The constant cross-node delivery latency of the sharded
         universe, seconds (> 0).
@@ -69,7 +56,6 @@ class ShardConfig:
 
     shards: int = 0
     rows: int = 1
-    epoch_s: Union[float, str] = "auto"
     latency_s: float = DEFAULT_LATENCY_S
 
     def __post_init__(self) -> None:
@@ -84,15 +70,6 @@ class ShardConfig:
         if self.latency_s <= 0 or not math.isfinite(self.latency_s):
             raise ValueError(
                 f"latency_s must be positive and finite: {self.latency_s}")
-        if isinstance(self.epoch_s, str):
-            if self.epoch_s != "auto":
-                raise ValueError(
-                    f"epoch_s must be a float or 'auto': {self.epoch_s!r}")
-        elif not 0.0 < self.epoch_s <= self.latency_s:
-            raise ValueError(
-                f"epoch_s must lie in (0, latency_s={self.latency_s}]: "
-                f"{self.epoch_s} (longer epochs would let a frame be "
-                f"used before the barrier that commits it)")
 
     def __bool__(self) -> bool:
         """Truthy iff the sharded engine is enabled — keeps the
@@ -121,10 +98,9 @@ class ShardConfig:
         return cls(shards=value)
 
     @classmethod
-    def parse(cls, text: str, epoch: Union[float, str, None] = None
-              ) -> "ShardConfig":
+    def parse(cls, text: str) -> "ShardConfig":
         """Parse a CLI shard spec: ``"4"`` (stripes) or ``"2x2"`` (an
-        ``RxC`` tile grid); ``epoch`` (``--epoch``) rides along."""
+        ``RxC`` tile grid)."""
         raw = text.strip().lower()
         try:
             if "x" in raw:
@@ -132,35 +108,26 @@ class ShardConfig:
                 rows, cols = int(rows_s), int(cols_s)
                 if rows < 1 or cols < 1:
                     raise ValueError
-                parsed = cls(shards=rows * cols, rows=rows)
-            else:
-                parsed = cls(shards=int(raw))
+                return cls(shards=rows * cols, rows=rows)
+            return cls(shards=int(raw))
         except ValueError:
             raise ValueError(
                 f"shard spec must be an integer K or RxC grid "
                 f"(e.g. '4' or '2x2'): {text!r}") from None
-        if epoch is None:
-            return parsed
-        return ShardConfig(shards=parsed.shards, rows=parsed.rows,
-                           epoch_s=epoch)
 
 
 def resolve_epoch_s(shards: ShardConfig, duration: float,
                     warmup: float) -> float:
-    """The barrier spacing one run actually uses, seconds.
+    """The barrier spacing one run uses, seconds.
 
-    Explicit ``epoch_s`` values are returned verbatim.  ``"auto"``
-    picks the largest power of two no longer than the soundness bound
+    The largest power of two no longer than the soundness bound
     ``latency_s`` and no longer than half the run, so short scenarios
     still cross a couple of barriers.  Powers of two are binary-exact,
-    hence every shard — and the cache key, which hashes the *config*,
-    not this derived value — computes bit-equal barrier instants; and
-    because any sound epoch yields bit-identical results (the retimed
-    exchange, see :mod:`repro.sim.shard.engine`), auto-tuning is purely
-    a wall-clock optimisation: fewer barriers, less drain/merge/ingest
-    overhead per simulated second.
+    hence every shard computes bit-equal barrier instants; and because
+    any sound spacing yields bit-identical results (the retimed
+    exchange, see :mod:`repro.sim.shard.engine`), the choice only buys
+    wall-clock: fewer barriers, less drain/merge/ingest overhead per
+    simulated second.
     """
-    if shards.epoch_s != "auto":
-        return float(shards.epoch_s)
     bound = min(shards.latency_s, max((warmup + duration) / 2.0, 2 ** -6))
     return 2.0 ** math.floor(math.log2(bound))

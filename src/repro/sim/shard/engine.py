@@ -13,8 +13,9 @@ properties — asserted by ``tests/test_shard.py`` — are
 * **tile-shape invariance**: a ``4x1``, ``2x2`` and ``1x4`` plan of the
   same K agree bit for bit;
 * **epoch-length invariance**: any barrier spacing in
-  ``(0, latency_s]`` yields bit-identical results, which is what makes
-  ``epoch_s="auto"`` a pure wall-clock knob.
+  ``(0, latency_s]`` yields bit-identical results, which is why the
+  spacing is derived (:func:`~repro.sim.shard.config.resolve_epoch_s`)
+  rather than configured.
 
 The retimed universe
 --------------------
@@ -30,7 +31,7 @@ This is what buys epoch-invariance.  A frame sent at ``s`` is
 *committed* (drained, merged, ingested everywhere) at the first barrier
 ``>= s``, which is at most ``s + epoch`` — while its earliest possible
 observable effect is at times ``> s + L``.  With ``epoch <= L``
-(enforced by :class:`~repro.sim.shard.config.ShardConfig`), commitment
+(guaranteed by :func:`~repro.sim.shard.config.resolve_epoch_s`), commitment
 therefore always precedes first use — the conservative-PDES lookahead
 bound — and every observable becomes a pure function of frame
 timestamps and per-node RNG streams, independent of where the barriers
@@ -102,8 +103,9 @@ shard handle that differ only in *where* a world is stepped — the
 pool workers, hosts without a second usable CPU), or a
 :class:`_SpawnedShard` over a pipe to a spawned worker that walks the
 same barrier list on its own, so epochs overlap (``spawn``).
-``REPRO_SHARD_BACKEND`` forces either; a worker that dies surfaces as
-:class:`ShardWorkerLost` naming its shard.
+``REPRO_SHARD_BACKEND`` forces either; a worker that dies, or stops
+answering for far longer than its slowest exchange so far, surfaces as
+:class:`ShardWorkerLost` naming its shard and barrier.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ import os
 import time as _wallclock
 import traceback
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import ProtocolCounters
 from repro.core.events import Event
@@ -123,10 +125,10 @@ from repro.energy import EnergyAccountant
 from repro.faults import FaultTimeline
 from repro.metrics import MetricsCollector
 from repro.net import WirelessMedium
-from repro.net.medium import Transmission
+from repro.net.medium import HISTORY_HORIZON_S, Transmission, anchor_slack_m
 from repro.sim import RngRegistry, Simulator
-from repro.sim.shard.config import (DEFAULT_EPOCH_S, ShardConfig,
-                                    resolve_epoch_s)
+from repro.sim.batch import Hit
+from repro.sim.shard.config import ShardConfig, resolve_epoch_s
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.space import Vec2
 
@@ -138,6 +140,11 @@ _BBOX_SLACK_M = 1.0
 #: The conservative stand-down bounding box: covers everything, so
 #: every prune that cannot be proven sound simply stops pruning.
 _EVERYWHERE = (-math.inf, -math.inf, math.inf, math.inf)
+
+#: A spawned shard silent for ``max(_STALL_FLOOR_S, _STALL_FACTOR *
+#: its slowest exchange so far)`` seconds is lost (stopped or wedged).
+_STALL_FLOOR_S = 300.0
+_STALL_FACTOR = 10.0
 
 
 @dataclass
@@ -159,7 +166,7 @@ def _frame_key(frame: ShardFrame) -> Tuple[float, int, int]:
 
 
 def compute_barriers(warmup: float, duration: float,
-                     epoch: float = DEFAULT_EPOCH_S) -> List[float]:
+                     epoch: float) -> List[float]:
     """The ascending epoch-barrier instants for one run.
 
     Multiples of ``epoch`` up to the run end, plus the warm-up boundary
@@ -200,21 +207,17 @@ def compute_ownership(config) -> Tuple[List[int], ShardPlan]:
         model.start(sim, rngs.stream("node", i))
         positions.append(model.position())
     range_m = config.radio.communication_range_m()
-    slack = config.medium.anchor_slack_m
-    cell = range_m + (slack if slack is not None else range_m / 8.0)
-    min_x = min(p.x for p in positions)
-    max_x = max(p.x for p in positions)
-    if max_x <= min_x:
-        max_x = min_x + cell
-    min_y = max_y = 0.0
-    if shards.rows > 1:
-        min_y = min(p.y for p in positions)
-        max_y = max(p.y for p in positions)
-        if max_y <= min_y:
-            max_y = min_y + cell
+    cell = range_m + anchor_slack_m(range_m)
+
+    def extent(values: List[float]) -> Tuple[float, float]:
+        lo, hi = min(values), max(values)
+        return lo, (hi if hi > lo else lo + cell)
+
+    min_x, max_x = extent([p.x for p in positions])
+    min_y, max_y = extent([p.y for p in positions])
     plan = ShardPlan(min_x=min_x, max_x=max_x, shards=shards.shards,
                      cell_size=cell, rows=shards.rows,
-                     min_y=min_y, max_y=max_y or None)
+                     min_y=min_y, max_y=max_y)
     owners = [plan.shard_of(p) for p in positions]
     return owners, plan
 
@@ -234,12 +237,16 @@ def _routing_margin_m(config, latency_s: float) -> Optional[float]:
     every audibility predicate the shard will ever evaluate against the
     frame.  ``None`` — the mobility spec cannot bound speed — disarms
     the prune entirely.
+
+    The prune never changes a result; it stays because it pays: on the
+    e2e ``city_shard`` workload (seed 0, in-process, 2-vCPU host) it
+    cuts frames exchanged from 78 748 to 49 602 and kernel events from
+    199 117 to 170 128, CPU 2.87-3.49 s against 3.58-4.10 s without.
     """
     v_max = config.mobility.max_speed_mps()
     if v_max is None:
         return None
-    horizon = config.medium.history_horizon_s
-    return v_max * (2.0 * horizon + latency_s) + _BBOX_SLACK_M
+    return v_max * (2.0 * HISTORY_HORIZON_S + latency_s) + _BBOX_SLACK_M
 
 
 def _filter_batch(merged: List[ShardFrame],
@@ -283,25 +290,22 @@ class ShardMedium(WirelessMedium):
       unobservable;
     * CSMA back-off and uniform frame-loss draws come from per-node
       streams so their sequences are independent of shard composition
-      (the send path and delivery gauntlet themselves are the parent's:
-      only ``_put_on_air``, ``_channel_busy``, ``_csma_delay`` and
-      ``_loss_rng`` are overridden);
+      (the send path, receiver walk and delivery batch themselves are
+      the parent's: only ``_put_on_air``, ``_channel_busy``,
+      ``_corrupt_verdicts``, ``_mac_rng`` and ``_loss_rng`` are
+      overridden);
     * each ingested frame's delivery — receiver resolution, collision
       verdict, loss draws, protocol reaction — runs as a kernel event
       at its exact ``end + L``, *inside* the epoch, not at a barrier.
     """
 
-    def __init__(self, sim, radio, config, sizes,
-                 node_rng: Callable[[int], object],
-                 loss_rng: Callable[[int], object],
+    def __init__(self, sim, radio, config, sizes, rngs: RngRegistry,
                  latency_s: float):
         super().__init__(sim, radio, config=config, sizes=sizes, rng=None)
-        self._node_rng = node_rng
-        self._receiver_loss_rng = loss_rng
+        self._rngs = rngs
         self._latency_s = latency_s
         self._outbox: List[ShardFrame] = []
         self._tx_seq: Dict[int, int] = {}
-        self._last_tx_end: Dict[int, float] = {}
         self._own_tx: Dict[int, List[Tuple[float, float]]] = {}
         self._log: List[ShardFrame] = []       # committed, start-sorted
         self._log_starts: List[float] = []
@@ -315,19 +319,16 @@ class ShardMedium(WirelessMedium):
         seq = self._tx_seq.get(tx.sender, 0)
         self._tx_seq[tx.sender] = seq + 1
         self._outbox.append(ShardFrame(tx=tx, seq=seq))
-        prev = self._last_tx_end.get(tx.sender, -math.inf)
-        if tx.end > prev:
-            self._last_tx_end[tx.sender] = tx.end
-        # Resident-local send log: the half-duplex side of collision
-        # verdicts reads the receiver's *real-time* transmissions,
-        # which never wait for a barrier.
+        # Resident-local send log: the half-duplex side of carrier sense
+        # and collision verdicts reads a node's *real-time*
+        # transmissions, which never wait for a barrier.
         self._own_tx.setdefault(tx.sender, []).append((tx.start, tx.end))
 
     def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
         """Carrier sense over the sender's own real-time frames and the
         committed log's latency-shifted occupancy."""
         now = self.sim.now
-        if self._last_tx_end.get(sender_id, -math.inf) > now:
+        if any(end > now for _, end in self._own_tx.get(sender_id, ())):
             return True   # own frame still on the air (half duplex)
         shift = self._latency_s
         # A committed frame occupies the shifted channel at `now` iff
@@ -348,13 +349,9 @@ class ShardMedium(WirelessMedium):
                 return True
         return False
 
-    def _csma_delay(self, sender_id: int) -> float:
+    def _mac_rng(self, sender_id: int):
         """Back-off drawn from the sender's own stream."""
-        lo = self.config.csma_backoff_min_s
-        hi = self.config.csma_backoff_max_s
-        if hi <= lo:
-            return lo
-        return self._node_rng(sender_id).uniform(lo, hi)
+        return self._rngs.stream("shard-medium", sender_id)
 
     def collect_outbox(self) -> List[ShardFrame]:
         """Drain this epoch's transmissions (barrier step one)."""
@@ -403,7 +400,7 @@ class ShardMedium(WirelessMedium):
         # Committed frame g is last consulted by verdicts of frames it
         # overlaps, at most horizon + L past its end (see the module
         # docstring); prune with that cutoff, from the front only.
-        cutoff = barrier - self.config.history_horizon_s - shift
+        cutoff = barrier - HISTORY_HORIZON_S - shift
         if self._log and self._log[0].tx.end <= cutoff:
             self._log = [f for f in self._log if f.tx.end > cutoff]
             self._log_starts = [f.tx.start for f in self._log]
@@ -429,27 +426,20 @@ class ShardMedium(WirelessMedium):
 
     def _resolve_frame(self, frame: ShardFrame) -> None:
         """Deliver one committed frame at its ``end + latency``: the
-        classic receiver resolution and gauntlet, asked at the delivery
+        classic receiver walk and delivery batch, asked at the delivery
         instant instead of at the frame's start."""
         tx = frame.tx
-        pos = tx.sender_pos
-        duration = tx.end - tx.start
-        for node_id, rx_x, rx_y in self._legs.audible(
-                self.sim.now, pos.x, pos.y, tx.range_m, exclude=tx.sender):
-            node = self._nodes.get(node_id)
-            if node is None or not node.listening:
-                continue
-            if self.on_rx_window is not None:
-                self.on_rx_window(node_id, duration)
-            node = self._nodes.get(node_id)
-            if node is None or not node.listening:
-                continue   # the RX charge drained its battery
-            corrupted = (self.config.model_collisions
-                         and self._corrupt_verdict(frame, node_id,
-                                                   rx_x, rx_y))
-            self._finish_delivery(tx, node_id, node, corrupted)
+        receivers = self._listeners(tx, self.sim.now, tx.end - tx.start)
+        if receivers:
+            self._deliver_batch(tx, frame.seq, receivers)
 
-    def _corrupt_verdict(self, frame: ShardFrame, receiver_id: int,
+    def _corrupt_verdicts(self, tx: Transmission, tx_seq: int,
+                          receivers: List[Hit]) -> List[bool]:
+        """One :meth:`_corrupt_verdict` per receiver."""
+        return [self._corrupt_verdict(tx, tx_seq, rx_id, rx_x, rx_y)
+                for rx_id, rx_x, rx_y in receivers]
+
+    def _corrupt_verdict(self, tx: Transmission, seq: int, receiver_id: int,
                          rx_x: float, rx_y: float) -> bool:
         """Collision check at the delivery instant.
 
@@ -460,7 +450,6 @@ class ShardMedium(WirelessMedium):
         half-duplex test intersects the receiver's local send log with
         the frame's shifted arrival window.
         """
-        tx = frame.tx
         shift = self._latency_s
         for (own_start, own_end) in self._own_tx.get(receiver_id, ()):
             if own_start < tx.end + shift and tx.start + shift < own_end:
@@ -470,7 +459,7 @@ class ShardMedium(WirelessMedium):
         hi = bisect.bisect_left(self._log_starts, tx.end)
         for other in self._log[lo:hi]:
             otx = other.tx
-            if otx.sender == tx.sender and other.seq == frame.seq:
+            if otx.sender == tx.sender and other.seq == seq:
                 continue
             if otx.sender == receiver_id:
                 continue   # real-time half duplex, handled above
@@ -484,15 +473,18 @@ class ShardMedium(WirelessMedium):
     def _loss_rng(self, receiver_id: int):
         """Per-receiver loss stream (shared-stream draw order would be
         a merge artefact)."""
-        return self._receiver_loss_rng(receiver_id)
+        return self._rngs.stream("shard-loss", receiver_id)
 
 
 class ShardWorkerLost(RuntimeError):
-    """A spawned shard worker died (or closed its pipe) mid-run."""
+    """A spawned shard worker died, closed its pipe or stopped answering
+    mid-run (``exitcode`` is ``None`` for one that stopped answering)."""
 
     def __init__(self, shard: int, barrier: float, exitcode: Optional[int]):
+        cause = ("no reply before the deadline" if exitcode is None
+                 else f"exit code {exitcode}")
         super().__init__(f"shard {shard} worker lost at the exchange for "
-                         f"barrier t={barrier} (exit code {exitcode})")
+                         f"barrier t={barrier} ({cause})")
         self.shard = shard
         self.barrier = barrier
         self.exitcode = exitcode
@@ -521,9 +513,7 @@ class _ShardWorld:
         rngs = RngRegistry(config.seed)
         medium = ShardMedium(
             sim, config.radio, config=config.medium, sizes=config.sizes,
-            node_rng=lambda i: rngs.stream("shard-medium", i),
-            loss_rng=lambda i: rngs.stream("shard-loss", i),
-            latency_s=ShardConfig.coerce(config.shards).latency_s)
+            rngs=rngs, latency_s=ShardConfig.coerce(config.shards).latency_s)
         # Fault draws span the global population and use per-receiver
         # streams, so they do not depend on who is co-resident.
         self.world = world = wire_world(
@@ -653,6 +643,8 @@ class _SpawnedShard:
             name=f"shard-{index}", daemon=True)
         self._proc.start()
         child_conn.close()
+        self._sent_at = _wallclock.monotonic()
+        self._slowest = 0.0
 
     def _exchange(self, barrier: float, op, *args):
         """One pipe operation; a dead peer is named, not a bare EOF."""
@@ -666,8 +658,17 @@ class _SpawnedShard:
                                   self._proc.exitcode) from exc
 
     def gather(self, barrier: float):
-        """The worker's next message: its drained outbox and bbox."""
+        """The worker's next message: its drained outbox and bbox (a
+        worker silent past the stall deadline is killed and lost)."""
+        limit = max(_STALL_FLOOR_S, _STALL_FACTOR * self._slowest)
+        wait = self._sent_at + limit - _wallclock.monotonic()
+        if not self._exchange(barrier, self._conn.poll, max(wait, 0.0)):
+            self._proc.kill()
+            self._proc.join(timeout=5)
+            raise ShardWorkerLost(self.index, barrier, None)
         tag, data = self._exchange(barrier, self._conn.recv)
+        self._slowest = max(self._slowest,
+                            _wallclock.monotonic() - self._sent_at)
         if tag == "error":
             raise RuntimeError(f"shard {self.index} failed:\n{data}")
         return data
@@ -675,6 +676,7 @@ class _SpawnedShard:
     def ingest(self, barrier: float, routed: List[ShardFrame]) -> None:
         """Ship the routed slice; the worker ingests and runs on."""
         self._exchange(barrier, self._conn.send, routed)
+        self._sent_at = _wallclock.monotonic()
 
     def finish(self) -> Dict[str, object]:
         """The worker's final payload (sent after the end barrier)."""

@@ -180,15 +180,14 @@ class TestDigest:
             config_digest(base_config(faults=FaultConfig()))
 
     def test_shard_config_fields_all_reach_the_digest(self):
-        """Every ShardConfig knob — tile shape, epoch, latency — must
-        flip the cache key: epoch/tiling are proven result-invariant,
-        but ``barrier_stats`` and engine dispatch still differ, and
+        """Every ShardConfig knob — shard count, tile shape, latency —
+        must flip the cache key: tiling is proven result-invariant, but
+        ``barrier_stats`` and engine dispatch still differ, and
         ``latency_s`` changes the semantics outright."""
         variants = [
+            ShardConfig(shards=2),
             ShardConfig(shards=4),
             ShardConfig(shards=4, rows=2),
-            ShardConfig(shards=4, epoch_s=0.25),
-            ShardConfig(shards=4, epoch_s=0.5),
             ShardConfig(shards=4, latency_s=2.0),
         ]
         digests = {config_digest(base_config(shards=v)) for v in variants}

@@ -61,7 +61,6 @@ class TestMain:
         assert all(len(line.split(None, 1)) == 2 for line in lines)
 
     @pytest.mark.parametrize("argv, names", [
-        (["fig13", "--epoch", "0.5"], "--epoch"),
         (["all", "--csv", "out.csv"], "--csv"),
         (["fig13", "--out-dir", "out"], "--out-dir"),
     ])
@@ -76,6 +75,13 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert names in err and len(err.splitlines()) == 1
+
+    def test_epoch_flag_is_unknown(self):
+        """The sharded engine derives its barrier spacing; there is no
+        flag to set it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig13", "--shards", "2",
+                                       "--epoch", "0.5"])
 
     def test_removed_study_route_flags_are_unknown(self):
         with pytest.raises(SystemExit):

@@ -331,11 +331,11 @@ class TestValidation:
         assert stats.total == 0
 
     def test_runner_module_still_delegates(self):
-        """The historical entry point (repro.harness.runner.run_seeds)
-        must route through the engine — experiments depend on it."""
-        from repro.harness.runner import run_seeds as legacy_run_seeds
+        """The package-level entry point (``repro.harness.run_seeds``,
+        which the examples use) must route through the engine."""
+        from repro.harness import run_seeds as package_run_seeds
         runner = parallel.get_default_runner()
         runner.stats.reset()
-        multi = legacy_run_seeds(_stationary_gossip(), [0, 1])
+        multi = package_run_seeds(_stationary_gossip(), [0, 1])
         assert len(multi.results) == 2
         assert runner.stats.executed == 2

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from repro.harness.runner import (Aggregate, MultiSeedResult, aggregate,
-                                  run_matrix, run_seeds)
+from repro.harness.parallel import run_matrix, run_seeds
+from repro.harness.runner import Aggregate, MultiSeedResult, aggregate
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
                                     ScenarioConfig)
 

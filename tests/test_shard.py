@@ -16,6 +16,7 @@ shard boundaries through the epoch-barrier exchange.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -28,8 +29,11 @@ from repro.harness.cache import ResultCache, config_digest
 from repro.harness.experiments import ExperimentResult
 from repro.harness.parallel import ParallelRunner
 from repro.harness.reporting import to_csv
-from repro.harness.scenario import run_scenario
+from repro.harness.scenario import (FixedPositionsSpec, ScenarioConfig,
+                                    run_scenario)
+from repro.net.radio import RadioConfig
 from repro.sim.shard import ShardConfig, resolve_epoch_s
+from repro.sim.shard import engine as shard_engine
 from repro.sim.shard.engine import ShardWorkerLost, compute_ownership
 from tests.helpers import (SHARD_MATRIX as MATRIX,
                            shard_rwp_energy as _rwp_energy,
@@ -50,6 +54,28 @@ def _inproc_backend(monkeypatch):
     """Default every test to the deterministic in-process backend; the
     spawn test overrides this explicitly."""
     monkeypatch.setenv("REPRO_SHARD_BACKEND", "inproc")
+
+
+def _force_epoch(monkeypatch, epoch: float) -> None:
+    """Force the barrier spacing of runs in this process.  The spacing
+    is derived, not configured, so the ladders below patch the engine's
+    one call to :func:`resolve_epoch_s` (spawned ``--jobs`` workers
+    import the engine afresh and keep the derived spacing)."""
+    monkeypatch.setattr(shard_engine, "resolve_epoch_s",
+                        lambda *args: epoch)
+
+
+def _signal_first_child(signum: int, victim: dict) -> None:
+    """Send ``signum`` to the first shard worker to appear (waiting at
+    most 10 s) and record its process name in ``victim``."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        children = multiprocessing.active_children()
+        if children:
+            victim["name"] = children[0].name
+            os.kill(children[0].pid, signum)
+            return
+        time.sleep(0.005)
 
 
 class TestShardCountInvariance:
@@ -83,6 +109,22 @@ class TestShardCountInvariance:
         assert plan.rows == 2 and plan.cols == 2
         assert len(set(owners)) == 4
 
+    def test_tiled_partition_with_the_top_row_at_y_zero(self):
+        """A population whose highest node sits at exactly y = 0 still
+        has a y extent: one tile per corner of the 400 m x 300 m box."""
+        config = ScenarioConfig(
+            n_processes=4,
+            mobility=FixedPositionsSpec(
+                ((0.0, -300.0), (400.0, -300.0), (0.0, 0.0), (400.0, 0.0))),
+            radio=RadioConfig(range_override_m=100.0),
+            duration=4.0, warmup=0.0,
+            shards=ShardConfig(shards=4, rows=2))
+        owners, plan = compute_ownership(config)
+        assert (plan.min_y, plan.max_y) == (-300.0, 0.0)
+        assert owners == [0, 1, 2, 3]
+        assert run_scenario(config).summary() == \
+            run_scenario(config.with_changes(shards=1)).summary()
+
 
 #: Families the epoch- and tile-invariance ladders cover (the ISSUE's
 #: rwp-frugal / energy / churn-faults trio).
@@ -96,31 +138,34 @@ LADDER = {
 class TestEpochInvariance:
     """Barrier spacing must be unobservable: the retimed exchange makes
     every sound epoch — binary-exact or not — produce the identical
-    result, which is what licenses ``epoch_s="auto"``."""
+    result, which is why the spacing is derived, not configured."""
 
     @pytest.mark.parametrize("name", sorted(LADDER))
-    def test_epoch_length_is_unobservable(self, name):
-        config = LADDER[name]()
+    def test_epoch_length_is_unobservable(self, name, monkeypatch):
+        config = LADDER[name]().with_changes(shards=2)
         for seed in SEEDS:
-            runs = [run_scenario(config.with_changes(
-                        seed=seed,
-                        shards=ShardConfig(shards=2, epoch_s=epoch)))
-                    for epoch in EPOCHS]
+            runs = []
+            for epoch in EPOCHS:
+                _force_epoch(monkeypatch, epoch)
+                runs.append(run_scenario(config.with_changes(seed=seed)))
+                assert runs[-1].barrier_stats["epoch_s"] == epoch
             want = runs[0]
             for epoch, got in zip(EPOCHS[1:], runs[1:]):
                 assert got.summary() == want.summary(), \
                     f"{name} seed {seed}: epoch={epoch} diverged"
                 assert got.per_event_reports() == want.per_event_reports()
 
-    def test_auto_epoch_equals_its_resolved_value(self):
-        config = _rwp_frugal()
-        auto = ShardConfig(shards=2)
-        resolved = resolve_epoch_s(auto, config.duration, config.warmup)
+    def test_auto_epoch_equals_its_resolved_value(self, monkeypatch):
+        """The derived spacing is the one a run uses, and forcing that
+        same spacing (the ladders' mechanism) changes nothing."""
+        config = _rwp_frugal().with_changes(shards=2)
+        resolved = resolve_epoch_s(config.shards, config.duration,
+                                   config.warmup)
         assert resolved == 1.0   # min(latency 1.0, half the 34 s run)
-        explicit = run_scenario(config.with_changes(
-            shards=ShardConfig(shards=2, epoch_s=resolved)))
-        automatic = run_scenario(config.with_changes(shards=auto))
-        assert automatic.summary() == explicit.summary()
+        automatic = run_scenario(config)
+        assert automatic.barrier_stats["epoch_s"] == resolved
+        _force_epoch(monkeypatch, resolved)
+        assert run_scenario(config).summary() == automatic.summary()
 
     def test_barrier_stats_are_attached(self):
         result = run_scenario(_rwp_frugal().with_changes(shards=2))
@@ -187,19 +232,9 @@ class TestSpawnBackend:
         carrying its shard index and exit code — not a bare
         ``EOFError`` — and the run still reaps every sibling."""
         victim = {}
-
-        def kill_first_child():
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                children = multiprocessing.active_children()
-                if children:
-                    victim["name"] = children[0].name
-                    os.kill(children[0].pid, signal.SIGKILL)
-                    return
-                time.sleep(0.005)
-
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
-        killer = threading.Thread(target=kill_first_child)
+        killer = threading.Thread(target=_signal_first_child,
+                                  args=(signal.SIGKILL, victim))
         started = time.monotonic()
         killer.start()
         try:
@@ -211,6 +246,30 @@ class TestSpawnBackend:
         assert victim["name"] == f"shard-{lost.value.shard}"
         assert f"shard {lost.value.shard} " in str(lost.value)
         assert lost.value.exitcode == -signal.SIGKILL
+        assert multiprocessing.active_children() == []
+
+    def test_stopped_worker_is_named(self, monkeypatch):
+        """A shard worker that stops answering (SIGSTOP) surfaces as
+        ``ShardWorkerLost`` naming its shard and barrier once the stall
+        deadline passes, instead of blocking the run forever."""
+        victim = {}
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
+        monkeypatch.setattr(shard_engine, "_STALL_FLOOR_S", 4.0)
+        stopper = threading.Thread(target=_signal_first_child,
+                                   args=(signal.SIGSTOP, victim))
+        started = time.monotonic()
+        stopper.start()
+        try:
+            with pytest.raises(ShardWorkerLost) as lost:
+                run_scenario(_rwp_frugal().with_changes(shards=2))
+        finally:
+            stopper.join(timeout=15.0)
+        assert not stopper.is_alive()
+        assert time.monotonic() - started < 10.0
+        assert victim["name"] == f"shard-{lost.value.shard}"
+        assert f"shard {lost.value.shard} " in str(lost.value)
+        assert "barrier t=" in str(lost.value)
+        assert lost.value.exitcode is None
         assert multiprocessing.active_children() == []
 
     def test_explicit_spawn_degrades_inside_daemonic_workers(
@@ -282,11 +341,12 @@ class TestComposesWithEngine:
             "different shard counts must never share a cache entry"
 
     def test_tiled_explicit_epoch_serial_equals_pooled_equals_cached(
-            self, tmp_path):
-        """The full knob stack at once — a 2x2 grid with an explicit
-        0.5 s epoch — through serial, pooled and cached execution."""
+            self, tmp_path, monkeypatch):
+        """A 2x2 grid with a forced 0.5 s epoch, serially and from the
+        cache, against the pool's workers at the derived 1 s epoch."""
+        _force_epoch(monkeypatch, 0.5)
         config = _rwp_frugal().with_changes(
-            shards=ShardConfig(shards=4, rows=2, epoch_s=0.5))
+            shards=ShardConfig(shards=4, rows=2))
         serial = ParallelRunner(jobs=1).run_seeds(config, SEEDS)
         with ParallelRunner(jobs=2) as pool:
             fanned = pool.run_seeds(config, SEEDS)
@@ -300,17 +360,24 @@ class TestComposesWithEngine:
         for ours, pooled, hit, striped in zip(
                 serial.results, fanned.results, cached.results,
                 stripes.results):
+            assert ours.barrier_stats["epoch_s"] == 0.5
+            assert hit.barrier_stats["epoch_s"] == 0.5
+            assert pooled.barrier_stats["epoch_s"] == 1.0
             assert ours.summary() == pooled.summary()
             assert ours.summary() == hit.summary()
             # ... and the grid agrees with plain stripes bit for bit.
             assert ours.summary() == striped.summary()
 
-    def test_tiled_csv_byte_equal_across_execution_modes(self, tmp_path):
+    def test_tiled_csv_byte_equal_across_execution_modes(
+            self, tmp_path, monkeypatch):
+        _force_epoch(monkeypatch, 0.5)
         config = _rwp_frugal().with_changes(
-            shards=ShardConfig(shards=4, rows=2, epoch_s=0.5))
+            shards=ShardConfig(shards=4, rows=2))
 
         def rows_via(runner) -> ExperimentResult:
             multi = runner.run_seeds(config, SEEDS)
+            assert {r.barrier_stats["epoch_s"] for r in multi.results} == \
+                {0.5 if runner.jobs == 1 else 1.0}
             result = ExperimentResult(
                 experiment_id="tile-csv", title="csv determinism",
                 parameters={"shards": config.shards.plan_label})
@@ -353,19 +420,20 @@ class TestConfigValidation:
             ShardConfig(shards=4, rows=3)
 
     def test_epoch_must_be_sound(self):
-        with pytest.raises(ValueError):
-            ShardConfig(shards=2, epoch_s=0.0)
-        with pytest.raises(ValueError):
-            ShardConfig(shards=2, epoch_s=1.5)   # > latency_s: unsound
-        with pytest.raises(ValueError):
-            ShardConfig(shards=2, epoch_s="soon")
-        assert ShardConfig(shards=2, epoch_s=1.5, latency_s=2.0)
+        """The derived spacing lies in ``(0, latency_s]`` — longer
+        epochs would let a frame be used before the barrier that
+        commits it — and is binary-exact, for any latency and run."""
+        for latency in (0.3, 1.0, 1.5, 2.0):
+            shards = ShardConfig(shards=2, latency_s=latency)
+            for duration, warmup in ((0.0, 0.0), (1.2, 0.0), (30.0, 4.0),
+                                     (3600.0, 60.0)):
+                epoch = resolve_epoch_s(shards, duration, warmup)
+                assert 0.0 < epoch <= latency
+                assert math.log2(epoch).is_integer()
 
     def test_parse_accepts_counts_and_grids(self):
         assert ShardConfig.parse("4") == ShardConfig(shards=4)
         assert ShardConfig.parse("2x2") == ShardConfig(shards=4, rows=2)
-        assert ShardConfig.parse("2x2", epoch=0.5) == \
-            ShardConfig(shards=4, rows=2, epoch_s=0.5)
         for bad in ("", "x", "2x", "-1", "0x3", "two"):
             with pytest.raises(ValueError):
                 ShardConfig.parse(bad)
@@ -375,5 +443,3 @@ class TestConfigValidation:
         assert resolve_epoch_s(shards, 30.0, 4.0) == 1.0
         assert resolve_epoch_s(shards, 1.2, 0.0) == 0.5
         assert resolve_epoch_s(shards, 0.0, 0.0) == 2.0 ** -6
-        explicit = ShardConfig(shards=2, epoch_s=0.25)
-        assert resolve_epoch_s(explicit, 30.0, 4.0) == 0.25
