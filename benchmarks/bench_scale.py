@@ -62,7 +62,7 @@ def test_scaling_sweep(benchmark):
             started = time.perf_counter()
             result = run_scenario(population_scenario(n, duration))
             wallclock = time.perf_counter() - started
-            frames = result.collector.medium.frames_sent
+            frames = result.collector.frames["frames_sent"]
             rows.append({"n": n, "frames": frames, "wall_s": wallclock,
                          "us_per_frame": 1e6 * wallclock / max(1, frames)})
         return rows

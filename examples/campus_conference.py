@@ -90,6 +90,7 @@ def main(seed: int = 5) -> None:
         sim.call_at(base + 5.0 + 25.0 * offset, announce, publisher,
                     topic, text)
     sim.run(until=base + 240.0)
+    record = collector.record(nodes)
 
     print("Announcements published:")
     for event in published:
@@ -101,10 +102,10 @@ def main(seed: int = 5) -> None:
         marks = []
         for event in published:
             entitled = subscription_matches_event([Topic(sub)], event.topic)
-            got = i in collector.deliveries_of(event.event_id)
+            got = i in record.deliveries_of(event.event_id)
             marks.append("." if entitled and got
                          else ("MISS" if entitled else "-"))
-        stats = collector.stats[i]
+        stats = record.stats[i]
         print(f"  {name:6s} {sub:42s} {' '.join(m.ljust(4) for m in marks)}"
               f"  parasites={stats.parasites_received}")
 

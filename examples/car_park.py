@@ -83,11 +83,12 @@ def main(seed: int = 3) -> None:
     for car, lot, at in departures:
         sim.call_at(base + at, leave, car, lot)
     sim.run(until=base + 250.0)
+    record = collector.record(nodes)
 
     print("\nWho learned of which spot (within its validity):")
     learned = defaultdict(list)
     for event in published:
-        times = collector.deliveries_of(event.event_id)
+        times = record.deliveries_of(event.event_id)
         for car, t in sorted(times.items()):
             if car != event.event_id.publisher and t <= event.expires_at:
                 learned[event.payload["lot"]].append(car)
@@ -96,9 +97,9 @@ def main(seed: int = 3) -> None:
         names = ", ".join(f"car {c} ({subscriptions[c]})" for c in cars)
         print(f"  {lot:10s}: {len(cars)} cars  [{names}]")
 
-    print(f"\nTotal bytes on air: {collector.total_bytes()} "
-          f"({collector.bandwidth_per_process_bytes():.0f} per car); "
-          f"parasites/car: {collector.parasites_per_process():.1f}")
+    print(f"\nTotal bytes on air: {record.total_bytes()} "
+          f"({record.bandwidth_per_process_bytes():.0f} per car); "
+          f"parasites/car: {record.parasites_per_process():.1f}")
 
 
 if __name__ == "__main__":

@@ -105,10 +105,10 @@ class ProtocolCounters:
     One instance per protocol stack; every layer (membership, delivery,
     forwarding) increments the same object, so the historical duplicated
     counter fields collapse into a single picklable dataclass that
-    results and metrics can snapshot (``MetricsCollector``
-    ``capture_protocol_totals``).  All counts are monotonically
-    increasing and survive ``on_stop`` (a crashed process keeps its
-    lifetime tallies, matching the pre-stack behaviour).
+    results and metrics can snapshot (``MetricsCollector.record``).
+    All counts are monotonically increasing and survive ``on_stop`` (a
+    crashed process keeps its lifetime tallies, matching the pre-stack
+    behaviour).
     """
 
     heartbeats_sent: int = 0

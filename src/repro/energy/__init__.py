@@ -12,8 +12,9 @@ those bytes in joules so the frugality claim becomes quantitative:
 * :mod:`repro.energy.dutycycle` — synchronised sleep schedules the frugal
   protocol can exploit and flooders cannot,
 * :mod:`repro.energy.collector` — the per-world accountant that meters
-  every node, powers down the drained ones mid-run, and aggregates
-  joules-per-node / joules-per-delivery / network-lifetime metrics.
+  every node and powers down the drained ones mid-run, and the record it
+  hands over at close, which aggregates the joules-per-node /
+  joules-per-delivery / network-lifetime metrics.
 
 None of these modules imports the kernel or the medium at load time (they
 receive them from the world that wires them), and names resolve lazily
@@ -26,6 +27,8 @@ __all__ = [
     "Battery",
     "EnergyAccountant",
     "EnergyConfig",
+    "EnergyReading",
+    "EnergyRecord",
     "DutyCycleConfig",
     "DutyCycler",
     "EnergyModel",
@@ -35,7 +38,8 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.energy.battery": ("Battery",),
-    "repro.energy.collector": ("EnergyAccountant", "EnergyConfig"),
+    "repro.energy.collector": ("EnergyAccountant", "EnergyConfig",
+                               "EnergyReading", "EnergyRecord"),
     "repro.energy.dutycycle": ("DutyCycleConfig", "DutyCycler"),
     "repro.energy.model": ("EnergyModel", "PowerProfile", "RadioState"),
 })

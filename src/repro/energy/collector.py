@@ -1,13 +1,15 @@
 """Network-level energy accounting: one accountant per simulated world.
 
-The :class:`EnergyAccountant` is the energy twin of
-:class:`~repro.metrics.collector.MetricsCollector`: it subscribes to the
-medium's TX/RX window hooks and each node's radio-state callbacks, owns
-one :class:`~repro.energy.model.EnergyModel` (and optional duty cycler)
-per node, and handles battery depletion by powering the node down —
+The :class:`EnergyAccountant` subscribes to the medium's TX/RX window
+hooks and each node's radio-state callbacks, owns one
+:class:`~repro.energy.model.EnergyModel` (and optional duty cycler) per
+node, and handles battery depletion by powering the node down —
 detaching it from the medium mid-run.  Protocols are never instrumented
 directly, so the frugal protocol and the flooding baselines are billed by
-exactly the same meter.
+exactly the same meter.  When the trial closes, the accountant hands its
+readings over as an :class:`EnergyRecord` — plain data, one
+:class:`EnergyReading` per node — which is what a result carries and what
+the energy aggregates are asked of.
 
 The accountant forwards each window's duration and nothing else: it puts
 no event on the kernel, and neither do mains-powered models (a window's
@@ -18,7 +20,7 @@ subsystem owns are one per finite battery and one per duty cycler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.energy.battery import Battery
 from repro.energy.dutycycle import DutyCycleConfig, DutyCycler
@@ -44,18 +46,68 @@ class EnergyConfig:
 
 
 @dataclass(frozen=True)
-class _FrozenEnergyModel:
-    """Immutable stand-in for an :class:`EnergyModel` after unpickling.
-
-    Carries exactly the readings the accountant's aggregate methods
-    consume; it has no simulator, battery or callbacks, so a detached
-    accountant is a pure record of what the run cost.
-    """
+class EnergyReading:
+    """One node's meter at close: what it cost, by radio state, and when
+    (absolute simulation seconds) its battery ran dry, if it did."""
 
     node_id: int
     total_joules: float
-    joules_by_state: Dict["RadioState", float]
-    depleted: bool
+    joules_by_state: Dict[RadioState, float]
+    depleted_at: Optional[float]
+
+    @property
+    def depleted(self) -> bool:
+        return self.depleted_at is not None
+
+
+@dataclass
+class EnergyRecord:
+    """What an :class:`EnergyAccountant` metered over one trial's window,
+    handed over at close; plain data that pickles as is."""
+
+    config: EnergyConfig
+    deaths: List[Tuple[float, int]]   # (time, node_id), in order
+    models: Dict[int, EnergyReading]
+
+    @classmethod
+    def merge(cls, records: Sequence[EnergyRecord]) -> EnergyRecord:
+        """Union per-shard records in canonical order: deaths by (time,
+        node id), readings by node id (joules sum in that order)."""
+        models: Dict[int, EnergyReading] = {}
+        deaths: List[Tuple[float, int]] = []
+        for record in records:
+            models.update(record.models)
+            deaths.extend(record.deaths)
+        return cls(config=records[0].config, deaths=sorted(deaths),
+                   models={nid: models[nid] for nid in sorted(models)})
+
+    def total_joules(self) -> float:
+        return sum(m.total_joules for m in self.models.values())
+
+    def joules_per_node(self) -> float:
+        n = len(self.models)
+        return self.total_joules() / n if n else 0.0
+
+    def joules_by_state(self) -> Dict[RadioState, float]:
+        out = {state: 0.0 for state in RadioState}
+        for model in self.models.values():
+            for state, joules in model.joules_by_state.items():
+                out[state] += joules
+        return out
+
+    def depleted_ids(self) -> List[int]:
+        return [node_id for _, node_id in self.deaths]
+
+    def survivor_ids(self) -> List[int]:
+        dead = set(self.depleted_ids())
+        return sorted(i for i in self.models if i not in dead)
+
+    def network_lifetime_s(self, horizon_s: float) -> float:
+        """Time until the first battery death — the classic lifetime
+        metric — clamped to the observation ``horizon_s`` when every node
+        survived the whole run."""
+        return min(self.deaths[0][0], horizon_s) if self.deaths \
+            else horizon_s
 
 
 class EnergyAccountant:
@@ -123,41 +175,6 @@ class EnergyAccountant:
         if node is not None:
             node.power_down()
 
-    # -- pickling (parallel execution / result cache) ---------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle frozen per-node meter readings, not live models.
-
-        Each :class:`EnergyModel` references the simulator (a finite
-        battery's pending depletion timer and all); shipping that
-        across a process boundary would drag the whole world along.
-        The pickled form
-        replaces every model with an immutable snapshot exposing the
-        attributes the aggregate methods read (``total_joules``,
-        ``joules_by_state``, ``depleted``), so an unpickled accountant
-        answers every metrics question but cannot meter anything new.
-        """
-        return {
-            "config": self.config,
-            "deaths": list(self.deaths),
-            "models": {
-                node_id: _FrozenEnergyModel(
-                    node_id=node_id,
-                    total_joules=model.total_joules,
-                    joules_by_state=model.joules_by_state,
-                    depleted=model.depleted)
-                for node_id, model in self.models.items()
-            },
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.config = state["config"]
-        self.deaths = state["deaths"]
-        self.models = state["models"]
-        self.medium = None
-        self.cyclers = {}
-        self._nodes = {}
-
     # -- lifecycle ------------------------------------------------------------
 
     def start_measurement(self) -> None:
@@ -186,47 +203,13 @@ class EnergyAccountant:
         for model in self.models.values():
             model.finalize()
 
-    # -- aggregates ----------------------------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return len(self.models)
-
-    def joules_of(self, node_id: int) -> float:
-        return self.models[node_id].total_joules
-
-    def total_joules(self) -> float:
-        return sum(m.total_joules for m in self.models.values())
-
-    def joules_per_node(self) -> float:
-        n = self.node_count
-        return self.total_joules() / n if n else 0.0
-
-    def joules_by_state(self) -> Dict[RadioState, float]:
-        out = {state: 0.0 for state in RadioState}
-        for model in self.models.values():
-            for state, joules in model.joules_by_state.items():
-                out[state] += joules
-        return out
-
-    def depleted_ids(self) -> List[int]:
-        return [node_id for _, node_id in self.deaths]
-
-    def survivor_ids(self) -> List[int]:
-        dead = set(self.depleted_ids())
-        return sorted(i for i in self.models if i not in dead)
-
-    def first_death_time(self) -> Optional[float]:
-        return self.deaths[0][0] if self.deaths else None
-
-    def network_lifetime_s(self, horizon_s: float) -> float:
-        """Time until the first battery death — the classic lifetime
-        metric — clamped to the observation ``horizon_s`` when every node
-        survived the whole run."""
-        first = self.first_death_time()
-        return horizon_s if first is None else min(first, horizon_s)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<EnergyAccountant nodes={self.node_count} "
-                f"joules={self.total_joules():.1f} "
-                f"deaths={len(self.deaths)}>")
+    def record(self) -> EnergyRecord:
+        """:meth:`finalize`, then hand the meters' readings over."""
+        self.finalize()
+        return EnergyRecord(
+            config=self.config, deaths=list(self.deaths),
+            models={node_id: EnergyReading(
+                        node_id=node_id, total_joules=model.total_joules,
+                        joules_by_state=model.joules_by_state,
+                        depleted_at=model.depleted_at)
+                    for node_id, model in self.models.items()})

@@ -1,17 +1,16 @@
 """The per-world fault driver and the availability record it produces.
 
-The :class:`FaultInjector` is the fault twin of the
-:class:`~repro.metrics.collector.MetricsCollector` and the
-:class:`~repro.energy.collector.EnergyAccountant`: one per simulated
-world, wired by ``build_world`` when the scenario carries a
-:class:`FaultConfig`.  At arm time it schedules every declarative
+The :class:`FaultInjector` is one per simulated world, wired by
+``build_world`` when the scenario carries a :class:`FaultConfig`.  At
+arm time it schedules every declarative
 :class:`~repro.faults.plan.FaultEvent`, starts the per-node churn
 renewal processes, books the regional outages and installs the link-loss
 model on the medium — all as ordinary kernel timers, so serial, parallel
 and cached runs replay the identical fault trace.
 
 Every availability transition the injector causes is recorded in a
-:class:`FaultTimeline` — plain picklable data that travels with the
+:class:`FaultTimeline` — plain picklable data, like the metrics and
+energy records, that travels with the
 :class:`~repro.harness.scenario.ScenarioResult` and feeds the
 churn-aware metrics (availability, delivery-under-churn denominators,
 recovery latency).
@@ -82,6 +81,28 @@ class FaultTimeline:
     recoveries: List[Tuple[float, int]] = field(default_factory=list)
     down_transitions: int = 0
     outages: List[Tuple[float, int]] = field(default_factory=list)
+
+    @classmethod
+    def merge(cls, timelines: Sequence[FaultTimeline]) -> FaultTimeline:
+        """Union per-shard timelines (disjoint node residency), rebuilt
+        in canonical node-id order (availability sums by iteration
+        order, which must not depend on the shard count)."""
+        merged = cls(window=timelines[0].window,
+                     n_nodes=sum(t.n_nodes for t in timelines))
+        outage_counts: Dict[float, int] = {}
+        intervals_by_node: Dict[int, List[Tuple[float, float]]] = {}
+        for timeline in timelines:
+            for node_id, intervals in timeline.down_intervals.items():
+                intervals_by_node.setdefault(node_id, []).extend(intervals)
+            merged.recoveries.extend(timeline.recoveries)
+            merged.down_transitions += timeline.down_transitions
+            for at, count in timeline.outages:
+                outage_counts[at] = outage_counts.get(at, 0) + count
+        for node_id in sorted(intervals_by_node):
+            merged.down_intervals[node_id] = intervals_by_node[node_id]
+        merged.recoveries.sort()
+        merged.outages.extend(sorted(outage_counts.items()))
+        return merged
 
     def _clipped(self, interval: Tuple[float, float]) -> float:
         start, end = self.window
@@ -332,15 +353,16 @@ class FaultInjector:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def finalize(self) -> None:
+    def finalize(self) -> FaultTimeline:
         """Close every still-open down interval at the current instant
-        (end of run); nodes that never came back count as down through
-        the window end."""
+        (end of run) and hand the timeline over; nodes that never came
+        back count as down through the window end."""
         now = self.sim.now
         for node_id, since in sorted(self._down_since.items()):
             self.timeline.down_intervals.setdefault(
                 node_id, []).append((since, now))
         self._down_since.clear()
+        return self.timeline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FaultInjector nodes={len(self._nodes)} "

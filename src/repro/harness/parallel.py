@@ -28,10 +28,11 @@ platform, deliberately:
   3.14 changed the Linux default to spawn for exactly this reason.
 
 Everything crossing the process boundary — the config out, the
-:class:`~repro.harness.scenario.ScenarioResult` back — must pickle;
-results detach from their live simulation world when pickled (see
-``MetricsCollector.__getstate__`` / ``EnergyAccountant.__getstate__``),
-so the payload is the measurements, not the megabytes of world graph.
+:class:`~repro.harness.scenario.ScenarioResult` back — must pickle.  A
+result is plain data (the metrics, energy and fault records its world
+handed over at close), so it pickles as is, the payload is the
+measurements rather than the world graph, and the copy equals the
+original.
 
 With ``jobs=1`` (the default) no pool and no pickling are involved at
 all: jobs run in-process, exactly as the historical serial

@@ -51,10 +51,11 @@ from repro.sim.shard.config import ShardConfig
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import PubSubProtocol
     from repro.core.events import Event, EventFactory
-    from repro.energy.collector import EnergyAccountant, EnergyConfig
+    from repro.energy.collector import (EnergyAccountant, EnergyConfig,
+                                        EnergyRecord)
     from repro.faults.injector import (FaultConfig, FaultInjector,
                                        FaultTimeline)
-    from repro.metrics.collector import MetricsCollector
+    from repro.metrics.collector import MetricsCollector, MetricsRecord
     from repro.mobility.base import MobilityModel
     from repro.mobility.maps import StreetMap
     from repro.net.medium import WirelessMedium
@@ -381,14 +382,13 @@ class ScenarioConfig:
 class ScenarioResult:
     """Outcome of one scenario run.
 
-    Results are picklable and round-trip clean: every metric method —
-    reliability, the frugality counters and the energy summary fields —
-    returns identical values before and after a pickle round trip, which
-    is what the parallel execution engine (worker -> parent transfer) and
-    the on-disk result cache rely on.  Pickling *detaches* the result
-    from its live simulation world (see ``MetricsCollector.__getstate__``
-    and ``EnergyAccountant.__getstate__``): the payload is measurements
-    only, a few kilobytes instead of the megabytes of world graph.
+    A result is plain data: the world's observers hand over their
+    records when the trial closes (:class:`MetricsRecord`,
+    :class:`EnergyRecord`, :class:`FaultTimeline`), and nothing here
+    points back into the simulation.  A pickle round trip — the parallel
+    engine's worker -> parent transfer, the on-disk result cache —
+    therefore yields an equal result that answers every metric method
+    identically, and the payload is a few kilobytes.
 
     :meth:`summary` is computed once and memoised on the result; the
     parallel engine asks for it in the worker, so the memo travels in
@@ -396,13 +396,13 @@ class ScenarioResult:
     """
 
     config: ScenarioConfig
-    collector: MetricsCollector
+    collector: MetricsRecord
     published_events: List[Event]
     subscriber_ids: List[int]
     non_subscriber_ids: List[int]
     sim_events_processed: int
     wallclock_s: float
-    energy: Optional[EnergyAccountant] = None
+    energy: Optional[EnergyRecord] = None
     faults: Optional[FaultTimeline] = None
     #: Sharded runs only: wall-clock seconds spent in each barrier
     #: phase (``drain`` / ``merge`` / ``ingest`` / ``retime``), plus
@@ -411,8 +411,7 @@ class ScenarioResult:
     #: for classic runs; excluded from equality (timings are noise).
     barrier_stats: Optional[Dict[str, float]] = field(default=None,
                                                       compare=False)
-    #: The memoised :meth:`summary`.  The class default ``None`` is what
-    #: a pickle written before the memo existed reads back as.
+    #: The memoised :meth:`summary`.
     _summary: Optional[Dict[str, float]] = field(default=None, init=False,
                                                  compare=False, repr=False)
 
@@ -448,10 +447,8 @@ class ScenarioResult:
     def protocol_counters(self) -> ProtocolCounters:
         """Summed per-stack protocol counters (heartbeats, batches,
         deliveries, drops) over the measurement window — warm-up
-        traffic is excluded, like every other metric; zeros for results
-        produced before the capture existed."""
-        totals = getattr(self.collector, "protocol_totals", None)
-        return totals if totals is not None else ProtocolCounters()
+        traffic is excluded, like every other metric."""
+        return self.collector.protocol_totals
 
     # -- energy (only when the scenario is energy-instrumented) --------------------
 
@@ -631,11 +628,8 @@ class World:
     differ in who advances ``sim`` in between and in when publications
     are armed.  ``nodes`` holds the *resident* processes in ascending id
     order: everyone for the classic engine, one shard's share otherwise.
-
-    Iterates as the historical ``(sim, medium, collector, nodes,
-    subscriber_ids)`` 5-tuple so existing unpacking call sites keep
-    working; the energy accountant and fault injector (present only for
-    instrumented configs) are reached by name.
+    The energy accountant and fault injector are present only for
+    instrumented configs.
     """
 
     sim: Simulator
@@ -647,10 +641,6 @@ class World:
     faults: Optional[FaultInjector] = None
     #: ``(publication index, event)`` in firing order.
     published: List[Tuple[int, Event]] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter((self.sim, self.medium, self.collector, self.nodes,
-                     self.subscriber_ids))
 
     def start(self) -> None:
         """Start every resident node (mobility first, then protocol)."""
@@ -695,14 +685,14 @@ class World:
         self.collector.record_publication(event)
         publisher.protocol.publish(event)
 
-    def close(self) -> None:
-        """End the trial: settle the energy meters and fault timeline
-        and capture the window's protocol-counter totals."""
-        if self.energy is not None:
-            self.energy.finalize()
-        if self.faults is not None:
-            self.faults.finalize()
-        self.collector.capture_protocol_totals(self.nodes)
+    def close(self) -> Tuple[MetricsRecord, Optional[EnergyRecord],
+                             Optional[FaultTimeline]]:
+        """End the trial: settle the energy meters and the fault
+        timeline, and hand over the three records a result carries
+        (energy and faults ``None`` when un-instrumented)."""
+        energy = None if self.energy is None else self.energy.record()
+        timeline = None if self.faults is None else self.faults.finalize()
+        return self.collector.record(self.nodes), energy, timeline
 
 
 def wire_world(config: ScenarioConfig, sim: Simulator, rngs: RngRegistry,
@@ -790,15 +780,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # sequence numbers break same-instant ties, so order is behaviour.
     world.schedule_publications(config)
     world.sim.run(until=config.warmup + config.duration)
-    world.close()
+    metrics, energy, timeline = world.close()
     return ScenarioResult(
         config=config,
-        collector=world.collector,
+        collector=metrics,
         published_events=[event for _, event in world.published],
         subscriber_ids=world.subscriber_ids,
         non_subscriber_ids=[n.id for n in world.nodes
                             if n.id not in subscriber_set],
         sim_events_processed=world.sim.events_processed,
         wallclock_s=_wallclock.perf_counter() - started,
-        energy=world.energy,
-        faults=None if world.faults is None else world.faults.timeline)
+        energy=energy,
+        faults=timeline)

@@ -11,6 +11,7 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "MetricsCollector",
+    "MetricsRecord",
     "NodeStats",
     "ReliabilityReport",
     "churn_aware_reliability",
@@ -23,7 +24,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.metrics.collector": ("MetricsCollector", "NodeStats"),
+    "repro.metrics.collector": ("MetricsCollector", "MetricsRecord",
+                                "NodeStats"),
     "repro.metrics.reliability": ("ReliabilityReport",
                                   "churn_aware_reliability",
                                   "event_reliability", "mean_reliability",

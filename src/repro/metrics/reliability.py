@@ -10,10 +10,17 @@ its own publication — it delivers it locally at publish time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence
 
 from repro.core.events import Event, EventId
-from repro.metrics.collector import MetricsCollector
+
+
+class DeliveryLog(Protocol):
+    """Anything answering ``deliveries_of``: a sim run's
+    :class:`~repro.metrics.collector.MetricsRecord` or an rt
+    :class:`~repro.rt.cluster.RtResult`."""
+
+    def deliveries_of(self, event_id: EventId) -> Dict[int, float]: ...
 
 
 @dataclass(frozen=True)
@@ -37,15 +44,13 @@ class ReliabilityReport:
                 f"{self.subscribers} = {self.reliability:.1%}")
 
 
-def event_reliability(collector: MetricsCollector, event: Event,
+def event_reliability(collector: DeliveryLog, event: Event,
                       subscriber_ids: Iterable[int]) -> ReliabilityReport:
     """Compute one event's :class:`ReliabilityReport`.
 
     ``subscriber_ids`` is the population entitled to the event (determined
     by the scenario, which knows who subscribed to what); deliveries after
-    the validity expiry are tallied separately as late.  ``collector`` is
-    anything answering ``deliveries_of(event_id)``: the sim's collector or
-    the rt runtime's :class:`~repro.rt.cluster.RtResult`.
+    the validity expiry are tallied separately as late.
     """
     subscriber_ids = list(subscriber_ids)
     times = collector.deliveries_of(event.event_id)
@@ -73,7 +78,7 @@ def mean_reliability(reports: Sequence[ReliabilityReport]) -> float:
     return sum(r.reliability for r in reports) / len(reports)
 
 
-def churn_aware_reliability(collector: MetricsCollector,
+def churn_aware_reliability(collector: DeliveryLog,
                             events: Sequence[Event],
                             subscriber_ids: Iterable[int],
                             up_during) -> float:
@@ -96,7 +101,7 @@ def churn_aware_reliability(collector: MetricsCollector,
     return mean_reliability(reports)
 
 
-def recovery_latencies(collector: MetricsCollector,
+def recovery_latencies(collector: DeliveryLog,
                        events: Sequence[Event],
                        subscriber_ids: Iterable[int],
                        recoveries: Sequence[tuple]) -> List[float]:

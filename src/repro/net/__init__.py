@@ -19,7 +19,7 @@ It also surfaces :class:`~repro.core.base.ProtocolCounters`, the unified
 picklable per-stack counter dataclass every protocol layer writes into
 (defined next to the host interface to keep the import graph acyclic;
 the network layer is where the counts become observable, via
-``MetricsCollector.capture_protocol_totals``).
+``MetricsCollector.record``).
 
 The medium's configuration (:class:`~repro.net.radio.MediumConfig`)
 lives beside the radio's, so a scenario config is readable without

@@ -97,7 +97,8 @@ class RtResult:
 
     def deliveries_of(self, event_id: EventId) -> Dict[int, float]:
         """``{node_id: first delivery time}`` for one event (the
-        :class:`~repro.metrics.MetricsCollector` query of that name)."""
+        :class:`~repro.metrics.collector.MetricsRecord` query of that
+        name, so reliability scores both alike)."""
         return self.delivery_times.get(event_id, {})
 
     def per_event_reports(self) -> List[ReliabilityReport]:

@@ -119,11 +119,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import ProtocolCounters
-from repro.core.events import Event
-from repro.energy import EnergyAccountant
-from repro.faults import FaultTimeline
-from repro.metrics import MetricsCollector
+from repro.energy.collector import EnergyRecord
+from repro.faults.injector import FaultTimeline
+from repro.metrics.collector import MetricsRecord
 from repro.net import WirelessMedium
 from repro.net.medium import HISTORY_HORIZON_S, Transmission, anchor_slack_m
 from repro.sim import RngRegistry, Simulator
@@ -564,16 +562,13 @@ class _ShardWorld:
 
     def finish(self) -> Dict[str, object]:
         """Close the trial and emit this shard's picklable payload."""
-        world = self.world
-        world.close()
+        metrics, energy, timeline = self.world.close()
         return {
-            "collector": world.collector.__getstate__(),
-            "published": world.published,
-            "energy": (None if world.energy is None
-                       else world.energy.__getstate__()),
-            "timeline": None if world.faults is None
-                        else world.faults.timeline,
-            "events": world.sim.events_processed,
+            "metrics": metrics,
+            "published": self.world.published,
+            "energy": energy,
+            "timeline": timeline,
+            "events": self.world.sim.events_processed,
             "stats": self.stats,
         }
 
@@ -718,90 +713,6 @@ def _run_barriers(shards: Sequence, barriers: List[float],
     return [shard.finish() for shard in shards], driver
 
 
-# -- merging ----------------------------------------------------------------
-
-
-def _merge_collectors(states: List[dict]) -> MetricsCollector:
-    """Union the per-shard collector states (disjoint node rows).
-
-    Every union is rebuilt in a canonical key order (node id, event id)
-    before it becomes the merged state: downstream summary statistics
-    sum floats by dict iteration order, and only a canonical order makes
-    that order — hence the last-ulp rounding — shard-count-invariant.
-    Every K, including K=1, passes through this same normalisation.
-    """
-    stats: Dict[int, object] = {}
-    times: Dict[object, Dict[int, float]] = {}
-    published: Dict[object, Event] = {}
-    seen = set()
-    totals = []
-    for state in states:
-        stats.update(state["stats"])
-        for event_id, per_node in state["delivery_times"].items():
-            times.setdefault(event_id, {}).update(per_node)
-        published.update(state["published"])
-        seen |= state["_seen_receptions"]
-        if state["protocol_totals"] is not None:
-            totals.append(state["protocol_totals"])
-    event_key = lambda eid: (eid.publisher, eid.seq)  # noqa: E731
-    merged = MetricsCollector.__new__(MetricsCollector)
-    merged.__setstate__({
-        "medium": None,
-        "stats": {nid: stats[nid] for nid in sorted(stats)},
-        "delivery_times": {
-            eid: {nid: times[eid][nid] for nid in sorted(times[eid])}
-            for eid in sorted(times, key=event_key)},
-        "published": {eid: published[eid]
-                      for eid in sorted(published, key=event_key)},
-        "_seen_receptions": seen,
-        "_frozen": False,
-        "protocol_totals":
-            ProtocolCounters.total(totals) if totals else None,
-        "_protocol_baseline": None,
-    })
-    return merged
-
-
-def _merge_energy(states: List[dict]) -> EnergyAccountant:
-    """Union the per-shard frozen energy states; deaths re-sorted into
-    the canonical (time, node id) order."""
-    models: Dict[int, object] = {}
-    deaths: List[Tuple[float, int]] = []
-    for state in states:
-        models.update(state["models"])
-        deaths.extend(state["deaths"])
-    merged = EnergyAccountant.__new__(EnergyAccountant)
-    merged.__setstate__({
-        "config": states[0]["config"],
-        "deaths": sorted(deaths),
-        # Canonical node-id order: the aggregate sums joules by dict
-        # iteration order, which must not depend on the shard count.
-        "models": {nid: models[nid] for nid in sorted(models)},
-    })
-    return merged
-
-
-def _merge_timelines(timelines: List[FaultTimeline]) -> FaultTimeline:
-    """Union the per-shard fault timelines (disjoint node residency)."""
-    merged = FaultTimeline(window=timelines[0].window,
-                           n_nodes=sum(t.n_nodes for t in timelines))
-    outage_counts: Dict[float, int] = {}
-    intervals_by_node: Dict[int, List] = {}
-    for timeline in timelines:
-        for node_id, intervals in timeline.down_intervals.items():
-            intervals_by_node.setdefault(node_id, []).extend(intervals)
-        merged.recoveries.extend(timeline.recoveries)
-        merged.down_transitions += timeline.down_transitions
-        for at, count in timeline.outages:
-            outage_counts[at] = outage_counts.get(at, 0) + count
-    # Canonical node-id order (availability sums by iteration order).
-    for node_id in sorted(intervals_by_node):
-        merged.down_intervals[node_id] = intervals_by_node[node_id]
-    merged.recoveries.sort()
-    merged.outages.extend(sorted(outage_counts.items()))
-    return merged
-
-
 def run_sharded_scenario(config):
     """Run one scenario as ``config.shards`` cooperating shard worlds.
 
@@ -831,14 +742,14 @@ def run_sharded_scenario(config):
         for shard in handles:
             shard.close()
 
-    collector = _merge_collectors([p["collector"] for p in payloads])
+    collector = MetricsRecord.merge([p["metrics"] for p in payloads])
     published = [event for _, event in
                  sorted((entry for p in payloads for entry in
                          p["published"]), key=lambda entry: entry[0])]
     energy = (None if config.energy is None
-              else _merge_energy([p["energy"] for p in payloads]))
+              else EnergyRecord.merge([p["energy"] for p in payloads]))
     timeline = (None if config.faults is None
-                else _merge_timelines([p["timeline"] for p in payloads]))
+                else FaultTimeline.merge([p["timeline"] for p in payloads]))
     subscriber_ids = select_subscribers(config, RngRegistry(config.seed))
     subscriber_set = set(subscriber_ids)
     non_subscribers = [i for i in range(config.n_processes)

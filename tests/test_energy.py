@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -384,14 +385,18 @@ class TestLazyWindowEnds:
     def test_state_durations_sum_to_the_measurement_window(self, capacity_j,
                                                            some_die):
         """ROADMAP 3(c): per node, the time spent in each state (joules
-        over draw), plus the time spent dead, is the window."""
+        over draw), plus the time spent dead, is the window — on the
+        fresh record and on a pickled (pooled or cached) copy alike."""
         cfg = shard_rwp_energy()
         cfg = cfg.with_changes(energy=dataclasses.replace(
             cfg.energy, battery_capacity_j=capacity_j))
         result = run_scenario(cfg)
         profile = cfg.energy.profile
         assert bool(result.energy.deaths) == some_die
-        for model in result.energy.models.values():
+        copy = pickle.loads(pickle.dumps(result.energy))
+        assert copy == result.energy
+        for model in [*result.energy.models.values(),
+                      *copy.models.values()]:
             powered = sum(joules / profile.draw_w(state) for state, joules
                           in model.joules_by_state.items()
                           if state is not RadioState.OFF)

@@ -20,7 +20,7 @@ loss draws are in play and the brute-force oracle of
 ``tests/helpers.py`` does not reach.  A sharded digest pins the retimed
 universe (``shards >= 1``: constant cross-node latency, per-node MAC
 streams) the same way, on the in-process backend: summary and protocol
-counters only, since a merged collector has no medium to count frames
+counters only, since a merged run has no single medium to count frames
 on.  K-, tile- and epoch-invariance say the shard plans agree with each
 other; these pins say they agree with yesterday.
 
@@ -47,13 +47,14 @@ from repro.core.config import FrugalConfig
 from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
-from repro.harness.cache import canonical
+from repro.harness.cache import ResultCache, canonical
 from repro.harness.experiments import (city_scenario, energy_scenario,
                                        rwp_scenario)
 from repro.harness.presets import QUICK
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
-                                    run_scenario)
+                                    ScenarioResult, run_scenario)
+from repro.metrics.collector import FRAME_COUNTERS
 from repro.net import RadioConfig
 from repro.net.medium import MediumConfig, WirelessMedium
 from repro.net.messages import Heartbeat
@@ -64,9 +65,6 @@ from tests.helpers import (SHARD_MATRIX, MediumStub, cap_warmup, dense_rwp,
                            quick_rwp, run_subscription_dynamics, small_rwp)
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
-
-FRAME_COUNTERS = ("frames_sent", "frames_delivered", "frames_collided",
-                  "frames_lost_random", "frames_lost_fault")
 
 
 def _small_city() -> ScenarioConfig:
@@ -271,17 +269,20 @@ def _sha256(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def scenario_digest(cfg: ScenarioConfig) -> str:
-    """sha256 of one run's summary + protocol + frame counters (a
-    sharded run's merged collector has no medium, hence no frames)."""
-    result = run_scenario(cfg)
+def result_digest(result: ScenarioResult) -> str:
+    """sha256 of one result's summary + protocol + frame counters (a
+    merged sharded run has no single medium, hence no frames)."""
     payload = {"summary": result.summary(),
                "protocol": result.protocol_counters().as_dict()}
-    medium = result.collector.medium
-    if medium is not None:
-        payload["frames"] = {name: getattr(medium, name)
-                             for name in FRAME_COUNTERS}
+    if result.collector.frames is not None:
+        payload["frames"] = result.collector.frames
     return _sha256(payload)
+
+
+def scenario_config(family: str, seed: int) -> ScenarioConfig:
+    """The config behind a scenario family's pin at ``seed``."""
+    table = next(t for t in (FAMILIES, SHARDED, STACK) if family in t)
+    return table[family][0]().with_changes(seed=seed)
 
 
 def storm_digest(cfg: MediumConfig, seed: int) -> str:
@@ -318,8 +319,7 @@ def case_digest(case: str) -> str:
     if family in SCRIPTED:
         return _sha256(run_subscription_dynamics(SCRIPTED[family][0],
                                                  int(seed)))
-    table = next(t for t in (FAMILIES, SHARDED, STACK) if family in t)
-    return scenario_digest(table[family][0]().with_changes(seed=int(seed)))
+    return result_digest(run_scenario(scenario_config(family, int(seed))))
 
 
 @pytest.fixture(autouse=True)
@@ -334,6 +334,25 @@ def test_digest_matches_pin(case):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert case_digest(case) == golden[case], \
         f"{case}: behaviour drifted from the pinned reference"
+
+
+@pytest.mark.parametrize("case", [
+    "small-rwp/s0", "small-energy/s0", "small-churn-faults/s0",
+    "shard-rwp-energy-dutycycle/2/s0"])
+def test_cached_result_answers_like_the_fresh_one(case, tmp_path):
+    """A result read back from the result cache (a pickle round trip,
+    as a ``--jobs N`` worker's result also takes) equals the fresh one,
+    re-derives the same summary from its records and reproduces the
+    pin.  One case per record a result carries: metrics with frame
+    counters, energy, the fault timeline, and a merged sharded run."""
+    family, _, seed = case.rpartition("/s")
+    fresh = run_scenario(scenario_config(family, int(seed)))
+    cache = ResultCache(tmp_path)
+    cache.put(fresh)        # before any summary() memo exists
+    copy = cache.get(fresh.config)
+    assert copy is not fresh and copy == fresh
+    assert result_digest(copy) == json.loads(GOLDEN_PATH.read_text())[case]
+    assert copy.summary() == fresh.summary()
 
 
 def test_every_pin_has_a_case():

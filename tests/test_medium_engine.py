@@ -517,8 +517,7 @@ class TestGridMaintenanceUnderMobility:
         for node in world.nodes:
             node.start()
         world.sim.run(until=cfg.warmup + cfg.duration)
-        world.energy.finalize()
-        dead = set(world.energy.depleted_ids())
+        dead = set(world.energy.record().depleted_ids())
         assert dead
         grid = world.medium._grid
         for nid in dead:

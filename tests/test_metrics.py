@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import FrugalConfig, FrugalPubSub
@@ -53,16 +55,17 @@ class TestTransmitAccounting:
         nodes[0].protocol.publish(event)
         sim.run(until=4.0)
         assert collector.stats[0].events_sent >= 1
-        assert collector.bytes_by_kind().get("EventBatch", 0) >= 400
+        assert collector.record(nodes).bytes_by_kind().get(
+            "EventBatch", 0) >= 400
 
     def test_freeze_suspends_counting(self, sim, rngs):
         medium, collector, nodes = build_pair(sim, rngs)
         collector.freeze()
         sim.run(until=5.0)
-        assert collector.total_bytes() == 0
+        assert collector.record(nodes).total_bytes() == 0
         collector.resume()
         sim.run(until=8.0)
-        assert collector.total_bytes() > 0
+        assert collector.record(nodes).total_bytes() > 0
 
     def test_freeze_suspends_delivery_timestamps(self, sim, rngs):
         """Deliveries outside the measurement window must not leak into
@@ -73,10 +76,10 @@ class TestTransmitAccounting:
         collector.record_publication(event)
         collector.freeze()
         nodes[1].deliver(event)
-        assert collector.deliveries_of(event.event_id) == {}
+        assert collector.record(nodes).deliveries_of(event.event_id) == {}
         collector.resume()
         nodes[1].deliver(event)
-        assert 1 in collector.deliveries_of(event.event_id)
+        assert 1 in collector.record(nodes).deliveries_of(event.event_id)
 
 
 class TestReceptionClassification:
@@ -117,15 +120,30 @@ class TestPerProcessAggregates:
     def test_division_by_node_count(self, sim, rngs):
         medium, collector, nodes = build_pair(sim, rngs)
         sim.run(until=2.2)
-        total = collector.total_bytes()
-        assert collector.bandwidth_per_process_bytes() == \
+        record = collector.record(nodes)
+        total = record.total_bytes()
+        assert record.bandwidth_per_process_bytes() == \
             pytest.approx(total / 2)
 
     def test_empty_collector_returns_zero(self, sim, rngs):
         medium = WirelessMedium(sim, RadioConfig(range_override_m=10.0))
-        collector = MetricsCollector(medium)
-        assert collector.bandwidth_per_process_bytes() == 0.0
-        assert collector.duplicates_per_process() == 0.0
+        record = MetricsCollector(medium).record([])
+        assert record.bandwidth_per_process_bytes() == 0.0
+        assert record.duplicates_per_process() == 0.0
+
+
+class TestRecord:
+    def test_record_is_a_snapshot_that_pickles_equal(self, sim, rngs):
+        medium, collector, nodes = build_pair(sim, rngs)
+        sim.run(until=3.2)
+        record = collector.record(nodes)
+        sent = record.total_bytes()
+        assert sent > 0
+        assert record.frames["frames_sent"] == medium.frames_sent
+        sim.run(until=8.0)
+        assert collector.record(nodes).total_bytes() > sent
+        assert record.total_bytes() == sent        # counting moved on
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestDeliveryTimes:
@@ -138,7 +156,7 @@ class TestDeliveryTimes:
         nodes[0].protocol.publish(event)
         publish_time = sim.now
         sim.run(until=6.0)
-        times = collector.deliveries_of(event.event_id)
+        times = collector.record(nodes).deliveries_of(event.event_id)
         assert times[0] == publish_time          # local delivery
         assert times[1] > publish_time           # over the air
 
@@ -147,10 +165,11 @@ class TestDeliveryTimes:
         event = make_event(publisher=0, topic=".a.x", validity=60.0,
                            now=0.0)
         collector._on_deliver(nodes[1], event)
-        t_first = collector.deliveries_of(event.event_id)[1]
+        t_first = collector.record(nodes).deliveries_of(event.event_id)[1]
         sim.run(until=1.0)
         collector._on_deliver(nodes[1], event)
-        assert collector.deliveries_of(event.event_id)[1] == t_first
+        assert collector.record(nodes).deliveries_of(
+            event.event_id)[1] == t_first
 
 
 class TestReliabilityMath:
@@ -174,7 +193,7 @@ class TestReliabilityMath:
         collector._on_deliver(nodes[0], event)          # t=0, in time
         sim.run(until=50.0)
         collector._on_deliver(nodes[1], event)          # t=50, too late
-        report = event_reliability(collector, event, [0, 1])
+        report = event_reliability(collector.record(nodes), event, [0, 1])
         assert report.delivered_in_time == 1
         assert report.delivered_late == 1
         assert report.reliability == 0.5

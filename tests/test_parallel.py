@@ -29,6 +29,7 @@ from repro.harness.presets import Scale
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec)
+from repro.metrics import MetricsRecord
 from repro.net import RadioConfig
 from repro.study import Axis, build_study, run_study
 from tests.helpers import SelfKillingSpec
@@ -120,6 +121,10 @@ class TestSerialParallelEquality:
             assert ours.sim_events_processed == theirs.sim_events_processed
             assert ours.subscriber_ids == theirs.subscriber_ids
             assert ours.per_event_reports() == theirs.per_event_reports()
+            # The records themselves, not only what they answer.
+            assert isinstance(theirs.collector, MetricsRecord)
+            assert (ours.collector, ours.energy, ours.faults) == \
+                (theirs.collector, theirs.energy, theirs.faults)
 
     def test_energy_summary_fields_survive_the_pool(self, pool):
         multi = pool.run_seeds(_rwp_energy(), SEEDS[:2])
@@ -188,8 +193,8 @@ class TestPickleRoundTrip:
         assert clone.per_event_reports() == result.per_event_reports()
         assert clone.survivor_ids() == result.survivor_ids()
         assert clone.total_joules() == result.total_joules()
-        assert clone.config == result.config
-        # Detached: the multi-megabyte world graph must not tag along.
+        assert clone == result
+        # Plain records: the multi-megabyte world graph never tags along.
         assert len(pickle.dumps(clone)) < 100_000
 
     def test_config_round_trips(self):

@@ -8,14 +8,12 @@ timing.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.base import ProtocolCounters
 from repro.harness.scenario import (FixedPositionsSpec, Publication,
                                     ScenarioConfig)
-from repro.metrics import MetricsCollector, event_reliability
+from repro.metrics import MetricsRecord, event_reliability
 from repro.rt.bridge import grid_positions
 from repro.rt.cluster import (RT_FAULT_KINDS, LoopbackCluster, RtFault,
                               RtResult)
@@ -138,10 +136,10 @@ class TestReportsWithoutSockets:
             delivery_times=times, per_node_counters=[], frames_sent=0,
             datagrams_sent=0, wire_bytes_sent=0, frames_rejected=0,
             wallclock_s=0.0)
-        collector = MetricsCollector(SimpleNamespace())
-        collector.delivery_times.update(times)
+        record = MetricsRecord(stats={}, delivery_times=times, published={},
+                               protocol_totals=ProtocolCounters())
         assert result.per_event_reports() == [
-            event_reliability(collector, event, [1, 2, 3, 4])
+            event_reliability(record, event, [1, 2, 3, 4])
             for event in published]
         first, second = result.per_event_reports()
         assert (first.delivered_in_time, first.delivered_late) == (2, 1)

@@ -110,19 +110,20 @@ class TestSubscriberSelection:
 class TestBuildWorld:
     def test_world_is_fully_wired(self):
         cfg = tiny_config()
-        sim, medium, collector, nodes, subscribers = build_world(cfg)
-        assert len(nodes) == cfg.n_processes
-        assert len(medium.nodes) == cfg.n_processes
-        assert collector.node_count == cfg.n_processes
-        assert all(not n.alive for n in nodes)    # not started yet
+        world = build_world(cfg)
+        assert len(world.nodes) == cfg.n_processes
+        assert len(world.medium.nodes) == cfg.n_processes
+        assert world.collector.record(world.nodes).node_count == \
+            cfg.n_processes
+        assert all(not n.alive for n in world.nodes)    # not started yet
 
     def test_subscriber_topics_assigned(self):
         cfg = tiny_config()
-        _, _, _, nodes, subscribers = build_world(cfg)
+        world = build_world(cfg)
         from repro.core import Topic
-        for node in nodes:
+        for node in world.nodes:
             topics = node.protocol.subscriptions
-            if node.id in subscribers:
+            if node.id in world.subscriber_ids:
                 assert Topic(cfg.event_topic) in topics
             else:
                 assert Topic(cfg.other_topic) in topics
@@ -186,10 +187,10 @@ class TestWorldLifecycle:
         world.sim.run(until=10.0)
         world.open_window()
         world.sim.run(until=11.0)
-        world.close()
+        metrics, _, _ = world.close()
         lifetime = sum(n.protocol.counters.heartbeats_sent
                        for n in world.nodes)
-        window = world.collector.protocol_totals.heartbeats_sent
+        window = metrics.protocol_totals.heartbeats_sent
         assert 0 < window < lifetime
 
 
