@@ -405,10 +405,13 @@ class ScenarioResult:
     energy: Optional[EnergyRecord] = None
     faults: Optional[FaultTimeline] = None
     #: Sharded runs only: wall-clock seconds spent in each barrier
-    #: phase (``drain`` / ``merge`` / ``ingest`` / ``retime``), plus
-    #: ``barriers`` (count) and ``frames_exchanged`` — the measured
-    #: barrier tax ``benchmarks/bench_shard.py`` publishes.  ``None``
-    #: for classic runs; excluded from equality (timings are noise).
+    #: phase (``drain`` / ``merge`` / ``ingest`` / ``retime``) summed
+    #: over shards, plus ``barriers`` (count) and ``frames_exchanged``
+    #: (frames ingested, summed over shards) — the measured barrier tax
+    #: ``benchmarks/bench_shard.py`` publishes.  ``merge`` is timed in
+    #: the shards: routing their own outbox, (un)pickling peer slices
+    #: and sorting what they ingest.  ``None`` for classic runs;
+    #: excluded from equality (timings are noise).
     barrier_stats: Optional[Dict[str, float]] = field(default=None,
                                                       compare=False)
     #: The memoised :meth:`summary`.

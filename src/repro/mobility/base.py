@@ -95,13 +95,21 @@ class MobilityModel(abc.ABC):
 
     # -- lifecycle ---------------------------------------------------------
 
+    def place(self, rng) -> Vec2:
+        """Bind ``rng`` and draw the entry position from it.
+
+        :meth:`start` begins with this step.  Called alone it plans no
+        leg and arms no timer, for callers that only need where a
+        process enters (the sharded engine's ownership)."""
+        self._rng = rng
+        return self._initial_position()
+
     def start(self, sim: Simulator, rng) -> None:
         """Bind to a simulator and begin the movement process."""
         if self._sim is not None:
             raise RuntimeError("mobility model already started")
         self._sim = sim
-        self._rng = rng
-        self._begin_next_leg(self._initial_position())
+        self._begin_next_leg(self.place(rng))
 
     def stop(self) -> None:
         """Freeze the model at its current position (node crash/shutdown)."""

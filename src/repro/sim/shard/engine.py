@@ -46,26 +46,34 @@ practice and none has been observed across the test matrix.
 How it works
 ------------
 * **Ownership** — every node is assigned to the shard whose tile
-  contains its *initial* position (:func:`compute_ownership` replays the
-  mobility prefix of each node's ``("node", i)`` stream in a throwaway
-  world, which is exact: ``Node.start`` starts mobility before the
-  protocol ever draws).  The plan spans the initial population's extent
+  contains its *initial* position (:func:`compute_ownership` draws it
+  with ``MobilityModel.place``, the first step of the mobility start
+  and the first draw on each node's ``("node", i)`` stream, which is
+  exact: ``Node.start`` starts mobility before the protocol ever
+  draws).  The plan spans the initial population's extent
   with the medium's grid-cell geometry (``range + anchor slack``) as an
   ``rows x cols`` grid of whole cells — ``rows=1`` is the classic
   vertical-stripe plan.
 * **Slotted medium** — inside a shard, frames transmitted during an
   epoch are *invisible* until the next barrier (:class:`ShardMedium`
   overrides the medium's on-air step, ``_put_on_air``, to append them
-  to an outbox).  At each barrier the driver gathers every shard's outbox,
-  sorts the union into the canonical ``(start, sender id, per-sender
-  seq)`` order, and routes the committed batch by **audibility**: a
-  frame ships to a shard only if the shard's resident bounding region,
-  measured at the barrier and inflated by the worst-case drift
-  ``v_max * (2 * horizon + L)``, lies within the frame's radio reach —
-  a frame pruned here is provably inaudible to every resident at every
-  relevant instant, so dropping it is observably a no-op for any K.
-  Mobility specs that cannot bound ``v_max`` disarm the prune (ship
-  everywhere), trading wall-clock for the same results.
+  to an outbox).  Each barrier is a three-step exchange.  *Advance*:
+  every shard runs to the barrier, keeps its drained outbox and
+  reports its resident bounding region.  *Outgoing*: handed every
+  shard's region (all shards before any is asked for its slices, so
+  spawned workers route in parallel), each shard routes its own outbox
+  by **audibility** — a frame goes to a shard only if that shard's
+  region, inflated by the worst-case drift ``v_max * (2 * horizon +
+  L)``, lies within the frame's radio reach — keeps its own slice and
+  hands over one slice per peer.  *Ingest*: each shard merges its own
+  slice with its peers' into the canonical ``(start, sender id,
+  per-sender seq)`` order.  A frame pruned by routing is provably
+  inaudible to every resident at every relevant instant, so dropping
+  it is observably a no-op for any K; and because routing is a
+  per-frame predicate and the key is unique, merging the routed
+  per-source slices gives exactly the routed slice of the merged
+  union.  Mobility specs that cannot bound ``v_max`` disarm the prune
+  (ship everywhere), trading wall-clock for the same results.
 * **Ingest** — each shard folds its routed batch into a start-sorted
   log (batches arrive in barrier order and batch b's starts all precede
   batch b+1's, so concatenation preserves the sort — no per-barrier
@@ -102,10 +110,14 @@ shard handle that differ only in *where* a world is stepped — the
 :class:`_ShardWorld` itself in this process (``inproc``: K=1, daemonic
 pool workers, hosts without a second usable CPU), or a
 :class:`_SpawnedShard` over a pipe to a spawned worker that walks the
-same barrier list on its own, so epochs overlap (``spawn``).
+same barrier list on its own, so epochs overlap (``spawn``).  In-process
+the peer slices are lists; a worker pickles each peer slice once and
+the driver forwards those bytes untouched, so a shard's own frames
+never leave its process and the driver never builds a frame.
 ``REPRO_SHARD_BACKEND`` forces either; a worker that dies, or stops
-answering for far longer than its slowest exchange so far, surfaces as
-:class:`ShardWorkerLost` naming its shard and barrier.
+answering for far longer than its slowest exchange so far, at either
+of a barrier's two replies, surfaces as :class:`ShardWorkerLost`
+naming its shard and barrier.
 """
 
 from __future__ import annotations
@@ -114,6 +126,7 @@ import bisect
 import math
 import multiprocessing
 import os
+import pickle
 import time as _wallclock
 import traceback
 from dataclasses import dataclass
@@ -187,23 +200,19 @@ def compute_barriers(warmup: float, duration: float,
 def compute_ownership(config) -> Tuple[List[int], ShardPlan]:
     """Assign every node to a shard by its exact initial position.
 
-    Replays, in a throwaway world, precisely the prefix of each node's
-    ``("node", i)`` stream that the real ``Node.start`` consumes before
-    any protocol draw — ``MobilityModel.start`` — and reads the model's
-    position at time zero.  The tile plan spans the initial
-    population's extent with the medium's grid-cell geometry
+    Draws each node's entry position from its ``("node", i)`` stream
+    with :meth:`~repro.mobility.base.MobilityModel.place` — the first
+    step ``Node.start`` takes through ``MobilityModel.start``, before
+    any other draw — without planning a leg.  The tile plan spans the
+    initial population's extent with the medium's grid-cell geometry
     (``range + anchor slack``), so shard borders line up with
     :class:`~repro.sim.space.SpatialGrid` cells; ``rows=1`` (a plain
     integer ``shards=K``) keeps the historical vertical stripes.
     """
     shards = ShardConfig.coerce(config.shards)
-    sim = Simulator()
     rngs = RngRegistry(config.seed)
-    positions: List[Vec2] = []
-    for i in range(config.n_processes):
-        model = config.mobility.build(i)
-        model.start(sim, rngs.stream("node", i))
-        positions.append(model.position())
+    positions = [config.mobility.build(i).place(rngs.stream("node", i))
+                 for i in range(config.n_processes)]
     range_m = config.radio.communication_range_m()
     cell = range_m + anchor_slack_m(range_m)
 
@@ -490,14 +499,16 @@ class ShardWorkerLost(RuntimeError):
 
 class _ShardWorld:
     """One shard's sub-world, stepped from barrier to barrier — and the
-    in-process shard handle (``gather`` / ``ingest`` / ``finish`` /
-    ``close``; :class:`_SpawnedShard` is the same handle over a pipe).
+    in-process shard handle (``advance`` / ``route`` / ``outgoing`` /
+    ``ingest`` / ``finish`` / ``close``; :class:`_SpawnedShard` is the
+    same handle over a pipe).
 
     Nodes, collectors, fault arming and the trial lifecycle are the
     harness's (``wire_world``); this class adds the medium and the
-    barrier protocol.  Each world owns a fresh ``RngRegistry(seed)`` and
+    barrier exchange.  Each world owns a fresh ``RngRegistry(seed)`` and
     the protocol is schedule-independent, so stepping K of them here is
-    bit-identical to spawning them.
+    bit-identical to spawning them.  Peer slices are plain lists here;
+    pickling them is the spawned worker's business.
     """
 
     def __init__(self, config, shard_index: int, owners: Sequence[int]):
@@ -506,12 +517,19 @@ class _ShardWorld:
         # time; run_scenario imports us lazily for the same reason.
         from repro.harness.scenario import wire_world
 
-        self.stats = {"drain_s": 0.0, "ingest_s": 0.0, "retime_s": 0.0}
+        self.stats = {"drain_s": 0.0, "merge_s": 0.0, "ingest_s": 0.0,
+                      "retime_s": 0.0, "frames_exchanged": 0.0}
+        self._index = shard_index
+        latency_s = ShardConfig.coerce(config.shards).latency_s
+        self._margin = _routing_margin_m(config, latency_s)
+        self._outbox: List[ShardFrame] = []
+        self._own: List[ShardFrame] = []
+        self._peers: Dict[int, List[ShardFrame]] = {}
         sim = Simulator()
         rngs = RngRegistry(config.seed)
         medium = ShardMedium(
             sim, config.radio, config=config.medium, sizes=config.sizes,
-            rngs=rngs, latency_s=ShardConfig.coerce(config.shards).latency_s)
+            rngs=rngs, latency_s=latency_s)
         # Fault draws span the global population and use per-receiver
         # streams, so they do not depend on who is co-resident.
         self.world = world = wire_world(
@@ -533,30 +551,59 @@ class _ShardWorld:
         else:
             world.open_window()
 
-    # -- barrier protocol --------------------------------------------------
+    # -- barrier exchange --------------------------------------------------
 
-    def gather(self, barrier: float
-               ) -> Tuple[List[ShardFrame], Optional[Tuple]]:
-        """Run the local kernel up to the barrier; drain the outbox and
-        measure the resident bounding region for audibility routing."""
+    def advance(self, barrier: float) -> Optional[Tuple]:
+        """Run the local kernel up to the barrier, keep the drained
+        outbox and return the resident bounding region."""
         self.world.sim.run(until=barrier)
         t0 = _wallclock.perf_counter()
-        out = self.world.medium.collect_outbox()
+        self._outbox = self.world.medium.collect_outbox()
         bbox = self.world.medium.routing_bbox()
         self.stats["drain_s"] += _wallclock.perf_counter() - t0
-        return out, bbox
+        return bbox
 
-    def ingest(self, barrier: float, routed: Sequence[ShardFrame]) -> None:
-        """Fold this shard's routed batch in, retime its deliveries,
-        and (at the warm-up barrier) thaw metrics exactly as the
-        classic run does after ``sim.run(until=warmup)``."""
+    def route(self, boxes: Sequence[Optional[Tuple]]) -> None:
+        """Route the kept outbox against every shard's box: keep this
+        shard's own slice and one slice per peer for :meth:`outgoing`."""
         t0 = _wallclock.perf_counter()
-        self.world.medium.ingest_committed(routed, barrier)
+        for index, box in enumerate(boxes):
+            routed = _filter_batch(self._outbox, box, self._margin)
+            if index == self._index:
+                self._own = routed
+            else:
+                self._peers[index] = routed
+        self._outbox = []
+        self.stats["merge_s"] += _wallclock.perf_counter() - t0
+
+    def outgoing(self) -> Dict[int, List[ShardFrame]]:
+        """The routed peer slices, keyed by the peer's index."""
+        peers, self._peers = self._peers, {}
+        return peers
+
+    def ingest(self, barrier: float,
+               peer_slices: Sequence[List[ShardFrame]]) -> None:
+        """Merge the own slice with the peers' into canonical order,
+        fold it in, retime its deliveries, and (at the warm-up barrier)
+        thaw metrics exactly as the classic run does after
+        ``sim.run(until=warmup)``."""
+        t0 = _wallclock.perf_counter()
+        # A copy: in-process, an unpruned slice is one list shared
+        # with every peer.
+        committed = list(self._own)
+        for slice_ in peer_slices:
+            committed.extend(slice_)
+        committed.sort(key=_frame_key)
+        self._own = []
         t1 = _wallclock.perf_counter()
-        self.world.medium.schedule_deliveries(routed)
+        self.world.medium.ingest_committed(committed, barrier)
         t2 = _wallclock.perf_counter()
-        self.stats["ingest_s"] += t1 - t0
-        self.stats["retime_s"] += t2 - t1
+        self.world.medium.schedule_deliveries(committed)
+        t3 = _wallclock.perf_counter()
+        self.stats["merge_s"] += t1 - t0
+        self.stats["ingest_s"] += t2 - t1
+        self.stats["retime_s"] += t3 - t2
+        self.stats["frames_exchanged"] += len(committed)
         if barrier == self._thaw_at:
             self.world.open_window()
 
@@ -604,12 +651,25 @@ def _select_backend(shards: int) -> str:
 def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
                        barriers: List[float]) -> None:
     """Spawned worker: one shard world walking the barrier list on its
-    own, exchanging ``gather`` / ``ingest`` data over a pipe."""
+    own, sending its box, then its peer slices pickled once each, and
+    ingesting the peers' slices for it at every barrier.  The
+    (un)pickling counts as merge time."""
     try:
         world = _ShardWorld(config, shard_index, owners)
         for barrier in barriers:
-            conn.send(("frames", world.gather(barrier)))
-            world.ingest(barrier, conn.recv())
+            conn.send(("box", world.advance(barrier)))
+            world.route(conn.recv())
+            t0 = _wallclock.perf_counter()
+            peers = {index: pickle.dumps(slice_, pickle.HIGHEST_PROTOCOL)
+                     for index, slice_ in world.outgoing().items()}
+            t1 = _wallclock.perf_counter()
+            conn.send(("frames", peers))
+            wired = conn.recv()
+            t2 = _wallclock.perf_counter()
+            peer_slices = [pickle.loads(data) for data in wired]
+            world.stats["merge_s"] += (t1 - t0
+                                       + _wallclock.perf_counter() - t2)
+            world.ingest(barrier, peer_slices)
         conn.send(("done", world.finish()))
     except Exception:   # noqa: BLE001 - forwarded verbatim to the parent
         try:
@@ -621,61 +681,90 @@ def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
 
 
 class _SpawnedShard:
-    """Shard handle: the world lives in a spawned worker process, which
-    runs ahead to each barrier unasked (so the K epochs overlap) and
-    receives — and deserialises — only the frames its residents could
-    hear."""
+    """Shard handle: the world lives in a worker process (``conn`` is
+    the driver's end of its pipe, ``proc`` the process), which runs
+    ahead to each barrier unasked (so the K epochs overlap).  The
+    driver forwards the worker's peer slices as opaque bytes and never
+    builds a frame object."""
 
-    def __init__(self, config, index: int, owners: List[int],
-                 barriers: List[float]):
-        ctx = multiprocessing.get_context("spawn")
+    def __init__(self, index: int, conn, proc):
         self.index = index
-        self._end = barriers[-1]
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, config, index, owners, barriers),
-            name=f"shard-{index}", daemon=True)
-        self._proc.start()
-        child_conn.close()
+        self._conn = conn
+        self._proc = proc
+        self._barrier = 0.0
         self._sent_at = _wallclock.monotonic()
         self._slowest = 0.0
 
-    def _exchange(self, barrier: float, op, *args):
-        """One pipe operation; a dead peer is named, not a bare EOF."""
+    @classmethod
+    def spawn(cls, config, index: int, owners: List[int],
+              barriers: List[float]) -> "_SpawnedShard":
+        """Start a worker walking ``barriers`` for shard ``index``."""
+        ctx = multiprocessing.get_context("spawn")
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_shard_worker_main,
+            args=(child_conn, config, index, owners, barriers),
+            name=f"shard-{index}", daemon=True)
+        proc.start()
+        child_conn.close()
+        return cls(index, conn, proc)
+
+    def _lost(self, exitcode: Optional[int]) -> ShardWorkerLost:
+        return ShardWorkerLost(self.index, self._barrier, exitcode)
+
+    def _send(self, message) -> None:
+        """One message to the worker; a dead peer is named."""
         try:
-            return op(*args)
+            self._conn.send(message)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            self._proc.join(timeout=5)
+            raise self._lost(self._proc.exitcode) from exc
+        self._sent_at = _wallclock.monotonic()
+
+    def _receive(self):
+        """The worker's next message.  A dead peer is named, not a bare
+        EOF; a worker silent past the stall deadline is killed and
+        lost."""
+        limit = max(_STALL_FLOOR_S, _STALL_FACTOR * self._slowest)
+        wait = self._sent_at + limit - _wallclock.monotonic()
+        try:
+            if not self._conn.poll(max(wait, 0.0)):
+                self._proc.kill()
+                self._proc.join(timeout=5)
+                raise self._lost(None)
+            tag, data = self._conn.recv()
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             # The pipe only closes when the worker exits, so this join
             # is bounded; it is here to read the exit code.
             self._proc.join(timeout=5)
-            raise ShardWorkerLost(self.index, barrier,
-                                  self._proc.exitcode) from exc
-
-    def gather(self, barrier: float):
-        """The worker's next message: its drained outbox and bbox (a
-        worker silent past the stall deadline is killed and lost)."""
-        limit = max(_STALL_FLOOR_S, _STALL_FACTOR * self._slowest)
-        wait = self._sent_at + limit - _wallclock.monotonic()
-        if not self._exchange(barrier, self._conn.poll, max(wait, 0.0)):
-            self._proc.kill()
-            self._proc.join(timeout=5)
-            raise ShardWorkerLost(self.index, barrier, None)
-        tag, data = self._exchange(barrier, self._conn.recv)
+            raise self._lost(self._proc.exitcode) from exc
         self._slowest = max(self._slowest,
                             _wallclock.monotonic() - self._sent_at)
         if tag == "error":
             raise RuntimeError(f"shard {self.index} failed:\n{data}")
         return data
 
-    def ingest(self, barrier: float, routed: List[ShardFrame]) -> None:
-        """Ship the routed slice; the worker ingests and runs on."""
-        self._exchange(barrier, self._conn.send, routed)
-        self._sent_at = _wallclock.monotonic()
+    def advance(self, barrier: float):
+        """The worker's bbox at ``barrier`` (it got there unasked)."""
+        self._barrier = barrier
+        return self._receive()
+
+    def route(self, boxes) -> None:
+        """Send every shard's box; the worker routes without waiting
+        for its peers to be asked."""
+        self._send(boxes)
+
+    def outgoing(self) -> Dict[int, bytes]:
+        """The worker's peer slices, pickled once each."""
+        return self._receive()
+
+    def ingest(self, barrier: float, peer_slices: List[bytes]) -> None:
+        """Forward the peers' bytes; the worker ingests and runs on."""
+        self._send(peer_slices)
 
     def finish(self) -> Dict[str, object]:
         """The worker's final payload (sent after the end barrier)."""
-        return self.gather(self._end)
+        return self._receive()
 
     def close(self) -> None:
         """Hang up and reap the worker (a closed pipe unblocks it)."""
@@ -686,31 +775,27 @@ class _SpawnedShard:
             self._proc.join(timeout=5)
 
 
-def _run_barriers(shards: Sequence, barriers: List[float],
-                  margin: Optional[float]) -> Tuple[List[dict], dict]:
-    """The barrier loop: gather, merge canonically, route, ingest.
+def _run_barriers(shards: Sequence, barriers: List[float]) -> List[dict]:
+    """The barrier loop: advance, route at the source, ingest.
 
-    The driver performs the canonical merge and the audibility routing
-    (it sees every shard's resident bounding region), so each shard
-    ingests only the frames its residents could hear.
+    Every shard routes its own outbox against every shard's resident
+    bounding region, keeps its own slice and hands the driver one slice
+    per peer; the driver only forwards them, and each shard merges what
+    it can hear into canonical order itself.  Routing is a per-frame
+    predicate and the merge key is unique, so sorting the union of the
+    routed per-source slices gives exactly the routed slice of the
+    sorted union.  Every shard is handed the boxes before any slice is
+    collected, so spawned workers route in parallel.
     """
-    merge_s = 0.0
-    shipped = 0
     for barrier in barriers:
-        drained = [shard.gather(barrier) for shard in shards]
-        t0 = _wallclock.perf_counter()
-        merged: List[ShardFrame] = []
-        for batch, _bbox in drained:
-            merged.extend(batch)
-        merged.sort(key=_frame_key)
-        routed = [_filter_batch(merged, bbox, margin)
-                  for _batch, bbox in drained]
-        merge_s += _wallclock.perf_counter() - t0
-        shipped += sum(len(r) for r in routed)
-        for shard, slice_ in zip(shards, routed):
-            shard.ingest(barrier, slice_)
-    driver = {"merge_s": merge_s, "frames_exchanged": float(shipped)}
-    return [shard.finish() for shard in shards], driver
+        boxes = [shard.advance(barrier) for shard in shards]
+        for shard in shards:
+            shard.route(boxes)
+        sent = [shard.outgoing() for shard in shards]
+        for index, shard in enumerate(shards):
+            shard.ingest(barrier, [peers[index] for peers in sent
+                                   if index in peers])
+    return [shard.finish() for shard in shards]
 
 
 def run_sharded_scenario(config):
@@ -729,15 +814,14 @@ def run_sharded_scenario(config):
     epoch = resolve_epoch_s(shards, config.duration, config.warmup)
     owners, _plan = compute_ownership(config)
     barriers = compute_barriers(config.warmup, config.duration, epoch)
-    margin = _routing_margin_m(config, shards.latency_s)
     spawn = _select_backend(shards.shards) == "spawn"
     handles: List = []
     try:
         for index in range(shards.shards):
             handles.append(
-                _SpawnedShard(config, index, owners, barriers) if spawn
-                else _ShardWorld(config, index, owners))
-        payloads, driver = _run_barriers(handles, barriers, margin)
+                _SpawnedShard.spawn(config, index, owners, barriers)
+                if spawn else _ShardWorld(config, index, owners))
+        payloads = _run_barriers(handles, barriers)
     finally:
         for shard in handles:
             shard.close()
@@ -754,10 +838,9 @@ def run_sharded_scenario(config):
     subscriber_set = set(subscriber_ids)
     non_subscribers = [i for i in range(config.n_processes)
                        if i not in subscriber_set]
-    barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch,
-                     **driver}
-    for phase in ("drain_s", "ingest_s", "retime_s"):
-        barrier_stats[phase] = sum(p["stats"][phase] for p in payloads)
+    barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch}
+    for key in payloads[0]["stats"]:
+        barrier_stats[key] = sum(p["stats"][key] for p in payloads)
     return ScenarioResult(
         config=config,
         collector=collector,

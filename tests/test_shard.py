@@ -12,10 +12,16 @@ Worlds here are sized so the partition is non-trivial: a 1300 m side
 with a 150 m radio range gives 8 grid columns, hence 4 shards of 2
 columns each — every frame near a stripe border genuinely crosses
 shard boundaries through the epoch-barrier exchange.
+
+The exchange is also checked below the result level: routing at the
+source commutes with the canonical merge (a property), the driver
+forwards only bytes, a worker lost between its two replies at a barrier
+is named, and ownership equals a replay of every node's mobility start.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -24,17 +30,28 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.harness import scenario as scenario_module
 from repro.harness.cache import ResultCache, config_digest
 from repro.harness.experiments import ExperimentResult
 from repro.harness.parallel import ParallelRunner
 from repro.harness.reporting import to_csv
-from repro.harness.scenario import (FixedPositionsSpec, ScenarioConfig,
-                                    run_scenario)
+from repro.harness.scenario import (CityGridSpec, CitySectionSpec,
+                                    FixedPositionsSpec, MobilitySpec,
+                                    RandomWaypointSpec, ScenarioConfig,
+                                    StationarySpec, run_scenario)
+from repro.net.medium import Transmission, anchor_slack_m
 from repro.net.radio import RadioConfig
+from repro.sim import RngRegistry, Simulator
 from repro.sim.shard import ShardConfig, resolve_epoch_s
 from repro.sim.shard import engine as shard_engine
-from repro.sim.shard.engine import ShardWorkerLost, compute_ownership
+from repro.sim.shard.engine import (_EVERYWHERE, ShardFrame, ShardWorkerLost,
+                                    _filter_batch, _frame_key,
+                                    _SpawnedShard, compute_ownership)
+from repro.sim.shard.partition import ShardPlan
+from repro.sim.space import Vec2
 from tests.helpers import (SHARD_MATRIX as MATRIX,
                            shard_rwp_energy as _rwp_energy,
                            shard_rwp_faults as _rwp_faults,
@@ -226,6 +243,26 @@ class TestSpawnBackend:
         assert spawned.summary() == inproc.summary()
         assert spawned.per_event_reports() == inproc.per_event_reports()
         assert spawned.sim_events_processed == inproc.sim_events_processed
+        for key in ("barriers", "frames_exchanged"):
+            assert spawned.barrier_stats[key] == inproc.barrier_stats[key]
+
+    def test_driver_forwards_only_bytes(self, monkeypatch):
+        """The driver hands every peer slice on as the pickled bytes
+        the worker sent — it never builds a ``ShardFrame`` itself."""
+        forwarded = []
+        ingest = _SpawnedShard.ingest
+
+        def recording_ingest(self, barrier, peer_slices):
+            forwarded.extend(peer_slices)
+            return ingest(self, barrier, peer_slices)
+
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
+        monkeypatch.setattr(_SpawnedShard, "ingest", recording_ingest)
+        config = _rwp_frugal().with_changes(shards=2, duration=10.0)
+        result = run_scenario(config)
+        assert forwarded
+        assert all(type(slice_) is bytes for slice_ in forwarded)
+        assert result.barrier_stats["frames_exchanged"] > 0
 
     def test_killed_worker_is_named(self, monkeypatch):
         """A shard worker that dies surfaces as ``ShardWorkerLost``
@@ -286,6 +323,182 @@ class TestSpawnBackend:
         monkeypatch.setattr(shard_engine.multiprocessing,
                             "current_process", _DaemonProcess)
         assert shard_engine._select_backend(4) == "inproc"
+
+
+class _StubConn:
+    """The driver's end of a worker pipe, answering from a script: a
+    message, ``EOFError`` (the worker exited) or ``None`` (silence)."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.sent = []
+
+    def poll(self, timeout):
+        return self.replies[0] is not None
+
+    def recv(self):
+        reply = self.replies.pop(0)
+        if reply is EOFError:
+            raise EOFError
+        return reply
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
+
+
+class _StubProc:
+    """A worker process that has exited with ``exitcode`` once joined
+    (or once killed, for a silent one)."""
+
+    def __init__(self, exitcode):
+        self.exitcode = exitcode
+        self.killed = False
+
+    def join(self, timeout=None):
+        pass
+
+    def kill(self):
+        self.killed = True
+
+    def is_alive(self):
+        return False
+
+
+class TestSpawnedShardHandle:
+    """Each barrier has two receive points (the box, then the peer
+    slices); a worker lost between them is named like any other."""
+
+    BOX = (0.0, 0.0, 10.0, 10.0)
+
+    def test_worker_dying_between_box_and_frames_is_named(self):
+        conn = _StubConn([("box", self.BOX), EOFError])
+        shard = _SpawnedShard(1, conn, _StubProc(-signal.SIGKILL))
+        assert shard.advance(3.0) == self.BOX
+        shard.route([self.BOX, self.BOX])
+        assert conn.sent == [[self.BOX, self.BOX]]
+        with pytest.raises(ShardWorkerLost) as lost:
+            shard.outgoing()
+        assert (lost.value.shard, lost.value.barrier,
+                lost.value.exitcode) == (1, 3.0, -signal.SIGKILL)
+
+    def test_worker_silent_between_box_and_frames_is_named(
+            self, monkeypatch):
+        monkeypatch.setattr(shard_engine, "_STALL_FLOOR_S", 0.0)
+        proc = _StubProc(None)
+        shard = _SpawnedShard(0, _StubConn([("box", self.BOX), None]), proc)
+        assert shard.advance(2.0) == self.BOX
+        shard.route([self.BOX, None])
+        with pytest.raises(ShardWorkerLost) as lost:
+            shard.outgoing()
+        assert proc.killed
+        assert (lost.value.shard, lost.value.barrier,
+                lost.value.exitcode) == (0, 2.0, None)
+        assert "barrier t=2.0" in str(lost.value)
+
+
+#: Keys (start, sender, seq) unique per frame, like real traffic's.
+_KEYS = st.lists(
+    st.tuples(st.floats(0.0, 10.0, allow_nan=False),
+              st.integers(0, 20), st.integers(0, 5)),
+    unique=True, max_size=40)
+_COORD = st.floats(-500.0, 500.0, allow_nan=False)
+
+
+def _box():
+    corners = st.tuples(_COORD, _COORD, _COORD, _COORD).map(
+        lambda c: (min(c[0], c[2]), min(c[1], c[3]),
+                   max(c[0], c[2]), max(c[1], c[3])))
+    return st.one_of(st.none(), st.just(_EVERYWHERE), corners)
+
+
+class TestExchangeIdentity:
+    """Routing is a per-frame predicate and the merge key is unique, so
+    routing each source's outbox and sorting the union of the slices is
+    the same list as routing the sorted union — the identity that lets
+    shards route their own frames."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=_KEYS, k=st.integers(1, 4), data=st.data(), box=_box(),
+           margin=st.one_of(st.none(), st.floats(0.0, 300.0)))
+    def test_routing_commutes_with_the_merge(self, keys, k, data, box,
+                                             margin):
+        sources = [[] for _ in range(k)]
+        for start, sender, seq in keys:
+            tx = Transmission(
+                sender=sender, sender_pos=Vec2(data.draw(_COORD),
+                                               data.draw(_COORD)),
+                range_m=data.draw(st.floats(0.0, 200.0)),
+                start=start, end=start + 0.01, message=None)
+            sources[data.draw(st.integers(0, k - 1))].append(
+                ShardFrame(tx=tx, seq=seq))
+        routed_then_merged = sorted(
+            itertools.chain.from_iterable(
+                _filter_batch(src, box, margin) for src in sources),
+            key=_frame_key)
+        merged_then_routed = _filter_batch(
+            sorted(itertools.chain(*sources), key=_frame_key), box, margin)
+        assert routed_then_merged == merged_then_routed
+
+
+def _replayed_ownership(config):
+    """The reference: start every node's mobility in a throwaway world
+    and read its position at time zero, then plan as the engine does."""
+    sim = Simulator()
+    rngs = RngRegistry(config.seed)
+    positions = []
+    for i in range(config.n_processes):
+        model = config.mobility.build(i)
+        model.start(sim, rngs.stream("node", i))
+        positions.append(model.position())
+    range_m = config.radio.communication_range_m()
+    cell = range_m + anchor_slack_m(range_m)
+
+    def extent(values):
+        lo, hi = min(values), max(values)
+        return lo, (hi if hi > lo else lo + cell)
+
+    min_x, max_x = extent([p.x for p in positions])
+    min_y, max_y = extent([p.y for p in positions])
+    plan = ShardPlan(min_x=min_x, max_x=max_x, shards=config.shards.shards,
+                     cell_size=cell, rows=config.shards.rows,
+                     min_y=min_y, max_y=max_y)
+    return [plan.shard_of(p) for p in positions], plan
+
+
+#: One spec per MobilitySpec class the harness defines (random
+#: waypoint twice: at 0 m/s it builds stationary models).
+OWNERSHIP_SPECS = {
+    "rwp": RandomWaypointSpec(width=1300.0, height=1300.0, speed_min=1.0,
+                              speed_max=10.0),
+    "rwp-0mps": RandomWaypointSpec(width=1300.0, height=1300.0,
+                                   speed_min=0.0, speed_max=0.0),
+    "city-section": CitySectionSpec(),
+    "city-grid": CityGridSpec(),
+    "stationary": StationarySpec(width=1300.0, height=900.0),
+    "fixed": FixedPositionsSpec(((0.0, 0.0), (900.0, 0.0), (0.0, 700.0),
+                                 (900.0, 700.0), (450.0, 350.0))),
+}
+
+
+class TestOwnership:
+    def test_specs_cover_every_mobility_spec(self):
+        defined = {cls for cls in MobilitySpec.__subclasses__()
+                   if cls.__module__ == scenario_module.__name__}
+        assert {type(spec) for spec in OWNERSHIP_SPECS.values()} == defined
+
+    @pytest.mark.parametrize("name", sorted(OWNERSHIP_SPECS))
+    def test_ownership_equals_the_start_replay(self, name):
+        """Drawing only the entry position assigns every node and plans
+        the tiles exactly as starting its mobility would."""
+        spec = OWNERSHIP_SPECS[name]
+        for seed in range(5):
+            config = ScenarioConfig(
+                n_processes=40, mobility=spec, duration=4.0, seed=seed,
+                shards=ShardConfig(shards=4, rows=2))
+            assert compute_ownership(config) == _replayed_ownership(config)
 
 
 class TestComposesWithEngine:
