@@ -35,7 +35,8 @@ loudly when the append is skipped — and, for this bench, when the entry
 lacks the per-barrier overhead breakdown rows).  Each timing row stamps
 the tile-plan label and the resolved epoch; each sharded run also
 contributes a ``barrier_overhead`` row splitting the barrier tax into
-its drain / merge / ingest / retime phases.  ``meta`` records the
+its drain / merge / ingest / retime phases, beside the run's start-up
+(entry until every shard's first box is in).  ``meta`` records the
 *usable* core count (affinity-aware via ``available_cpu_count``, so a
 container quota is reported honestly) and the shard backend so entries
 compare like against like.
@@ -86,13 +87,15 @@ def _timed(config: ScenarioConfig) -> Dict[str, object]:
 def _breakdown_row(n: int, plan: str,
                    stats: Dict[str, float]) -> Dict[str, object]:
     """One ``barrier_overhead`` trajectory row: where the barrier tax
-    goes, in total seconds and per-barrier milliseconds."""
+    goes, in total seconds and per-barrier milliseconds, plus the
+    start-up before the first barrier (not part of the tax)."""
     barriers = max(stats["barriers"], 1.0)
     phases = {phase: stats[phase]
               for phase in ("drain_s", "merge_s", "ingest_s", "retime_s")}
     return {"n": n, "row_type": "barrier_overhead", "plan": plan,
             "epoch_s": stats["epoch_s"], "barriers": stats["barriers"],
-            "frames_exchanged": stats["frames_exchanged"], **phases,
+            "frames_exchanged": stats["frames_exchanged"],
+            "startup_s": stats["startup_s"], **phases,
             "per_barrier_overhead_ms":
                 sum(phases.values()) / barriers * 1e3}
 

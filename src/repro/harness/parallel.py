@@ -27,6 +27,19 @@ platform, deliberately:
   pytest capture plugins) deadlocks sporadically; CPython 3.12+ warns and
   3.14 changed the Linux default to spawn for exactly this reason.
 
+The sharded engine's workers (:mod:`repro.sim.shard.engine`) are the
+one place the repo forks, and the reasons above do not reach them.  A
+shard worker lives for one run and serves no other job, so it has no
+scheduling history to inherit; and what it does inherit — imported
+modules, the street-map cache, the config — is exactly what the
+in-process shard backend already shares by stepping every shard world
+inside the driver, with bit-identical results.  The engine forks only
+when the driver has no other live thread (this pool's manager thread
+is one), and steps the shards in-process otherwise, so no lock can be
+held across the fork.  Forking skips a fresh interpreter, a re-import
+and a rebuilt street map per worker; the pool's long-lived workers
+keep *spawn*.
+
 Everything crossing the process boundary — the config out, the
 :class:`~repro.harness.scenario.ScenarioResult` back — must pickle.  A
 result is plain data (the metrics, energy and fault records its world

@@ -61,7 +61,7 @@ How it works
   every shard runs to the barrier, keeps its drained outbox and
   reports its resident bounding region.  *Outgoing*: handed every
   shard's region (all shards before any is asked for its slices, so
-  spawned workers route in parallel), each shard routes its own outbox
+  worker processes route in parallel), each shard routes its own outbox
   by **audibility** — a frame goes to a shard only if that shard's
   region, inflated by the worst-case drift ``v_max * (2 * horizon +
   L)``, lies within the frame's radio reach — keeps its own slice and
@@ -108,27 +108,47 @@ against ``shards=0``.
 Backends: one barrier loop (:func:`_run_barriers`) drives two kinds of
 shard handle that differ only in *where* a world is stepped — the
 :class:`_ShardWorld` itself in this process (``inproc``: K=1, daemonic
-pool workers, hosts without a second usable CPU), or a
-:class:`_SpawnedShard` over a pipe to a spawned worker that walks the
-same barrier list on its own, so epochs overlap (``spawn``).  In-process
-the peer slices are lists; a worker pickles each peer slice once and
-the driver forwards those bytes untouched, so a shard's own frames
-never leave its process and the driver never builds a frame.
+pool workers, hosts without a second usable CPU or without ``fork``, a
+driver with another live thread), or a :class:`_SpawnedShard` over a
+pipe to a worker process that walks the same barrier list on its own,
+so epochs overlap (``spawn``).  In-process the peer slices are lists;
+a worker pickles each peer slice once and the driver forwards those
+bytes untouched, so a shard's own frames never leave its process and
+the driver never builds a frame.
 ``REPRO_SHARD_BACKEND`` forces either; a worker that dies, or stops
 answering for far longer than its slowest exchange so far, at either
 of a barrier's two replies, surfaces as :class:`ShardWorkerLost`
 naming its shard and barrier.
+
+Workers are *forked* from the driver, so a worker inherits the imported
+modules, the cached street map, the config, the ownership and the
+barrier list instead of re-importing, rebuilding and unpickling them,
+and builds only its own :class:`_ShardWorld`.  That is safe because a
+worker inherits nothing the ``inproc`` backend does not already share:
+``inproc`` steps every shard world inside the driver, after the same
+imports and caches, and the two backends agree bit for bit.  The one
+inherited thing that matters is file descriptors: a forked worker holds
+a copy of every driver-side pipe end open at fork time, its own
+included, and closes them first, or the driver hanging up on a worker
+would never reach it as EOF.  Forking beside another live thread is
+not safe (a lock that thread holds stays held in the child), so a
+driver with one steps its shards in-process.  The ``--jobs`` pool
+keeps *spawn* for its long-lived workers
+(:mod:`repro.harness.parallel`).
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 import math
 import multiprocessing
 import os
 import pickle
+import threading
 import time as _wallclock
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,10 +172,15 @@ _BBOX_SLACK_M = 1.0
 #: every prune that cannot be proven sound simply stops pruning.
 _EVERYWHERE = (-math.inf, -math.inf, math.inf, math.inf)
 
-#: A spawned shard silent for ``max(_STALL_FLOOR_S, _STALL_FACTOR *
+#: A shard worker silent for ``max(_STALL_FLOOR_S, _STALL_FACTOR *
 #: its slowest exchange so far)`` seconds is lost (stopped or wedged).
 _STALL_FLOOR_S = 300.0
 _STALL_FACTOR = 10.0
+
+#: The driver's end of every worker pipe.  A forked worker inherits a
+#: copy of each one open at fork time and closes them all before it
+#: does anything else.
+_DRIVER_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 @dataclass
@@ -484,7 +509,7 @@ class ShardMedium(WirelessMedium):
 
 
 class ShardWorkerLost(RuntimeError):
-    """A spawned shard worker died, closed its pipe or stopped answering
+    """A shard worker process died, closed its pipe or stopped answering
     mid-run (``exitcode`` is ``None`` for one that stopped answering)."""
 
     def __init__(self, shard: int, barrier: float, exitcode: Optional[int]):
@@ -507,8 +532,8 @@ class _ShardWorld:
     harness's (``wire_world``); this class adds the medium and the
     barrier exchange.  Each world owns a fresh ``RngRegistry(seed)`` and
     the protocol is schedule-independent, so stepping K of them here is
-    bit-identical to spawning them.  Peer slices are plain lists here;
-    pickling them is the spawned worker's business.
+    bit-identical to forking them.  Peer slices are plain lists here;
+    pickling them is the worker process's business.
     """
 
     def __init__(self, config, shard_index: int, owners: Sequence[int]):
@@ -627,12 +652,15 @@ class _ShardWorld:
 
 
 def _select_backend(shards: int) -> str:
-    """Pick spawn vs in-process (env override ``REPRO_SHARD_BACKEND``).
+    """Pick worker processes vs in-process (env override
+    ``REPRO_SHARD_BACKEND``; ``spawn`` means worker processes).
 
     Daemonic pool workers (the ``--jobs N`` parallel engine) may not
-    spawn children, so even an explicit ``spawn`` degrades to the
-    bit-identical in-process backend there instead of crashing deep in
-    ``multiprocessing``.
+    start children, and workers are forked, which needs ``fork`` and is
+    unsafe beside another live thread (a lock it holds at fork time
+    stays held in the child forever).  In each case even an explicit
+    ``spawn`` degrades to the bit-identical in-process backend instead
+    of crashing deep in ``multiprocessing`` or risking a hung worker.
     """
     from repro.harness.parallel import available_cpu_count
     choice = os.environ.get("REPRO_SHARD_BACKEND", "auto")
@@ -640,7 +668,11 @@ def _select_backend(shards: int) -> str:
         raise ValueError(
             f"REPRO_SHARD_BACKEND must be auto|inproc|spawn: {choice!r}")
     if multiprocessing.current_process().daemon:
-        return "inproc"   # pool workers may not spawn children
+        return "inproc"   # pool workers may not start children
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "inproc"   # workers are forked, and this host cannot fork
+    if threading.active_count() > 1:
+        return "inproc"   # e.g. a live --jobs pool's manager thread
     if choice != "auto":
         return choice
     if shards < 2 or available_cpu_count() < 2:
@@ -650,10 +682,18 @@ def _select_backend(shards: int) -> str:
 
 def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
                        barriers: List[float]) -> None:
-    """Spawned worker: one shard world walking the barrier list on its
+    """Forked worker: one shard world walking the barrier list on its
     own, sending its box, then its peer slices pickled once each, and
     ingesting the peers' slices for it at every barrier.  The
     (un)pickling counts as merge time."""
+    # Hold no driver end, this worker's own included: a copy kept here
+    # would keep the driver's hang-up from ever reaching a worker.
+    for end in list(_DRIVER_ENDS):
+        end.close()
+    # Everything inherited is the driver's and lives until exit; left
+    # to the collector, each full collection would walk it and copy the
+    # pages it touches (merge_s, which allocates most, pays for that).
+    gc.freeze()
     try:
         world = _ShardWorld(config, shard_index, owners)
         for barrier in barriers:
@@ -681,11 +721,11 @@ def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
 
 
 class _SpawnedShard:
-    """Shard handle: the world lives in a worker process (``conn`` is
-    the driver's end of its pipe, ``proc`` the process), which runs
-    ahead to each barrier unasked (so the K epochs overlap).  The
-    driver forwards the worker's peer slices as opaque bytes and never
-    builds a frame object."""
+    """Shard handle: the world lives in a forked worker process
+    (``conn`` is the driver's end of its pipe, ``proc`` the process),
+    which runs ahead to each barrier unasked (so the K epochs overlap).
+    The driver forwards the worker's peer slices as opaque bytes and
+    never builds a frame object."""
 
     def __init__(self, index: int, conn, proc):
         self.index = index
@@ -698,9 +738,10 @@ class _SpawnedShard:
     @classmethod
     def spawn(cls, config, index: int, owners: List[int],
               barriers: List[float]) -> "_SpawnedShard":
-        """Start a worker walking ``barriers`` for shard ``index``."""
-        ctx = multiprocessing.get_context("spawn")
+        """Fork a worker walking ``barriers`` for shard ``index``."""
+        ctx = multiprocessing.get_context("fork")
         conn, child_conn = ctx.Pipe()
+        _DRIVER_ENDS.add(conn)
         proc = ctx.Process(
             target=_shard_worker_main,
             args=(child_conn, config, index, owners, barriers),
@@ -775,7 +816,8 @@ class _SpawnedShard:
             self._proc.join(timeout=5)
 
 
-def _run_barriers(shards: Sequence, barriers: List[float]) -> List[dict]:
+def _run_barriers(shards: Sequence,
+                  barriers: List[float]) -> Tuple[List[dict], float]:
     """The barrier loop: advance, route at the source, ingest.
 
     Every shard routes its own outbox against every shard's resident
@@ -785,17 +827,21 @@ def _run_barriers(shards: Sequence, barriers: List[float]) -> List[dict]:
     predicate and the merge key is unique, so sorting the union of the
     routed per-source slices gives exactly the routed slice of the
     sorted union.  Every shard is handed the boxes before any slice is
-    collected, so spawned workers route in parallel.
+    collected, so workers route in parallel.  Returns the shards'
+    payloads and the wall-clock instant every first box was in.
     """
+    first_boxes_at = None
     for barrier in barriers:
         boxes = [shard.advance(barrier) for shard in shards]
+        if first_boxes_at is None:
+            first_boxes_at = _wallclock.perf_counter()
         for shard in shards:
             shard.route(boxes)
         sent = [shard.outgoing() for shard in shards]
         for index, shard in enumerate(shards):
             shard.ingest(barrier, [peers[index] for peers in sent
                                    if index in peers])
-    return [shard.finish() for shard in shards]
+    return [shard.finish() for shard in shards], first_boxes_at
 
 
 def run_sharded_scenario(config):
@@ -821,7 +867,7 @@ def run_sharded_scenario(config):
             handles.append(
                 _SpawnedShard.spawn(config, index, owners, barriers)
                 if spawn else _ShardWorld(config, index, owners))
-        payloads = _run_barriers(handles, barriers)
+        payloads, first_boxes_at = _run_barriers(handles, barriers)
     finally:
         for shard in handles:
             shard.close()
@@ -838,7 +884,8 @@ def run_sharded_scenario(config):
     subscriber_set = set(subscriber_ids)
     non_subscribers = [i for i in range(config.n_processes)
                        if i not in subscriber_set]
-    barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch}
+    barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch,
+                     "startup_s": first_boxes_at - started}
     for key in payloads[0]["stats"]:
         barrier_stats[key] = sum(p["stats"][key] for p in payloads)
     return ScenarioResult(

@@ -26,7 +26,6 @@ import math
 import multiprocessing
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -49,7 +48,8 @@ from repro.sim.shard import ShardConfig, resolve_epoch_s
 from repro.sim.shard import engine as shard_engine
 from repro.sim.shard.engine import (_EVERYWHERE, ShardFrame, ShardWorkerLost,
                                     _filter_batch, _frame_key,
-                                    _SpawnedShard, compute_ownership)
+                                    _SpawnedShard, compute_barriers,
+                                    compute_ownership)
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.space import Vec2
 from tests.helpers import (SHARD_MATRIX as MATRIX,
@@ -82,17 +82,25 @@ def _force_epoch(monkeypatch, epoch: float) -> None:
                         lambda *args: epoch)
 
 
-def _signal_first_child(signum: int, victim: dict) -> None:
-    """Send ``signum`` to the first shard worker to appear (waiting at
-    most 10 s) and record its process name in ``victim``."""
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        children = multiprocessing.active_children()
-        if children:
-            victim["name"] = children[0].name
-            os.kill(children[0].pid, signum)
-            return
-        time.sleep(0.005)
+def _signal_first_worker(monkeypatch, signum: int) -> dict:
+    """Make the run's first shard worker receive ``signum`` right after
+    it starts, and return the dict its process name lands in.
+
+    A wrapper around :meth:`_SpawnedShard.spawn` rather than a polling
+    thread: deterministic, and no thread is alive when the driver forks.
+    """
+    victim = {}
+    spawn = _SpawnedShard.spawn.__func__
+
+    def signalling_spawn(cls, *args):
+        shard = spawn(cls, *args)
+        if not victim:
+            victim["name"] = shard._proc.name
+            os.kill(shard._proc.pid, signum)
+        return shard
+
+    monkeypatch.setattr(_SpawnedShard, "spawn", classmethod(signalling_spawn))
+    return victim
 
 
 class TestShardCountInvariance:
@@ -193,6 +201,7 @@ class TestEpochInvariance:
         assert stats["frames_exchanged"] > 0
         for phase in ("drain_s", "merge_s", "ingest_s", "retime_s"):
             assert stats[phase] >= 0.0
+        assert 0.0 <= stats["startup_s"] < result.wallclock_s
         assert run_scenario(_rwp_frugal()).barrier_stats is None
 
 
@@ -268,17 +277,11 @@ class TestSpawnBackend:
         """A shard worker that dies surfaces as ``ShardWorkerLost``
         carrying its shard index and exit code — not a bare
         ``EOFError`` — and the run still reaps every sibling."""
-        victim = {}
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
-        killer = threading.Thread(target=_signal_first_child,
-                                  args=(signal.SIGKILL, victim))
+        victim = _signal_first_worker(monkeypatch, signal.SIGKILL)
         started = time.monotonic()
-        killer.start()
-        try:
-            with pytest.raises(ShardWorkerLost) as lost:
-                run_scenario(_rwp_frugal().with_changes(shards=2))
-        finally:
-            killer.join()
+        with pytest.raises(ShardWorkerLost) as lost:
+            run_scenario(_rwp_frugal().with_changes(shards=2))
         assert time.monotonic() - started < 10.0
         assert victim["name"] == f"shard-{lost.value.shard}"
         assert f"shard {lost.value.shard} " in str(lost.value)
@@ -289,24 +292,36 @@ class TestSpawnBackend:
         """A shard worker that stops answering (SIGSTOP) surfaces as
         ``ShardWorkerLost`` naming its shard and barrier once the stall
         deadline passes, instead of blocking the run forever."""
-        victim = {}
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
         monkeypatch.setattr(shard_engine, "_STALL_FLOOR_S", 4.0)
-        stopper = threading.Thread(target=_signal_first_child,
-                                   args=(signal.SIGSTOP, victim))
+        victim = _signal_first_worker(monkeypatch, signal.SIGSTOP)
         started = time.monotonic()
-        stopper.start()
-        try:
-            with pytest.raises(ShardWorkerLost) as lost:
-                run_scenario(_rwp_frugal().with_changes(shards=2))
-        finally:
-            stopper.join(timeout=15.0)
-        assert not stopper.is_alive()
+        with pytest.raises(ShardWorkerLost) as lost:
+            run_scenario(_rwp_frugal().with_changes(shards=2))
         assert time.monotonic() - started < 10.0
         assert victim["name"] == f"shard-{lost.value.shard}"
         assert f"shard {lost.value.shard} " in str(lost.value)
         assert "barrier t=" in str(lost.value)
         assert lost.value.exitcode is None
+        assert multiprocessing.active_children() == []
+
+    def test_hung_up_worker_exits_while_its_sibling_runs(self):
+        """A forked worker holds no copy of any driver pipe end, its own
+        or a sibling's: the driver hanging up on shard 0 ends worker 0
+        at once, and worker 1 runs on."""
+        config = _rwp_frugal().with_changes(shards=2, duration=10.0)
+        owners, _plan = compute_ownership(config)
+        barriers = compute_barriers(config.warmup, config.duration, 1.0)
+        shards = [_SpawnedShard.spawn(config, index, owners, barriers)
+                  for index in range(2)]
+        try:
+            shards[0]._conn.close()
+            shards[0]._proc.join(timeout=5.0)
+            assert shards[0]._proc.exitcode is not None
+            assert shards[1]._proc.is_alive()
+        finally:
+            for shard in shards:
+                shard.close()
         assert multiprocessing.active_children() == []
 
     def test_explicit_spawn_degrades_inside_daemonic_workers(
@@ -322,6 +337,24 @@ class TestSpawnBackend:
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
         monkeypatch.setattr(shard_engine.multiprocessing,
                             "current_process", _DaemonProcess)
+        assert shard_engine._select_backend(4) == "inproc"
+
+    def test_explicit_spawn_degrades_without_fork(self, monkeypatch):
+        """Shard workers are forked; on a host without ``fork`` even a
+        forced ``spawn`` runs the bit-identical inproc backend."""
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
+        monkeypatch.setattr(shard_engine.multiprocessing,
+                            "get_all_start_methods", lambda: ["spawn"])
+        assert shard_engine._select_backend(4) == "inproc"
+
+    def test_explicit_spawn_degrades_beside_a_live_thread(self, monkeypatch):
+        """Forking beside another live thread can hand the worker a lock
+        that is never released, so the driver steps shards in-process
+        then (a live ``--jobs`` pool keeps its manager thread)."""
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
+        assert shard_engine._select_backend(4) == "spawn"
+        monkeypatch.setattr(shard_engine.threading, "active_count",
+                            lambda: 2)
         assert shard_engine._select_backend(4) == "inproc"
 
 
