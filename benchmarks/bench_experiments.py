@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from common import publish, publish_text, scale
+from common import ENGINE, publish, publish_text, scale
 from repro.energy import Battery, EnergyModel, PowerProfile
 from repro.faults import ChurnConfig, FaultConfig
 from repro.harness.reporting import reliability_grid
@@ -236,7 +236,7 @@ SHAPE_CHECKS = {
 def test_experiment(benchmark, experiment_id):
     s = scale()
     spec = STUDIES[experiment_id].build(s)
-    result = benchmark.pedantic(run_study, args=(spec,),
+    result = benchmark.pedantic(run_study, args=(spec, ENGINE),
                                 rounds=1, iterations=1).experiment
     key, anchors = PAPER_ROWS.get(experiment_id, (None, {}))
     for row in result.rows if key else ():

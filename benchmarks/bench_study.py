@@ -55,18 +55,18 @@ def test_study_expansion_and_cache(tmp_path):
         f"(ceiling {EXPAND_CEILING_S_PER_CELL:.0e})")
 
     spec = build_study(RUN_STUDY_ID, s)
-    runner = parallel.ParallelRunner(
-        jobs=parallel.resolve_jobs(),
-        cache=ResultCache(tmp_path / "cache"))
-    started = time.perf_counter()
-    cold = run_study(spec, runner)
-    cold_s = time.perf_counter() - started
-    executed_cold = runner.stats.executed
+    with parallel.ParallelRunner(
+            jobs=parallel.resolve_jobs(),
+            cache=ResultCache(tmp_path / "cache")) as runner:
+        started = time.perf_counter()
+        cold = run_study(spec, runner)
+        cold_s = time.perf_counter() - started
+        executed_cold = runner.stats.executed
 
-    runner.stats.reset()
-    started = time.perf_counter()
-    warm = run_study(spec, runner)
-    warm_s = time.perf_counter() - started
+        runner.stats.reset()
+        started = time.perf_counter()
+        warm = run_study(spec, runner)
+        warm_s = time.perf_counter() - started
     assert warm.experiment.rows == cold.experiment.rows
     assert runner.stats.executed == 0, (
         f"warm-cache study re-run executed {runner.stats.executed} "

@@ -29,26 +29,26 @@ from repro.harness.reporting import (format_engine_stats, format_experiment,
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
-def configure_engine() -> parallel.ParallelRunner:
-    """Install the benchmark execution engine from the environment.
+def build_engine() -> parallel.ParallelRunner:
+    """The benchmark suite's runner, built from the environment.
 
     ``REPRO_JOBS`` selects the worker count (0 = all CPUs, default 1).
-    Every figure sweep goes through the process-wide engine
-    (:func:`repro.study.run_study`), so this single configuration
-    parallelises the whole suite.
+    Every figure sweep runs on this one runner (``bench_experiments``
+    hands it to :func:`repro.study.run_study`), so this single setting
+    parallelises the whole suite; the conftest reaps its pool at the
+    end of the session.
 
     The result cache is **opt-in** here (``REPRO_CACHE=1``), the
     opposite of the CLI's default: this is a *timing* suite, and a warm
     cache would silently turn every benchmark into a measurement of
     pickle loads, hiding real simulation regressions.
     """
-    jobs = parallel.resolve_jobs()
     cache = (ResultCache(default_cache_dir())
              if os.environ.get("REPRO_CACHE") else None)
-    return parallel.configure(jobs=jobs, cache=cache)
+    return parallel.ParallelRunner(jobs=parallel.resolve_jobs(), cache=cache)
 
 
-ENGINE = configure_engine()
+ENGINE = build_engine()
 
 
 def engine_stats_line() -> str:

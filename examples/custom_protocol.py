@@ -26,7 +26,7 @@ from repro.core import registry
 from repro.core.base import ProtocolCounters
 from repro.core.stack import (DeliveryLayer, EventStore, GossipForwarding,
                               StackProtocol, TTLMembership)
-from repro.harness import QUICK, run_matrix, rwp_scenario
+from repro.harness import QUICK, ParallelRunner, rwp_scenario
 from repro.harness.reporting import format_table
 
 
@@ -111,7 +111,7 @@ def main(seed: int = 0) -> None:
         print(f"Custom protocol 'selective-gossip' vs two built-ins "
               f"({scale.rwp_processes} processes, 20% subscribers, "
               f"{len(scale.seed_list())} seeds)\n")
-        outcomes = run_matrix(configs, scale.seed_list())
+        outcomes = ParallelRunner().run_matrix(configs, scale.seed_list())
 
         rows = []
         for proto in protocols:

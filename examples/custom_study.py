@@ -6,10 +6,11 @@ Instead of writing nested sweep loops, declare the question: one
 `Toggles` dimension flips the id-exchange component (blind push vs
 announce-first), one `Axis` sweeps how many devices care
 (`subscriber_fraction`), and the declared objectives extract the
-reliability-vs-duplicates Pareto frontier automatically.  The engine expands the cross product, batches every
-(cell, seed) job through the cached parallel engine, and attaches the
-pivot / component-delta / frontier tables to the result — a warm-cache
-re-run of this script executes zero scenarios.
+reliability-vs-duplicates Pareto frontier automatically.  The engine
+expands the cross product, batches every (cell, seed) job through one
+`ParallelRunner` (serial and uncached here; hand `run_study` a runner
+with a `ResultCache` and a re-run executes zero scenarios), and
+attaches the pivot / component-delta / frontier tables to the result.
 
 Run::
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.harness import (QUICK, run_matrix, rwp_scenario)
+from repro.harness import QUICK, ParallelRunner, rwp_scenario
 from repro.harness.reporting import format_table
 
 PROTOCOLS = ["frugal", "interest-flooding", "neighbor-flooding",
@@ -36,7 +36,7 @@ def main(n_events: int = 5, interest: float = 0.6) -> None:
                             protocol=proto, duration=180.0)
         for proto in PROTOCOLS
     }
-    outcomes = run_matrix(configs, seeds)
+    outcomes = ParallelRunner().run_matrix(configs, seeds)
 
     rows = []
     for proto in PROTOCOLS:

@@ -50,8 +50,6 @@ __all__ = [
     "Aggregate",
     "MultiSeedResult",
     "aggregate",
-    "run_matrix",
-    "run_seeds",
     "EngineStats",
     "ParallelRunner",
     "ResultCache",
@@ -80,8 +78,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.harness.runner": ("Aggregate", "MultiSeedResult", "aggregate"),
     "repro.harness.cache": ("ResultCache", "code_version_tag",
                             "config_digest"),
-    "repro.harness.parallel": ("EngineStats", "ParallelRunner", "run_matrix",
-                               "run_seeds"),
+    "repro.harness.parallel": ("EngineStats", "ParallelRunner"),
     "repro.harness.presets": ("PAPER", "QUICK", "SMOKE", "Scale",
                               "get_scale"),
     "repro.harness.experiments": ("ExperimentResult", "churn_scenario",

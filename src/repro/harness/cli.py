@@ -22,13 +22,14 @@ invalidates automatically on any source change.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from typing import List, Optional
 
-from repro.harness import experiments, parallel
-from repro.harness.cache import ResultCache, default_cache_dir
-from repro.harness.presets import get_scale
+from repro.harness import parallel
+from repro.harness.cache import ResultCache
+from repro.harness.presets import Scale, get_scale
 from repro.harness.reporting import (format_engine_stats, format_experiment,
                                      to_csv)
 from repro.sim.shard import ShardConfig
@@ -85,25 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def configure_engine(jobs: Optional[int], no_cache: bool,
-                     cache_dir: Optional[str]) -> parallel.ParallelRunner:
-    """Install the process-wide engine from the CLI flags."""
-    cache = None if no_cache else ResultCache(
-        pathlib.Path(cache_dir) if cache_dir else default_cache_dir())
-    return parallel.configure(jobs=parallel.resolve_jobs(jobs),
-                              cache=cache)
+def build_runner(jobs: Optional[int], no_cache: bool,
+                 cache_dir: Optional[str]) -> parallel.ParallelRunner:
+    """The runner one CLI invocation owns, built from its flags (both
+    CLIs share this).  A bad worker count raises a one-line
+    :class:`ValueError` before any pool or cache exists."""
+    jobs = parallel.resolve_jobs(jobs)
+    cache = None if no_cache else ResultCache(cache_dir or None)
+    return parallel.ParallelRunner(jobs=jobs, cache=cache)
 
 
-def run_one(experiment_id: str, scale_name: Optional[str],
-            csv_path: Optional[str], seed: Optional[int] = None) -> None:
-    """Run one experiment id at ``scale_name``, print the table and
-    optionally write ``csv_path``; ``seed`` re-bases the seed list."""
-    scale = get_scale(scale_name)
-    if seed is not None:
-        scale = scale.with_seed_base(seed)
-    runner = parallel.get_default_runner()
+def run_one(experiment_id: str, scale: Scale, csv_path: Optional[str],
+            runner: parallel.ParallelRunner) -> None:
+    """Run one experiment id at ``scale`` on ``runner``, print the
+    table and the runner's stats, and optionally write ``csv_path``."""
     runner.stats.reset()
-    result = ALL_EXPERIMENTS[experiment_id](scale)
+    result = ALL_EXPERIMENTS[experiment_id](scale, runner)
     print(format_experiment(result))
     for note in result.notes:
         print("\n" + note)
@@ -115,12 +113,16 @@ def run_one(experiment_id: str, scale_name: Optional[str],
         print(f"\nwrote {csv_path}")
 
 
-def _ignored_flag(args: argparse.Namespace) -> Optional[str]:
+def _ignored_flag(args: argparse.Namespace,
+                  shards: ShardConfig) -> Optional[str]:
     """Why this flag combination would silently drop a flag, or None."""
     if args.csv is not None and args.experiment == "all":
         return "'all' writes one CSV per experiment; use --out-dir, not --csv"
     if args.out_dir is not None and args.experiment != "all":
         return "--out-dir only applies to 'all'; use --csv for one experiment"
+    if shards and args.experiment == "loopback-bridge":
+        return ("--shards does not apply to loopback-bridge: its sim half "
+                "keeps the zero-latency classic engine its UDP half mirrors")
     return None
 
 
@@ -133,37 +135,36 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {name:16s} {run.__doc__.strip().splitlines()[0]}")
         return 0
     try:
-        shard_config = ShardConfig.parse(args.shards)
+        shards = ShardConfig.parse(args.shards)
     except ValueError as exc:
         print(f"bad --shards: {exc}", file=sys.stderr)
         return 2
-    ignored = _ignored_flag(args)
+    ignored = _ignored_flag(args, shards)
     if ignored:
         print(ignored, file=sys.stderr)
         return 2
-    configure_engine(args.jobs, args.no_cache, args.cache_dir)
-    experiments.DEFAULT_SHARDS = shard_config
+    if args.experiment != "all" and args.experiment not in ALL_EXPERIMENTS:
+        print(f"unknown experiment {args.experiment!r}; "
+              f"try 'list'", file=sys.stderr)
+        return 2
+    scale = dataclasses.replace(get_scale(args.scale), shards=shards)
+    if args.seed is not None:
+        scale = scale.with_seed_base(args.seed)
     try:
-        if args.experiment == "all":
-            out_dir = pathlib.Path(args.out_dir or "results")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name in ALL_EXPERIMENTS:
-                run_one(name, args.scale, str(out_dir / f"{name}.csv"),
-                        seed=args.seed)
-                print()
+        runner = build_runner(args.jobs, args.no_cache, args.cache_dir)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    with runner:
+        if args.experiment != "all":
+            run_one(args.experiment, scale, args.csv, runner)
             return 0
-        if args.experiment not in ALL_EXPERIMENTS:
-            print(f"unknown experiment {args.experiment!r}; "
-                  f"try 'list'", file=sys.stderr)
-            return 2
-        run_one(args.experiment, args.scale, args.csv, seed=args.seed)
+        out_dir = pathlib.Path(args.out_dir or "results")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ALL_EXPERIMENTS:
+            run_one(name, scale, str(out_dir / f"{name}.csv"), runner)
+            print()
         return 0
-    finally:
-        # Reap the pool and restore the library defaults (serial,
-        # uncached, unsharded) so embedding callers — e.g. the test
-        # suite — do not inherit this invocation's engine configuration.
-        parallel.configure(jobs=1, cache=None)
-        experiments.DEFAULT_SHARDS = 0
 
 
 if __name__ == "__main__":

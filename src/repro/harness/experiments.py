@@ -25,28 +25,6 @@ from repro.harness.scenario import (CityGridSpec, CitySectionSpec,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec)
 from repro.net import RadioConfig
-from repro.sim.shard import ShardConfig
-
-#: Shard plan applied to every scenario the factories emit — a plain
-#: count or a full :class:`~repro.sim.shard.ShardConfig`.  0 keeps the
-#: classic single-world engine; the CLI's ``--shards`` flag rebinds
-#: this for the duration of one invocation so any figure can run on the
-#: sharded engine (bit-identical across shard counts and tile shapes —
-#: see ``repro.sim.shard``).
-DEFAULT_SHARDS = 0
-
-
-def _apply_shards(config: ScenarioConfig) -> ScenarioConfig:
-    """Stamp the module-wide shard plan onto a built scenario."""
-    if not DEFAULT_SHARDS:
-        return config
-    return config.with_changes(shards=DEFAULT_SHARDS)
-
-
-def shards_label() -> str:
-    """A printable tag for the active shard plan (``off`` / ``1x4``)."""
-    return ShardConfig.coerce(DEFAULT_SHARDS).plan_label
-
 
 @dataclass
 class ExperimentResult:
@@ -139,7 +117,7 @@ def rwp_scenario(scale: Scale, speed_min: float, speed_max: float,
                  frugal: Optional[FrugalConfig] = None) -> ScenarioConfig:
     """A random-waypoint trial with the paper's Section 5.1 settings."""
     pubs = rwp_publications(n_events, validity)
-    return _apply_shards(ScenarioConfig(
+    return ScenarioConfig(
         n_processes=scale.rwp_processes,
         mobility=rwp_mobility(scale, speed_min, speed_max),
         duration=duration if duration is not None
@@ -149,7 +127,8 @@ def rwp_scenario(scale: Scale, speed_min: float, speed_max: float,
         frugal=frugal or FrugalConfig.paper_random_waypoint(),
         radio=RadioConfig.paper_random_waypoint(),
         subscriber_fraction=interest,
-        publications=pubs))
+        publications=pubs,
+        shards=scale.shards)
 
 
 def city_scenario(scale: Scale, validity: float, interest: float,
@@ -157,7 +136,7 @@ def city_scenario(scale: Scale, validity: float, interest: float,
                   protocol: str = "frugal") -> ScenarioConfig:
     """A city-section trial on the synthetic campus map."""
     pubs = (Publication(at=5.0, validity=validity, publisher=publisher),)
-    return _apply_shards(ScenarioConfig(
+    return ScenarioConfig(
         n_processes=scale.city_processes,
         mobility=CitySectionSpec(),
         duration=_covering_duration(pubs),
@@ -166,7 +145,8 @@ def city_scenario(scale: Scale, validity: float, interest: float,
         frugal=FrugalConfig.paper_city_section(hb_upper_bound=hb_upper),
         radio=RadioConfig.paper_city_section(),
         subscriber_fraction=interest,
-        publications=pubs))
+        publications=pubs,
+        shards=scale.shards)
 
 
 #: Paper city density — 15 processes over the 1200x900 m campus.
@@ -193,7 +173,7 @@ def city_scale_scenario(scale: Scale, n: int, validity: float = 60.0,
     """One large city-section trial: ``n`` processes on
     :func:`city_scale_grid`."""
     pubs = (Publication(at=5.0, validity=validity),)
-    return _apply_shards(ScenarioConfig(
+    return ScenarioConfig(
         n_processes=n,
         mobility=city_scale_grid(n),
         duration=_covering_duration(pubs),
@@ -202,7 +182,8 @@ def city_scale_scenario(scale: Scale, n: int, validity: float = 60.0,
         frugal=FrugalConfig.paper_city_section(),
         radio=RadioConfig.paper_city_section(),
         subscriber_fraction=interest,
-        publications=pubs))
+        publications=pubs,
+        shards=scale.shards)
 
 
 # --------------------------------------------------------------------------

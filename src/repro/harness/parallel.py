@@ -48,8 +48,14 @@ measurements rather than the world graph, and the copy equals the
 original.
 
 With ``jobs=1`` (the default) no pool and no pickling are involved at
-all: jobs run in-process, exactly as the historical serial
-``run_seeds`` did, keeping tier-1 tests dependency- and subprocess-free.
+all: jobs run in-process, keeping tier-1 tests dependency- and
+subprocess-free.
+
+There is no process-wide runner.  Whoever runs a sweep owns the
+runner it runs on: each CLI builds one from its flags and hands it
+down (:func:`repro.study.run_study`, every ``ALL_EXPERIMENTS`` entry
+and :func:`repro.rt.bridge.loopback_bridge` take it as an argument),
+and ``None`` there means a fresh serial, uncached runner.
 
 The pool is a ``concurrent.futures`` executor, not a
 ``multiprocessing.Pool``, which silently replaces a killed worker and
@@ -100,11 +106,19 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
     back to ``default``), and ``0`` means "all *available* CPUs"
     (container-aware: see :func:`available_cpu_count`).  The single home
     of that rule — the CLI and the benchmark suite both resolve through
-    it.
+    it.  A negative or non-integer count raises a one-line
+    :class:`ValueError`.
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV)
-        jobs = default if raw is None else int(raw)
+        try:
+            jobs = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{JOBS_ENV} must be an integer worker "
+                             f"count: {raw!r}") from None
+    if jobs < 0:
+        raise ValueError(f"worker count (--jobs, {JOBS_ENV}) must be >= 0 "
+                         f"(0 = all CPUs): {jobs}")
     if jobs == 0:
         return available_cpu_count()
     return jobs
@@ -301,44 +315,3 @@ class ParallelRunner:
             chunk = results[j * len(seed_list):(j + 1) * len(seed_list)]
             out[name] = MultiSeedResult(results=chunk)
         return out
-
-
-# --------------------------------------------------------------------------
-# Process-wide default runner
-# --------------------------------------------------------------------------
-#
-# Declared studies (repro.study.run_study) and the module-level
-# run_seeds/run_matrix below go through one configurable default
-# runner.  The CLI configures it from its --jobs/--no-cache flags and the
-# benchmark suite from REPRO_JOBS (cache opt-in via REPRO_CACHE=1);
-# library users can pass an explicit runner instead.
-
-_default_runner = ParallelRunner(jobs=1, cache=None)
-
-
-def get_default_runner() -> ParallelRunner:
-    """The process-wide engine :func:`run_seeds`/:func:`run_matrix` use."""
-    return _default_runner
-
-
-def configure(jobs: int = 1,
-              cache: Optional[ResultCache] = None) -> ParallelRunner:
-    """Replace the process-wide default runner (closing the old pool)."""
-    global _default_runner
-    _default_runner.close()
-    _default_runner = ParallelRunner(jobs=jobs, cache=cache)
-    return _default_runner
-
-
-def run_seeds(config: ScenarioConfig, seeds: Iterable[int],
-              runner: Optional[ParallelRunner] = None) -> MultiSeedResult:
-    """Run ``config`` once per seed via ``runner`` (default: the
-    process-wide engine, serial and uncached unless configured)."""
-    return (runner or _default_runner).run_seeds(config, seeds)
-
-
-def run_matrix(configs: Dict[str, ScenarioConfig], seeds: Iterable[int],
-               runner: Optional[ParallelRunner] = None
-               ) -> Dict[str, MultiSeedResult]:
-    """Run several named configurations over the same seed list."""
-    return (runner or _default_runner).run_matrix(configs, seeds)

@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
+from repro.sim.shard.config import ShardConfig
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -39,6 +41,9 @@ class Scale:
     # First seed of the averaging window (CLI --seed re-bases every
     # figure onto a fresh deterministic seed set without editing presets).
     seed_base: int = 0
+    # Shard plan every scenario factory stamps (CLI --shards); the
+    # default keeps the classic single-world engine.
+    shards: ShardConfig = ShardConfig()
 
     def seed_list(self, base: Optional[int] = None) -> List[int]:
         """The deterministic averaging seeds, starting at ``base``

@@ -6,9 +6,9 @@ produces the same mobility traces and subscriber draw for every protocol,
 so protocol comparisons (Figs. 17-20) are paired comparisons, not
 independent samples.
 
-Scheduling — :func:`~repro.harness.parallel.run_seeds`,
-:func:`~repro.harness.parallel.run_matrix`, the worker pool and the
-on-disk result cache — lives in :mod:`repro.harness.parallel`.
+Scheduling — :class:`~repro.harness.parallel.ParallelRunner` (its
+``run_seeds``/``run_matrix`` methods), the worker pool and the on-disk
+result cache — lives in :mod:`repro.harness.parallel`.
 """
 
 from __future__ import annotations

@@ -313,19 +313,18 @@ class ScenarioConfig:
     speed_sensor: bool = True
     energy: Optional[EnergyConfig] = None
     faults: Optional[FaultConfig] = None
-    #: Sharded execution: either a plain shard count ``K`` (coerced to
-    #: a stripe-plan :class:`~repro.sim.shard.ShardConfig`) or a full
-    #: ``ShardConfig`` choosing the tile grid and latency.  Summaries
-    #: are invariant in the shard count and tile shape.  ``0`` — the
-    #: default — keeps the classic single-world engine.
-    shards: "ShardConfig" = 0  # type: ignore[assignment]
+    #: Sharded execution: the :class:`~repro.sim.shard.ShardConfig`
+    #: choosing the tile grid and latency.  Summaries are invariant in
+    #: the shard count and tile shape.  The default (``shards=0``)
+    #: keeps the classic single-world engine.
+    shards: ShardConfig = ShardConfig()
 
     def __post_init__(self) -> None:
         if self.n_processes < 1:
             raise ValueError("n_processes must be >= 1")
-        # Accept historical plain-int shard counts everywhere a
-        # ShardConfig is (validation lives in ShardConfig itself).
-        object.__setattr__(self, "shards", ShardConfig.coerce(self.shards))
+        if not isinstance(self.shards, ShardConfig):
+            raise ValueError(f"shards must be a ShardConfig: "
+                             f"{self.shards!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.warmup < 0:

@@ -1,9 +1,10 @@
 """The loopback-bridge experiment: sim-predicted vs UDP-measured.
 
 For each protocol the bridge runs the *same* scenario twice — once
-through the discrete-event kernel (:func:`repro.harness.parallel.run_seeds`)
-and once on a :class:`~repro.rt.cluster.LoopbackCluster` of real UDP
-sockets — and reports predicted-vs-measured reliability and per-node
+through the discrete-event kernel (on a
+:class:`~repro.harness.parallel.ParallelRunner`) and once on a
+:class:`~repro.rt.cluster.LoopbackCluster` of real UDP sockets — and
+reports predicted-vs-measured reliability and per-node
 message overhead side by side.
 
 The scenario is a stationary full-mesh grid (every node within radio
@@ -25,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.harness.experiments import ExperimentResult
-from repro.harness.parallel import run_seeds
+from repro.harness.parallel import ParallelRunner
 from repro.harness.presets import Scale, get_scale
 from repro.harness.scenario import (FixedPositionsSpec, Publication,
                                     ScenarioConfig)
@@ -91,16 +92,19 @@ def bridge_scenario(protocol: str, scale: Scale,
 
 def loopback_bridge(scale: Optional[Scale] = None,
                     protocols: Sequence[str] = BRIDGE_PROTOCOLS,
-                    time_scale: float = DEFAULT_TIME_SCALE
+                    time_scale: float = DEFAULT_TIME_SCALE,
+                    runner: Optional[ParallelRunner] = None
                     ) -> ExperimentResult:
     """Run the bridge: every protocol in-sim and on the UDP cluster.
 
     Returns one row per protocol with ``sim_reliability`` /
     ``rt_reliability`` (means across seeds), their delta, both sides'
     per-node message overhead and a ``within_band`` flag against the
-    scale's documented tolerance.
+    scale's documented tolerance.  The sim seeds run on ``runner``
+    (``None``: serial, uncached).
     """
     scale = scale or get_scale()
+    runner = runner or ParallelRunner()
     # Fail fast on unknown names, with the registry's known-name list.
     for protocol in protocols:
         registry.get(protocol)
@@ -109,7 +113,7 @@ def loopback_bridge(scale: Optional[Scale] = None,
     rows = []
     for protocol in protocols:
         cfg = bridge_scenario(protocol, scale)
-        sim = run_seeds(cfg, scale.seed_list())
+        sim = runner.run_seeds(cfg, scale.seed_list())
         sim_rel = sim.metric(lambda r: r.reliability()).mean
         sim_msgs = _sim_messages_per_node(sim, cfg.n_processes)
         rt_rels = []

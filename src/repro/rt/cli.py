@@ -21,10 +21,10 @@ import sys
 from typing import List, Optional
 
 from repro.core import registry
-from repro.harness import parallel
-from repro.harness.cli import configure_engine
+from repro.harness.cli import build_runner
 from repro.harness.presets import get_scale
-from repro.harness.reporting import format_experiment, to_csv
+from repro.harness.reporting import (format_engine_stats, format_experiment,
+                                     to_csv)
 from repro.rt.bridge import (BRIDGE_PROTOCOLS, DEFAULT_TIME_SCALE,
                              loopback_bridge)
 
@@ -87,25 +87,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = get_scale(args.scale)
     if args.seed is not None:
         scale = scale.with_seed_base(args.seed)
-    configure_engine(args.jobs, args.no_cache, args.cache_dir)
     try:
+        runner = build_runner(args.jobs, args.no_cache, args.cache_dir)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    with runner:
         result = loopback_bridge(scale, protocols=protocols,
-                                 time_scale=args.time_scale)
-        print(format_experiment(result))
-        outside = [row for row in result.rows if not row["within_band"]]
-        if outside:
-            names = ", ".join(row["protocol"] for row in outside)
-            print(f"\nWARNING: measured reliability outside the "
-                  f"±{result.parameters['tolerance']:g} band for: {names}")
-        if args.csv:
-            pathlib.Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-            to_csv(result, args.csv)
-            print(f"\nwrote {args.csv}")
-        return 0
-    finally:
-        # Restore the library default engine (serial, uncached) so
-        # embedding callers do not inherit this invocation's pool.
-        parallel.configure(jobs=1, cache=None)
+                                 time_scale=args.time_scale, runner=runner)
+    print(format_experiment(result))
+    outside = [row for row in result.rows if not row["within_band"]]
+    if outside:
+        names = ", ".join(row["protocol"] for row in outside)
+        print(f"\nWARNING: measured reliability outside the "
+              f"±{result.parameters['tolerance']:g} band for: {names}")
+    print(format_engine_stats(runner.stats, jobs=runner.jobs,
+                              cached=runner.cache is not None))
+    if args.csv:
+        pathlib.Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+        to_csv(result, args.csv)
+        print(f"\nwrote {args.csv}")
+    return 0
 
 
 if __name__ == "__main__":

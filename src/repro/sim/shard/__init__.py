@@ -7,9 +7,8 @@ sub-world, and exchange radio traffic at epoch barriers in a canonical
 merge order with retimed, epoch-exact deliveries
 (:mod:`~repro.sim.shard.engine`) — bit-identical results for any shard
 count, tile shape or (sound) epoch length.  Enabled per scenario with
-``ScenarioConfig(shards=K)`` or a full
-:class:`~repro.sim.shard.config.ShardConfig`; the default ``shards=0``
-keeps the classic single-world engine.
+``ScenarioConfig(shards=ShardConfig(shards=K))``; the default
+``ShardConfig()`` keeps the classic single-world engine.
 
 Every name is loaded lazily (:mod:`repro._lazy`): the engine imports
 the harness for world construction, while the harness imports *this*

@@ -1,10 +1,8 @@
 """Sharded-execution configuration: tile shape and latency.
 
-:class:`ShardConfig` is the value of ``ScenarioConfig.shards``.  For
-backward compatibility a plain integer ``K`` is accepted everywhere a
-:class:`ShardConfig` is (``ScenarioConfig.__post_init__`` coerces it to
-``ShardConfig(shards=K)``), so ``config.with_changes(shards=4)`` keeps
-meaning "four vertical stripes".
+:class:`ShardConfig` is the one type of ``ScenarioConfig.shards``: a
+plain count is rejected there, so "four vertical stripes" is spelled
+``ShardConfig(shards=4)``.
 
 The knobs
 ---------
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 #: Default cross-node delivery latency, seconds — see the module
 #: docstring for why 1 s (one heartbeat round) is the reference point.
@@ -85,17 +82,6 @@ class ShardConfig:
     def plan_label(self) -> str:
         """The ``RxC`` shape tag benches and metadata stamp per row."""
         return f"{self.rows}x{self.cols}" if self.shards else "off"
-
-    @classmethod
-    def coerce(cls, value: Union[int, "ShardConfig"]) -> "ShardConfig":
-        """Normalise a ``ScenarioConfig.shards`` value: ints become
-        stripe plans, existing configs pass through."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"shards must be an int or ShardConfig: {value!r}")
-        return cls(shards=value)
 
     @classmethod
     def parse(cls, text: str) -> "ShardConfig":

@@ -1,9 +1,9 @@
 """Sharded-world execution: one logical world, K cooperating shards.
 
 ``run_sharded_scenario`` runs the scenario described by a
-:class:`~repro.harness.scenario.ScenarioConfig` with ``shards=K`` (or a
-full :class:`~repro.sim.shard.config.ShardConfig`) as K spatially
-partitioned sub-worlds that exchange radio traffic at **epoch
+:class:`~repro.harness.scenario.ScenarioConfig` whose
+:class:`~repro.sim.shard.config.ShardConfig` asks for K shards as K
+spatially partitioned sub-worlds that exchange radio traffic at **epoch
 barriers**, and merges the per-shard measurements into one
 :class:`~repro.harness.scenario.ScenarioResult`.  The defining
 properties — asserted by ``tests/test_shard.py`` — are
@@ -159,7 +159,7 @@ from repro.net import WirelessMedium
 from repro.net.medium import HISTORY_HORIZON_S, Transmission, anchor_slack_m
 from repro.sim import RngRegistry, Simulator
 from repro.sim.batch import Hit
-from repro.sim.shard.config import ShardConfig, resolve_epoch_s
+from repro.sim.shard.config import resolve_epoch_s
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.space import Vec2
 
@@ -231,10 +231,10 @@ def compute_ownership(config) -> Tuple[List[int], ShardPlan]:
     any other draw — without planning a leg.  The tile plan spans the
     initial population's extent with the medium's grid-cell geometry
     (``range + anchor slack``), so shard borders line up with
-    :class:`~repro.sim.space.SpatialGrid` cells; ``rows=1`` (a plain
-    integer ``shards=K``) keeps the historical vertical stripes.
+    :class:`~repro.sim.space.SpatialGrid` cells; ``rows=1`` keeps the
+    historical vertical stripes.
     """
-    shards = ShardConfig.coerce(config.shards)
+    shards = config.shards
     rngs = RngRegistry(config.seed)
     positions = [config.mobility.build(i).place(rngs.stream("node", i))
                  for i in range(config.n_processes)]
@@ -545,7 +545,7 @@ class _ShardWorld:
         self.stats = {"drain_s": 0.0, "merge_s": 0.0, "ingest_s": 0.0,
                       "retime_s": 0.0, "frames_exchanged": 0.0}
         self._index = shard_index
-        latency_s = ShardConfig.coerce(config.shards).latency_s
+        latency_s = config.shards.latency_s
         self._margin = _routing_margin_m(config, latency_s)
         self._outbox: List[ShardFrame] = []
         self._own: List[ShardFrame] = []
@@ -856,7 +856,7 @@ def run_sharded_scenario(config):
     from repro.harness.scenario import ScenarioResult, select_subscribers
 
     started = _wallclock.perf_counter()
-    shards = ShardConfig.coerce(config.shards)
+    shards = config.shards
     epoch = resolve_epoch_s(shards, config.duration, config.warmup)
     owners, _plan = compute_ownership(config)
     barriers = compute_barriers(config.warmup, config.duration, epoch)

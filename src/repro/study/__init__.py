@@ -4,8 +4,9 @@ The study subsystem turns experiment matrices from hand-written nested
 loops into declarations: a :class:`StudySpec` names a base scenario,
 an ordered grid of :class:`Axis` sweeps and :class:`Component`
 :class:`Toggles`, the seeds and the :class:`Metric` columns — and
-:func:`run_study` expands, executes (one batch through the cached
-parallel engine, so re-runs only compute dirty cells) and folds the
+:func:`run_study` expands, executes (one batch on the caller's
+:class:`~repro.harness.parallel.ParallelRunner`, whose result cache
+makes re-runs compute only dirty cells) and folds the
 result into the same :class:`~repro.harness.experiments.ExperimentResult`
 shape every hand-written experiment produces.  Analysis rides along:
 multi-key pivots (:class:`PivotSpec`), component delta tables, and

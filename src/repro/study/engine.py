@@ -2,8 +2,8 @@
 
 :func:`run_study` is the whole pipeline: expand the
 :class:`~repro.study.spec.StudySpec` into its cell cross product,
-submit every ``(cell, seed)`` job as *one* batch to the parallel
-execution engine (:mod:`repro.harness.parallel`) — so worker pools
+submit every ``(cell, seed)`` job as *one* batch to the caller's
+:class:`~repro.harness.parallel.ParallelRunner` — so worker pools
 stay saturated across cell boundaries and the on-disk result cache
 answers every previously-computed cell, making re-runs compute only
 dirty cells — then fold the per-seed results into one
@@ -105,14 +105,15 @@ def run_study(spec: StudySpec,
     """Execute a study spec end to end and fold it into rows.
 
     All ``len(cells) * len(seeds)`` scenario jobs are submitted as one
-    ordered batch through ``runner`` (default: the process-wide engine,
-    so the CLI's ``--jobs``/cache flags apply transparently).  Results
-    are bit-identical to running each cell through
-    :func:`~repro.harness.parallel.run_seeds` in a nested loop — the
-    batching only changes scheduling, never values or row order.  A
-    folded axis is rightmost, so the cells of one row are consecutive.
+    ordered batch through ``runner`` (the CLI passes the one its
+    ``--jobs``/cache flags built; ``None`` runs serially, uncached).
+    Results are bit-identical to running each cell through
+    :meth:`~repro.harness.parallel.ParallelRunner.run_seeds` in a nested
+    loop — the batching only changes scheduling, never values or row
+    order.  A folded axis is rightmost, so the cells of one row are
+    consecutive.
     """
-    runner = runner or parallel.get_default_runner()
+    runner = runner or parallel.ParallelRunner()
     cells = expand(spec)
     seeds = spec.seeds
     configs = [cell.config.with_changes(seed=seed)

@@ -4,7 +4,7 @@ Each entry is a :class:`~repro.study.spec.StudySpec` builder — base
 scenario, ordered grid, metrics — registered in :data:`STUDIES`, the
 single declaration registry.  :data:`ALL_EXPERIMENTS` (what the CLI,
 the benchmarks and ``all`` iterate) is derived from it: one
-``Scale -> ExperimentResult`` runner per declaration, plus
+``(scale, runner) -> ExperimentResult`` entry per declaration, plus
 ``loopback-bridge``, whose real-socket half cannot be a spec.  The CSV
 bytes of every declaration are pinned by
 ``tests/golden_experiments.json``.
@@ -25,9 +25,9 @@ from repro.harness.experiments import (CITY_SCALE_DENSITY_KM2,
                                        city_scale_scenario, city_scenario,
                                        energy_scenario, rwp_mobility,
                                        rwp_publications, rwp_scenario,
-                                       shards_label, with_awake_fraction,
-                                       with_churn, with_publisher,
-                                       with_validity)
+                                       with_awake_fraction, with_churn,
+                                       with_publisher, with_validity)
+from repro.harness.parallel import ParallelRunner
 from repro.harness.presets import Scale, get_scale
 from repro.harness.scenario import ScenarioConfig
 from repro.study.engine import run_study
@@ -618,7 +618,7 @@ def city_scale_study(scale: Scale) -> StudySpec:
                      lambda r: r.wallclock_s).mean)),
         parameters={"scale": scale.name, "populations": populations,
                     "density_km2": round(CITY_SCALE_DENSITY_KM2, 2),
-                    "shards": shards_label()})
+                    "shards": scale.shards.plan_label})
 
 
 # --------------------------------------------------------------------------
@@ -729,20 +729,28 @@ def build_study(study_id: str, scale: Scale, **kwargs) -> StudySpec:
     return get_study(study_id).build(scale, **kwargs)
 
 
-def _experiment(study: Study
-                ) -> Callable[[Optional[Scale]], ExperimentResult]:
-    def run(scale: Optional[Scale] = None) -> ExperimentResult:
-        return run_study(study.build(scale or get_scale())).experiment
+#: One runnable experiment: ``(scale, runner) -> ExperimentResult``.
+Experiment = Callable[[Optional[Scale], Optional[ParallelRunner]],
+                      ExperimentResult]
+
+
+def _experiment(study: Study) -> Experiment:
+    def run(scale: Optional[Scale] = None,
+            runner: Optional[ParallelRunner] = None) -> ExperimentResult:
+        return run_study(study.build(scale or get_scale()),
+                         runner).experiment
     run.__doc__ = study.summary
     return run
 
 
-def loopback_bridge(scale: Optional[Scale] = None) -> ExperimentResult:
+def loopback_bridge(scale: Optional[Scale] = None,
+                    runner: Optional[ParallelRunner] = None
+                    ) -> ExperimentResult:
     """loopback-bridge: sim-predicted vs UDP-measured, side by side."""
     # Imported on demand: the asyncio runtime is only needed when this
     # experiment is asked for.
     from repro.rt.bridge import loopback_bridge as bridge
-    return bridge(scale)
+    return bridge(scale, runner=runner)
 
 
 def _experiments():
@@ -752,8 +760,8 @@ def _experiments():
         yield study.study_id, _experiment(study)
 
 
-#: Everything runnable by id — one ``Scale -> ExperimentResult`` runner
-#: per declaration, plus ``loopback-bridge`` (its rt half opens real
-#: sockets, so it cannot be a spec).
-ALL_EXPERIMENTS: Dict[str, Callable[[Optional[Scale]],
-                                    ExperimentResult]] = dict(_experiments())
+#: Everything runnable by id — one ``(scale, runner) -> ExperimentResult``
+#: entry per declaration, plus ``loopback-bridge`` (its rt half opens
+#: real sockets, so it cannot be a spec).  Both arguments are optional:
+#: ``None`` means ``get_scale()`` and a fresh serial, uncached runner.
+ALL_EXPERIMENTS: Dict[str, Experiment] = dict(_experiments())

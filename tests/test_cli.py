@@ -7,6 +7,7 @@ import csv
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.sim.shard import ShardConfig
 
 
 class TestParser:
@@ -44,7 +45,7 @@ class TestMain:
         from tests.test_experiments import TINY
         real = cli.ALL_EXPERIMENTS["fig13"]
         monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig13",
-                            lambda scale: real(TINY))
+                            lambda scale, runner: real(TINY, runner))
         path = tmp_path / "fig13.csv"
         assert main(["fig13", "--csv", str(path)]) == 0
         out = capsys.readouterr().out
@@ -63,15 +64,16 @@ class TestMain:
     @pytest.mark.parametrize("argv, names", [
         (["all", "--csv", "out.csv"], "--csv"),
         (["fig13", "--out-dir", "out"], "--out-dir"),
+        (["loopback-bridge", "--shards", "2"], "--shards"),
     ])
     def test_flag_that_would_be_ignored_is_rejected(self, capsys,
                                                     monkeypatch, argv,
                                                     names):
         """A flag the chosen route cannot honour exits 2 with a one-line
-        message before any engine is configured."""
+        message before any runner is built."""
         from repro.harness import cli
-        monkeypatch.setattr(cli, "configure_engine", lambda *a: pytest.fail(
-            "engine configured before the flags were checked"))
+        monkeypatch.setattr(cli, "build_runner", lambda *a: pytest.fail(
+            "runner built before the flags were checked"))
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert names in err and len(err.splitlines()) == 1
@@ -96,7 +98,7 @@ class TestMain:
         from tests.test_experiments import TINY
         real = cli.ALL_EXPERIMENTS["abl-ids"]
         monkeypatch.setitem(cli.ALL_EXPERIMENTS, "abl-ids",
-                            lambda scale: real(TINY))
+                            lambda scale, runner: real(TINY, runner))
         assert main(["abl-ids"]) == 0
         out = capsys.readouterr().out
         assert "abl-ids" in out
@@ -108,7 +110,7 @@ class TestMain:
         from repro.harness import cli
         seen = {}
 
-        def probe(scale):
+        def probe(scale, runner):
             seen["seeds"] = scale.seed_list()
             from repro.harness.experiments import ExperimentResult
             return ExperimentResult(experiment_id="fig13", title="probe",
@@ -119,3 +121,61 @@ class TestMain:
         assert main(["fig13", "--seed", "100"]) == 0
         assert seen["seeds"][0] == 100
         assert seen["seeds"] == sorted(seen["seeds"])
+
+    @pytest.mark.parametrize("argv, env", [
+        (["fig13", "--jobs", "-2"], None),
+        (["fig13"], "two"),
+    ])
+    def test_bad_worker_count_exits_2(self, capsys, monkeypatch, argv, env):
+        """A negative --jobs or a non-integer REPRO_JOBS is one line on
+        stderr and exit 2, before the experiment (or any pool) starts."""
+        from repro.harness import cli
+        monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig13",
+                            lambda *a: pytest.fail("ran with a bad count"))
+        if env is not None:
+            monkeypatch.setenv("REPRO_JOBS", env)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "worker count" in err and len(err.splitlines()) == 1
+
+
+def _probe_runs(monkeypatch, fail: bool):
+    """Route ``fig13`` to a probe that records the runner it is handed,
+    starts that runner's pool, and then returns a row or raises."""
+    from repro.harness import cli
+    from repro.harness.experiments import ExperimentResult
+    seen = {}
+
+    def probe(scale, runner):
+        seen["runner"], seen["shards"] = runner, scale.shards
+        seen["jobs"], seen["root"] = runner.jobs, runner.cache.root
+        runner._ensure_pool()
+        if fail:
+            raise RuntimeError("probe failed")
+        return ExperimentResult(experiment_id="fig13", title="probe",
+                                parameters={}, rows=[{"reliability": 1.0}])
+
+    monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig13", probe)
+    return seen
+
+
+class TestRunnerOwnership:
+    def test_main_hands_its_runner_down_and_reaps_it(self, monkeypatch,
+                                                     tmp_path):
+        """The runner ``--jobs``/``--cache-dir`` describe reaches the
+        experiment as an argument (and ``--shards`` on its scale), and
+        ``main`` closes the runner's pool."""
+        seen = _probe_runs(monkeypatch, fail=False)
+        cache_dir = tmp_path / "D"
+        assert main(["fig13", "--jobs", "2", "--cache-dir", str(cache_dir),
+                     "--shards", "2x2"]) == 0
+        assert seen["jobs"] == 2 and seen["root"] == cache_dir
+        assert seen["shards"] == ShardConfig(shards=4, rows=2)
+        assert seen["runner"]._pool is None
+
+    def test_pool_is_reaped_when_the_experiment_raises(self, monkeypatch,
+                                                       tmp_path):
+        seen = _probe_runs(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            main(["fig13", "--jobs", "2", "--cache-dir", str(tmp_path)])
+        assert seen["runner"]._pool is None

@@ -11,9 +11,10 @@ import dataclasses
 
 import pytest
 
-from repro.harness.experiments import (churn_scenario, city_scenario,
-                                       rwp_scenario)
+from repro.harness.experiments import (churn_scenario, city_scale_scenario,
+                                       city_scenario, rwp_scenario)
 from repro.harness.presets import PAPER, QUICK, SMOKE, Scale, get_scale
+from repro.sim.shard import ShardConfig
 from repro.study import (ALL_EXPERIMENTS, Axis, Metric, build_study,
                          run_study)
 from repro.study.studies import CHURN_PROTOCOLS
@@ -73,6 +74,20 @@ class TestScenarioBuilders:
     def test_city_scenario_hb_bound_plumbs_through(self):
         cfg = city_scenario(TINY, validity=60.0, interest=1.0, hb_upper=3.0)
         assert cfg.frugal.hb_upper_bound == 3.0
+
+    def test_scale_shard_plan_reaches_every_factory(self):
+        """``--shards`` rides on the scale: all three factories stamp
+        it, and city-scale names it in its parameters."""
+        plan = ShardConfig(shards=4, rows=2)
+        scale = dataclasses.replace(TINY, shards=plan)
+        assert rwp_scenario(scale, 10.0, 10.0, validity=30.0,
+                            interest=0.5).shards == plan
+        assert city_scenario(scale, validity=60.0, interest=1.0).shards \
+            == plan
+        assert city_scale_scenario(scale, 40).shards == plan
+        assert build_study("city-scale", scale).parameters["shards"] == "2x2"
+        assert not rwp_scenario(TINY, 10.0, 10.0, validity=30.0,
+                                interest=0.5).shards
 
 
 class TestReliabilityExperiments:

@@ -45,8 +45,8 @@ import tempfile
 
 import pytest
 
-from repro.harness import parallel
 from repro.harness.cache import ResultCache
+from repro.harness.parallel import ParallelRunner
 from repro.harness.presets import SMOKE
 from repro.harness.reporting import to_csv
 from repro.study import ALL_EXPERIMENTS
@@ -62,10 +62,11 @@ CASES.update({f"{name}@rot3": (name, ROTATED)
               for name in ("fig13", "fig14", "fig15", "fig16")})
 
 
-def csv_digest(case: str, scratch: pathlib.Path) -> str:
-    """sha256 of the CSV bytes of one pinned case."""
+def csv_digest(case: str, scratch: pathlib.Path,
+               runner: ParallelRunner) -> str:
+    """sha256 of the CSV bytes of one pinned case, run on ``runner``."""
     experiment_id, scale = CASES[case]
-    result = ALL_EXPERIMENTS[experiment_id](scale)
+    result = ALL_EXPERIMENTS[experiment_id](scale, runner)
     for row in result.rows:
         row.pop("wallclock_s", None)
     path = scratch / f"{case}.csv"
@@ -75,17 +76,20 @@ def csv_digest(case: str, scratch: pathlib.Path) -> str:
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    """A scratch directory with the process-wide engine caching into it."""
-    root = tmp_path_factory.mktemp("golden-experiments")
-    parallel.configure(jobs=1, cache=ResultCache(root / "cache"))
-    yield root
-    parallel.configure(jobs=1, cache=None)
+    """A scratch directory shared by every case of this module."""
+    return tmp_path_factory.mktemp("golden-experiments")
+
+
+@pytest.fixture(scope="module")
+def runner(scratch):
+    """One serial runner caching into ``scratch`` for the module."""
+    return ParallelRunner(jobs=1, cache=ResultCache(scratch / "cache"))
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_csv_matches_pin(case, scratch):
+def test_csv_matches_pin(case, scratch, runner):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert csv_digest(case, scratch) == golden[case], \
+    assert csv_digest(case, scratch, runner) == golden[case], \
         f"{case}: CSV bytes drifted from the pinned reference"
 
 
@@ -97,11 +101,8 @@ def write_pins() -> None:
     """Regenerate ``golden_experiments.json`` from the current code."""
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        parallel.configure(jobs=1, cache=ResultCache(root / "cache"))
-        try:
-            pins = {case: csv_digest(case, root) for case in CASES}
-        finally:
-            parallel.configure(jobs=1, cache=None)
+        runner = ParallelRunner(jobs=1, cache=ResultCache(root / "cache"))
+        pins = {case: csv_digest(case, root, runner) for case in CASES}
     GOLDEN_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
 
 

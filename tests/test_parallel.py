@@ -22,9 +22,9 @@ import pytest
 from repro.energy import DutyCycleConfig, EnergyConfig, PowerProfile
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig, RegionalOutage)
-from repro.harness import parallel
 from repro.harness.cache import ResultCache, config_digest
-from repro.harness.parallel import EngineStats, ParallelRunner, WorkerLost
+from repro.harness.parallel import (EngineStats, ParallelRunner, WorkerLost,
+                                    resolve_jobs)
 from repro.harness.presets import Scale
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
@@ -216,25 +216,21 @@ class TestCachedSweep:
     def test_cached_rerun_executes_zero_scenarios(self, tmp_path):
         """Acceptance criterion: rerunning a bench_fig sweep with a warm
         cache performs no scenario executions at all."""
-        cache = ResultCache(tmp_path / "cache")
-        runner = parallel.configure(jobs=1, cache=cache)
+        runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
         spec = build_study("fig17", NANO)
         spec = dataclasses.replace(spec, grid=(
             Axis(name="protocol", values=("frugal",)),) + spec.grid[1:])
-        try:
-            first = run_study(spec).experiment
-            cells = runner.stats.executed
-            assert cells > 0
-            assert runner.stats.cache_hits == 0
+        first = run_study(spec, runner).experiment
+        cells = runner.stats.executed
+        assert cells > 0
+        assert runner.stats.cache_hits == 0
 
-            runner.stats.reset()
-            second = run_study(spec).experiment
-            assert runner.stats.executed == 0, \
-                "warm rerun must answer every cell from the cache"
-            assert runner.stats.cache_hits == cells
-            assert second.rows == first.rows
-        finally:
-            parallel.configure(jobs=1, cache=None)
+        runner.stats.reset()
+        second = run_study(spec, runner).experiment
+        assert runner.stats.executed == 0, \
+            "warm rerun must answer every cell from the cache"
+        assert runner.stats.cache_hits == cells
+        assert second.rows == first.rows
 
     def test_runner_never_sizes_the_cache(self, tmp_path):
         """``ResultCache.__len__`` globs the directory: asking a cache
@@ -323,6 +319,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParallelRunner(jobs=0)
 
+    def test_bad_worker_counts_raise_one_line(self, monkeypatch):
+        """A negative count or a non-integer ``REPRO_JOBS`` is a
+        one-line ValueError naming the value, not an ``int()`` trace."""
+        with pytest.raises(ValueError, match="-2"):
+            resolve_jobs(-2)
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match="REPRO_JOBS.*'two'"):
+            resolve_jobs()
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs() >= 1
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1).run_seeds(_rwp_frugal(), [])
@@ -334,13 +341,3 @@ class TestValidation:
         assert stats.total == 7
         stats.reset()
         assert stats.total == 0
-
-    def test_runner_module_still_delegates(self):
-        """The package-level entry point (``repro.harness.run_seeds``,
-        which the examples use) must route through the engine."""
-        from repro.harness import run_seeds as package_run_seeds
-        runner = parallel.get_default_runner()
-        runner.stats.reset()
-        multi = package_run_seeds(_stationary_gossip(), [0, 1])
-        assert len(multi.results) == 2
-        assert runner.stats.executed == 2

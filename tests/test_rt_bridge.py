@@ -112,3 +112,16 @@ class TestCli:
         assert main(["loopback-bridge", "--protocols", "frugal,zzz"]) == 2
         err = capsys.readouterr().err
         assert "zzz" in err and "frugal" in err
+
+    @pytest.mark.parametrize("argv, env", [(["--jobs", "-1"], None),
+                                           ([], "two")])
+    def test_bad_worker_count_exits_2(self, capsys, monkeypatch, argv, env):
+        """One line on stderr and exit 2, before a pool or a socket."""
+        from repro.rt import cli
+        monkeypatch.setattr(cli, "loopback_bridge", lambda *a, **k: (
+            pytest.fail("bridge ran with a bad worker count")))
+        if env is not None:
+            monkeypatch.setenv("REPRO_JOBS", env)
+        assert main(["loopback-bridge", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "worker count" in err and len(err.splitlines()) == 1

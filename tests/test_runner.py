@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.harness.parallel import run_matrix, run_seeds
+from repro.harness.parallel import ParallelRunner
 from repro.harness.runner import Aggregate, MultiSeedResult, aggregate
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
                                     ScenarioConfig)
@@ -121,25 +121,25 @@ class TestAggregateFormatting:
 
 class TestRunSeeds:
     def test_runs_once_per_seed(self):
-        multi = run_seeds(tiny_config(), seeds=[1, 2, 3])
+        multi = ParallelRunner().run_seeds(tiny_config(), seeds=[1, 2, 3])
         assert len(multi.results) == 3
         assert [r.config.seed for r in multi.results] == [1, 2, 3]
 
     def test_summary_aggregates_all_metrics(self):
-        multi = run_seeds(tiny_config(), seeds=[1, 2])
+        multi = ParallelRunner().run_seeds(tiny_config(), seeds=[1, 2])
         summary = multi.summary()
         assert set(summary) == {"reliability", "bandwidth_bytes",
                                 "events_sent", "duplicates", "parasites"}
         assert all(isinstance(v, Aggregate) for v in summary.values())
 
     def test_custom_metric(self):
-        multi = run_seeds(tiny_config(), seeds=[1, 2])
+        multi = ParallelRunner().run_seeds(tiny_config(), seeds=[1, 2])
         agg = multi.metric(lambda r: float(r.sim_events_processed))
         assert agg.mean > 0
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
-            run_seeds(tiny_config(), seeds=[])
+            ParallelRunner().run_seeds(tiny_config(), seeds=[])
 
 
 class TestRunMatrix:
@@ -150,12 +150,13 @@ class TestRunMatrix:
             "frugal": tiny_config(),
             "flood": tiny_config(protocol="simple-flooding"),
         }
-        outcome = run_matrix(configs, seeds=[7])
+        outcome = ParallelRunner().run_matrix(configs, seeds=[7])
         subs_frugal = outcome["frugal"].results[0].subscriber_ids
         subs_flood = outcome["flood"].results[0].subscriber_ids
         assert subs_frugal == subs_flood
 
     def test_all_names_present(self):
-        outcome = run_matrix({"a": tiny_config()}, seeds=[1, 2])
+        outcome = ParallelRunner().run_matrix({"a": tiny_config()},
+                                              seeds=[1, 2])
         assert set(outcome) == {"a"}
         assert len(outcome["a"].results) == 2

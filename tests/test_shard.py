@@ -58,6 +58,8 @@ from tests.helpers import (SHARD_MATRIX as MATRIX,
                            shard_rwp_frugal as _rwp_frugal)
 
 SEEDS = [0, 1]
+#: The two-stripe plan most tests run on.
+TWO_SHARDS = ShardConfig(shards=2)
 SHARD_COUNTS = [1, 2, 4]
 #: The epoch-invariance ladder: every sound barrier spacing must yield
 #: bit-identical results (0.1 is deliberately not binary-exact).
@@ -108,7 +110,8 @@ class TestShardCountInvariance:
     def test_summaries_bit_identical_across_k(self, name):
         config = MATRIX[name]()
         for seed in SEEDS:
-            runs = [run_scenario(config.with_changes(seed=seed, shards=k))
+            runs = [run_scenario(config.with_changes(
+                        seed=seed, shards=ShardConfig(shards=k)))
                     for k in SHARD_COUNTS]
             want = runs[0]
             for k, got in zip(SHARD_COUNTS[1:], runs[1:]):
@@ -120,7 +123,7 @@ class TestShardCountInvariance:
 
     def test_partition_is_nontrivial(self):
         """The test world really splits: 4 shards, every one populated."""
-        config = _rwp_frugal().with_changes(shards=4)
+        config = _rwp_frugal().with_changes(shards=ShardConfig(shards=4))
         owners, plan = compute_ownership(config)
         assert plan.shards == 4
         assert all(start < stop for start, stop in plan.columns)
@@ -148,7 +151,8 @@ class TestShardCountInvariance:
         assert (plan.min_y, plan.max_y) == (-300.0, 0.0)
         assert owners == [0, 1, 2, 3]
         assert run_scenario(config).summary() == \
-            run_scenario(config.with_changes(shards=1)).summary()
+            run_scenario(config.with_changes(
+                shards=ShardConfig(shards=1))).summary()
 
 
 #: Families the epoch- and tile-invariance ladders cover (the ISSUE's
@@ -167,7 +171,7 @@ class TestEpochInvariance:
 
     @pytest.mark.parametrize("name", sorted(LADDER))
     def test_epoch_length_is_unobservable(self, name, monkeypatch):
-        config = LADDER[name]().with_changes(shards=2)
+        config = LADDER[name]().with_changes(shards=TWO_SHARDS)
         for seed in SEEDS:
             runs = []
             for epoch in EPOCHS:
@@ -183,7 +187,7 @@ class TestEpochInvariance:
     def test_auto_epoch_equals_its_resolved_value(self, monkeypatch):
         """The derived spacing is the one a run uses, and forcing that
         same spacing (the ladders' mechanism) changes nothing."""
-        config = _rwp_frugal().with_changes(shards=2)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS)
         resolved = resolve_epoch_s(config.shards, config.duration,
                                    config.warmup)
         assert resolved == 1.0   # min(latency 1.0, half the 34 s run)
@@ -193,7 +197,7 @@ class TestEpochInvariance:
         assert run_scenario(config).summary() == automatic.summary()
 
     def test_barrier_stats_are_attached(self):
-        result = run_scenario(_rwp_frugal().with_changes(shards=2))
+        result = run_scenario(_rwp_frugal().with_changes(shards=TWO_SHARDS))
         stats = result.barrier_stats
         assert stats is not None
         assert stats["epoch_s"] == 1.0
@@ -225,7 +229,7 @@ class TestTileShapeInvariance:
                 assert got.per_event_reports() == want.per_event_reports()
 
     def test_fault_timeline_survives_the_merge(self):
-        result = run_scenario(_rwp_faults().with_changes(shards=2))
+        result = run_scenario(_rwp_faults().with_changes(shards=TWO_SHARDS))
         summary = result.summary()
         for key in ("availability", "churn_reliability",
                     "recovery_latency_s", "downtime_s"):
@@ -235,7 +239,7 @@ class TestTileShapeInvariance:
         assert result.faults.down_intervals
 
     def test_energy_fields_survive_the_merge(self):
-        result = run_scenario(_rwp_energy().with_changes(shards=2))
+        result = run_scenario(_rwp_energy().with_changes(shards=TWO_SHARDS))
         summary = result.summary()
         for key in ("joules_per_node", "joules_per_delivery",
                     "lifetime_s", "survivor_fraction"):
@@ -244,7 +248,7 @@ class TestTileShapeInvariance:
 
 class TestSpawnBackend:
     def test_spawn_matches_inproc_exactly(self, monkeypatch):
-        config = _rwp_frugal().with_changes(shards=2, duration=20.0)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS, duration=20.0)
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "inproc")
         inproc = run_scenario(config)
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
@@ -267,7 +271,7 @@ class TestSpawnBackend:
 
         monkeypatch.setenv("REPRO_SHARD_BACKEND", "spawn")
         monkeypatch.setattr(_SpawnedShard, "ingest", recording_ingest)
-        config = _rwp_frugal().with_changes(shards=2, duration=10.0)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS, duration=10.0)
         result = run_scenario(config)
         assert forwarded
         assert all(type(slice_) is bytes for slice_ in forwarded)
@@ -281,7 +285,7 @@ class TestSpawnBackend:
         victim = _signal_first_worker(monkeypatch, signal.SIGKILL)
         started = time.monotonic()
         with pytest.raises(ShardWorkerLost) as lost:
-            run_scenario(_rwp_frugal().with_changes(shards=2))
+            run_scenario(_rwp_frugal().with_changes(shards=TWO_SHARDS))
         assert time.monotonic() - started < 10.0
         assert victim["name"] == f"shard-{lost.value.shard}"
         assert f"shard {lost.value.shard} " in str(lost.value)
@@ -297,7 +301,7 @@ class TestSpawnBackend:
         victim = _signal_first_worker(monkeypatch, signal.SIGSTOP)
         started = time.monotonic()
         with pytest.raises(ShardWorkerLost) as lost:
-            run_scenario(_rwp_frugal().with_changes(shards=2))
+            run_scenario(_rwp_frugal().with_changes(shards=TWO_SHARDS))
         assert time.monotonic() - started < 10.0
         assert victim["name"] == f"shard-{lost.value.shard}"
         assert f"shard {lost.value.shard} " in str(lost.value)
@@ -309,7 +313,7 @@ class TestSpawnBackend:
         """A forked worker holds no copy of any driver pipe end, its own
         or a sibling's: the driver hanging up on shard 0 ends worker 0
         at once, and worker 1 runs on."""
-        config = _rwp_frugal().with_changes(shards=2, duration=10.0)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS, duration=10.0)
         owners, _plan = compute_ownership(config)
         barriers = compute_barriers(config.warmup, config.duration, 1.0)
         shards = [_SpawnedShard.spawn(config, index, owners, barriers)
@@ -538,7 +542,7 @@ class TestComposesWithEngine:
     """Sharding x (--jobs pool, result cache): still bit-identical."""
 
     def test_serial_equals_pooled_equals_cached(self, tmp_path):
-        config = _rwp_frugal().with_changes(shards=2)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS)
         serial = ParallelRunner(jobs=1).run_seeds(config, SEEDS)
         with ParallelRunner(jobs=2) as pool:
             fanned = pool.run_seeds(config, SEEDS)
@@ -557,7 +561,7 @@ class TestComposesWithEngine:
     def test_csv_byte_equal_across_execution_modes(self, tmp_path):
         """The CSV a sharded sweep writes is byte-for-byte identical
         whether the seeds ran serially or through the pool."""
-        config = _rwp_frugal().with_changes(shards=2)
+        config = _rwp_frugal().with_changes(shards=TWO_SHARDS)
 
         def rows_via(runner) -> ExperimentResult:
             multi = runner.run_seeds(config, SEEDS)
@@ -580,8 +584,9 @@ class TestComposesWithEngine:
 
     def test_shard_count_is_part_of_the_cache_key(self):
         config = _rwp_frugal()
-        digests = {config_digest(config.with_changes(shards=k),
-                                 version="pinned")
+        digests = {config_digest(
+                       config.with_changes(shards=ShardConfig(shards=k)),
+                       version="pinned")
                    for k in (0, 1, 2, 4)}
         assert len(digests) == 4, \
             "different shard counts must never share a cache entry"
@@ -602,7 +607,7 @@ class TestComposesWithEngine:
         cached = replay.run_seeds(config, SEEDS)
         assert replay.stats.executed == 0
         stripes = ParallelRunner(jobs=1).run_seeds(
-            _rwp_frugal().with_changes(shards=4), SEEDS)
+            _rwp_frugal().with_changes(shards=ShardConfig(shards=4)), SEEDS)
         for ours, pooled, hit, striped in zip(
                 serial.results, fanned.results, cached.results,
                 stripes.results):
@@ -645,21 +650,23 @@ class TestComposesWithEngine:
 class TestConfigValidation:
     def test_negative_shards_rejected(self):
         with pytest.raises(ValueError):
-            _rwp_frugal().with_changes(shards=-1)
+            ShardConfig(shards=-1)
 
     def test_zero_shards_means_classic_engine(self):
         config = _rwp_frugal()
         assert not config.shards
         assert config.shards.plan_label == "off"
         assert run_scenario(config).summary() == \
-            run_scenario(config.with_changes(shards=0)).summary()
+            run_scenario(config.with_changes(
+                shards=ShardConfig(shards=0))).summary()
 
-    def test_ints_coerce_to_stripe_plans(self):
-        config = _rwp_frugal().with_changes(shards=4)
-        assert config.shards == ShardConfig(shards=4)
-        assert config.shards.plan_label == "1x4"
-        with pytest.raises(ValueError):
-            ShardConfig.coerce(True)   # bools are not shard counts
+    def test_only_a_shard_config_is_accepted(self):
+        """``ShardConfig`` is the one spelling of a plan: a plain count
+        is rejected with a message naming the field."""
+        assert ShardConfig(shards=4).plan_label == "1x4"
+        for plain in (4, 0, True, "2x2"):
+            with pytest.raises(ValueError, match="shards"):
+                _rwp_frugal().with_changes(shards=plain)
 
     def test_rows_must_divide_shards(self):
         with pytest.raises(ValueError):
