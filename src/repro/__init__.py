@@ -37,20 +37,7 @@ from repro._lazy import lazy_exports
 
 __version__ = "0.13.0"
 
-__all__ = [
-    "Event",
-    "EventId",
-    "FrugalConfig",
-    "FrugalPubSub",
-    "Topic",
-    "TopicError",
-    "RadioConfig",
-    "SizeModel",
-    "Simulator",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
     "repro.core.events": ("Event", "EventId"),
     "repro.core.config": ("FrugalConfig",),
     "repro.core.protocol": ("FrugalPubSub",),
@@ -59,3 +46,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.net.messages": ("SizeModel",),
     "repro.sim.kernel": ("Simulator",),
 })
+__all__ = ["__version__", *_lazy_names]

@@ -28,34 +28,7 @@ the registry without loading the protocol stack.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Topic",
-    "TopicError",
-    "covers",
-    "related",
-    "Event",
-    "EventId",
-    "FrugalConfig",
-    "NeighborhoodTable",
-    "NeighborEntry",
-    "EventTable",
-    "EventTableFull",
-    "EvictionPolicy",
-    "ValidityForwardPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "RemainingValidityPolicy",
-    "gc_score",
-    "PubSubProtocol",
-    "Host",
-    "ProtocolCounters",
-    "ProtocolEntry",
-    "ProtocolRegistry",
-    "REGISTRY",
-    "FrugalPubSub",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.topics": ("Topic", "TopicError", "covers", "related"),
     "repro.core.events": ("Event", "EventId"),
     "repro.core.config": ("FrugalConfig",),

@@ -34,20 +34,7 @@ into the experiment harness).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProtocolCounters",
-    "DeliveryLayer",
-    "EventStore",
-    "HeartbeatMembership",
-    "TTLMembership",
-    "BackoffForwarding",
-    "PeriodicFloodForwarding",
-    "GossipForwarding",
-    "OneShotForwarding",
-    "StackProtocol",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.base": ("ProtocolCounters",),
     "repro.core.stack.delivery": ("DeliveryLayer",),
     "repro.core.stack.forwarding": ("BackoffForwarding", "GossipForwarding",

@@ -23,20 +23,7 @@ receive them from the world that wires them), and names resolve lazily
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Battery",
-    "EnergyAccountant",
-    "EnergyConfig",
-    "EnergyReading",
-    "EnergyRecord",
-    "DutyCycleConfig",
-    "DutyCycler",
-    "EnergyModel",
-    "PowerProfile",
-    "RadioState",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.energy.battery": ("Battery",),
     "repro.energy.collector": ("EnergyAccountant", "EnergyConfig",
                                "EnergyReading", "EnergyRecord"),

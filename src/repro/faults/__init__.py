@@ -32,20 +32,7 @@ and no module here loads the kernel or the medium at import time.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "ChurnConfig",
-    "FaultConfig",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultTimeline",
-    "LinkLossConfig",
-    "LinkLossProcess",
-    "RegionalOutage",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.faults.churn": ("ChurnConfig",),
     "repro.faults.injector": ("FaultConfig", "FaultInjector",
                               "FaultTimeline"),

@@ -26,55 +26,14 @@ end-to-end benchmark's tracer wraps both bindings).
 """
 
 from repro._lazy import lazy_exports
-from repro.harness.scenario import (CitySectionSpec, FixedPositionsSpec,
-                                    MobilitySpec, Publication,
-                                    RandomWaypointSpec, ScenarioConfig,
-                                    ScenarioResult, StationarySpec, World,
-                                    build_world, known_protocols,
-                                    make_protocol, run_scenario)
 
-__all__ = [
-    "CitySectionSpec",
-    "FixedPositionsSpec",
-    "MobilitySpec",
-    "Publication",
-    "RandomWaypointSpec",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "StationarySpec",
-    "World",
-    "build_world",
-    "known_protocols",
-    "make_protocol",
-    "run_scenario",
-    "Aggregate",
-    "MultiSeedResult",
-    "aggregate",
-    "EngineStats",
-    "ParallelRunner",
-    "ResultCache",
-    "code_version_tag",
-    "config_digest",
-    "format_engine_stats",
-    "PAPER",
-    "QUICK",
-    "SMOKE",
-    "Scale",
-    "get_scale",
-    "ExperimentResult",
-    "churn_scenario",
-    "city_scenario",
-    "energy_scenario",
-    "rwp_scenario",
-    "availability_timeline",
-    "depletion_timeline",
-    "format_experiment",
-    "format_table",
-    "reliability_grid",
-    "to_csv",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.harness.scenario": ("CitySectionSpec", "FixedPositionsSpec",
+                               "MobilitySpec", "Publication",
+                               "RandomWaypointSpec", "ScenarioConfig",
+                               "ScenarioResult", "StationarySpec", "World",
+                               "build_world", "make_protocol",
+                               "run_scenario"),
     "repro.harness.runner": ("Aggregate", "MultiSeedResult", "aggregate"),
     "repro.harness.cache": ("ResultCache", "code_version_tag",
                             "config_digest"),
@@ -88,4 +47,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                                 "depletion_timeline", "format_engine_stats",
                                 "format_experiment", "format_table",
                                 "reliability_grid", "to_csv"),
-})
+}, eager=("repro.harness.scenario",))

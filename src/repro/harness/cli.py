@@ -7,6 +7,7 @@ Run any reproduced figure or ablation from a shell::
     python -m repro.harness.cli fig17 --scale paper --csv out/fig17.csv
     python -m repro.harness.cli fig17 --jobs 8            # 8 worker processes
     python -m repro.harness.cli fig17 --no-cache          # always recompute
+    python -m repro.harness.cli loopback-bridge --scale smoke  # real UDP
     python -m repro.harness.cli all --out-dir results/
 
 Equivalent to the benchmark suite minus the timing machinery — handy on a
@@ -43,11 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's figures and ablations.")
     parser.add_argument(
         "experiment",
-        help="experiment id (fig11..fig20, abl-gc, abl-backoff, "
-             "abl-adaptive-hb, abl-ids, abl-dutycycle, abl-outage, "
-             "energy-lifetime, churn-resilience, protocol-matrix, "
-             "loopback-bridge, city-scale, study-frontier), 'all' or "
-             "'list'")
+        help="experiment id ('list' prints them all), or 'all'")
     parser.add_argument(
         "--scale", default=None, choices=["smoke", "quick", "paper"],
         help="experiment scale (default: REPRO_SCALE env or quick; "
@@ -88,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_runner(jobs: Optional[int], no_cache: bool,
                  cache_dir: Optional[str]) -> parallel.ParallelRunner:
-    """The runner one CLI invocation owns, built from its flags (both
-    CLIs share this).  A bad worker count raises a one-line
-    :class:`ValueError` before any pool or cache exists."""
+    """The runner one CLI invocation owns, built from its flags.  A bad
+    worker count raises a one-line :class:`ValueError` before any pool
+    or cache exists."""
     jobs = parallel.resolve_jobs(jobs)
     cache = None if no_cache else ResultCache(cache_dir or None)
     return parallel.ParallelRunner(jobs=jobs, cache=cache)

@@ -64,12 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngRegistry
 
 
-def known_protocols() -> Tuple[str, ...]:
-    """The registered protocol names (the historical ``PROTOCOLS`` tuple,
-    now answered live by :mod:`repro.core.registry`)."""
-    return tuple(registry.names())
-
-
 # --------------------------------------------------------------------------
 # Mobility specifications (picklable descriptions, built per node at setup)
 # --------------------------------------------------------------------------

@@ -9,21 +9,7 @@ result needs neither the medium nor the tracer.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsCollector",
-    "MetricsRecord",
-    "NodeStats",
-    "ReliabilityReport",
-    "churn_aware_reliability",
-    "event_reliability",
-    "mean_reliability",
-    "recovery_latencies",
-    "reliability_spread",
-    "ProtocolTracer",
-    "TraceRecord",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.metrics.collector": ("MetricsCollector", "MetricsRecord",
                                 "NodeStats"),
     "repro.metrics.reliability": ("ReliabilityReport",

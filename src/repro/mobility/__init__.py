@@ -23,18 +23,7 @@ import a model only when they build one.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "MobilityModel",
-    "Leg",
-    "RandomWaypoint",
-    "CitySection",
-    "Stationary",
-    "StreetMap",
-    "campus_map",
-    "grid_map",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.mobility.base": ("MobilityModel", "Leg"),
     "repro.mobility.random_waypoint": ("RandomWaypoint",),
     "repro.mobility.city_section": ("CitySection",),

@@ -28,26 +28,7 @@ loading the medium; names resolve lazily (:mod:`repro._lazy`).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "PathLossModel",
-    "RadioConfig",
-    "dbm_to_mw",
-    "mw_to_dbm",
-    "free_space_path_loss_db",
-    "two_ray_path_loss_db",
-    "Heartbeat",
-    "EventIdList",
-    "EventBatch",
-    "Message",
-    "SizeModel",
-    "WirelessMedium",
-    "MediumConfig",
-    "Transmission",
-    "Node",
-    "ProtocolCounters",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.base": ("ProtocolCounters",),
     "repro.net.radio": ("PathLossModel", "RadioConfig", "MediumConfig",
                         "dbm_to_mw", "mw_to_dbm", "free_space_path_loss_db",

@@ -19,8 +19,9 @@ datagrams instead of the discrete-event kernel and the simulated radio:
   composition *unchanged*, with crash/silence injection mirroring the
   fault subsystem's vocabulary;
 * :mod:`repro.rt.bridge` — the ``loopback-bridge`` experiment comparing
-  sim-predicted against UDP-measured reliability and per-node overhead;
-* :mod:`repro.rt.cli` — ``python -m repro.rt.cli loopback-bridge``.
+  sim-predicted against UDP-measured reliability and per-node overhead,
+  run like every other experiment:
+  ``python -m repro.harness.cli loopback-bridge``.
 
 The runtime executes protocols over a *single-hop* network (every node
 hears every other, no radio model), so measured results are statistical,

@@ -100,8 +100,9 @@ def loopback_bridge(scale: Optional[Scale] = None,
     Returns one row per protocol with ``sim_reliability`` /
     ``rt_reliability`` (means across seeds), their delta, both sides'
     per-node message overhead and a ``within_band`` flag against the
-    scale's documented tolerance.  The sim seeds run on ``runner``
-    (``None``: serial, uncached).
+    scale's documented tolerance; any row outside the band is named in
+    one warning note.  The sim seeds run on ``runner`` (``None``:
+    serial, uncached).
     """
     scale = scale or get_scale()
     runner = runner or ParallelRunner()
@@ -137,13 +138,16 @@ def loopback_bridge(scale: Optional[Scale] = None,
             "sim_msgs_per_node": sim_msgs,
             "rt_msgs_per_node": sum(rt_msgs) / len(rt_msgs),
         })
+    outside = [row["protocol"] for row in rows if not row["within_band"]]
+    notes = [f"WARNING: measured reliability outside the ±{tolerance:g} "
+             f"band for: {', '.join(outside)}"] if outside else []
     return ExperimentResult(
         experiment_id="loopback-bridge",
         title="Sim-predicted vs UDP-measured (loopback bridge)",
         parameters={"scale": scale.name, "protocols": tuple(protocols),
                     "time_scale": time_scale,
                     "rt_seeds": len(rt_seeds), "tolerance": tolerance},
-        rows=rows)
+        rows=rows, notes=notes)
 
 
 def _sim_messages_per_node(sim_result, n: int) -> float:

@@ -19,17 +19,7 @@ Names resolve lazily (:mod:`repro._lazy`), so reading a seed stream
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Timer",
-    "PeriodicTask",
-    "SimulationError",
-    "RngRegistry",
-    "Vec2",
-    "SpatialGrid",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.kernel": ("Simulator", "Timer", "PeriodicTask",
                          "SimulationError"),
     "repro.sim.rng": ("RngRegistry",),

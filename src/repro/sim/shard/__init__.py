@@ -19,20 +19,7 @@ partition geometry or the sharded engine.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_S",
-    "ShardConfig",
-    "ShardFrame",
-    "ShardMedium",
-    "ShardPlan",
-    "ShardWorkerLost",
-    "compute_barriers",
-    "compute_ownership",
-    "resolve_epoch_s",
-    "run_sharded_scenario",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.shard.config": ("DEFAULT_LATENCY_S", "ShardConfig",
                                "resolve_epoch_s"),
     "repro.sim.shard.partition": ("ShardPlan",),

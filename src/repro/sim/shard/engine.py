@@ -222,7 +222,7 @@ def compute_barriers(warmup: float, duration: float,
     return sorted(ticks)
 
 
-def compute_ownership(config) -> Tuple[List[int], ShardPlan]:
+def compute_ownership(config) -> List[int]:
     """Assign every node to a shard by its exact initial position.
 
     Draws each node's entry position from its ``("node", i)`` stream
@@ -250,8 +250,7 @@ def compute_ownership(config) -> Tuple[List[int], ShardPlan]:
     plan = ShardPlan(min_x=min_x, max_x=max_x, shards=shards.shards,
                      cell_size=cell, rows=shards.rows,
                      min_y=min_y, max_y=max_y)
-    owners = [plan.shard_of(p) for p in positions]
-    return owners, plan
+    return [plan.shard_of(p) for p in positions]
 
 
 def _routing_margin_m(config, latency_s: float) -> Optional[float]:
@@ -858,7 +857,7 @@ def run_sharded_scenario(config):
     started = _wallclock.perf_counter()
     shards = config.shards
     epoch = resolve_epoch_s(shards, config.duration, config.warmup)
-    owners, _plan = compute_ownership(config)
+    owners = compute_ownership(config)
     barriers = compute_barriers(config.warmup, config.duration, epoch)
     spawn = _select_backend(shards.shards) == "spawn"
     handles: List = []

@@ -20,17 +20,7 @@ the CSV bytes of each.  Names resolve lazily (:mod:`repro._lazy`).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Axis", "Component", "Variant", "Toggles", "Metric", "Objective",
-    "PivotSpec", "StudySpec", "StudyCell", "set_field_path", "expand",
-    "StudyResult", "run_study",
-    "DominatedPoint", "FrontierResult", "dominates", "pareto_frontier",
-    "frontier_report", "component_deltas", "delta_report", "pivot_report",
-    "Study", "STUDIES", "ALL_EXPERIMENTS", "study_names", "get_study",
-    "build_study",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.study.analysis": ("DominatedPoint", "FrontierResult",
                              "component_deltas", "delta_report", "dominates",
                              "frontier_report", "pareto_frontier",

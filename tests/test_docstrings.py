@@ -1,30 +1,40 @@
 """Docstring coverage enforcement for the public API surface.
 
-Mirrors the CI ``ruff check`` (pydocstyle rules D101/D102/D103) for the
-``repro.sim``, ``repro.net``, ``repro.harness`` and ``repro.faults``
-packages plus the protocol-stack surface (``repro.core.stack``,
-``repro.core.registry``, ``repro.core.protocol`` and the
-``repro.baselines`` package), so the docs contract is enforced
-even where ruff is not installed: every public class, function, method
-and property in those trees must carry a docstring.  Private names
-(leading underscore) and dunders are exempt, matching the pydocstyle
-visibility rules.
+Mirrors the CI ``ruff check`` (pydocstyle rules D101/D102/D103) over
+exactly the files ``[tool.ruff] include`` in ``pyproject.toml`` lists,
+so the docs contract is enforced even where ruff is not installed:
+every public class, function, method and property in those trees must
+carry a docstring.  Private names (leading underscore) and dunders are
+exempt, matching the pydocstyle visibility rules.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import tomllib
 from typing import Iterator, List, Tuple
 
 import pytest
 
-DOCUMENTED_PACKAGES = ("repro.sim", "repro.sim.shard", "repro.net",
-                       "repro.harness", "repro.faults", "repro.core.stack",
-                       "repro.core.registry", "repro.core.protocol",
-                       "repro.baselines", "repro.rt",
-                       "repro.study")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: One entry per package a ruff glob reaches (its modules are walked
+#: below) and per module file ruff names outright.
+DOCUMENTED_PACKAGES = tuple(
+    _module_name(path)
+    for pattern in tomllib.loads((ROOT / "pyproject.toml").read_text())
+    ["tool"]["ruff"]["include"]
+    for path in sorted(ROOT.glob(pattern))
+    if path.name == "__init__.py" or "*" not in pattern)
 
 
 def _iter_modules(package_name: str) -> Iterator[object]:

@@ -195,14 +195,6 @@ class TestRegistryErgonomics:
         assert "no-such-protocol" in str(err.value)
         assert "frugal" in str(err.value)
 
-    def test_rt_cli_lists_known_protocols(self, capsys):
-        from repro.rt.cli import main
-        code = main(["loopback-bridge", "--protocols", "no-such-protocol"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "no-such-protocol" in err
-        assert "frugal" in err
-
     def test_harness_cli_unknown_experiment_exits_2(self, capsys):
         from repro.harness.cli import main
         assert main(["no-such-experiment"]) == 2

@@ -79,8 +79,8 @@ class TestProtocolFactory:
 
     def test_registry_backed_names(self):
         from repro.baselines import GossipPubSub
-        from repro.harness.scenario import known_protocols
-        names = known_protocols()
+        from repro.core import registry
+        names = registry.names()
         assert "gossip" in names and "frugal" in names
         assert not any(name.startswith("legacy-") for name in names)
         assert isinstance(make_protocol(tiny_config(protocol="gossip")),
