@@ -131,29 +131,26 @@ class CitySectionSpec(MobilitySpec):
 
     def street_map(self) -> StreetMap:
         """The (cached) synthetic campus street map for ``map_seed``."""
-        return _campus_map_cached(self.map_seed)
+        return _cached_map("campus_map", seed=self.map_seed)
 
     def max_speed_mps(self) -> float:
         """Street travel is capped by the fastest road's speed limit."""
-        return _map_speed_cap(self.street_map())
+        return self.street_map().max_speed_limit
 
 
-def _map_speed_cap(street_map: StreetMap) -> float:
-    """The fastest speed limit on a street map, m/s."""
-    return max(data["speed_limit"]
-               for _, _, data in street_map.graph.edges(data=True))
-
-
-def _campus_map_cached(seed: int) -> StreetMap:
-    cached = _MAP_CACHE.get(seed)
+def _cached_map(builder: str, **kwargs) -> StreetMap:
+    """``repro.mobility.maps.<builder>(**kwargs)``, built once per
+    process: every node of a world, and every world of a sweep, shares
+    the map and its route cache."""
+    key = (builder, *kwargs.items())
+    cached = _MAP_CACHE.get(key)
     if cached is None:
-        from repro.mobility.maps import campus_map
-        cached = campus_map(seed=seed)
-        _MAP_CACHE[seed] = cached
+        from repro.mobility import maps
+        cached = _MAP_CACHE[key] = getattr(maps, builder)(**kwargs)
     return cached
 
 
-_MAP_CACHE: Dict[int, StreetMap] = {}
+_MAP_CACHE: Dict[tuple, StreetMap] = {}
 
 
 @dataclass(frozen=True)
@@ -187,24 +184,14 @@ class CityGridSpec(MobilitySpec):
 
     def street_map(self) -> StreetMap:
         """The (cached) grid street map for this spec's parameters."""
-        key = (self.columns, self.rows, self.width, self.height,
-               self.map_seed)
-        cached = _GRID_MAP_CACHE.get(key)
-        if cached is None:
-            from repro.mobility.maps import grid_map
-            cached = grid_map(columns=self.columns, rows=self.rows,
-                              width=self.width, height=self.height,
-                              seed=self.map_seed,
-                              name=f"grid-{self.columns}x{self.rows}")
-            _GRID_MAP_CACHE[key] = cached
-        return cached
+        return _cached_map("grid_map", columns=self.columns, rows=self.rows,
+                           width=self.width, height=self.height,
+                           seed=self.map_seed,
+                           name=f"grid-{self.columns}x{self.rows}")
 
     def max_speed_mps(self) -> float:
         """Street travel is capped by the fastest road's speed limit."""
-        return _map_speed_cap(self.street_map())
-
-
-_GRID_MAP_CACHE: Dict[Tuple[int, int, float, float, int], StreetMap] = {}
+        return self.street_map().max_speed_limit
 
 
 @dataclass(frozen=True)

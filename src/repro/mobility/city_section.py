@@ -58,7 +58,7 @@ class CitySection(MobilityModel):
     def _initial_position(self) -> Vec2:
         if self._start_node is not None:
             node = self._start_node
-            if node not in self.map.graph:
+            if node not in self.map:
                 raise ValueError(f"start_node {node} not in map")
         else:
             node = self._rng.choice(self.map.intersections())

@@ -14,9 +14,9 @@ against:
   equal full scans of every row at the boundary instants;
 * maintenance invariants of the spatial index under mobility, battery
   death and repowering, and of the transmission log's horizon;
-* a fresh interpreter that simulates without ever importing numpy or
-  networkx, and one that reads a cached result without importing the
-  engine at all.
+* a fresh interpreter that simulates random-waypoint and street-map
+  worlds without ever importing numpy or networkx, and one that reads a
+  cached result without importing the engine at all.
 
 Whole-scenario behaviour is pinned separately in ``tests/test_golden.py``.
 """
@@ -547,27 +547,37 @@ class TestHistoryPruning:
 class TestImportFootprint:
     def test_rwp_world_needs_neither_numpy_nor_networkx(self):
         """A fresh interpreter imports the harness and simulates a
-        random-waypoint world without either library loaded; networkx
-        arrives with the first street map, numpy never."""
+        random-waypoint world, then builds and steps a campus and a
+        street-grid world, with neither library loaded — and the same
+        script runs where networkx cannot be imported at all."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = (
             "import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['networkx'] = None\n"
             "import repro.harness\n"
             "from repro.harness import build_world, run_scenario\n"
-            "from repro.harness.scenario import CitySectionSpec\n"
+            "from repro.harness.scenario import (CityGridSpec,\n"
+            "                                    CitySectionSpec)\n"
             "from tests.helpers import small_rwp\n"
             "cfg = small_rwp().with_changes(duration=5.0)\n"
             "assert run_scenario(cfg).summary()['bandwidth_bytes'] > 0\n"
-            "heavy = {'numpy', 'networkx'} & set(sys.modules)\n"
-            "assert not heavy, heavy\n"
-            "build_world(cfg.with_changes(mobility=CitySectionSpec()))\n"
-            "assert 'networkx' in sys.modules\n"
-            "assert 'numpy' not in sys.modules\n")
+            "for spec in (CitySectionSpec(), CityGridSpec(\n"
+            "        columns=5, rows=4, width=800, height=600)):\n"
+            "    world = build_world(cfg.with_changes(mobility=spec))\n"
+            "    world.start()\n"
+            "    world.sim.run(until=30.0)\n"
+            "    assert any(n.mobility.legs_completed for n in world.nodes)\n"
+            "heavy = {name for name in ('numpy', 'networkx')\n"
+            "         if sys.modules.get(name) is not None}\n"
+            "assert not heavy, heavy\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        for mode in ("importable", "blocked"):
+            done = subprocess.run([sys.executable, "-c", script, mode],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, (mode, done.stderr)
 
     def test_warm_cache_read_loads_no_engine(self, tmp_path):
         """A fresh interpreter imports the CLI, reads a cached energy-

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from repro.mobility import (CitySection, RandomWaypoint, Stationary,
-                            campus_map, grid_map)
+                            StreetMap, campus_map, grid_map)
 from repro.mobility.base import Leg, MobilityModel, PauseLeg
 from repro.sim.space import Vec2
 
@@ -162,8 +163,8 @@ class TestStreetMaps:
 
     def test_speed_limits_in_paper_band(self):
         smap = campus_map()
-        for u, v, data in smap.graph.edges(data=True):
-            assert 8.0 <= data["speed_limit"] <= 13.0
+        for road in smap.roads():
+            assert 8.0 <= road.speed_limit <= 13.0
 
     def test_popularity_weights_positive(self):
         weights = campus_map().popularity_weights()
@@ -171,7 +172,7 @@ class TestStreetMaps:
 
     def test_main_avenue_more_popular(self):
         smap = grid_map(5, 5, 400, 400, main_avenue_popularity=6.0, seed=1)
-        pops = [d["popularity"] for _, _, d in smap.graph.edges(data=True)]
+        pops = [road.popularity for road in smap.roads()]
         assert max(pops) == 6.0
         assert min(pops) < 2.0
 
@@ -181,7 +182,7 @@ class TestStreetMaps:
         path = smap.route(nodes[0], nodes[-1])
         assert path[0] == nodes[0] and path[-1] == nodes[-1]
         for a, b in zip(path, path[1:]):
-            assert smap.graph.has_edge(a, b)
+            assert smap.has_road(a, b)
 
     def test_route_cache_returns_same_object(self):
         smap = campus_map()
@@ -200,19 +201,86 @@ class TestStreetMaps:
         for _ in range(20):
             assert smap.choose_destination(rng, exclude=current) != current
 
+    @pytest.mark.parametrize("smap", [campus_map(), grid_map(9, 7, 800, 600)],
+                             ids=["campus", "grid-9x7"])
+    def test_choose_destination_matches_filtered_lists(self, smap):
+        """The sliced lists equal the filtered ones, so every seeded draw
+        is the one ``rng.choices`` makes over the filtered lists."""
+        weights = smap.popularity_weights()
+        for exclude in smap.intersections():
+            nodes = [n for n in smap.intersections() if n != exclude]
+            totals = [weights[n] for n in nodes]
+            expected, actual = random.Random(exclude), random.Random(exclude)
+            for _ in range(25):
+                assert smap.choose_destination(actual, exclude) == \
+                    expected.choices(nodes, weights=totals, k=1)[0]
+
+
+class TestStreetMapValidation:
+    def test_empty_map_rejected(self):
+        with pytest.raises(ValueError, match="no intersections"):
+            StreetMap([], [])
+
+    def test_disconnected_map_rejected(self):
+        positions = [Vec2(0, 0), Vec2(100, 0), Vec2(300, 0)]
+        with pytest.raises(ValueError, match="connected"):
+            StreetMap(positions, [(0, 1, 10.0, 1.0)])
+
+    @pytest.mark.parametrize("speed", [0.0, -5.0])
+    def test_non_positive_speed_limit_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed_limit"):
+            StreetMap([Vec2(0, 0), Vec2(100, 0)], [(0, 1, speed, 1.0)])
+
+
+class TestRouteOracle:
+    """``StreetMap.route`` equals networkx's weighted shortest path on the
+    same roads added in the same order — ties between equal-cost routes
+    included."""
+
+    @staticmethod
+    def _assert_routes_match(smap, pairs):
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph()
+        for road in smap.roads():
+            graph.add_edge(road.u, road.v, route_cost=(
+                road.length / road.speed_limit / road.popularity))
+        for u, v in pairs:
+            assert smap.route(u, v) == nx.shortest_path(
+                graph, u, v, weight="route_cost"), (u, v)
+
+    def test_campus_all_pairs(self):
+        smap = campus_map()
+        nodes = smap.intersections()
+        self._assert_routes_match(smap, [(u, v) for u in nodes for v in nodes])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grid_all_pairs(self, seed):
+        smap = grid_map(9, 7, 1600.0, 1200.0, seed=seed)
+        nodes = smap.intersections()
+        self._assert_routes_match(smap, [(u, v) for u in nodes for v in nodes])
+
+    def test_city_scale_grid_sample(self):
+        """The 27 x 20 grid a 300-process city world drives on."""
+        smap = grid_map(27, 20, 5366.6, 4024.9)
+        rng = random.Random(0)
+        nodes = smap.intersections()
+        self._assert_routes_match(
+            smap, [(rng.choice(nodes), rng.choice(nodes))
+                   for _ in range(2000)])
+
 
 class TestCitySection:
     def test_positions_stay_on_streets(self, sim, rngs):
         smap = campus_map()
         model = CitySection(smap, stop_probability=0.2)
         model.start(sim, rngs.stream("m"))
-        positions = {n: smap.position_of(n) for n in smap.graph.nodes}
+        positions = {n: smap.position_of(n) for n in smap.intersections()}
         for t in range(1, 120, 3):
             sim.run(until=float(t))
             p = model.position()
             on_street = any(
                 _point_on_segment(p, positions[u], positions[v])
-                for u, v in smap.graph.edges)
+                for u, v, *_ in smap.roads())
             assert on_street, f"{p} off-street at t={t}"
 
     def test_speed_is_road_speed_limit(self, sim, rngs):
