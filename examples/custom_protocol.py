@@ -94,7 +94,6 @@ class SelectiveGossip(StackProtocol):
 def main(seed: int = 0) -> None:
     """Register the custom stack and race it against two built-ins."""
     registry.register("selective-gossip", lambda cfg: SelectiveGossip(),
-                      description="example: membership-gated gossip",
                       replace=True)
     try:
         scale = QUICK.with_seed_base(seed)

@@ -35,7 +35,7 @@ engine code until something runs a world.
 
 from repro._lazy import lazy_exports
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
     "repro.core.events": ("Event", "EventId"),

@@ -10,10 +10,16 @@ one-shot forwarding), and the stack refactor contributed an
 lpbcast-style gossip baseline (periodic probabilistic rounds over a
 bounded digest buffer).
 
-Each module exposes a ``make_<name>(config)`` factory; the protocol
-registry (:mod:`repro.core.registry`) names those factories as data and
-imports a module the first time its protocol is instantiated, so
-validating a scenario config never loads this package.
+Each comparator runs at one fixed setting, so a protocol name is a
+complete description: the flooders rebroadcast every 1 s, the
+probabilistic scheme forwards with ``p = 0.6``, the counter scheme
+stops at ``C = 3`` copies and gossip runs the :class:`GossipConfig`
+defaults.  Each module exposes a ``make_<name>(config)`` factory that
+builds exactly that; the protocol registry (:mod:`repro.core.registry`)
+names those factories as data and imports a module the first time its
+protocol is instantiated, so validating a scenario config never loads
+this package.  Another setting is another protocol: construct the
+class with it and register the composition under a name of its own.
 """
 
 from repro.baselines.base import FloodingProtocol

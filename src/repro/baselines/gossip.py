@@ -31,10 +31,10 @@ reruns (and across the serial/parallel/cached execution paths).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.base import ProtocolCounters
-from repro.core.config import GossipConfig
 from repro.core.events import Event
 from repro.core.stack.delivery import DeliveryLayer
 from repro.core.stack.forwarding import GossipForwarding
@@ -42,6 +42,41 @@ from repro.core.stack.protocol import StackProtocol
 from repro.core.stack.store import EventStore
 
 __all__ = ["GossipConfig", "GossipPubSub", "make_gossip"]
+
+
+@dataclass(frozen=True)
+class GossipConfig:
+    """Tunables of :class:`GossipPubSub`.  The built-in ``gossip``
+    protocol runs the defaults; a variant is a composition registered
+    under its own name."""
+
+    period: float = 1.0
+    """Length of one gossip round [s]."""
+
+    jitter: float = 0.05
+    """Uniform per-round jitter [s] so co-located nodes desynchronise."""
+
+    forward_probability: float = 0.75
+    """Probability that a non-empty round actually broadcasts."""
+
+    fanout: int = 8
+    """Maximum events per gossip batch (the newest buffered ones)."""
+
+    buffer_capacity: Optional[int] = 32
+    """Digest-buffer bound; ``None`` disables it (tests only)."""
+
+    def __post_init__(self) -> None:
+        if self.period <= 0:
+            raise ValueError(f"period must be positive: {self.period}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be >= 0: {self.jitter}")
+        if not 0.0 <= self.forward_probability <= 1.0:
+            raise ValueError(f"forward_probability must be in [0,1]: "
+                             f"{self.forward_probability}")
+        if self.fanout < 1:
+            raise ValueError(f"fanout must be >= 1: {self.fanout}")
+        if self.buffer_capacity is not None and self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1 or None")
 
 
 class GossipPubSub(StackProtocol):
@@ -80,5 +115,6 @@ class GossipPubSub(StackProtocol):
 
 
 def make_gossip(config) -> GossipPubSub:
-    """Registry factory for ``gossip``: reads ``config.gossip``."""
-    return GossipPubSub(config.gossip)
+    """Registry factory for ``gossip``: the :class:`GossipConfig`
+    defaults."""
+    return GossipPubSub()

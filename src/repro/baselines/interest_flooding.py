@@ -19,5 +19,5 @@ class InterestAwareFlooding(FloodingProtocol):
 
 
 def make_interest_flooding(config) -> InterestAwareFlooding:
-    """Registry factory for ``interest-flooding``: reads ``flood_period``."""
-    return InterestAwareFlooding(flood_period=config.flood_period)
+    """Registry factory for ``interest-flooding``: the 1 s flood period."""
+    return InterestAwareFlooding()

@@ -39,5 +39,5 @@ class NeighborInterestFlooding(FloodingProtocol):
 
 
 def make_neighbor_flooding(config) -> NeighborInterestFlooding:
-    """Registry factory for ``neighbor-flooding``: reads ``flood_period``."""
-    return NeighborInterestFlooding(flood_period=config.flood_period)
+    """Registry factory for ``neighbor-flooding``: the 1 s flood period."""
+    return NeighborInterestFlooding()

@@ -17,5 +17,5 @@ class SimpleFlooding(FloodingProtocol):
 
 
 def make_simple_flooding(config) -> SimpleFlooding:
-    """Registry factory for ``simple-flooding``: reads ``flood_period``."""
-    return SimpleFlooding(flood_period=config.flood_period)
+    """Registry factory for ``simple-flooding``: the 1 s flood period."""
+    return SimpleFlooding()

@@ -113,12 +113,10 @@ class CounterFlooding(_OneShotRebroadcast):
 
 
 def make_gossip_flooding(config) -> GossipFlooding:
-    """Registry factory for ``gossip-flooding``: reads
-    ``gossip_probability``."""
-    return GossipFlooding(probability=config.gossip_probability)
+    """Registry factory for ``gossip-flooding``: ``p = 0.6``."""
+    return GossipFlooding()
 
 
 def make_counter_flooding(config) -> CounterFlooding:
-    """Registry factory for ``counter-flooding``: reads
-    ``counter_threshold``."""
-    return CounterFlooding(threshold=config.counter_threshold)
+    """Registry factory for ``counter-flooding``: ``C = 3``."""
+    return CounterFlooding()

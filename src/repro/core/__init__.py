@@ -38,6 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                       "FifoPolicy", "RandomPolicy", "RemainingValidityPolicy",
                       "gc_score"),
     "repro.core.base": ("PubSubProtocol", "Host", "ProtocolCounters"),
-    "repro.core.registry": ("ProtocolEntry", "ProtocolRegistry", "REGISTRY"),
+    "repro.core.registry": ("REGISTRY",),
     "repro.core.protocol": ("FrugalPubSub",),
 })

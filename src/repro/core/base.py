@@ -6,12 +6,9 @@ portable (the paper stresses its algorithm is "inherently portable") and —
 practically — lets unit tests drive a protocol instance with a scripted
 fake host, no radio or mobility involved.
 
-Every protocol also carries one :class:`ProtocolCounters` instance — the
-unified per-layer observability counters.  Historically each protocol
-duplicated its own counter fields; the stack layers
-(:mod:`repro.core.stack`) all write into the single shared dataclass, and
-:class:`PubSubProtocol` exposes the historical flat attribute names
-(``delivered_count`` & co.) as read-only properties over it.
+Every protocol also carries one :class:`ProtocolCounters` instance,
+``proto.counters`` — the unified per-layer observability counters every
+stack layer (:mod:`repro.core.stack`) writes into.
 """
 
 from __future__ import annotations
@@ -204,43 +201,6 @@ class PubSubProtocol(abc.ABC):
 
     def on_stop(self) -> None:
         """Called when the node shuts down or crashes."""
-
-    # -- unified counters (historical flat attribute names) -----------------------
-
-    @property
-    def heartbeats_sent(self) -> int:
-        """Heartbeat beacons put on the air."""
-        return self.counters.heartbeats_sent
-
-    @property
-    def id_lists_sent(self) -> int:
-        """Event-identifier announcements sent to new neighbours."""
-        return self.counters.id_lists_sent
-
-    @property
-    def batches_sent(self) -> int:
-        """Event batches put on the air."""
-        return self.counters.batches_sent
-
-    @property
-    def events_forwarded(self) -> int:
-        """Events carried by those batches (one batch may carry many)."""
-        return self.counters.events_forwarded
-
-    @property
-    def delivered_count(self) -> int:
-        """Events handed to the application layer."""
-        return self.counters.delivered_count
-
-    @property
-    def duplicates_dropped(self) -> int:
-        """Received copies of already-held events, dropped."""
-        return self.counters.duplicates_dropped
-
-    @property
-    def parasites_dropped(self) -> int:
-        """Received events of no subscribed topic, dropped."""
-        return self.counters.parasites_dropped
 
     # -- application-facing API --------------------------------------------------
 

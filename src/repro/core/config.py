@@ -192,44 +192,3 @@ class FrugalConfig:
         return cls(x=40.0, hb2bo=2.0, hb2ngc=2.5,
                    hb_upper_bound=hb_upper_bound)
 
-
-@dataclass(frozen=True)
-class GossipConfig:
-    """Tunables of the lpbcast-style gossip baseline
-    (:class:`~repro.baselines.gossip.GossipPubSub`).
-
-    Lives here, beside :class:`FrugalConfig`, so a scenario config can
-    be built and read without loading any protocol module.
-    """
-
-    period: float = 1.0
-    """Length of one gossip round [s]."""
-
-    jitter: float = 0.05
-    """Uniform per-round jitter [s] so co-located nodes desynchronise."""
-
-    forward_probability: float = 0.75
-    """Probability that a non-empty round actually broadcasts."""
-
-    fanout: int = 8
-    """Maximum events per gossip batch (the newest buffered ones)."""
-
-    buffer_capacity: Optional[int] = 32
-    """Digest-buffer bound; ``None`` disables it (tests only)."""
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive: {self.period}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0: {self.jitter}")
-        if not 0.0 <= self.forward_probability <= 1.0:
-            raise ValueError(f"forward_probability must be in [0,1]: "
-                             f"{self.forward_probability}")
-        if self.fanout < 1:
-            raise ValueError(f"fanout must be >= 1: {self.fanout}")
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1 or None")
-
-    def with_changes(self, **changes) -> "GossipConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)

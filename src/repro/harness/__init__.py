@@ -32,8 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                                "MobilitySpec", "Publication",
                                "RandomWaypointSpec", "ScenarioConfig",
                                "ScenarioResult", "StationarySpec", "World",
-                               "build_world", "make_protocol",
-                               "run_scenario"),
+                               "build_world", "run_scenario"),
     "repro.harness.runner": ("Aggregate", "MultiSeedResult", "aggregate"),
     "repro.harness.cache": ("ResultCache", "code_version_tag",
                             "config_digest"),

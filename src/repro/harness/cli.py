@@ -144,14 +144,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"try 'list'", file=sys.stderr)
         return 2
-    scale = dataclasses.replace(get_scale(args.scale), shards=shards)
-    if args.seed is not None:
-        scale = scale.with_seed_base(args.seed)
     try:
+        # A bad REPRO_SCALE or worker count is one line, before any
+        # pool or cache exists.
+        scale = dataclasses.replace(get_scale(args.scale), shards=shards)
         runner = build_runner(args.jobs, args.no_cache, args.cache_dir)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.seed is not None:
+        scale = scale.with_seed_base(args.seed)
     with runner:
         if args.experiment != "all":
             run_one(args.experiment, scale, args.csv, runner)

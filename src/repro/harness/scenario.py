@@ -39,7 +39,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import registry
 from repro.core.base import ProtocolCounters
-from repro.core.config import FrugalConfig, GossipConfig
+from repro.core.config import FrugalConfig
+from repro.core.topics import Topic, TopicError
 from repro.metrics.reliability import (ReliabilityReport,
                                        churn_aware_reliability,
                                        event_reliability, mean_reliability,
@@ -49,7 +50,6 @@ from repro.net.radio import MediumConfig, RadioConfig
 from repro.sim.shard.config import ShardConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.base import PubSubProtocol
     from repro.core.events import Event, EventFactory
     from repro.energy.collector import (EnergyAccountant, EnergyConfig,
                                         EnergyRecord)
@@ -263,6 +263,17 @@ class Publication:
     publisher: Optional[int] = None       # subscriber-population index
     payload_bytes: int = 400
 
+    def __post_init__(self) -> None:
+        if self.validity <= 0:
+            raise ValueError(f"Publication.validity must be positive: "
+                             f"{self.validity}")
+        if self.payload_bytes < 0:
+            raise ValueError(f"Publication.payload_bytes must be >= 0: "
+                             f"{self.payload_bytes}")
+        if self.publisher is not None and self.publisher < 0:
+            raise ValueError(f"Publication.publisher must be None or "
+                             f">= 0: {self.publisher}")
+
 
 # --------------------------------------------------------------------------
 # Scenario configuration
@@ -279,10 +290,6 @@ class ScenarioConfig:
     seed: int = 0
     protocol: str = "frugal"
     frugal: FrugalConfig = field(default_factory=FrugalConfig)
-    flood_period: float = 1.0
-    gossip_probability: float = 0.6
-    counter_threshold: int = 3
-    gossip: GossipConfig = field(default_factory=GossipConfig)
     radio: RadioConfig = field(
         default_factory=RadioConfig.paper_random_waypoint)
     medium: MediumConfig = field(default_factory=MediumConfig)
@@ -310,13 +317,19 @@ class ScenarioConfig:
             raise ValueError("duration must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.protocol not in registry.REGISTRY:
-            raise ValueError(
-                f"protocol must be one of "
-                f"{registry.names()}: "
-                f"{self.protocol!r}")
+        registry.get(self.protocol)
         if not 0.0 < self.subscriber_fraction <= 1.0:
             raise ValueError("subscriber_fraction must be in (0, 1]")
+        topics = {"event_topic": self.event_topic,
+                  "other_topic": self.other_topic}
+        topics.update((f"publications[{i}].topic", pub.topic)
+                      for i, pub in enumerate(self.publications)
+                      if pub.topic is not None)
+        for name, topic in topics.items():
+            try:
+                Topic(topic)
+            except TopicError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         for pub in self.publications:
             # Publication.at is relative to the *end* of warm-up, so a
             # publication cannot overlap the warm-up window: the only
@@ -577,17 +590,6 @@ class ScenarioResult:
 # Execution
 # --------------------------------------------------------------------------
 
-def make_protocol(config: ScenarioConfig) -> PubSubProtocol:
-    """Instantiate the protocol named by ``config.protocol``.
-
-    Dispatch goes through the protocol registry
-    (:mod:`repro.core.registry`): any strategy registered there — the
-    built-ins or a custom composition of the stack layers — is
-    constructible by name.
-    """
-    return registry.create(config.protocol, config)
-
-
 def select_subscribers(config: ScenarioConfig,
                        rngs: RngRegistry) -> List[int]:
     """Deterministically draw the subscriber population.
@@ -697,7 +699,7 @@ def wire_world(config: ScenarioConfig, sim: Simulator, rngs: RngRegistry,
     subscriber_set = set(subscriber_ids)
     nodes: List[Node] = []
     for i in residents:
-        protocol = make_protocol(config)
+        protocol = registry.create(config.protocol, config)
         node = Node(i, sim, medium,
                     mobility=config.mobility.build(i),
                     protocol=protocol,

@@ -30,7 +30,7 @@ from repro.core import registry
 from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventFactory, EventId
 from repro.harness.scenario import (Publication, ScenarioConfig,
-                                    make_protocol, select_subscribers)
+                                    select_subscribers)
 from repro.metrics import (ReliabilityReport, event_reliability,
                            mean_reliability)
 from repro.rt.host import AsyncioHost
@@ -177,7 +177,7 @@ class LoopbackCluster:
         transports: List[asyncio.DatagramTransport] = []
         try:
             for i in range(config.n_processes):
-                protocol = make_protocol(config)
+                protocol = registry.create(config.protocol, config)
                 host = AsyncioHost(i, loop, protocol,
                                    rngs.stream("node", i),
                                    time_scale=scale)

@@ -59,25 +59,29 @@ def set_field_path(config, path: str, value):
     segment — a typo'd axis path must fail at declaration time, not
     silently sweep nothing.
     """
-    head, _, rest = path.partition(".")
-    if not dataclasses.is_dataclass(config):
-        raise ValueError(
-            f"cannot descend into {type(config).__name__!r} at "
-            f"segment {head!r} of path {path!r}: not a dataclass")
-    names = {f.name for f in dataclasses.fields(config)}
-    if head not in names:
-        raise ValueError(
-            f"unknown config field {head!r} in path {path!r}; "
-            f"known fields of {type(config).__name__}: {sorted(names)}")
-    if not rest:
-        return dataclasses.replace(config, **{head: value})
-    child = getattr(config, head)
-    if child is None:
-        raise ValueError(
-            f"cannot set {path!r}: intermediate field {head!r} is None "
-            f"(give the base config a concrete value first)")
-    return dataclasses.replace(config, **{head: set_field_path(child, rest,
-                                                               value)})
+    segments = path.split(".")
+    chain = [config]          # the object each segment is a field of
+    for depth, name in enumerate(segments):
+        node = chain[-1]
+        if depth and node is None:
+            raise ValueError(
+                f"cannot set {path!r}: intermediate field "
+                f"{segments[depth - 1]!r} is None (give the base config "
+                f"a concrete value first)")
+        if not dataclasses.is_dataclass(node):
+            raise ValueError(
+                f"cannot descend into {type(node).__name__!r} at "
+                f"segment {name!r} of path {path!r}: not a dataclass")
+        names = {f.name for f in dataclasses.fields(node)}
+        if name not in names:
+            raise ValueError(
+                f"unknown config field {name!r} in path {path!r}; "
+                f"known fields of {type(node).__name__}: {sorted(names)}")
+        if depth < len(segments) - 1:
+            chain.append(getattr(node, name))
+    for node, name in zip(reversed(chain), reversed(segments)):
+        value = dataclasses.replace(node, **{name: value})
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class TestFloodingCommon:
         proto.on_message(batch(5, event))
         proto.on_message(batch(6, event))
         assert len(host.delivered) == 1
-        assert proto.duplicates_dropped == 1
+        assert proto.counters.duplicates_dropped == 1
 
     def test_stop_clears_state(self):
         host = FakeHost()
@@ -83,7 +83,7 @@ class TestSimpleFlooding:
         parasite = make_event(topic=".z", validity=60.0, now=host.now)
         proto.on_message(batch(5, parasite))
         assert host.delivered == []            # not subscribed
-        assert proto.parasites_dropped == 1    # counted
+        assert proto.counters.parasites_dropped == 1    # counted
         host.advance(1.5)
         sent = host.sent_of_kind(EventBatch)
         assert sent and parasite in sent[0].events   # ... but re-flooded

@@ -15,7 +15,6 @@ import pickle
 
 import pytest
 
-from repro.baselines import GossipConfig
 from repro.core.config import FrugalConfig
 from repro.core.events import EventId
 from repro.energy import EnergyConfig, PowerProfile
@@ -50,10 +49,6 @@ FIELD_CHANGES = {
     "seed": 1,
     "protocol": "simple-flooding",
     "frugal": FrugalConfig(hb_upper_bound=2.0),
-    "flood_period": 2.0,
-    "gossip_probability": 0.5,
-    "counter_threshold": 4,
-    "gossip": GossipConfig(forward_probability=0.5),
     "radio": RadioConfig.paper_city_section(),
     "medium": MediumConfig(frame_loss_probability=0.1),
     "sizes": SizeModel(heartbeat_bytes=60),

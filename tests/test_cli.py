@@ -138,6 +138,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "worker count" in err and len(err.splitlines()) == 1
 
+    def test_bad_scale_env_exits_2(self, capsys, monkeypatch):
+        """A misspelt REPRO_SCALE is one line on stderr and exit 2,
+        before the experiment (or any pool) starts."""
+        from repro.harness import cli
+        monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig13",
+                            lambda *a: pytest.fail("ran with a bad scale"))
+        monkeypatch.setattr(cli, "build_runner",
+                            lambda *a: pytest.fail("built a runner"))
+        monkeypatch.setenv("REPRO_SCALE", "papr")
+        assert main(["fig13"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scale 'papr'" in err and len(err.splitlines()) == 1
+
 
 def _probe_runs(monkeypatch, fail: bool):
     """Route ``fig13`` to a probe that records the runner it is handed,

@@ -103,8 +103,8 @@ FAMILIES: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
     "small-rwp": (small_rwp, (0, 1)),
     "small-city": (_small_city, (0, 1)),
     "small-flooding": (
-        lambda: small_rwp().with_changes(protocol="simple-flooding",
-                                         flood_period=1.0), (0, 1)),
+        lambda: small_rwp().with_changes(protocol="simple-flooding"),
+        (0, 1)),
     "small-energy": (
         lambda: small_rwp().with_changes(energy=EnergyConfig(
             profile=PowerProfile.power_save(), battery_capacity_j=30.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import GossipConfig, GossipPubSub
+from repro.core import registry
 from repro.harness.parallel import ParallelRunner
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
                                     ScenarioConfig, run_scenario)
@@ -77,11 +78,11 @@ class TestGossipUnit:
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.on_message(batch(5, event))
         proto.on_message(batch(6, event))
-        assert proto.duplicates_dropped == 1
+        assert proto.counters.duplicates_dropped == 1
         parasite = make_event(seq=7, topic=".z", validity=60.0,
                               now=host.now)
         proto.on_message(batch(5, parasite))
-        assert proto.parasites_dropped == 1
+        assert proto.counters.parasites_dropped == 1
         assert host.delivered == [event]
         # Parasites are still buffered (routing-layer forwarding).
         assert parasite.event_id in proto.buffered_event_ids
@@ -153,9 +154,18 @@ class TestGossipDeterminism:
             assert ours.summary() == theirs.summary()
 
     def test_gossip_probability_knob_changes_traffic(self):
-        eager = run_scenario(gossip_scenario().with_changes(
-            gossip=GossipConfig(forward_probability=1.0)))
-        lazy = run_scenario(gossip_scenario().with_changes(
-            gossip=GossipConfig(forward_probability=0.1)))
-        assert eager.events_sent_per_process() > \
-            lazy.events_sent_per_process()
+        """A gossip variant is a composition registered under its own
+        name; its forward probability still drives the traffic."""
+        variants = {"test-gossip-eager": 1.0, "test-gossip-lazy": 0.1}
+        for name, p in variants.items():
+            registry.register(name, lambda c, p=p: GossipPubSub(
+                GossipConfig(forward_probability=p)))
+        try:
+            eager, lazy = (
+                run_scenario(gossip_scenario().with_changes(protocol=name))
+                for name in variants)
+            assert eager.events_sent_per_process() > \
+                lazy.events_sent_per_process()
+        finally:
+            for name in variants:
+                registry.unregister(name)

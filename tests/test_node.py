@@ -33,7 +33,7 @@ class TestLifecycle:
         assert node.alive
         assert node.mobility.started
         sim.run(until=2.0)
-        assert node.protocol.heartbeats_sent >= 1
+        assert node.protocol.counters.heartbeats_sent >= 1
 
     def test_double_start_rejected(self, sim, rngs):
         node, _ = make_node(sim, rngs)

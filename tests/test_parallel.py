@@ -52,7 +52,7 @@ def _stationary_gossip() -> ScenarioConfig:
         n_processes=8,
         mobility=StationarySpec(width=700.0, height=700.0),
         duration=30.0, warmup=2.0,
-        protocol="gossip-flooding", gossip_probability=0.7,
+        protocol="gossip-flooding",
         subscriber_fraction=0.5,
         publications=(Publication(at=1.0, validity=20.0),
                       Publication(at=5.0, validity=20.0, publisher=1)))

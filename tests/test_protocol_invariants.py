@@ -111,10 +111,10 @@ def test_protocol_invariants(params):
         if capacity is not None:
             assert len(node.protocol.events) <= capacity
         # Forward accounting: transmissions happen one batch at a time.
-        proto = node.protocol
-        assert proto.events_forwarded >= 0
-        assert proto.batches_sent <= proto.events_forwarded or \
-            proto.batches_sent == 0
+        counters = node.protocol.counters
+        assert counters.events_forwarded >= 0
+        assert counters.batches_sent <= counters.events_forwarded or \
+            counters.batches_sent == 0
 
     # The publisher (node 0) delivered every event it was entitled to.
     publisher = nodes[0]
@@ -177,6 +177,7 @@ def test_whole_simulation_determinism(seed):
         world = run_world(params)
         return tuple(
             (n.id, tuple(str(e.event_id) for e in n.delivered_events),
-             n.protocol.heartbeats_sent, n.protocol.batches_sent)
+             n.protocol.counters.heartbeats_sent,
+             n.protocol.counters.batches_sent)
             for n in world["nodes"])
     assert fingerprint() == fingerprint()

@@ -333,7 +333,7 @@ class TestEventReception:
         proto.on_message(EventBatch(sender=5, events=(event,)))
         assert host.delivered == []
         assert event.event_id not in proto.events
-        assert proto.parasites_dropped == 1
+        assert proto.counters.parasites_dropped == 1
 
     def test_duplicate_event_dropped(self):
         host = FakeHost()
@@ -342,7 +342,7 @@ class TestEventReception:
         proto.on_message(EventBatch(sender=5, events=(event,)))
         proto.on_message(EventBatch(sender=6, events=(event,)))
         assert len(host.delivered) == 1
-        assert proto.duplicates_dropped == 1
+        assert proto.counters.duplicates_dropped == 1
 
     def test_expired_event_not_delivered(self):
         host = FakeHost()

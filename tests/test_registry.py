@@ -12,11 +12,9 @@ import pytest
 
 from repro.core import registry
 from repro.core.base import PubSubProtocol
-from repro.core.registry import ProtocolRegistry
 from repro.core.stack import DeliveryLayer, EventStore, GossipForwarding
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
-                                    ScenarioConfig, make_protocol,
-                                    run_scenario)
+                                    ScenarioConfig, run_scenario)
 from repro.net.messages import EventBatch
 
 
@@ -40,39 +38,42 @@ class _Noop(PubSubProtocol):
         pass
 
 
+@pytest.fixture
+def noop_name():
+    """A name the test may register; unregistered afterwards."""
+    yield "test-noop"
+    registry.REGISTRY.pop("test-noop", None)
+
+
 class TestRegistrySemantics:
-    def test_register_get_create(self):
-        reg = ProtocolRegistry()
-        entry = reg.register("noop", lambda c: _Noop(), description="nothing")
-        assert reg.get("noop") is entry
-        assert isinstance(reg.create("noop", config=None), _Noop)
-        assert reg.names() == ["noop"]
-        assert "noop" in reg and len(reg) == 1
+    def test_register_get_create(self, noop_name):
+        factory = lambda c: _Noop()                     # noqa: E731
+        registry.register(noop_name, factory)
+        assert registry.get(noop_name) is factory
+        assert isinstance(registry.create(noop_name, config=None), _Noop)
+        assert noop_name in registry.names()
 
-    def test_duplicate_requires_replace(self):
-        reg = ProtocolRegistry()
-        reg.register("noop", lambda c: _Noop())
+    def test_duplicate_requires_replace(self, noop_name):
+        registry.register(noop_name, lambda c: _Noop())
         with pytest.raises(ValueError, match="already registered"):
-            reg.register("noop", lambda c: _Noop())
-        reg.register("noop", lambda c: _Noop(), replace=True)
+            registry.register(noop_name, lambda c: _Noop())
+        registry.register(noop_name, lambda c: _Noop(), replace=True)
 
-    def test_unknown_name_lists_known(self):
-        reg = ProtocolRegistry()
-        reg.register("noop", lambda c: _Noop())
-        with pytest.raises(ValueError, match="noop"):
-            reg.get("missing")
+    def test_unknown_name_lists_known(self, noop_name):
+        registry.register(noop_name, lambda c: _Noop())
+        with pytest.raises(ValueError, match=noop_name):
+            registry.get("missing")
 
-    def test_unregister(self):
-        reg = ProtocolRegistry()
-        reg.register("noop", lambda c: _Noop())
-        reg.unregister("noop")
-        assert "noop" not in reg
+    def test_unregister(self, noop_name):
+        registry.register(noop_name, lambda c: _Noop())
+        registry.unregister(noop_name)
+        assert noop_name not in registry.names()
         with pytest.raises(ValueError, match="not registered"):
-            reg.unregister("noop")
+            registry.unregister(noop_name)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            ProtocolRegistry().register("", lambda c: _Noop())
+            registry.register("", lambda c: _Noop())
 
     def test_builtins_are_registered(self):
         names = registry.names()
@@ -140,9 +141,7 @@ class _BlindGossip(PubSubProtocol):
 class TestCustomProtocolThroughHarness:
     def test_registered_composition_runs_by_name(self):
         registry.register("test-blind-gossip",
-                          lambda c: _BlindGossip(c.gossip_probability),
-                          description="test-only custom stack",
-                          replace=True)
+                          lambda c: _BlindGossip(0.9), replace=True)
         try:
             config = ScenarioConfig(
                 n_processes=6,
@@ -150,10 +149,10 @@ class TestCustomProtocolThroughHarness:
                                             speed_min=10.0, speed_max=10.0),
                 duration=25.0, warmup=2.0,
                 protocol="test-blind-gossip",
-                gossip_probability=0.9,
                 subscriber_fraction=0.8,
                 publications=(Publication(at=2.0, validity=20.0),))
-            assert isinstance(make_protocol(config), _BlindGossip)
+            assert isinstance(registry.create(config.protocol, config),
+                              _BlindGossip)
             result = run_scenario(config)
             assert result.reliability() > 0.0
             assert result.protocol_counters().batches_sent > 0

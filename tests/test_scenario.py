@@ -8,14 +8,15 @@ import pickle
 import pytest
 
 from repro.baselines import SimpleFlooding
+from repro.core import registry
 from repro.core.protocol import FrugalPubSub
 from repro.energy import EnergyConfig, PowerProfile
 from repro.faults import ChurnConfig, FaultConfig
 from repro.harness.scenario import (CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec, build_world,
-                                    make_protocol, run_scenario,
-                                    select_subscribers, wire_world)
+                                    run_scenario, select_subscribers,
+                                    wire_world)
 from repro.net import WirelessMedium
 from repro.sim import RngRegistry, Simulator
 
@@ -49,6 +50,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(n_processes=0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("validity", 0.0),
+        ("validity", -5.0),
+        ("payload_bytes", -1),
+        ("publisher", -1),
+    ])
+    def test_bad_publication_rejected_when_built(self, field, bad):
+        """Caught where the config is written, not at the publish
+        instant after a whole warm-up."""
+        with pytest.raises(ValueError, match=rf"Publication\.{field}"):
+            Publication(**{"at": 5.0, "validity": 90.0, field: bad})
+
+    @pytest.mark.parametrize("field, changes", [
+        ("event_topic", {"event_topic": "paper.events.demo"}),
+        ("other_topic", {"other_topic": ".paper..other"}),
+        ("publications[0].topic", {"publications": (
+            Publication(at=2.0, validity=40.0, topic="paper.events"),)}),
+    ])
+    def test_bad_topic_rejected_when_built(self, field, changes,
+                                           monkeypatch):
+        import repro.harness.scenario as scenario
+        monkeypatch.setattr(scenario, "build_world",
+                            lambda config: pytest.fail("world built"))
+        with pytest.raises(ValueError) as err:
+            scenario.run_scenario(tiny_config(**changes))
+        assert str(err.value).startswith(f"{field}: ")
+
 
 class TestMobilitySpecs:
     def test_rwp_spec_builds_random_waypoint(self):
@@ -72,19 +100,21 @@ class TestMobilitySpecs:
 
 class TestProtocolFactory:
     def test_known_protocols(self):
-        assert isinstance(make_protocol(tiny_config()), FrugalPubSub)
+        assert isinstance(registry.create("frugal", tiny_config()),
+                          FrugalPubSub)
         assert isinstance(
-            make_protocol(tiny_config(protocol="simple-flooding")),
+            registry.create("simple-flooding",
+                            tiny_config(protocol="simple-flooding")),
             SimpleFlooding)
 
     def test_registry_backed_names(self):
         from repro.baselines import GossipPubSub
-        from repro.core import registry
         names = registry.names()
         assert "gossip" in names and "frugal" in names
         assert not any(name.startswith("legacy-") for name in names)
-        assert isinstance(make_protocol(tiny_config(protocol="gossip")),
-                          GossipPubSub)
+        assert isinstance(
+            registry.create("gossip", tiny_config(protocol="gossip")),
+            GossipPubSub)
 
 
 class TestSubscriberSelection:

@@ -117,20 +117,20 @@ class TestStackContract:
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(event,)))
         assert host.delivered == [event]
-        assert proto.duplicates_dropped == 0
+        assert proto.counters.duplicates_dropped == 0
         proto.on_message(EventBatch(sender=6, events=(event,)))
         assert host.delivered == [event]
-        assert proto.duplicates_dropped == 1
-        assert proto.delivered_count == 1
+        assert proto.counters.duplicates_dropped == 1
+        assert proto.counters.delivered_count == 1
 
     def test_unsubscribed_topic_is_a_parasite_never_delivered(self, name):
         host = FakeHost()
         proto = started(name, host, ".a")
         parasite = make_event(topic=".z", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(parasite,)))
-        assert proto.parasites_dropped == 1
+        assert proto.counters.parasites_dropped == 1
         host.advance(3.0)
         proto.on_message(EventBatch(sender=6, events=(parasite,)))
-        assert proto.parasites_dropped == 2
-        assert proto.duplicates_dropped == 0
+        assert proto.counters.parasites_dropped == 2
+        assert proto.counters.duplicates_dropped == 0
         assert host.delivered == []

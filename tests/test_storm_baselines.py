@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import CounterFlooding, GossipFlooding
+from repro.core import registry
 from repro.core.events import EventFactory
-from repro.harness.scenario import make_protocol
 from repro.mobility import Stationary
 from repro.net import Node, RadioConfig, WirelessMedium
 from repro.net.messages import EventBatch
@@ -61,7 +61,7 @@ class TestGossipFlooding:
         proto.on_message(batch(7, event))
         host.advance(1.0)
         assert len(host.sent_of_kind(EventBatch)) == 1
-        assert proto.duplicates_dropped == 2
+        assert proto.counters.duplicates_dropped == 2
 
     def test_forwards_parasites_but_does_not_deliver(self):
         """Storm schemes are routing-layer: interests gate delivery only."""
@@ -71,7 +71,7 @@ class TestGossipFlooding:
         proto.on_message(batch(5, parasite))
         host.advance(0.2)
         assert host.delivered == []
-        assert proto.parasites_dropped == 1
+        assert proto.counters.parasites_dropped == 1
         assert len(host.sent_of_kind(EventBatch)) == 1
 
     def test_expired_event_not_forwarded(self):
@@ -142,16 +142,13 @@ class TestScenarioIntegration:
             n_processes=4,
             mobility=RandomWaypointSpec(300.0, 300.0, 5.0, 5.0),
             duration=30.0,
-            publications=(Publication(at=1.0, validity=20.0),),
-            gossip_probability=0.8, counter_threshold=4)
-        gossip = make_protocol(base.with_changes(
-            protocol="gossip-flooding"))
+            publications=(Publication(at=1.0, validity=20.0),))
+        gossip = registry.create("gossip-flooding", base)
         assert isinstance(gossip, GossipFlooding)
-        assert gossip.probability == 0.8
-        counter = make_protocol(base.with_changes(
-            protocol="counter-flooding"))
+        assert gossip.probability == 0.6
+        counter = registry.create("counter-flooding", base)
         assert isinstance(counter, CounterFlooding)
-        assert counter.threshold == 4
+        assert counter.threshold == 3
 
     def test_gossip_disseminates_in_connected_cluster(self, sim, rngs):
         medium = WirelessMedium(sim, RadioConfig(range_override_m=200.0),

@@ -61,7 +61,8 @@ class TestSetFieldPath:
         assert base.frugal.eviction_policy != "fifo"
 
     def test_unknown_field_names_known_fields(self):
-        with pytest.raises(ValueError, match="known fields"):
+        with pytest.raises(ValueError, match="'evicton_policy' in path "
+                           "'frugal.evicton_policy'; known fields"):
             set_field_path(tiny_config(), "frugal.evicton_policy", "fifo")
 
     def test_none_intermediate_rejected(self):
@@ -70,7 +71,8 @@ class TestSetFieldPath:
             set_field_path(tiny_config(), "energy.duty_cycle", None)
 
     def test_non_dataclass_descent_rejected(self):
-        with pytest.raises(ValueError, match="not a dataclass"):
+        with pytest.raises(ValueError,
+                           match="of path 'protocol.x': not a dataclass"):
             set_field_path(tiny_config(), "protocol.x", 1)
 
 

@@ -46,7 +46,7 @@ class TestUnitLevel:
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(event,)))
         assert host.delivered == []
-        assert proto.parasites_dropped == 1
+        assert proto.counters.parasites_dropped == 1
 
     def test_resubscribe_restarts_tasks(self):
         host = FakeHost()
