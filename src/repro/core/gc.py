@@ -15,7 +15,7 @@ events that were never forwarded — exactly the worked example in the paper
 (a 2-minute event forwarded once outlives a 5-minute event forwarded five
 times).
 
-Three alternative policies are provided for the `abl-gc` ablation bench:
+Three alternative policies are provided for the `abl-gc` ablation study:
 
 * :class:`RemainingValidityPolicy` — Equation 1 computed on the *remaining*
   validity instead of the full period (a plausible alternative reading of

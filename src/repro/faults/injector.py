@@ -148,11 +148,6 @@ class FaultTimeline:
             covered += max(0.0, min(e, end) - max(s, start))
         return covered < (end - start) - 1e-9
 
-    def down_count_at(self, t: float) -> int:
-        """How many nodes were fault-downed at instant ``t``."""
-        return sum(1 for intervals in self.down_intervals.values()
-                   if any(s <= t < e for s, e in intervals))
-
 
 class FaultInjector:
     """Drive one world's fault schedule off the simulation clock.

@@ -42,8 +42,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.harness.experiments": ("ExperimentResult", "churn_scenario",
                                   "city_scenario", "energy_scenario",
                                   "rwp_scenario"),
-    "repro.harness.reporting": ("availability_timeline",
-                                "depletion_timeline", "format_engine_stats",
+    "repro.harness.reporting": ("depletion_timeline", "format_engine_stats",
                                 "format_experiment", "format_table",
-                                "reliability_grid", "to_csv"),
+                                "to_csv"),
 }, eager=("repro.harness.scenario",))

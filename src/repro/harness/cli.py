@@ -10,8 +10,8 @@ Run any reproduced figure or ablation from a shell::
     python -m repro.harness.cli loopback-bridge --scale smoke  # real UDP
     python -m repro.harness.cli all --out-dir results/
 
-Equivalent to the benchmark suite minus the timing machinery — handy on a
-cluster where each figure is one job.
+Each figure is one command — handy on a cluster where each figure is
+one job.
 
 Multi-seed sweeps fan out over ``--jobs`` worker processes (spawn-safe,
 bit-identical to serial execution) and consult an on-disk result cache so

@@ -16,13 +16,13 @@ platform, deliberately:
 
 * **Determinism.**  A spawned worker is a pristine interpreter: it
   imports :mod:`repro` fresh and carries none of the parent's accumulated
-  module-level state (street-map caches, benchmark sweep caches, already
-  seeded global RNGs).  Every scenario therefore executes in exactly the
-  environment a serial run in a fresh process would see, which is what
-  lets the determinism suite assert *bit-identical* serial/parallel
-  results.  A forked worker would instead inherit whatever mutable state
-  the parent happened to have built up at fork time, making results
-  depend on scheduling history.
+  module-level state (street-map caches, already seeded global RNGs).
+  Every scenario therefore executes in exactly the environment a serial
+  run in a fresh process would see, which is what lets the determinism
+  suite assert *bit-identical* serial/parallel results.  A forked
+  worker would instead inherit whatever mutable state the parent
+  happened to have built up at fork time, making results depend on
+  scheduling history.
 * **Safety.**  ``fork`` in a process that might hold locks (logging,
   pytest capture plugins) deadlocks sporadically; CPython 3.12+ warns and
   3.14 changed the Linux default to spawn for exactly this reason.
@@ -74,7 +74,7 @@ from repro.harness.runner import MultiSeedResult
 from repro.harness.scenario import (ScenarioConfig, ScenarioResult,
                                     run_scenario)
 
-#: Environment variable giving the default worker count (CLI/benchmarks).
+#: Environment variable giving the default worker count (the CLI's).
 JOBS_ENV = "REPRO_JOBS"
 
 
@@ -105,9 +105,8 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
     """Normalise a worker count: ``None`` reads ``$REPRO_JOBS`` (falling
     back to ``default``), and ``0`` means "all *available* CPUs"
     (container-aware: see :func:`available_cpu_count`).  The single home
-    of that rule — the CLI and the benchmark suite both resolve through
-    it.  A negative or non-integer count raises a one-line
-    :class:`ValueError`.
+    of that rule — the CLI resolves through it.  A negative or
+    non-integer count raises a one-line :class:`ValueError`.
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV)

@@ -1,8 +1,8 @@
 """Rendering experiment results: aligned ASCII tables and CSV files.
 
-The benchmark harness prints each reproduced figure with these helpers so
-`pytest benchmarks/ --benchmark-only` output can be compared side by side
-with the paper's plots (EXPERIMENTS.md records the comparison).
+The CLI (``python -m repro.harness.cli <id>``) prints each reproduced
+figure with these helpers, so its output can be compared side by side
+with the paper's plots (docs/EXPERIMENTS.md records the comparison).
 """
 
 from __future__ import annotations
@@ -118,33 +118,6 @@ def depletion_timeline(deaths: Sequence[tuple], n_nodes: int,
     return format_table(rows)
 
 
-def availability_timeline(timeline, buckets: int = 10) -> str:
-    """Nodes-up-over-time table from a
-    :class:`~repro.faults.injector.FaultTimeline`.
-
-    The fault experiments' population view: how much of the network was
-    up at each slice of the measurement window (churn rests, outage
-    windows and permanent drains all show up as dips).
-    """
-    if buckets <= 0:
-        raise ValueError("buckets must be positive")
-    start, end = timeline.window
-    if end <= start:
-        raise ValueError("timeline window must have positive length")
-    n = timeline.n_nodes
-    if n <= 0:
-        raise ValueError("timeline must cover at least one node")
-    rows = []
-    for i in range(1, buckets + 1):
-        t = start + (end - start) * i / buckets
-        # Sample just inside the bucket edge: an interval closing exactly
-        # at the window end would otherwise be missed by the [s, e) test.
-        up = n - timeline.down_count_at(min(t, end) - 1e-9)
-        rows.append({"t [s]": t - start, "up": up,
-                     "up [%]": 100.0 * up / n})
-    return format_table(rows)
-
-
 def _key_tuple(keys) -> tuple:
     """Normalise one column name or a sequence of them to a tuple."""
     return (keys,) if isinstance(keys, str) else tuple(keys)
@@ -159,8 +132,8 @@ def pivot_table(rows: Sequence[Dict], row_keys, col_keys,
     of them; each distinct row-key combination becomes one line (one
     label column per key) and each distinct col-key combination one
     column, sorted by value.  Combinations absent from ``rows`` render
-    as ``nan``.  With single string keys the output is byte-identical
-    to the historical :func:`reliability_grid` rendering.
+    as ``nan``.  Declarations name theirs in a
+    :class:`~repro.study.spec.PivotSpec`.
     """
     row_keys = _key_tuple(row_keys)
     col_keys = _key_tuple(col_keys)
@@ -189,15 +162,3 @@ def pivot_table(rows: Sequence[Dict], row_keys, col_keys,
         table.append(line)
     return format_table(table)
 
-
-def reliability_grid(result: ExperimentResult, row_key: str,
-                     col_key: str, value_key: str = "reliability",
-                     **fixed) -> str:
-    """Pivot rows into a 2-D grid (e.g. speed x validity -> reliability),
-    mirroring the paper's 3-D surface plots as a text matrix.
-
-    A thin wrapper over :func:`pivot_table` keeping the historical
-    single-key signature; ``fixed`` pre-filters the rows.
-    """
-    rows = result.filter(**fixed) if fixed else result.rows
-    return pivot_table(rows, row_key, col_key, value_key)

@@ -401,7 +401,7 @@ class ScenarioResult:
     #: phase (``drain`` / ``merge`` / ``ingest`` / ``retime``) summed
     #: over shards, plus ``barriers`` (count) and ``frames_exchanged``
     #: (frames ingested, summed over shards) — the measured barrier tax
-    #: ``benchmarks/bench_shard.py`` publishes.  ``merge`` is timed in
+    #: the e2e ``city_shard`` workload reports.  ``merge`` is timed in
     #: the shards: routing their own outbox, (un)pickling peer slices
     #: and sorting what they ingest.  ``None`` for classic runs;
     #: excluded from equality (timings are noise).

@@ -20,7 +20,7 @@ partition geometry or the sharded engine.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.sim.shard.config": ("DEFAULT_LATENCY_S", "ShardConfig",
+    "repro.sim.shard.config": ("LATENCY_S", "ShardConfig",
                                "resolve_epoch_s"),
     "repro.sim.shard.partition": ("ShardPlan",),
     "repro.sim.shard.engine": ("ShardFrame", "ShardMedium",

@@ -1,27 +1,30 @@
-"""Sharded-execution configuration: tile shape and latency.
+"""Sharded-execution configuration: the tile shape, and the latency
+that makes the barrier spacing unobservable.
 
 :class:`ShardConfig` is the one type of ``ScenarioConfig.shards``: a
 plain count is rejected there, so "four vertical stripes" is spelled
 ``ShardConfig(shards=4)``.
 
-The knobs
----------
-* ``shards`` / ``rows`` — the tile grid.  ``shards=K`` total tiles,
-  arranged as ``rows`` full-width bands of ``K // rows`` columns each
-  (``rows=1``, the default, is the classic vertical-stripe plan; a
-  ``2x2`` plan is ``shards=4, rows=2``).  The partition itself lives in
-  :class:`~repro.sim.shard.partition.ShardPlan`.
-* ``latency_s`` — the *semantic* knob: every cross-node frame is
-  delivered (and occupies the channel, as heard by everyone but its
-  sender) exactly ``latency_s`` seconds after the classic engine would
-  deliver it.  This constant air-to-delivery latency is what makes the
-  barrier spacing unobservable: a frame sent at ``s`` is committed at
-  the first barrier after ``s`` — no later than ``s + epoch`` — and
-  first *used* at ``s + latency_s``, so any ``epoch <= latency_s``
-  commits every frame before any shard can observe it — which is why
-  the spacing is not a setting (:func:`resolve_epoch_s` picks the
-  cheapest sound one).  The default of 1 s sits at the protocol stack's
-  heartbeat cadence: one epoch of traffic is about one heartbeat round.
+The tile grid
+-------------
+``shards=K`` total tiles, arranged as ``rows`` full-width bands of
+``K // rows`` columns each (``rows=1``, the default, is the classic
+vertical-stripe plan; a ``2x2`` plan is ``shards=4, rows=2``).  The
+partition itself lives in :class:`~repro.sim.shard.partition.ShardPlan`.
+
+The latency
+-----------
+:data:`LATENCY_S` is a constant of the sharded universe: every
+cross-node frame is delivered (and occupies the channel, as heard by
+everyone but its sender) exactly ``LATENCY_S`` seconds after the
+classic engine would deliver it.  This constant air-to-delivery latency
+is what makes the barrier spacing unobservable: a frame sent at ``s``
+is committed at the first barrier after ``s`` — no later than ``s +
+epoch`` — and first *used* at ``s + LATENCY_S``, so any ``epoch <=
+LATENCY_S`` commits every frame before any shard can observe it — which
+is why the spacing is not a setting (:func:`resolve_epoch_s` picks the
+cheapest sound one).  1 s sits at the protocol stack's heartbeat
+cadence: one epoch of traffic is about one heartbeat round.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: Default cross-node delivery latency, seconds — see the module
-#: docstring for why 1 s (one heartbeat round) is the reference point.
-DEFAULT_LATENCY_S = 1.0
+#: Cross-node delivery latency of the sharded universe, seconds — see
+#: the module docstring for why 1 s (one heartbeat round).
+LATENCY_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,10 @@ class ShardConfig:
     rows:
         Tile-grid rows ``R`` (must divide ``shards``); ``1`` gives the
         classic vertical stripes, ``R>1`` an ``R x (K/R)`` grid.
-    latency_s:
-        The constant cross-node delivery latency of the sharded
-        universe, seconds (> 0).
     """
 
     shards: int = 0
     rows: int = 1
-    latency_s: float = DEFAULT_LATENCY_S
 
     def __post_init__(self) -> None:
         if self.shards < 0:
@@ -64,9 +63,6 @@ class ShardConfig:
             raise ValueError(
                 f"rows must divide the shard count: "
                 f"{self.shards} % {self.rows} != 0")
-        if self.latency_s <= 0 or not math.isfinite(self.latency_s):
-            raise ValueError(
-                f"latency_s must be positive and finite: {self.latency_s}")
 
     def __bool__(self) -> bool:
         """Truthy iff the sharded engine is enabled — keeps the
@@ -80,7 +76,8 @@ class ShardConfig:
 
     @property
     def plan_label(self) -> str:
-        """The ``RxC`` shape tag benches and metadata stamp per row."""
+        """The ``RxC`` shape tag study parameters stamp (``"off"`` when
+        disabled)."""
         return f"{self.rows}x{self.cols}" if self.shards else "off"
 
     @classmethod
@@ -102,12 +99,11 @@ class ShardConfig:
                 f"(e.g. '4' or '2x2'): {text!r}") from None
 
 
-def resolve_epoch_s(shards: ShardConfig, duration: float,
-                    warmup: float) -> float:
+def resolve_epoch_s(duration: float, warmup: float) -> float:
     """The barrier spacing one run uses, seconds.
 
     The largest power of two no longer than the soundness bound
-    ``latency_s`` and no longer than half the run, so short scenarios
+    :data:`LATENCY_S` and no longer than half the run, so short scenarios
     still cross a couple of barriers.  Powers of two are binary-exact,
     hence every shard computes bit-equal barrier instants; and because
     any sound spacing yields bit-identical results (the retimed
@@ -115,5 +111,5 @@ def resolve_epoch_s(shards: ShardConfig, duration: float,
     wall-clock: fewer barriers, less drain/merge/ingest overhead per
     simulated second.
     """
-    bound = min(shards.latency_s, max((warmup + duration) / 2.0, 2 ** -6))
+    bound = min(LATENCY_S, max((warmup + duration) / 2.0, 2 ** -6))
     return 2.0 ** math.floor(math.log2(bound))

@@ -13,14 +13,14 @@ properties — asserted by ``tests/test_shard.py`` — are
 * **tile-shape invariance**: a ``4x1``, ``2x2`` and ``1x4`` plan of the
   same K agree bit for bit;
 * **epoch-length invariance**: any barrier spacing in
-  ``(0, latency_s]`` yields bit-identical results, which is why the
+  ``(0, LATENCY_S]`` yields bit-identical results, which is why the
   spacing is derived (:func:`~repro.sim.shard.config.resolve_epoch_s`)
   rather than configured.
 
 The retimed universe
 --------------------
 The sharded engine models a constant cross-node delivery latency
-``L = latency_s`` (default 1 s): a frame transmitted over
+``L = LATENCY_S`` (1 s): a frame transmitted over
 ``[s, e = s + airtime)`` occupies the channel **as heard by every node
 but its sender** over ``(s + L, e + L)``, and is delivered — verdicts,
 loss draws, protocol reactions — at the exact instant ``e + L``, as a
@@ -159,7 +159,7 @@ from repro.net import WirelessMedium
 from repro.net.medium import HISTORY_HORIZON_S, Transmission, anchor_slack_m
 from repro.sim import RngRegistry, Simulator
 from repro.sim.batch import Hit
-from repro.sim.shard.config import resolve_epoch_s
+from repro.sim.shard.config import LATENCY_S, resolve_epoch_s
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.space import Vec2
 
@@ -253,7 +253,7 @@ def compute_ownership(config) -> List[int]:
     return [plan.shard_of(p) for p in positions]
 
 
-def _routing_margin_m(config, latency_s: float) -> Optional[float]:
+def _routing_margin_m(config) -> Optional[float]:
     """The reach inflation that makes audibility routing sound.
 
     A frame committed at barrier ``t_c`` is last consulted no later
@@ -277,7 +277,7 @@ def _routing_margin_m(config, latency_s: float) -> Optional[float]:
     v_max = config.mobility.max_speed_mps()
     if v_max is None:
         return None
-    return v_max * (2.0 * HISTORY_HORIZON_S + latency_s) + _BBOX_SLACK_M
+    return v_max * (2.0 * HISTORY_HORIZON_S + LATENCY_S) + _BBOX_SLACK_M
 
 
 def _filter_batch(merged: List[ShardFrame],
@@ -330,11 +330,10 @@ class ShardMedium(WirelessMedium):
       at its exact ``end + L``, *inside* the epoch, not at a barrier.
     """
 
-    def __init__(self, sim, radio, config, sizes, rngs: RngRegistry,
-                 latency_s: float):
+    def __init__(self, sim, radio, config, sizes, rngs: RngRegistry):
         super().__init__(sim, radio, config=config, sizes=sizes, rng=None)
         self._rngs = rngs
-        self._latency_s = latency_s
+        self._latency_s = LATENCY_S
         self._outbox: List[ShardFrame] = []
         self._tx_seq: Dict[int, int] = {}
         self._own_tx: Dict[int, List[Tuple[float, float]]] = {}
@@ -544,8 +543,7 @@ class _ShardWorld:
         self.stats = {"drain_s": 0.0, "merge_s": 0.0, "ingest_s": 0.0,
                       "retime_s": 0.0, "frames_exchanged": 0.0}
         self._index = shard_index
-        latency_s = config.shards.latency_s
-        self._margin = _routing_margin_m(config, latency_s)
+        self._margin = _routing_margin_m(config)
         self._outbox: List[ShardFrame] = []
         self._own: List[ShardFrame] = []
         self._peers: Dict[int, List[ShardFrame]] = {}
@@ -553,7 +551,7 @@ class _ShardWorld:
         rngs = RngRegistry(config.seed)
         medium = ShardMedium(
             sim, config.radio, config=config.medium, sizes=config.sizes,
-            rngs=rngs, latency_s=latency_s)
+            rngs=rngs)
         # Fault draws span the global population and use per-receiver
         # streams, so they do not depend on who is co-resident.
         self.world = world = wire_world(
@@ -856,7 +854,7 @@ def run_sharded_scenario(config):
 
     started = _wallclock.perf_counter()
     shards = config.shards
-    epoch = resolve_epoch_s(shards, config.duration, config.warmup)
+    epoch = resolve_epoch_s(config.duration, config.warmup)
     owners = compute_ownership(config)
     barriers = compute_barriers(config.warmup, config.duration, epoch)
     spawn = _select_backend(shards.shards) == "spawn"

@@ -2,12 +2,13 @@
 
 Each entry is a :class:`~repro.study.spec.StudySpec` builder — base
 scenario, ordered grid, metrics — registered in :data:`STUDIES`, the
-single declaration registry.  :data:`ALL_EXPERIMENTS` (what the CLI,
-the benchmarks and ``all`` iterate) is derived from it: one
+single declaration registry.  :data:`ALL_EXPERIMENTS` (what the CLI
+and ``all`` iterate) is derived from it: one
 ``(scale, runner) -> ExperimentResult`` entry per declaration, plus
 ``loopback-bridge``, whose real-socket half cannot be a spec.  The CSV
 bytes of every declaration are pinned by
-``tests/golden_experiments.json``.
+``tests/golden_experiments.json``, and the paper's qualitative claims
+about them are asserted by ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def fig11_study(scale: Scale) -> StudySpec:
         seeds=tuple(scale.seed_list()),
         metrics=(Metric("reliability", std=True),),
         parameters={"scale": scale.name, "speeds": speeds,
-                    "validities": validities, "interests": interests})
+                    "validities": validities, "interests": interests},
+        pivot=PivotSpec(rows=("interest", "speed"), cols="validity",
+                        value="reliability"))
 
 
 def fig12_study(scale: Scale) -> StudySpec:
@@ -130,7 +133,9 @@ def fig12_study(scale: Scale) -> StudySpec:
         seeds=tuple(scale.seed_list()),
         metrics=(Metric("reliability", std=True),),
         parameters={"scale": scale.name, "validities": validities,
-                    "interests": interests})
+                    "interests": interests},
+        pivot=PivotSpec(rows="interest", cols="validity",
+                        value="reliability"))
 
 
 # --------------------------------------------------------------------------

@@ -175,15 +175,13 @@ class TestDigest:
             config_digest(base_config(faults=FaultConfig()))
 
     def test_shard_config_fields_all_reach_the_digest(self):
-        """Every ShardConfig knob — shard count, tile shape, latency —
-        must flip the cache key: tiling is proven result-invariant, but
-        ``barrier_stats`` and engine dispatch still differ, and
-        ``latency_s`` changes the semantics outright."""
+        """Every ShardConfig knob — shard count, tile shape — must flip
+        the cache key: tiling is proven result-invariant, but
+        ``barrier_stats`` and engine dispatch still differ."""
         variants = [
             ShardConfig(shards=2),
             ShardConfig(shards=4),
             ShardConfig(shards=4, rows=2),
-            ShardConfig(shards=4, latency_s=2.0),
         ]
         digests = {config_digest(base_config(shards=v)) for v in variants}
         assert len(digests) == len(variants), \

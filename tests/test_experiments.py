@@ -1,8 +1,9 @@
 """Tests for the registered experiments and their scenario factories.
 
 These run miniature versions of each experiment — a dedicated `tiny`
-scale far smaller than `quick` — to verify the sweep structure, row
-schemas and the qualitative trends the benchmarks rely on.
+scale far smaller than `quick` — to verify the sweep structure and row
+schemas; ``tests/test_paper_claims.py`` asserts the paper's
+qualitative trends at ``quick``.
 """
 
 from __future__ import annotations

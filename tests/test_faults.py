@@ -422,8 +422,6 @@ class TestFaultMetrics:
         assert timeline.was_up_during(0, 0.0, 100.0)
         assert not timeline.was_up_during(0, 12.0, 28.0)
         assert timeline.was_up_during(0, 29.0, 31.0)
-        assert timeline.down_count_at(15.0) == 1
-        assert timeline.down_count_at(40.0) == 0
 
     def test_timeline_travels_through_pickle(self):
         cfg = rwp_config(faults=FaultConfig(churn=ChurnConfig(

@@ -97,8 +97,7 @@ def _churn_faults(base: ScenarioConfig, session_s: float, rest_s: float,
 #: worlds covering every subsystem (random waypoint, city section,
 #: flooding, batteries + duty cycling, the full fault mix); ``quick-*``
 #: are the quick-scale figure configs with a capped warm-up; ``fig-*``
-#: are the uncapped quick-scale figure families ``bench_scale.py`` used
-#: to compare across rungs.
+#: are the uncapped quick-scale figure families.
 FAMILIES: Dict[str, Tuple[Callable[[], ScenarioConfig], Tuple[int, ...]]] = {
     "small-rwp": (small_rwp, (0, 1)),
     "small-city": (_small_city, (0, 1)),

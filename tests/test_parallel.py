@@ -203,7 +203,7 @@ class TestPickleRoundTrip:
             assert pickle.loads(pickle.dumps(config)) == config
 
 
-#: A miniature scale for the bench-sweep cache test below.
+#: A miniature scale for the study-sweep cache test below.
 NANO = Scale(
     name="nano",
     rwp_processes=8, rwp_area_m=1000.0, rwp_warmup=5.0,
@@ -214,8 +214,8 @@ NANO = Scale(
 
 class TestCachedSweep:
     def test_cached_rerun_executes_zero_scenarios(self, tmp_path):
-        """Acceptance criterion: rerunning a bench_fig sweep with a warm
-        cache performs no scenario executions at all."""
+        """Rerunning a figure's study sweep with a warm cache performs
+        no scenario executions at all."""
         runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
         spec = build_study("fig17", NANO)
         spec = dataclasses.replace(spec, grid=(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.reporting import (format_experiment, format_table,
-                                     pivot_table, reliability_grid, to_csv)
+                                     pivot_table, to_csv)
 
 
 def sample_result() -> ExperimentResult:
@@ -79,36 +79,31 @@ class TestToCsv:
             to_csv(empty, str(tmp_path / "no.csv"))
 
 
-class TestReliabilityGrid:
+class TestPivotTable:
+    """The multi-key pivot every grid rendering routes through."""
+
     def test_pivots_rows_to_matrix(self):
-        text = reliability_grid(sample_result(), row_key="speed",
-                                col_key="validity")
+        text = pivot_table(sample_result().rows, "speed", "validity",
+                           "reliability")
         lines = text.splitlines()
         assert "validity=30" in lines[0]
         assert "validity=90" in lines[0]
         assert len(lines) == 4          # header, sep, 2 speed rows
 
     def test_fixed_filter(self):
-        text = reliability_grid(sample_result(), row_key="speed",
-                                col_key="validity", speed=5.0)
+        text = pivot_table(sample_result().filter(speed=5.0), "speed",
+                           "validity", "reliability")
         assert len(text.splitlines()) == 3
 
-
-class TestPivotTable:
-    """The multi-key pivot every grid rendering now routes through."""
-
     def test_single_key_byte_identical_to_historical_grid(self):
-        # Golden output of the pre-generalisation reliability_grid
-        # implementation: the single-key path must never drift.
+        # Golden output of the first single-key grid implementation:
+        # the single-key path must never drift.
         expected = ("speed | validity=30 | validity=90\n"
                     "------+-------------+------------\n"
                     "    5 |        0.61 |        0.92\n"
                     "   10 |        0.74 |        0.97")
-        rows = [r for r in sample_result().rows]
-        assert pivot_table(rows, "speed", "validity",
+        assert pivot_table(sample_result().rows, "speed", "validity",
                            "reliability") == expected
-        assert reliability_grid(sample_result(), row_key="speed",
-                                col_key="validity") == expected
 
     def test_multi_key_rows_and_cols(self):
         rows = [{"p": p, "duty": d, "churn": c, "rel": 0.5}
@@ -173,4 +168,4 @@ class TestExperimentPivot:
             "  gossip |             0.9")
 
     def test_unregistered_experiment_has_none(self):
-        assert self.pivot("fig11") is None
+        assert self.pivot("fig13") is None

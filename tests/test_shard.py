@@ -44,7 +44,7 @@ from repro.harness.scenario import (CityGridSpec, CitySectionSpec,
 from repro.net.medium import Transmission, anchor_slack_m
 from repro.net.radio import RadioConfig
 from repro.sim import RngRegistry, Simulator
-from repro.sim.shard import ShardConfig, resolve_epoch_s
+from repro.sim.shard import LATENCY_S, ShardConfig, resolve_epoch_s
 from repro.sim.shard import engine as shard_engine
 from repro.sim.shard.engine import (_EVERYWHERE, ShardFrame, ShardWorkerLost,
                                     _filter_batch, _frame_key,
@@ -191,8 +191,7 @@ class TestEpochInvariance:
         """The derived spacing is the one a run uses, and forcing that
         same spacing (the ladders' mechanism) changes nothing."""
         config = _rwp_frugal().with_changes(shards=TWO_SHARDS)
-        resolved = resolve_epoch_s(config.shards, config.duration,
-                                   config.warmup)
+        resolved = resolve_epoch_s(config.duration, config.warmup)
         assert resolved == 1.0   # min(latency 1.0, half the 34 s run)
         automatic = run_scenario(config)
         assert automatic.barrier_stats["epoch_s"] == resolved
@@ -677,16 +676,14 @@ class TestConfigValidation:
             ShardConfig(shards=4, rows=3)
 
     def test_epoch_must_be_sound(self):
-        """The derived spacing lies in ``(0, latency_s]`` — longer
+        """The derived spacing lies in ``(0, LATENCY_S]`` — longer
         epochs would let a frame be used before the barrier that
-        commits it — and is binary-exact, for any latency and run."""
-        for latency in (0.3, 1.0, 1.5, 2.0):
-            shards = ShardConfig(shards=2, latency_s=latency)
-            for duration, warmup in ((0.0, 0.0), (1.2, 0.0), (30.0, 4.0),
-                                     (3600.0, 60.0)):
-                epoch = resolve_epoch_s(shards, duration, warmup)
-                assert 0.0 < epoch <= latency
-                assert math.log2(epoch).is_integer()
+        commits it — and is binary-exact, for any run."""
+        for duration, warmup in ((0.0, 0.0), (1.2, 0.0), (30.0, 4.0),
+                                 (3600.0, 60.0)):
+            epoch = resolve_epoch_s(duration, warmup)
+            assert 0.0 < epoch <= LATENCY_S
+            assert math.log2(epoch).is_integer()
 
     def test_parse_accepts_counts_and_grids(self):
         assert ShardConfig.parse("4") == ShardConfig(shards=4)
@@ -696,7 +693,6 @@ class TestConfigValidation:
                 ShardConfig.parse(bad)
 
     def test_auto_epoch_is_a_pure_function_of_the_config(self):
-        shards = ShardConfig(shards=2)
-        assert resolve_epoch_s(shards, 30.0, 4.0) == 1.0
-        assert resolve_epoch_s(shards, 1.2, 0.0) == 0.5
-        assert resolve_epoch_s(shards, 0.0, 0.0) == 2.0 ** -6
+        assert resolve_epoch_s(30.0, 4.0) == 1.0
+        assert resolve_epoch_s(1.2, 0.0) == 0.5
+        assert resolve_epoch_s(0.0, 0.0) == 2.0 ** -6
