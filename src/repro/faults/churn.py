@@ -55,8 +55,3 @@ class ChurnConfig:
         if self.distribution == "exponential":
             return rng.expovariate(1.0 / mean_s)
         return mean_s                       # "fixed"
-
-    @property
-    def leave_rate_per_min(self) -> float:
-        """Expected leaves per churned node per minute (rate view)."""
-        return 60.0 / self.mean_session_s

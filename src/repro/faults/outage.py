@@ -3,9 +3,8 @@
 Models localised disruptions — a jammed conference hall, a powered-down
 city block, a tunnel — as a circular region whose member nodes all fail
 at the same instant and come back ``duration`` seconds later.  Membership
-is resolved *at outage start* against the nodes' exact positions (via the
-medium's :class:`~repro.sim.space.SpatialGrid` when the spatial index is
-active), so a node that drives into the region mid-outage is unaffected
+is resolved *at outage start* against the nodes' exact positions (via
+:meth:`~repro.net.medium.WirelessMedium.nodes_within`), so a node that drives into the region mid-outage is unaffected
 and a member that drives out stays down until the outage lifts — the
 radio was hit, not the coordinates.
 """

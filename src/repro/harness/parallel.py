@@ -101,9 +101,9 @@ def available_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
+def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Normalise a worker count: ``None`` reads ``$REPRO_JOBS`` (falling
-    back to ``default``), and ``0`` means "all *available* CPUs"
+    back to 1), and ``0`` means "all *available* CPUs"
     (container-aware: see :func:`available_cpu_count`).  The single home
     of that rule — the CLI resolves through it.  A negative or
     non-integer count raises a one-line :class:`ValueError`.
@@ -111,7 +111,7 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
     if jobs is None:
         raw = os.environ.get(JOBS_ENV)
         try:
-            jobs = default if raw is None else int(raw)
+            jobs = 1 if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"{JOBS_ENV} must be an integer worker "
                              f"count: {raw!r}") from None

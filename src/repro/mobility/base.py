@@ -5,18 +5,15 @@ speed (a pause is a zero-speed leg).  Concrete models only decide *what the
 next leg is*; this base class owns interpolation, leg scheduling and the
 ``position()``/``current_speed()`` queries the rest of the system uses.
 
-Position anchors
-----------------
-Besides answering exact ``position()`` queries, a model *pushes* position
-updates to an observer (``on_move``) so consumers never have to poll every
-node: the wireless medium registers each node's anchor in a spatial index
-and prunes its per-frame receiver scans with it.  An anchor is emitted at
-every leg boundary (start, arrival, pause, stop) and — when
-``anchor_interval_m`` is set — every ``anchor_interval_m`` metres along a
-moving leg, so a node's true position never drifts more than that distance
-from its last pushed anchor.  That bounded staleness is what lets the
-medium inflate its range queries by a fixed slack and still resolve the
-exact receiver set (see :mod:`repro.net.medium`).
+Leg pushes
+----------
+Besides answering exact ``position()`` queries, a model *pushes* one
+notification per leg change (start, arrival, pause, stop) to an observer
+(``on_leg_change``), so consumers never have to poll every node: the
+wireless medium re-reads :meth:`MobilityModel.leg_state`, which encodes
+``position()`` exactly until the next change.  Keeping the spatial index
+fresh between pushes is the consumer's business
+(:class:`repro.sim.batch.LegTable`); a model arms no timer for it.
 """
 
 from __future__ import annotations
@@ -75,22 +72,11 @@ class MobilityModel(abc.ABC):
         self._leg: Optional[Leg] = None
         self._pause: Optional[PauseLeg] = None
         self._arrival_timer = None
-        self._anchor_timer = None
         self.legs_completed = 0
-        #: Observer receiving position anchors (metres); set by the node /
-        #: medium wiring before :meth:`start`.  Called with the exact
-        #: position at every leg boundary and every ``anchor_interval_m``
-        #: metres along a moving leg.
-        self.on_move: Optional[Callable[[Vec2], None]] = None
-        #: Maximum distance (metres) the model may travel between two
-        #: ``on_move`` notifications; ``None`` disables mid-leg re-anchors
-        #: (anchors then only fire at leg boundaries).
-        self.anchor_interval_m: Optional[float] = None
         #: Observer notified (no arguments) whenever the current leg
         #: changes — at every leg boundary and on :meth:`stop`.  The
-        #: medium subscribes and re-reads :meth:`leg_state`,
-        #: which stays exact for the *whole* leg, so leg-change pushes
-        #: are much rarer than position anchors.
+        #: medium subscribes and re-reads :meth:`leg_state`, which stays
+        #: exact for the *whole* leg.
         self.on_leg_change: Optional[Callable[[], None]] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -118,13 +104,10 @@ class MobilityModel(abc.ABC):
         here = self.position()
         if self._arrival_timer is not None:
             self._arrival_timer.cancel()
-        self._cancel_anchor_timer()
         self._pause = PauseLeg(here, float("inf"), self._sim.now)
         self._leg = None
         if self.on_leg_change is not None:
             self.on_leg_change()
-        if self.on_move is not None:
-            self.on_move(here)
 
     @property
     def started(self) -> bool:
@@ -207,7 +190,6 @@ class MobilityModel(abc.ABC):
     def _begin_next_leg(self, origin: Vec2) -> None:
         nxt = self._next_leg(origin)
         now = self._sim.now
-        self._cancel_anchor_timer()
         if isinstance(nxt, PauseLeg):
             self._pause = PauseLeg(nxt.at, nxt.wait, now)
             self._leg = None
@@ -230,55 +212,7 @@ class MobilityModel(abc.ABC):
             raise TypeError(f"_next_leg returned {type(nxt).__name__}")
         if self.on_leg_change is not None:
             self.on_leg_change()
-        self._announce_anchor()
 
     def _on_leg_end(self, endpoint: Vec2) -> None:
         self.legs_completed += 1
         self._begin_next_leg(endpoint)
-
-    # -- position-anchor pushes ----------------------------------------------
-
-    def refresh_anchor(self) -> None:
-        """Re-emit the current exact position and re-arm the mid-leg
-        re-anchor timer.
-
-        Must be called after wiring ``on_move``/``anchor_interval_m``
-        onto an *already-started* model (mid-leg): the boundary anchors
-        alone would otherwise let the observer's view drift without
-        bound until the current leg ends.  No-op before :meth:`start`.
-        """
-        if self._sim is None:
-            return
-        self._cancel_anchor_timer()
-        self._announce_anchor()
-
-    def _cancel_anchor_timer(self) -> None:
-        if self._anchor_timer is not None:
-            self._anchor_timer.cancel()
-            self._anchor_timer = None
-
-    def _announce_anchor(self) -> None:
-        """Push the current exact position to ``on_move`` and, while on a
-        moving leg, arm the next mid-leg re-anchor so the observer's view
-        never lags the true position by more than ``anchor_interval_m``."""
-        if self.on_move is not None:
-            self.on_move(self.position())
-        self._schedule_reanchor()
-
-    def _schedule_reanchor(self) -> None:
-        leg = self._leg
-        if (self.on_move is None or self.anchor_interval_m is None
-                or leg is None or leg.speed <= 0.0
-                or leg.start.distance_to(leg.end) == 0.0):
-            return
-        dt = self.anchor_interval_m / leg.speed
-        remaining = leg.duration - (self._sim.now - leg.start_time)
-        if remaining > dt:
-            # The arrival timer (scheduled first, hence a lower sequence
-            # number) wins any same-instant tie and cancels this one.
-            self._anchor_timer = self._sim.schedule(dt, self._reanchor)
-
-    def _reanchor(self) -> None:
-        if self._leg is None:
-            return  # leg ended in the same instant; arrival anchor covers it
-        self._announce_anchor()

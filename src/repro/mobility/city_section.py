@@ -16,9 +16,9 @@ Processes move only along the streets of a :class:`~repro.mobility.maps.StreetMa
   new destination.
 
 Spatial indexing: street segments on the campus map are short (one
-block, ~150-200 m), so the leg-boundary anchors pushed at every
-intersection already keep the medium's grid nearly exact; mid-leg
-re-anchors only trigger on blocks longer than the configured slack.
+block, ~150-200 m), so the leg pushed at every intersection re-anchors
+the node in the medium's grid often; the grid's lazy re-anchoring
+passes cover the stretches in between.
 """
 
 from __future__ import annotations
@@ -94,14 +94,3 @@ class CitySection(MobilityModel):
         else:
             self._pending_stop = True   # terminal pause at destination
         return leg
-
-    # -- introspection (used by tests and examples) ----------------------------
-
-    @property
-    def current_intersection(self) -> Optional[int]:
-        """The last intersection reached (or departed from)."""
-        return self._at_node
-
-    @property
-    def remaining_route(self) -> List[int]:
-        return list(self._route)

@@ -10,11 +10,11 @@ speed drawn uniformly from ``[speed_min, speed_max]``, pause for
 ``speed_max == 0`` degenerates to a stationary process (the 0 m/s points).
 
 Spatial indexing: waypoint legs routinely span kilometres, so this is
-the model for which mid-leg re-anchors (``anchor_interval_m``, see
-:class:`~repro.mobility.base.MobilityModel`) actually matter — without
-them a node could drift a whole leg away from its indexed position.  At
-10 m/s and the default 55 m slack that is one cheap re-anchor event per
-node every ~5.5 s, in exchange for O(neighbourhood) receiver scans.
+the model whose nodes drift farthest from their grid anchors between
+leg pushes.  The medium's :class:`~repro.sim.batch.LegTable` re-anchors
+them in one pass at query time whenever the drift could exceed the
+slack (at 10 m/s and the default 55 m slack, about every 5.5 s); the
+model itself pushes only its legs.
 """
 
 from __future__ import annotations

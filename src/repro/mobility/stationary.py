@@ -14,9 +14,9 @@ class Stationary(MobilityModel):
     scenarios share the placement distribution of
     :class:`~repro.mobility.random_waypoint.RandomWaypoint`.
 
-    Spatial indexing: a stationary process emits exactly one position
-    anchor (at start) and never schedules a mid-leg re-anchor, so a
-    1000-node stationary population costs the medium's grid nothing
+    Spatial indexing: a stationary process pushes exactly one (parked)
+    leg, at start, and the medium's re-anchoring passes skip parked
+    rows, so a 1000-node stationary population costs the grid nothing
     after setup.
     """
 

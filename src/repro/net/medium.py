@@ -27,13 +27,13 @@ Frame resolution
 There is one frame engine, and each of its questions is one pass over
 plain floats (:mod:`repro.sim.batch`):
 
-* each node's mobility model *pushes* position anchors into a
-  :class:`~repro.sim.space.SpatialGrid` (``MobilityModel.on_move``),
-  re-anchoring at leg boundaries and every ``anchor slack`` metres along
-  a leg, so an anchor is never more than the slack distance away from
-  the node's true position, and *leg states*
+* each node's mobility model *pushes* its leg state
   (:meth:`MobilityModel.leg_state`) into a
-  :class:`~repro.sim.batch.LegTable`;
+  :class:`~repro.sim.batch.LegTable` at every leg change.  The table
+  anchors each node in its own :class:`~repro.sim.space.SpatialGrid`
+  and re-anchors the moving ones lazily, when a query finds they could
+  have drifted more than ``anchor slack`` metres since the last pass,
+  so every anchor it reads is within the slack of the true position;
 * "who can hear this frame?" is :meth:`LegTable.audible
   <repro.sim.batch.LegTable.audible>` — the one receiver-resolution
   routine, shared by :meth:`WirelessMedium._listeners`,
@@ -76,7 +76,7 @@ from repro.net.messages import Message, SizeModel
 from repro.net.radio import MediumConfig, RadioConfig
 from repro.sim import batch
 from repro.sim.kernel import Simulator
-from repro.sim.space import SpatialGrid, Vec2
+from repro.sim.space import Vec2
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
@@ -139,13 +139,12 @@ class WirelessMedium:
         self.sizes = sizes or SizeModel()
         self._rng = rng
         self._nodes: Dict[int, "Node"] = {}
-        # Node anchors, exact legs and recent transmissions.  The grid's
-        # cell size equals the inflated radio range, so receiver
-        # resolution touches exactly a 3x3 block of cells.
+        # Exact legs (and their grid anchors) and recent transmissions.
+        # The grid's cell size equals the inflated radio range, so
+        # receiver resolution touches exactly a 3x3 block of cells.
         range_m = radio.communication_range_m()
-        self._slack_m = anchor_slack_m(range_m)
-        self._grid = SpatialGrid(range_m + self._slack_m)
-        self._legs = batch.LegTable(self._grid, self._slack_m)
+        slack_m = anchor_slack_m(range_m)
+        self._legs = batch.LegTable(range_m + slack_m, slack_m)
         self._txlog = batch.TxLog(HISTORY_HORIZON_S)
         # Observability hooks (metrics collector subscribes to these).
         self.on_transmit: Optional[Callable[[int, Message, int], None]] = None
@@ -175,7 +174,7 @@ class WirelessMedium:
         A node whose position is already resolvable — a test stub, or a
         repowered node whose mobility model is running — is indexed
         immediately; a node registered before its mobility model started
-        is indexed by the anchor its model pushes at start time.
+        is indexed by the first leg its model pushes at start time.
         """
         if node.id in self._nodes:
             raise ValueError(f"duplicate node id {node.id}")
@@ -186,34 +185,23 @@ class WirelessMedium:
                 pos = node.position()
             except RuntimeError:
                 return
-            self._grid.insert(node.id, pos)
             # Seed a parked leg so the node resolves immediately; a node
             # with a live mobility model overwrites this with its true
             # leg when the leg-change wiring pushes (same call stack,
             # before any query).
-            self._legs.note(node.id, batch.static_state(
-                pos.x, pos.y, self.sim.now))
+            now = self.sim.now
+            self._legs.note(node.id, batch.static_state(pos.x, pos.y, now),
+                            now)
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from the medium and from the spatial index.
 
         A drained (or otherwise departed) node stops being a potential
-        receiver *and* disappears from the grid — its mobility model may
-        keep pushing anchors (the device is still on a moving vehicle),
-        which :meth:`note_position` discards for unknown ids.
+        receiver *and* disappears from the grid, though its device may
+        still ride a moving vehicle.
         """
         self._nodes.pop(node_id, None)
-        self._grid.remove(node_id)
         self._legs.remove(node_id)
-
-    def note_position(self, node_id: int, pos: Vec2) -> None:
-        """Record a position anchor pushed by a node's mobility model.
-
-        Anchors for unregistered ids (crashed-and-drained devices still
-        riding a vehicle) are dropped.
-        """
-        if node_id in self._nodes:
-            self._grid.insert(node_id, pos)
 
     def note_leg(self, node_id: int, state: "batch.LegState") -> None:
         """Record a leg-state push from a node's mobility model.
@@ -221,15 +209,10 @@ class WirelessMedium:
         The exact-position source: one push per leg boundary keeps
         :class:`~repro.sim.batch.LegTable` able to reproduce
         ``position()`` bit for bit until the next boundary.  Pushes for
-        unregistered ids are dropped, mirroring :meth:`note_position`.
+        unregistered ids are dropped.
         """
         if node_id in self._nodes:
-            self._legs.note(node_id, state)
-
-    @property
-    def position_slack_m(self) -> float:
-        """Mid-leg re-anchor distance nodes must honour (metres)."""
-        return self._slack_m
+            self._legs.note(node_id, state, self.sim.now)
 
     @property
     def nodes(self) -> Dict[int, "Node"]:

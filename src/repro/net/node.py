@@ -7,6 +7,10 @@ Section 2), nested radio silence and crash-guarded timers on a clock.
 :class:`Node` runs it on the simulator and the simulated medium (plus
 mobility, duty cycling and batteries), :class:`repro.rt.host.AsyncioHost`
 on an asyncio loop and UDP.
+
+A :class:`Node` wires one push from its mobility model into the medium:
+the current leg, at every leg change.  The medium keeps its spatial
+index fresh from those legs by itself (:class:`repro.sim.batch.LegTable`).
 """
 
 from __future__ import annotations
@@ -215,25 +219,19 @@ class Node(HostNode):
         self.mobility = mobility
         self.speed_sensor = speed_sensor
         medium.register(self)
-        # Spatial-index wiring: the mobility model pushes position anchors
-        # into the medium's grid (at leg boundaries and every slack-metres
-        # of travel) instead of the medium polling position() per frame.
-        mobility.anchor_interval_m = medium.position_slack_m
         self._wire_mobility()
 
     def _wire_mobility(self) -> None:
-        """Subscribe the medium to this node's anchor and leg pushes."""
+        """Subscribe the medium to this node's leg pushes.
+
+        Leg-state pushes let the medium's LegTable interpolate this
+        node's exact position without a per-frame position() call (see
+        repro.sim.batch).  A model already mid-leg has pushed no leg to
+        this medium yet, so it is pushed now.
+        """
         mobility = self.mobility
-        mobility.on_move = self._announce_position
-        # Leg-state pushes let the medium's LegTable interpolate this
-        # node's exact position without a per-frame position() call
-        # (see repro.sim.batch).
         mobility.on_leg_change = self._announce_leg
         if mobility.started:
-            # A model already mid-leg has no re-anchor timer armed and
-            # has pushed no leg; resync both so the anchor stays
-            # slack-bounded and the leg row is exact from here on.
-            mobility.refresh_anchor()
             self._announce_leg()
 
     def _transmit(self, message: Message) -> None:
@@ -264,12 +262,6 @@ class Node(HostNode):
         self.depleted = True
         self.asleep = False
         self.medium.unregister(self.id)
-        # Stop the anchor-push chain: the medium would discard every
-        # push for this id anyway, so the re-anchor timers a still-moving
-        # dead device keeps arming would be pure kernel churn.
-        if self.mobility.on_move is not None:
-            self.mobility.on_move = None
-            self.mobility.refresh_anchor()   # cancels the armed re-anchor
         self.mobility.on_leg_change = None   # medium dropped our leg row
         if self.on_radio_state is not None:
             self.on_radio_state(self, "down")
@@ -327,10 +319,6 @@ class Node(HostNode):
     def position(self) -> Vec2:
         """Exact current position (metres) from the mobility model."""
         return self.mobility.position()
-
-    def _announce_position(self, pos: Vec2) -> None:
-        """Forward a mobility anchor push into the medium's spatial index."""
-        self.medium.note_position(self.id, pos)
 
     def _announce_leg(self) -> None:
         """Forward a leg-state push into the medium's leg table."""

@@ -18,6 +18,17 @@ is the same double ``position()`` returns, and every range predicate is
 ``math.hypot(dx, dy) <= r`` on those doubles: the spatial grid only
 decides which legs are evaluated, never who is in range.
 
+Anchors kept fresh where they are read
+--------------------------------------
+The grid indexes each node by an *anchor*, a point within ``slack`` of
+its true position at every :meth:`LegTable.audible` call.  A node is
+anchored at its exact position whenever its leg is noted, and the table
+keeps ``v_max``, the largest leg speed it has seen.  A query at ``now``
+first re-anchors every moving row in one pass once ``(now - last pass)
+* v_max`` exceeds the slack; otherwise no anchor can have drifted
+farther than that product.  Simulation time only moves forward, so the
+bound holds at every query without a timer.
+
 A start-ordered log read from its tail
 --------------------------------------
 :class:`TxLog` keeps frames in start order (the medium adds a frame at
@@ -37,7 +48,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.space import SpatialGrid
+from repro.sim.space import SpatialGrid, Vec2
 
 #: Leg-state tuple: ``(x0, y0, x1, y1, t0, dur)`` — start point, end
 #: point, leg start time and leg duration (``inf`` encodes "parked").
@@ -61,24 +72,34 @@ def static_state(x: float, y: float, t0: float) -> LegState:
 class LegTable:
     """Current movement leg of every tracked node, over a spatial grid.
 
-    ``grid`` holds one position anchor per tracked node, never more than
-    ``slack_m`` metres from its true position; the table holds the leg
-    that turns cell membership into an exact position.  Every id in the
-    grid must have a leg here — the medium notes both together.
+    The table owns a :class:`~repro.sim.space.SpatialGrid` of
+    ``cell_size`` and keeps one anchor per node in it, within
+    ``slack_m`` metres of the true position whenever :meth:`audible`
+    reads it; the leg turns cell membership into an exact position.
     """
 
-    def __init__(self, grid: SpatialGrid, slack_m: float):
-        self._grid = grid
+    def __init__(self, cell_size: float, slack_m: float):
+        self._grid = SpatialGrid(cell_size)
         self._slack_m = slack_m
         self._state: Dict[int, LegState] = {}
+        self._v_max = 0.0        # fastest leg ever noted (m/s)
+        self._swept = 0.0        # last re-anchoring pass (time starts at 0)
 
-    def note(self, node_id: int, state: LegState) -> None:
-        """Insert or replace ``node_id``'s current leg."""
+    def note(self, node_id: int, state: LegState, now: float) -> None:
+        """Insert or replace ``node_id``'s current leg, anchoring the
+        node at its exact position at ``now``."""
         self._state[node_id] = state
+        x0, y0, x1, y1, _, dur = state
+        if dur != math.inf:
+            speed = math.hypot(x1 - x0, y1 - y0) / dur
+            if speed > self._v_max:
+                self._v_max = speed
+        self._grid.insert(node_id, Vec2(*_at(state, now)))
 
     def remove(self, node_id: int) -> None:
-        """Forget a node (no-op if absent)."""
+        """Forget a node and its anchor (no-op if absent)."""
         self._state.pop(node_id, None)
+        self._grid.remove(node_id)
 
     def audible(self, now: float, cx: float, cy: float, radius: float,
                 exclude: Optional[int] = None) -> List[Hit]:
@@ -91,6 +112,12 @@ class LegTable:
         decided by ``math.hypot`` directly.  The ascending order fixes
         the order of every delivery, energy charge and RNG draw.
         """
+        if (now - self._swept) * self._v_max > self._slack_m:
+            insert = self._grid.insert
+            for i, state in self._state.items():
+                if state[5] != math.inf:
+                    insert(i, Vec2(*_at(state, now)))
+            self._swept = now
         state = self._state
         hits: List[Hit] = []
         for bucket in self._grid.cell_block(cx, cy, radius + self._slack_m):
@@ -109,6 +136,13 @@ class LegTable:
                     hits.append((i, px, py))
         hits.sort()
         return hits
+
+
+def _at(state: LegState, now: float) -> Tuple[float, float]:
+    """The exact position a leg state encodes at ``now``."""
+    x0, y0, x1, y1, t0, dur = state
+    u = min(1.0, max(0.0, (now - t0) / dur))
+    return x0 + (x1 - x0) * u, y0 + (y1 - y0) * u
 
 
 class TxLog:

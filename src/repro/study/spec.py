@@ -160,30 +160,21 @@ class Axis:
 class Component:
     """An on/off toggle expressed as config changes.
 
-    ``off`` (and, rarely, ``on``) map dotted field paths to the values
-    installed when the component is disabled (enabled).  The base
-    config is expected to describe the *full* system, so most
-    components only need ``off`` changes.  ``transform_off`` /
-    ``transform_on`` accept a ``config -> config`` callable for
-    toggles that cannot be expressed as plain field writes.
+    The base config describes the *full* system, so a component is its
+    name plus ``off``: dotted field paths mapped to the values installed
+    when the component is disabled.  Enabling it changes nothing.
     """
 
     name: str
     off: Mapping[str, object] = field(default_factory=dict)
-    on: Mapping[str, object] = field(default_factory=dict)
-    transform_off: Optional[Callable[[ScenarioConfig],
-                                     ScenarioConfig]] = None
-    transform_on: Optional[Callable[[ScenarioConfig],
-                                    ScenarioConfig]] = None
 
     def apply(self, config: ScenarioConfig,
               enabled: bool) -> ScenarioConfig:
-        """Install this component's enabled/disabled changes."""
-        changes = self.on if enabled else self.off
-        for path, value in changes.items():
-            config = set_field_path(config, path, value)
-        transform = self.transform_on if enabled else self.transform_off
-        return transform(config) if transform is not None else config
+        """Install this component's disabled changes unless ``enabled``."""
+        if not enabled:
+            for path, value in self.off.items():
+                config = set_field_path(config, path, value)
+        return config
 
 
 @dataclass(frozen=True)

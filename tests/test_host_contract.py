@@ -41,17 +41,12 @@ class AirMedium:
     """The medium surface a :class:`Node` talks to, recording every
     frame put on the air (no propagation, no MAC)."""
 
-    position_slack_m = 10.0
-
     def __init__(self):
         self.nodes = {}
         self.aired = []
 
     def register(self, node):
         self.nodes[node.id] = node
-
-    def note_position(self, node_id, pos):
-        pass
 
     def note_leg(self, node_id, leg):
         pass

@@ -13,7 +13,9 @@ against:
   populations that are actually moving, and that the log's tail scans
   equal full scans of every row at the boundary instants;
 * maintenance invariants of the spatial index under mobility, battery
-  death and repowering, and of the transmission log's horizon;
+  death and repowering — above all that every grid anchor is within the
+  slack of its node's exact position whenever a query reads it — and of
+  the transmission log's horizon;
 * a fresh interpreter that simulates random-waypoint and street-map
   worlds without ever importing numpy or networkx, and one that reads a
   cached result without importing the engine at all.
@@ -39,14 +41,19 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiments import energy_scenario
 from repro.harness.parallel import ParallelRunner
 from repro.harness.presets import QUICK
-from repro.harness.scenario import build_world, run_scenario
-from repro.mobility import RandomWaypoint, Stationary
+from repro.harness.scenario import (CityGridSpec, CitySectionSpec,
+                                    Publication, RandomWaypointSpec,
+                                    ScenarioConfig, build_world,
+                                    run_scenario)
+from repro.mobility import RandomWaypoint
 from repro.net import Node
 from repro.net.medium import MediumConfig, WirelessMedium
 from repro.net.messages import Heartbeat, SizeModel
 from repro.net.radio import RadioConfig
 from repro.sim.batch import LegTable, TxLog
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
+from repro.sim.shard import ShardConfig
 from repro.sim.space import SpatialGrid, Vec2
 from tests.helpers import (MediumStub, full_scan_busy, full_scan_verdicts,
                            oracle_outcomes, quick_rwp, small_rwp)
@@ -132,7 +139,7 @@ class TestOracleAgreement:
         # Fates were recorded in callback order: frame by frame, and
         # ascending receiver id within a frame.
         assert list(fates) == sorted(fates)
-        assert len(medium._grid._cells) == 4        # one 2x2 cell block
+        assert len(medium._legs._grid._cells) == 4  # one 2x2 cell block
         assert len(fates) / len(frames) >= 30       # genuinely dense
         assert {"delivered", "collision"} == set(fates.values())
         assert medium.frames_delivered + medium.frames_collided \
@@ -186,16 +193,18 @@ class TestRangeQueries:
         """LegTable.audible == ``position()`` + ``math.hypot`` per node,
         positions bitwise, on a moving population plus three planted
         edge cases: a node exactly at the range, one a single ulp
-        beyond it, and one whose grid anchor is a full slack stale (in
-        another cell than its true position)."""
+        beyond it, and one whose grid anchor is exactly a slack stale (in
+        another cell than its true position; re-anchoring passes skip
+        parked rows, so it stays stale)."""
         world = build_world(small_rwp().with_changes(n_processes=30, seed=9))
         for node in world.nodes:
             node.start()
         medium, radius = world.medium, 300.0
-        slack = medium.position_slack_m
+        table = medium._legs
+        slack, grid = table._slack_m, table._grid
         # Centre just right of a cell boundary: the left cell column
         # holds real hits, and the stale anchor below lands in it.
-        cx, cy = float(math.ceil(medium._grid.cell_size)), 500.0
+        cx, cy = float(math.ceil(grid.cell_size)), 500.0
         at_range = MediumStub(100, Vec2(cx - radius, cy))
         beyond = MediumStub(101, Vec2(
             cx, math.nextafter(cy + radius, math.inf)))
@@ -205,14 +214,14 @@ class TestRangeQueries:
         assert math.hypot(at_range.pos.x - cx, at_range.pos.y - cy) == radius
         assert math.hypot(beyond.pos.x - cx, beyond.pos.y - cy) > radius
         stale_anchor = Vec2(stale.pos.x - slack, stale.pos.y)
-        medium.note_position(102, stale_anchor)
-        assert medium._grid._cell_of(stale_anchor) \
-            != medium._grid._cell_of(stale.pos)
+        grid.insert(102, stale_anchor)
+        assert stale_anchor.distance_to(stale.pos) == pytest.approx(slack)
+        assert grid._cell_of(stale_anchor) != grid._cell_of(stale.pos)
         assert stale_anchor.distance_to(Vec2(cx, cy)) > radius
         movers = 0
         for stop_at in (2.0, 11.0, 23.5):
             world.sim.run(until=stop_at)
-            hits = medium._legs.audible(world.sim.now, cx, cy, radius)
+            hits = table.audible(world.sim.now, cx, cy, radius)
             want = [(n.id, n.position().x, n.position().y)
                     for n in sorted(medium.nodes.values(),
                                     key=lambda n: n.id)
@@ -221,9 +230,10 @@ class TestRangeQueries:
             assert hits == want
             ids = [i for i, _, _ in hits]
             assert 100 in ids and 102 in ids and 101 not in ids
-            assert medium._legs.audible(world.sim.now, cx, cy, radius,
-                                        exclude=100) \
+            assert table.audible(world.sim.now, cx, cy, radius,
+                                 exclude=100) \
                 == [h for h in want if h[0] != 100]
+            assert grid.position(102) == stale_anchor
             movers += len(want) - 2
         assert movers > 10   # the moving population contributed hits
 
@@ -233,8 +243,7 @@ class TestBatchPrimitives:
 
     def test_legtable_interpolation_is_bitwise_exact(self):
         rng = random.Random(11)
-        grid = SpatialGrid(cell_size=350.0)
-        table = LegTable(grid, slack_m=50.0)
+        table = LegTable(cell_size=350.0, slack_m=50.0)
         legs = {}
         now = 12.5
         for i in range(40):
@@ -243,11 +252,16 @@ class TestBatchPrimitives:
             t0 = rng.uniform(0, 5)
             dur = rng.uniform(0.5, 30.0)
             legs[i] = (x0, y0, x1, y1, t0, dur)
-            table.note(i, legs[i])
-            # Anchor up to a full slack off the true position.
+            table.note(i, legs[i], now)
+        # The first query at ``now`` runs the re-anchoring pass; a
+        # second one at the same instant does not, so anchors moved up
+        # to a full slack off the true position stay where they are.
+        table.audible(now, 0.0, 0.0, 0.0)
+        for i, state in legs.items():
+            x0, y0, x1, y1, t0, dur = state
             u = min(1.0, max(0.0, (now - t0) / dur))
-            grid.insert(i, Vec2(x0 + (x1 - x0) * u + 30.0,
-                                y0 + (y1 - y0) * u - 40.0))
+            table._grid.insert(i, Vec2(x0 + (x1 - x0) * u + 30.0,
+                                       y0 + (y1 - y0) * u - 40.0))
         hits = table.audible(now, 450.0, 450.0, 300.0)
         hit_ids = [i for i, _, _ in hits]
         assert hit_ids == sorted(hit_ids)
@@ -391,54 +405,6 @@ class TestTxLogTailScan:
         assert len(log) == 2
 
 
-class TestGridWiring:
-    def test_grid_mode_wires_mobility_pushes(self, sim, rngs):
-        medium = WirelessMedium(sim, RADIO, rng=rngs.stream("medium"))
-        assert medium.position_slack_m == pytest.approx(RANGE_M / 8.0)
-        node = frugal_node(0, sim, medium, Stationary(position=Vec2(3, 4)),
-                           rngs)
-        assert node.mobility.on_move is not None
-        assert node.mobility.on_leg_change is not None
-        assert node.mobility.anchor_interval_m == medium.position_slack_m
-        node.start()
-        assert medium._grid.position(0) == Vec2(3, 4)
-
-    def test_prestarted_mobility_is_resynced_on_wiring(self, sim, rngs):
-        """Regression: a mobility model started *before* the node wires
-        ``on_move`` is mid-leg with no re-anchor timer; the wiring must
-        resync it or its grid anchor drifts unboundedly."""
-        model = RandomWaypoint(5000.0, 5000.0, speed_min=10.0,
-                               speed_max=10.0, pause_time=1.0)
-        model.start(sim, rngs.stream("walker"))
-        sim.run(until=5.0)            # well into the first leg
-        medium = WirelessMedium(sim, RadioConfig.paper_random_waypoint(),
-                                rng=rngs.stream("medium"))
-        node = frugal_node(0, sim, medium, model, rngs)
-        node.start()
-        slack = medium.position_slack_m
-        for step in range(1, 160):    # long enough to cross the leg
-            sim.run(until=5.0 + step * 0.5)
-            drift = medium._grid.position(0).distance_to(node.position())
-            assert drift <= slack + 1e-9
-
-    def test_anchor_never_lags_by_more_than_slack(self):
-        """Mid-leg re-anchors bound the true-position drift."""
-        sim = Simulator()
-        model = RandomWaypoint(2000.0, 2000.0, speed_min=10.0,
-                               speed_max=10.0, pause_time=1.0)
-        anchors = []
-        model.anchor_interval_m = 25.0
-        model.on_move = anchors.append
-        model.start(sim, random.Random(1))
-        checked = 0
-        for step in range(1, 400):
-            sim.run(until=step * 0.25)
-            drift = anchors[-1].distance_to(model.position())
-            assert drift <= 25.0 + 1e-9
-            checked += 1
-        assert checked and len(anchors) > 10
-
-
 class TestGridMaintenanceUnderMobility:
     def _membership_count(self, grid: SpatialGrid, obj_id: int) -> int:
         return sum(1 for bucket in grid._cells.values() if obj_id in bucket)
@@ -468,44 +434,22 @@ class TestGridMaintenanceUnderMobility:
         for node in world.nodes:
             node.start()
         world.sim.run(until=30.0)
-        grid = world.medium._grid
+        table = world.medium._legs
+        grid = table._grid
         assert sorted(grid.ids()) == sorted(world.medium.nodes)
         for nid in world.medium.nodes:
             assert self._membership_count(grid, nid) == 1
-        # Anchors are honest: nobody drifted beyond the slack distance.
-        slack = world.medium.position_slack_m
+        # Anchors are honest where they are read: after a query, nobody
+        # is farther than the slack from its anchor.
+        world.medium.nodes_within(Vec2(0.0, 0.0), 0.0)
+        slack = table._slack_m
         for nid, node in world.medium.nodes.items():
             assert grid.position(nid).distance_to(node.position()) \
                 <= slack + 1e-9
 
-    def test_power_down_stops_anchor_pushes_and_repower_resumes(
-            self, sim, rngs):
-        """A drained device must not keep arming re-anchor timers (its
-        pushes would all be discarded); repowering re-wires and re-indexes."""
-        medium = WirelessMedium(sim, RadioConfig.paper_random_waypoint(),
-                                rng=rngs.stream("medium"))
-        model = RandomWaypoint(5000.0, 5000.0, speed_min=10.0,
-                               speed_max=10.0, pause_time=1.0)
-        node = frugal_node(0, sim, medium, model, rngs)
-        node.start()
-        sim.run(until=3.0)
-        node.power_down()
-        assert model.on_move is None
-        assert model._anchor_timer is None or not model._anchor_timer.active
-        assert 0 not in medium._grid
-        sim.run(until=10.0)
-        node.repower()
-        assert model.on_move is not None
-        assert medium._grid.position(0) == node.position()
-        slack = medium.position_slack_m
-        for step in range(1, 40):     # anchor stays bounded again
-            sim.run(until=10.0 + step * 0.5)
-            drift = medium._grid.position(0).distance_to(node.position())
-            assert drift <= slack + 1e-9
-
     def test_drained_node_leaves_the_grid(self):
         """Battery death unregisters the node from medium *and* grid,
-        even though its mobility model keeps pushing anchors."""
+        even though its device keeps moving."""
         cfg = energy_scenario(QUICK, "neighbor-flooding",
                               battery_j=2.0, duration=60.0)
         cfg = cfg.with_changes(warmup=5.0, seed=1)
@@ -519,12 +463,101 @@ class TestGridMaintenanceUnderMobility:
         world.sim.run(until=cfg.warmup + cfg.duration)
         dead = set(world.energy.record().depleted_ids())
         assert dead
-        grid = world.medium._grid
+        grid = world.medium._legs._grid
         for nid in dead:
             assert nid not in world.medium.nodes
             assert nid not in grid
         for nid in world.medium.nodes:
             assert nid in grid
+
+
+def _rwp_40_mps() -> None:
+    run_scenario(small_rwp().with_changes(mobility=RandomWaypointSpec(
+        width=1000.0, height=1000.0, speed_min=40.0, speed_max=40.0)))
+
+
+def _campus_city() -> None:
+    run_scenario(ScenarioConfig(
+        n_processes=15, mobility=CitySectionSpec(), duration=40.0,
+        warmup=5.0, radio=RadioConfig.paper_city_section(),
+        publications=(Publication(at=2.0, validity=30.0),)))
+
+
+def _street_grid(shards: str = "1") -> ScenarioConfig:
+    return ScenarioConfig(
+        n_processes=30, mobility=CityGridSpec(
+            columns=6, rows=5, width=1500.0, height=1000.0),
+        duration=30.0, warmup=5.0, radio=RadioConfig.paper_city_section(),
+        publications=(Publication(at=2.0, validity=25.0),),
+        shards=ShardConfig.parse(shards))
+
+
+def _power_down_then_repower() -> None:
+    """Three walkers in mutual range; node 0 drains at 3 s, its device
+    keeps moving, and a fresh battery brings it back at 10 s."""
+    sim = Simulator()
+    rngs = RngRegistry(1234)
+    medium = WirelessMedium(sim, RadioConfig.paper_random_waypoint(),
+                            rng=rngs.stream("medium"))
+    nodes = [frugal_node(i, sim, medium, RandomWaypoint(
+        300.0, 300.0, speed_min=10.0, speed_max=10.0, pause_time=1.0),
+        rngs) for i in range(3)]
+    for node in nodes:
+        node.start()
+    sim.run(until=3.0)
+    nodes[0].power_down()
+    assert 0 not in medium._legs._grid
+    for step in range(1, 15):     # queries while the device is down
+        sim.run(until=3.0 + step * 0.5)
+        medium.nodes_within(Vec2(150.0, 150.0), 100.0)
+    nodes[0].repower()
+    assert medium._legs._grid.position(0) == nodes[0].position()
+    for step in range(1, 60):
+        sim.run(until=10.0 + step * 0.5)
+        medium.nodes_within(Vec2(150.0, 150.0), 100.0)
+
+
+class TestAnchorBound:
+    """Every grid anchor a query reads is within the slack of its node's
+    exact ``position()``: the re-anchoring pass in
+    :meth:`LegTable.audible` is the only thing keeping it there."""
+
+    @pytest.mark.parametrize("run", [
+        _rwp_40_mps,
+        _campus_city,
+        lambda: run_scenario(_street_grid()),
+        lambda: run_scenario(_street_grid("1x2")),
+        _power_down_then_repower,
+    ], ids=["rwp-40mps", "campus-city-section", "city-grid",
+            "city-grid-shards-1x2", "power-down-repower"])
+    def test_anchor_within_slack_at_every_query(self, run, monkeypatch):
+        media = {}
+        init, audible = WirelessMedium.__init__, LegTable.audible
+
+        def tracked_init(medium, *args, **kwargs):
+            init(medium, *args, **kwargs)
+            media[medium._legs] = medium
+
+        queries, worst = 0, 0.0
+
+        def checked_audible(table, now, *args, **kwargs):
+            nonlocal queries, worst
+            hits = audible(table, now, *args, **kwargs)
+            nodes = media[table].nodes
+            for i in table._state:
+                drift = table._grid.position(i).distance_to(
+                    nodes[i].position())
+                assert drift <= table._slack_m + 1e-9, (i, now, drift)
+                worst = max(worst, drift / table._slack_m)
+            queries += 1
+            return hits
+
+        monkeypatch.setenv("REPRO_SHARD_BACKEND", "inproc")
+        monkeypatch.setattr(WirelessMedium, "__init__", tracked_init)
+        monkeypatch.setattr(LegTable, "audible", checked_audible)
+        run()
+        assert queries > 50
+        assert worst > 0.5      # anchors really went stale between passes
 
 
 class TestHistoryPruning:
