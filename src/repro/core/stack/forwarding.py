@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import Host, ProtocolCounters
-from repro.core.config import FrugalConfig
+from repro.core.config import BACKOFF_JITTER_FRAC, FrugalConfig
 from repro.core.events import Event, EventId
 from repro.core.stack.membership import HeartbeatMembership
 from repro.core.stack.store import EventStore
@@ -129,10 +129,8 @@ class BackoffForwarding(_Forwarding):
             self._on_backoff_expired()
             return to_send
         if self._timer is None or not self._timer.active:
-            armed = self._bo_delay
-            if self.config.backoff_jitter_frac > 0:
-                armed *= 1.0 + self._host.rng.uniform(
-                    0.0, self.config.backoff_jitter_frac)
+            armed = self._bo_delay * (1.0 + self._host.rng.uniform(
+                0.0, BACKOFF_JITTER_FRAC))
             self._timer = self._host.schedule(
                 armed, self._on_backoff_expired)
         return to_send

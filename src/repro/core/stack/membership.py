@@ -57,7 +57,8 @@ from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.core.base import Host, ProtocolCounters
-from repro.core.config import FrugalConfig
+from repro.core.config import (HB_JITTER_S, INITIAL_HB_DELAY_S,
+                               FrugalConfig)
 from repro.core.tables import NeighborhoodTable
 from repro.core.topics import (VERDICT_MEMO_SIZE, Topic, entitled,
                                subscriptions_related)
@@ -101,7 +102,7 @@ class HeartbeatMembership:
         self._on_new_neighbor = on_new_neighbor
         self._host: Optional[Host] = None
         self._started = False
-        self._hb_delay = config.hb_delay
+        self._hb_delay = INITIAL_HB_DELAY_S
         self._hb_task = None
         self._ngc_task = None
         self._delays_settled = None   # see recompute_delays
@@ -121,7 +122,7 @@ class HeartbeatMembership:
     def start(self) -> None:
         """Begin beaconing (Fig. 5): reset the period, arm the tasks."""
         self._started = True
-        self._hb_delay = min(self.config.hb_delay,
+        self._hb_delay = min(INITIAL_HB_DELAY_S,
                              self.config.hb_upper_bound)
         self.update_tasks()
 
@@ -150,7 +151,7 @@ class HeartbeatMembership:
             if self._hb_task is None or not self._hb_task.running:
                 self._hb_task = self._host.periodic(
                     self._hb_delay, self._heartbeat_tick,
-                    jitter=self.config.hb_jitter)
+                    jitter=HB_JITTER_S)
             if self._ngc_task is None or not self._ngc_task.running:
                 self._ngc_task = self._host.periodic(
                     self.config.ngc_delay(self._hb_delay), self._ngc_tick)
@@ -171,11 +172,9 @@ class HeartbeatMembership:
         topics = self._advertised()
         if not topics:
             return
-        speed = (self._host.current_speed()
-                 if self.config.speed_in_heartbeats else None)
         self._host.send(Heartbeat(sender=self._host.id,
                                   subscriptions=topics,
-                                  speed=speed))
+                                  speed=self._host.current_speed()))
         self.counters.heartbeats_sent += 1
 
     def _ngc_tick(self) -> None:

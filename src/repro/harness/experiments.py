@@ -124,7 +124,7 @@ def rwp_scenario(scale: Scale, speed_min: float, speed_max: float,
         else _covering_duration(pubs),
         warmup=scale.rwp_warmup,
         protocol=protocol,
-        frugal=frugal or FrugalConfig.paper_random_waypoint(),
+        frugal=frugal or FrugalConfig(),
         radio=RadioConfig.paper_random_waypoint(),
         subscriber_fraction=interest,
         publications=pubs,

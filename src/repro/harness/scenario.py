@@ -11,9 +11,9 @@ Topic layout
 Processes come in two populations, as in the paper's interest sweeps:
 
 * *subscribers* (``subscriber_fraction`` of processes) subscribe to
-  ``event_topic`` — they are entitled to the published events;
-* the rest subscribe to ``other_topic`` — an unrelated branch of the topic
-  tree, so published events are *parasite* events for them.
+  :data:`EVENT_TOPIC` — they are entitled to the published events;
+* the rest subscribe to :data:`OTHER_TOPIC` — an unrelated branch of the
+  topic tree, so published events are *parasite* events for them.
 
 The publishers of the scheduled publications are drawn from the subscriber
 population (the paper's scenarios always have the publisher interested in
@@ -62,6 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
     from repro.sim.kernel import Simulator
     from repro.sim.rng import RngRegistry
+
+#: The topic subscribers hold and publications default to.
+EVENT_TOPIC = ".paper.events.demo"
+
+#: The unrelated branch the non-subscribers hold; published events are
+#: parasites for them.
+OTHER_TOPIC = ".paper.other"
 
 
 # --------------------------------------------------------------------------
@@ -259,17 +266,13 @@ class Publication:
 
     at: float
     validity: float
-    topic: Optional[str] = None           # defaults to the event topic
+    topic: Optional[str] = None           # defaults to EVENT_TOPIC
     publisher: Optional[int] = None       # subscriber-population index
-    payload_bytes: int = 400
 
     def __post_init__(self) -> None:
         if self.validity <= 0:
             raise ValueError(f"Publication.validity must be positive: "
                              f"{self.validity}")
-        if self.payload_bytes < 0:
-            raise ValueError(f"Publication.payload_bytes must be >= 0: "
-                             f"{self.payload_bytes}")
         if self.publisher is not None and self.publisher < 0:
             raise ValueError(f"Publication.publisher must be None or "
                              f">= 0: {self.publisher}")
@@ -295,8 +298,6 @@ class ScenarioConfig:
     medium: MediumConfig = field(default_factory=MediumConfig)
     sizes: SizeModel = field(default_factory=SizeModel)
     subscriber_fraction: float = 1.0
-    event_topic: str = ".paper.events.demo"
-    other_topic: str = ".paper.other"
     publications: Tuple[Publication, ...] = ()
     speed_sensor: bool = True
     energy: Optional[EnergyConfig] = None
@@ -320,16 +321,13 @@ class ScenarioConfig:
         registry.get(self.protocol)
         if not 0.0 < self.subscriber_fraction <= 1.0:
             raise ValueError("subscriber_fraction must be in (0, 1]")
-        topics = {"event_topic": self.event_topic,
-                  "other_topic": self.other_topic}
-        topics.update((f"publications[{i}].topic", pub.topic)
-                      for i, pub in enumerate(self.publications)
-                      if pub.topic is not None)
-        for name, topic in topics.items():
+        for i, pub in enumerate(self.publications):
+            if pub.topic is None:
+                continue
             try:
-                Topic(topic)
+                Topic(pub.topic)
             except TopicError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+                raise ValueError(f"publications[{i}].topic: {exc}") from None
         for pub in self.publications:
             # Publication.at is relative to the *end* of warm-up, so a
             # publication cannot overlap the warm-up window: the only
@@ -392,7 +390,6 @@ class ScenarioResult:
     collector: MetricsRecord
     published_events: List[Event]
     subscriber_ids: List[int]
-    non_subscriber_ids: List[int]
     sim_events_processed: int
     wallclock_s: float
     energy: Optional[EnergyRecord] = None
@@ -481,7 +478,7 @@ class ScenarioResult:
     def survivor_ids(self) -> List[int]:
         """Ids of nodes whose batteries lasted the whole window."""
         if self.energy is None:
-            return [n for n in self.subscriber_ids + self.non_subscriber_ids]
+            return list(range(self.config.n_processes))
         return self.energy.survivor_ids()
 
     def survivor_fraction(self) -> float:
@@ -659,13 +656,12 @@ class World:
                                            EventFactory(publisher.id))
             self.sim.call_at(config.warmup + pub.at, self._publish, index,
                              publisher, factory,
-                             pub.topic or config.event_topic, pub)
+                             pub.topic or EVENT_TOPIC, pub)
 
     def _publish(self, index: int, publisher: Node, factory: EventFactory,
                  topic: str, pub: Publication) -> None:
         event = factory.create(topic, validity=pub.validity,
-                               now=self.sim.now,
-                               payload_bytes=pub.payload_bytes)
+                               now=self.sim.now)
         self.published.append((index, event))
         self.collector.record_publication(event)
         publisher.protocol.publish(event)
@@ -705,8 +701,7 @@ def wire_world(config: ScenarioConfig, sim: Simulator, rngs: RngRegistry,
                     protocol=protocol,
                     rng=rngs.stream("node", i),
                     speed_sensor=config.speed_sensor)
-        topic = (config.event_topic if i in subscriber_set
-                 else config.other_topic)
+        topic = EVENT_TOPIC if i in subscriber_set else OTHER_TOPIC
         protocol.subscribe(topic)
         collector.track_node(node)
         if accountant is not None:
@@ -753,7 +748,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         return run_sharded_scenario(config)
     started = _wallclock.perf_counter()
     world = build_world(config)
-    subscriber_set = set(world.subscriber_ids)
     world.start()
     # Warm-up: mobility mixes, neighbourhoods form; traffic is not counted
     # (the paper discards the first 600 s of its random-waypoint runs).
@@ -771,8 +765,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         collector=metrics,
         published_events=[event for _, event in world.published],
         subscriber_ids=world.subscriber_ids,
-        non_subscriber_ids=[n.id for n in world.nodes
-                            if n.id not in subscriber_set],
         sim_events_processed=world.sim.events_processed,
         wallclock_s=_wallclock.perf_counter() - started,
         energy=energy,

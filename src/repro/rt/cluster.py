@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import registry
 from repro.core.base import ProtocolCounters
 from repro.core.events import Event, EventFactory, EventId
-from repro.harness.scenario import (Publication, ScenarioConfig,
-                                    select_subscribers)
+from repro.harness.scenario import (EVENT_TOPIC, OTHER_TOPIC, Publication,
+                                    ScenarioConfig, select_subscribers)
 from repro.metrics import (ReliabilityReport, event_reliability,
                            mean_reliability)
 from repro.rt.host import AsyncioHost
@@ -181,8 +181,7 @@ class LoopbackCluster:
                 host = AsyncioHost(i, loop, protocol,
                                    rngs.stream("node", i),
                                    time_scale=scale)
-                topic = (config.event_topic if i in subscriber_set
-                         else config.other_topic)
+                topic = EVENT_TOPIC if i in subscriber_set else OTHER_TOPIC
                 protocol.subscribe(topic)
                 transport, _ = await loop.create_datagram_endpoint(
                     lambda h=host: h, local_addr=("127.0.0.1", 0))
@@ -219,9 +218,8 @@ class LoopbackCluster:
                 factory = factories.setdefault(publisher_id,
                                                EventFactory(publisher_id))
                 event = factory.create(
-                    pub.topic or config.event_topic, validity=pub.validity,
-                    now=hosts[publisher_id].now,
-                    payload_bytes=pub.payload_bytes)
+                    pub.topic or EVENT_TOPIC, validity=pub.validity,
+                    now=hosts[publisher_id].now)
                 published.append(event)
                 hosts[publisher_id].protocol.publish(event)
 

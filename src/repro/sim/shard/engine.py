@@ -878,9 +878,6 @@ def run_sharded_scenario(config):
     timeline = (None if config.faults is None
                 else FaultTimeline.merge([p["timeline"] for p in payloads]))
     subscriber_ids = select_subscribers(config, RngRegistry(config.seed))
-    subscriber_set = set(subscriber_ids)
-    non_subscribers = [i for i in range(config.n_processes)
-                       if i not in subscriber_set]
     barrier_stats = {"barriers": float(len(barriers)), "epoch_s": epoch,
                      "startup_s": first_boxes_at - started}
     for key in payloads[0]["stats"]:
@@ -890,7 +887,6 @@ def run_sharded_scenario(config):
         collector=collector,
         published_events=published,
         subscriber_ids=subscriber_ids,
-        non_subscriber_ids=non_subscribers,
         sim_events_processed=sum(p["events"] for p in payloads),
         wallclock_s=_wallclock.perf_counter() - started,
         energy=energy,

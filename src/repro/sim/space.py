@@ -15,49 +15,19 @@ from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 @dataclass(frozen=True, slots=True)
 class Vec2:
-    """An immutable 2-D point/vector in metres."""
+    """An immutable 2-D point in metres."""
 
     x: float
     y: float
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        """Scalar (dot) product with ``other``."""
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        """Euclidean length of the vector, in metres."""
-        return math.hypot(self.x, self.y)
 
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to ``other``, in metres."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def normalized(self) -> "Vec2":
-        """Unit-length vector with this direction (raises on zero)."""
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalise the zero vector")
-        return Vec2(self.x / n, self.y / n)
-
     def lerp(self, other: "Vec2", t: float) -> "Vec2":
         """Linear interpolation: ``self`` at t=0, ``other`` at t=1."""
         return Vec2(self.x + (other.x - self.x) * t,
                     self.y + (other.y - self.y) * t)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """The ``(x, y)`` coordinates as a plain tuple (metres)."""
-        return (self.x, self.y)
 
 
 class SpatialGrid:
@@ -103,8 +73,6 @@ class SpatialGrid:
                 del self._cells[old_cell]
         self._positions[obj_id] = pos
         self._cells.setdefault(self._cell_of(pos), set()).add(obj_id)
-
-    update = insert
 
     def remove(self, obj_id: int) -> None:
         """Drop an object from the index (no-op if absent)."""

@@ -297,10 +297,9 @@ def gc_study(scale: Scale, capacity: int = 8) -> StudySpec:
     reliability (long- and short-validity events averaged together).
     """
     policies = ["validity-forward", "remaining-validity", "fifo", "random"]
-    frugal = FrugalConfig.paper_random_waypoint().with_changes(
-        event_table_capacity=capacity)
     base = rwp_scenario(scale, 10.0, 10.0, validity=120.0, interest=0.8,
-                        n_events=16, duration=160.0, frugal=frugal)
+                        n_events=16, duration=160.0,
+                        frugal=FrugalConfig(event_table_capacity=capacity))
     return StudySpec(
         study_id="abl-gc",
         title=f"Eviction policy comparison (event table capacity "
@@ -317,8 +316,7 @@ def gc_study(scale: Scale, capacity: int = 8) -> StudySpec:
 def backoff_study(scale: Scale) -> StudySpec:
     """abl-backoff: the contention back-off vs sending immediately."""
     base = rwp_scenario(scale, 10.0, 10.0, validity=180.0, interest=0.8,
-                        n_events=5, duration=180.0,
-                        frugal=FrugalConfig.paper_random_waypoint())
+                        n_events=5, duration=180.0)
     toggles = Toggles(
         components=(
             Component("backoff", off={"frugal.use_backoff": False}),
@@ -354,10 +352,8 @@ def adaptive_hb_study(scale: Scale) -> StudySpec:
     variant stays at the bound and detects neighbours late.
     """
     speeds = [5.0, 20.0, 40.0]
-    frugal = FrugalConfig.paper_random_waypoint().with_changes(
-        hb_upper_bound=5.0)
     base = rwp_scenario(scale, 10.0, 10.0, validity=120.0, interest=0.8,
-                        frugal=frugal)
+                        frugal=FrugalConfig(hb_upper_bound=5.0))
     toggles = Toggles(
         components=(Component(
             "adaptive-hb", off={"frugal.adaptive_heartbeat": False}),),
@@ -379,8 +375,7 @@ def adaptive_hb_study(scale: Scale) -> StudySpec:
 def ids_study(scale: Scale) -> StudySpec:
     """abl-ids: exchanging event ids first vs pushing events blindly."""
     base = rwp_scenario(scale, 10.0, 10.0, validity=180.0, interest=0.8,
-                        n_events=5, duration=180.0,
-                        frugal=FrugalConfig.paper_random_waypoint())
+                        n_events=5, duration=180.0)
     toggles = Toggles(
         components=(Component(
             "id-exchange",

@@ -3,7 +3,9 @@
 :class:`FakeHost` drives a protocol instance without any radio, mobility
 or medium: sent messages accumulate in ``sent``, timers run on a private
 simulator kernel, and the test advances time explicitly.  This is what
-lets the protocol unit tests exercise the paper's pseudocode line by line.
+lets the protocol unit tests exercise the paper's pseudocode line by line;
+``FakeHost(exact=True)`` holds an :class:`EarliestRandom`, so heartbeat
+and back-off jitter add nothing and timers fire at the paper's instants.
 
 :class:`MediumStub` is the opposite double — a parked node for driving
 the wireless medium without a protocol — and :func:`oracle_outcomes` is
@@ -54,14 +56,29 @@ from repro.net.messages import Message
 from repro.sim.kernel import PeriodicTask, Simulator
 
 
+class EarliestRandom(random.Random):
+    """A seeded rng whose ``uniform(a, b)`` always returns ``a``.
+
+    Heartbeat and back-off jitter are ``uniform`` draws, so a host
+    holding one fires every jittered timer at its earliest instant.
+    """
+
+    def uniform(self, a: float, b: float) -> float:
+        return a
+
+
 class FakeHost:
-    """A scripted :class:`repro.core.base.Host` implementation."""
+    """A scripted :class:`repro.core.base.Host` implementation.
+
+    ``exact=True`` swaps the seeded rng for an :class:`EarliestRandom`,
+    for tests that assert exact timer instants.
+    """
 
     def __init__(self, host_id: int = 0, seed: int = 0,
-                 speed: Optional[float] = None):
+                 speed: Optional[float] = None, exact: bool = False):
         self.id = host_id
         self.sim = Simulator()
-        self._rng = random.Random(seed)
+        self._rng = (EarliestRandom if exact else random.Random)(seed)
         self.speed: Optional[float] = speed
         self.sent: List[Message] = []
         self.delivered: List[Event] = []

@@ -53,8 +53,6 @@ FIELD_CHANGES = {
     "medium": MediumConfig(frame_loss_probability=0.1),
     "sizes": SizeModel(heartbeat_bytes=60),
     "subscriber_fraction": 0.5,
-    "event_topic": ".paper.events.other-demo",
-    "other_topic": ".paper.unrelated",
     "publications": (Publication(at=3.0, validity=20.0),),
     "speed_sensor": False,
     "energy": EnergyConfig(profile=PowerProfile.power_save(),
@@ -192,10 +190,9 @@ class TestDigest:
         ``-0.0``, yet canonicalise to different JSON: a memo shared by
         a batch must still give each its own key, and must not change
         any key at all."""
-        configs = [base_config(frugal=FrugalConfig(hb_delay=v))
+        configs = [base_config(frugal=FrugalConfig(hb_upper_bound=v))
                    for v in (1, 1.0, True)]
-        configs += [base_config(frugal=FrugalConfig(hb_jitter=v))
-                    for v in (0.0, -0.0)]
+        configs += [base_config(warmup=v) for v in (0.0, -0.0)]
         assert configs[0] == configs[1] == configs[2]
         assert configs[3] == configs[4]
         plain = [config_digest(c) for c in configs]

@@ -18,9 +18,13 @@ import pytest
 from repro.core.events import EventFactory
 from repro.faults import (FaultConfig, FaultEvent, FaultPlan,
                           LinkLossConfig)
-from repro.harness.scenario import (FixedPositionsSpec, ScenarioConfig,
-                                    build_world)
+from repro.harness.scenario import (EVENT_TOPIC, FixedPositionsSpec,
+                                    ScenarioConfig, build_world)
 from repro.net import RadioConfig
+
+
+#: Every process subscribes to EVENT_TOPIC; events go to a subtopic.
+SUBTOPIC = EVENT_TOPIC + ".x"
 
 
 def build_cluster(n=4, spacing=50.0, faults=None):
@@ -31,7 +35,6 @@ def build_cluster(n=4, spacing=50.0, faults=None):
             positions=tuple((i * spacing, 0.0) for i in range(n))),
         duration=300.0, warmup=0.0, seed=1234,
         radio=RadioConfig(range_override_m=300.0),
-        event_topic=".a",
         faults=faults)
     world = build_world(config)
     for node in world.nodes:
@@ -52,7 +55,7 @@ class TestCrashRecover:
         sim, nodes = world.sim, world.nodes
         victim = nodes[3]
         sim.run(until=2.5)                  # plan has crashed the victim
-        event = EventFactory(0).create(".a.x", validity=300.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=300.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=6.0)
         assert victim.delivered_events == []
@@ -67,7 +70,7 @@ class TestCrashRecover:
         sim, nodes = world.sim, world.nodes
         victim = nodes[3]
         sim.run(until=2.5)
-        event = EventFactory(0).create(".a.x", validity=5.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=5.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=40.0)                 # validity long gone before 20.0
         assert victim.delivered_events == []
@@ -82,7 +85,7 @@ class TestCrashRecover:
         sim, nodes = world.sim, world.nodes
         late = nodes[3]
         sim.run(until=2.5)
-        event = EventFactory(0).create(".a.x", validity=300.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=300.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=25.0)
         assert late.delivered_events == [event]
@@ -92,7 +95,7 @@ class TestCrashRecover:
             FaultEvent(at=5.0, kind="crash", nodes=(1, 2, 3))))
         sim, nodes = world.sim, world.nodes
         sim.run(until=2.5)
-        event = EventFactory(0).create(".a.x", validity=300.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=300.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=30.0)
         for node in (nodes[0], nodes[4], nodes[5]):
@@ -106,7 +109,7 @@ class TestCrashRecover:
         sim, nodes = world.sim, world.nodes
         flapper = nodes[2]
         sim.run(until=16.5)                 # four crash/recover cycles
-        event = EventFactory(0).create(".a.x", validity=120.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=120.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=40.0)
         assert event in flapper.delivered_events
@@ -129,7 +132,7 @@ class TestLossyChannel:
             loss=LinkLossConfig(link_loss_min=loss, link_loss_max=loss)))
         sim, nodes = world.sim, world.nodes
         sim.run(until=3.3)
-        event = EventFactory(0).create(".a.x", validity=600.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=600.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=120.0)
         delivered = sum(1 for n in nodes if event in n.delivered_events)
@@ -140,7 +143,7 @@ class TestLossyChannel:
             loss=LinkLossConfig(link_loss_min=1.0, link_loss_max=1.0)))
         sim, nodes = world.sim, world.nodes
         sim.run(until=3.3)
-        event = EventFactory(0).create(".a.x", validity=60.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=60.0, now=sim.now)
         nodes[0].protocol.publish(event)
         sim.run(until=30.0)
         for node in nodes[1:]:

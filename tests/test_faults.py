@@ -15,12 +15,16 @@ import pytest
 from repro.core.events import EventFactory
 from repro.faults import (ChurnConfig, FaultConfig, FaultEvent, FaultPlan,
                           FaultTimeline, LinkLossConfig, RegionalOutage)
-from repro.harness.scenario import (CitySectionSpec, FixedPositionsSpec,
-                                    Publication, RandomWaypointSpec,
-                                    ScenarioConfig, build_world,
-                                    run_scenario)
+from repro.harness.scenario import (EVENT_TOPIC, CitySectionSpec,
+                                    FixedPositionsSpec, Publication,
+                                    RandomWaypointSpec, ScenarioConfig,
+                                    build_world, run_scenario)
 from repro.net import RadioConfig
 from repro.sim.space import Vec2
+
+
+#: Every process subscribes to EVENT_TOPIC; events go to a subtopic.
+SUBTOPIC = EVENT_TOPIC + ".x"
 
 
 def rwp_config(**changes) -> ScenarioConfig:
@@ -40,8 +44,7 @@ def line_config(n=4, spacing=50.0, **changes) -> ScenarioConfig:
         mobility=FixedPositionsSpec(
             positions=tuple((i * spacing, 0.0) for i in range(n))),
         duration=100.0, warmup=0.0, seed=7,
-        radio=RadioConfig(range_override_m=300.0),
-        event_topic=".a")
+        radio=RadioConfig(range_override_m=300.0))
     return cfg.with_changes(**changes)
 
 
@@ -202,7 +205,7 @@ class TestPlan:
         silenced = nodes[0]
         assert silenced.silenced and silenced.alive
         assert not silenced.listening
-        event = EventFactory(0).create(".a.x", validity=200.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=200.0, now=sim.now)
         silenced.protocol.publish(event)    # queued, not on the air
         sim.run(until=10.0)
         assert all(event not in n.delivered_events for n in nodes[1:])
@@ -253,7 +256,7 @@ class TestOverlappingFaults:
         assert victim.silenced, "silence window still open"
         sim.run(until=60.0)          # silence lifted at 40.0
         assert victim.alive and victim.listening
-        event = EventFactory(0).create(".a.x", validity=60.0, now=sim.now)
+        event = EventFactory(0).create(SUBTOPIC, validity=60.0, now=sim.now)
         world.nodes[0].protocol.publish(event)
         sim.run(until=90.0)
         assert event in victim.delivered_events

@@ -51,9 +51,10 @@ from repro.harness.cache import ResultCache, canonical
 from repro.harness.experiments import (city_scenario, energy_scenario,
                                        rwp_scenario)
 from repro.harness.presets import QUICK
-from repro.harness.scenario import (CitySectionSpec, Publication,
-                                    RandomWaypointSpec, ScenarioConfig,
-                                    ScenarioResult, run_scenario)
+from repro.harness.scenario import (OTHER_TOPIC, CitySectionSpec,
+                                    Publication, RandomWaypointSpec,
+                                    ScenarioConfig, ScenarioResult,
+                                    run_scenario)
 from repro.metrics.collector import FRAME_COUNTERS
 from repro.net import RadioConfig
 from repro.net.medium import MediumConfig, WirelessMedium
@@ -182,13 +183,12 @@ def _pure_publisher() -> ScenarioConfig:
     """A subscriber of the event topic publishes on the *other* topic:
     it advertises that topic only through its own publication, so the
     advertised set changes mid-run when the short validity runs out."""
-    base = dense_rwp()
-    return base.with_changes(
+    return dense_rwp().with_changes(
         subscriber_fraction=0.5,
         publications=(
-            Publication(at=2.0, validity=9.0, topic=base.other_topic),
+            Publication(at=2.0, validity=9.0, topic=OTHER_TOPIC),
             Publication(at=3.0, validity=28.0),
-            Publication(at=14.0, validity=6.5, topic=base.other_topic,
+            Publication(at=14.0, validity=6.5, topic=OTHER_TOPIC,
                         publisher=1)))
 
 

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core import FrugalConfig, FrugalPubSub
+from repro.core import FrugalPubSub
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import energy_scenario
 from repro.harness.parallel import ParallelRunner
@@ -65,7 +65,7 @@ def hb(sender: int) -> Heartbeat:
 
 def frugal_node(node_id, sim, medium, mobility, rngs) -> Node:
     return Node(node_id, sim, medium, mobility,
-                FrugalPubSub(FrugalConfig(hb_jitter=0.0)),
+                FrugalPubSub(),
                 rngs.stream("node", node_id))
 
 

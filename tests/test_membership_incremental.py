@@ -25,6 +25,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from repro.core import FrugalConfig, FrugalPubSub
+from repro.core.config import INITIAL_HB_DELAY_S
 from repro.core.events import EventFactory
 from repro.core.stack.membership import (VERDICT_MEMO_SIZE,
                                          HeartbeatMembership, _related)
@@ -44,8 +45,8 @@ topic_sets = st.frozensets(topics, max_size=3)
 speeds = st.sampled_from([None, 0.0, 8.0, 8.0, 20.0, 80.0])
 validities = st.sampled_from([0.5, 1.0, 2.5, 30.0])
 
-CONFIG = FrugalConfig(hb_delay=1.0, hb_upper_bound=4.0, hb_jitter=0.0,
-                      event_table_capacity=2, neighborhood_capacity=2)
+CONFIG = FrugalConfig(hb_upper_bound=4.0, event_table_capacity=2,
+                      neighborhood_capacity=2)
 
 
 class MembershipMachine(RuleBasedStateMachine):
@@ -53,14 +54,14 @@ class MembershipMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.host = FakeHost(host_id=0, speed=8.0)
+        self.host = FakeHost(host_id=0, speed=8.0, exact=True)
         self.protocol = FrugalPubSub(CONFIG)
         self.protocol.attach(self.host)
         self.own = EventFactory(self.host.id)
         self.foreign = EventFactory(77)
         # The model: what a recompute-everything layer would hold.
         self.subscribed = set()
-        self.hb_delay = CONFIG.hb_delay
+        self.hb_delay = INITIAL_HB_DELAY_S
         self.running = False
         self.recover()
 
@@ -125,7 +126,7 @@ class MembershipMachine(RuleBasedStateMachine):
     def recover(self):
         self.protocol.on_start()
         self.running = True
-        self.hb_delay = min(CONFIG.hb_delay, CONFIG.hb_upper_bound)
+        self.hb_delay = min(INITIAL_HB_DELAY_S, CONFIG.hb_upper_bound)
 
     # -- the neighbourhood --------------------------------------------------------------
 

@@ -150,7 +150,7 @@ class TestRandomWaypoint:
             out = []
             for t in range(1, 20):
                 sim.run(until=float(t))
-                out.append(model.position().as_tuple())
+                out.append(model.position())
             return out
         assert trace(5) == trace(5)
         assert trace(5) != trace(6)
@@ -324,11 +324,10 @@ class TestCitySection:
 
 def _point_on_segment(p: Vec2, a: Vec2, b: Vec2, tol: float = 1e-6) -> bool:
     """Is p within tol of segment ab?"""
-    ab = b - a
-    ap = p - a
-    denom = ab.dot(ab)
+    abx, aby = b.x - a.x, b.y - a.y
+    denom = abx * abx + aby * aby
     if denom == 0:
         return p.distance_to(a) <= tol
-    t = max(0.0, min(1.0, ap.dot(ab) / denom))
+    t = max(0.0, min(1.0, ((p.x - a.x) * abx + (p.y - a.y) * aby) / denom))
     closest = a.lerp(b, t)
     return p.distance_to(closest) <= tol

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FrugalConfig, FrugalPubSub
+from repro.core import FrugalPubSub
 from repro.mobility import Stationary
 from repro.net import Node, RadioConfig, WirelessMedium
 from repro.net.messages import Heartbeat
@@ -15,11 +15,11 @@ from tests.helpers import make_event
 
 
 def make_node(sim, rngs, node_id=0, pos=Vec2(0, 0), medium=None,
-              speed_sensor=True, config=None):
+              speed_sensor=True):
     medium = medium or WirelessMedium(
         sim, RadioConfig(range_override_m=100.0),
         rng=rngs.stream("medium"))
-    proto = FrugalPubSub(config or FrugalConfig(hb_jitter=0.0))
+    proto = FrugalPubSub()
     node = Node(node_id, sim, medium, Stationary(position=pos), proto,
                 rngs.stream("node", node_id), speed_sensor=speed_sensor)
     return node, medium
@@ -181,9 +181,10 @@ class TestTwoNodeInteraction:
         for n in (a, b):
             n.protocol.subscribe(".a")
             n.start()
-        # Publish off the whole-second heartbeat instants: with zero
-        # heartbeat jitter, a publish at exactly t=3.0 contends with both
-        # nodes' beacons and the paper's optimistic neighbour marking
+        # Publish off the heartbeat instants (whole seconds plus a few
+        # jitter draws of at most 0.05 s): a publish on a beacon
+        # contends with both nodes' frames and the paper's optimistic
+        # neighbour marking
         # (Fig. 9 lines 7-11) never retries a frame lost between two
         # statically connected peers — churn is the paper's repair path.
         sim.run(until=2.5)

@@ -20,17 +20,9 @@ from repro.net.messages import EventBatch, EventIdList, Heartbeat
 from tests.helpers import FakeHost, make_event
 
 
-def deterministic_config(**changes) -> FrugalConfig:
-    """Paper settings minus all randomness, for exact-time assertions."""
-    base = dict(hb_jitter=0.0, backoff_jitter_frac=0.0,
-                hb_upper_bound=1.0)
-    base.update(changes)
-    return FrugalConfig(**base)
-
-
 def attach(host: FakeHost, *topics: str,
            config: FrugalConfig | None = None) -> FrugalPubSub:
-    proto = FrugalPubSub(config or deterministic_config())
+    proto = FrugalPubSub(config)
     proto.attach(host)
     for topic in topics:
         proto.subscribe(topic)
@@ -46,21 +38,21 @@ def heartbeat(sender: int, *topics: str, speed=None) -> Heartbeat:
 
 class TestLifecycle:
     def test_heartbeats_run_while_subscribed(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         host.advance(3.5)
         assert len(host.sent_of_kind(Heartbeat)) == 3
 
     def test_no_heartbeats_without_subscriptions(self):
-        host = FakeHost()
-        proto = FrugalPubSub(deterministic_config())
+        host = FakeHost(exact=True)
+        proto = FrugalPubSub()
         proto.attach(host)
         proto.on_start()
         host.advance(5.0)
         assert host.sent == []
 
     def test_unsubscribe_to_empty_stops_heartbeats(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         host.advance(2.0)
         proto.unsubscribe(".a")
@@ -69,23 +61,16 @@ class TestLifecycle:
         assert len(host.sent_of_kind(Heartbeat)) == before
 
     def test_heartbeat_carries_subscriptions_and_speed(self):
-        host = FakeHost(speed=12.5)
+        host = FakeHost(exact=True, speed=12.5)
         attach(host, ".a", ".b.c")
         host.advance(1.5)
         hb = host.sent_of_kind(Heartbeat)[0]
         assert hb.subscriptions == {Topic(".a"), Topic(".b.c")}
         assert hb.speed == 12.5
 
-    def test_speed_omitted_when_disabled(self):
-        host = FakeHost(speed=12.5)
-        attach(host, ".a",
-               config=deterministic_config(speed_in_heartbeats=False))
-        host.advance(1.5)
-        assert host.sent_of_kind(Heartbeat)[0].speed is None
-
     def test_attach_twice_rejected(self):
         proto = FrugalPubSub()
-        proto.attach(FakeHost())
+        proto.attach(FakeHost(exact=True))
         with pytest.raises(RuntimeError):
             proto.attach(FakeHost(host_id=2))
 
@@ -94,7 +79,7 @@ class TestLifecycle:
             FrugalPubSub().publish(make_event())
 
     def test_crash_loses_volatile_state(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(7, ".a"))
         proto.events.store(make_event(topic=".a"), now=host.now)
@@ -105,7 +90,7 @@ class TestLifecycle:
 
 class TestNeighborhoodDetection:
     def test_matching_heartbeat_enters_table(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".t0.t1")
         proto.on_message(heartbeat(5, ".t0.t1.t2", speed=3.0))
         entry = proto.neighborhood.get(5)
@@ -113,20 +98,20 @@ class TestNeighborhoodDetection:
         assert entry.speed == 3.0
 
     def test_non_matching_heartbeat_ignored(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".t0.t1")
         proto.on_message(heartbeat(5, ".t0.t4"))
         assert 5 not in proto.neighborhood
 
     def test_super_topic_neighbor_matches(self):
         """Fig. 1: T1 subscriber and T0 subscriber are neighbours."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".t0.t1")
         proto.on_message(heartbeat(3, ".t0"))
         assert 3 in proto.neighborhood
 
     def test_new_neighbor_triggers_id_announcement(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".t0.t1")
         stored = make_event(topic=".t0.t1.x", validity=60.0, now=host.now)
         proto.events.store(stored, now=host.now)
@@ -136,7 +121,7 @@ class TestNeighborhoodDetection:
         assert lists[0].event_ids == (stored.event_id,)
 
     def test_known_neighbor_heartbeat_does_not_reannounce(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         host.clear()
@@ -144,7 +129,7 @@ class TestNeighborhoodDetection:
         assert host.sent_of_kind(EventIdList) == []
 
     def test_expired_events_not_announced(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.events.store(make_event(topic=".a", validity=5.0, now=0.0),
                            now=0.0)
@@ -154,14 +139,14 @@ class TestNeighborhoodDetection:
         assert host.sent_of_kind(EventIdList)[0].event_ids == ()
 
     def test_id_list_from_stranger_ignored(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.events.store(make_event(topic=".a"), now=host.now)
         proto.on_message(EventIdList(sender=9, event_ids=(EventId(1, 1),)))
         assert not proto.backoff_pending
 
     def test_id_list_records_neighbor_knowledge(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         known = EventId(2, 7)
@@ -169,7 +154,7 @@ class TestNeighborhoodDetection:
         assert proto.neighborhood.get(5).knows(known)
 
     def test_ngc_collects_silent_neighbors(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         # NGC delay = hb_delay * 2.5 = 2.5 s at the 1 s bound; a neighbour
@@ -178,7 +163,7 @@ class TestNeighborhoodDetection:
         assert 5 not in proto.neighborhood
 
     def test_refreshed_neighbors_survive_ngc(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         for _ in range(8):
             proto.on_message(heartbeat(5, ".a"))
@@ -188,23 +173,22 @@ class TestNeighborhoodDetection:
 
 class TestAdaptiveHeartbeat:
     def test_period_follows_average_speed(self):
-        host = FakeHost(speed=20.0)
+        host = FakeHost(exact=True, speed=20.0)
         proto = attach(host, ".a",
-                       config=deterministic_config(hb_upper_bound=10.0))
+                       config=FrugalConfig(hb_upper_bound=10.0))
         proto.on_message(heartbeat(5, ".a", speed=20.0))
         # x / avg = 40 / 20 = 2 s.
         assert proto.hb_delay == 2.0
 
     def test_period_clamped_to_paper_upper_bound(self):
-        host = FakeHost(speed=10.0)
+        host = FakeHost(exact=True, speed=10.0)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a", speed=10.0))
         assert proto.hb_delay == 1.0       # 40/10 = 4 s, clamped to 1 s
 
     def test_static_network_converges_to_upper_bound(self):
-        host = FakeHost(speed=None)
-        proto = attach(host, ".a",
-                       config=deterministic_config(hb_delay=15.0))
+        host = FakeHost(exact=True, speed=None)
+        proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         assert proto.hb_delay == 1.0
 
@@ -221,7 +205,7 @@ class TestDissemination:
         return event
 
     def test_needy_neighbor_gets_event_after_backoff(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = self.setup_neighbor_needing_event(host, proto)
         assert proto.backoff_pending
@@ -233,14 +217,14 @@ class TestDissemination:
         assert batches[0].neighbor_ids == (5,)
 
     def test_forward_counter_incremented_on_send(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = self.setup_neighbor_needing_event(host, proto)
         host.advance(1.0)
         assert proto.events.get(event.event_id).forward_count == 1
 
     def test_neighbor_marked_as_knowing_after_send(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = self.setup_neighbor_needing_event(host, proto)
         host.advance(1.0)
@@ -252,7 +236,7 @@ class TestDissemination:
         assert host.sent_of_kind(EventBatch) == []
 
     def test_known_events_not_resent(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.events.store(event, now=host.now)
@@ -264,7 +248,7 @@ class TestDissemination:
 
     def test_not_entitled_neighbor_not_served(self):
         """A subtopic subscriber is not entitled to super-topic events."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".t0.t1")
         event = make_event(topic=".t0.t1", validity=60.0, now=host.now)
         proto.events.store(event, now=host.now)
@@ -274,7 +258,7 @@ class TestDissemination:
         assert host.sent_of_kind(EventBatch) == []
 
     def test_expired_events_not_sent(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".a.x", validity=2.0, now=host.now)
         proto.events.store(event, now=host.now)
@@ -286,10 +270,11 @@ class TestDissemination:
 
     def test_validity_rechecked_at_backoff_expiry(self):
         """The paper recomputes events-to-send when the back-off fires."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a",
-                       config=deterministic_config(hb2bo=0.1))
-        # hb2bo=0.1 -> BODelay = 1/(0.1*1) = 10 s, longer than validity.
+                       config=FrugalConfig(hb_upper_bound=10.0))
+        # HBDelay = min(15, 10) = 10 s -> BODelay = 10/(HB2BO*1) = 5 s,
+        # longer than the validity.
         event = make_event(topic=".a.x", validity=3.0, now=host.now)
         proto.events.store(event, now=host.now)
         proto.on_message(heartbeat(5, ".a"))
@@ -301,7 +286,7 @@ class TestDissemination:
     def test_backoff_shorter_with_more_events(self):
         times = {}
         for n_events in (1, 4):
-            host = FakeHost()
+            host = FakeHost(exact=True)
             proto = attach(host, ".a")
             for i in range(n_events):
                 proto.events.store(
@@ -319,7 +304,7 @@ class TestDissemination:
 
 class TestEventReception:
     def test_subscribed_event_delivered_and_stored(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(event,)))
@@ -327,7 +312,7 @@ class TestEventReception:
         assert event.event_id in proto.events
 
     def test_parasite_event_dropped(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".z", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(event,)))
@@ -336,7 +321,7 @@ class TestEventReception:
         assert proto.counters.parasites_dropped == 1
 
     def test_duplicate_event_dropped(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
         proto.on_message(EventBatch(sender=5, events=(event,)))
@@ -345,7 +330,7 @@ class TestEventReception:
         assert proto.counters.duplicates_dropped == 1
 
     def test_expired_event_not_delivered(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(topic=".a.x", validity=5.0, now=0.0)
         host.advance(10.0)
@@ -355,7 +340,7 @@ class TestEventReception:
     def test_batch_updates_neighbor_knowledge(self):
         """Fig. 1 part III: p2 overhears what p1 sent to p3 and learns
         p3 now has the events."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(3, ".a"))
         proto.on_message(heartbeat(1, ".a"))
@@ -366,7 +351,7 @@ class TestEventReception:
         assert proto.neighborhood.get(3).knows(event.event_id)
 
     def test_interesting_event_cancels_backoff(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         held = make_event(seq=0, topic=".a.x", validity=60.0, now=host.now)
         proto.events.store(held, now=host.now)
@@ -381,7 +366,7 @@ class TestEventReception:
         assert proto.backoff_pending
 
     def test_reception_triggers_forwarding_to_needy_neighbors(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         proto.on_message(EventIdList(sender=5, event_ids=()))
@@ -397,7 +382,7 @@ class TestEventReception:
 
 class TestPublish:
     def test_publish_delivers_locally_and_stores(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(publisher=0, topic=".a.x", validity=60.0,
                            now=host.now)
@@ -406,7 +391,7 @@ class TestPublish:
         assert event.event_id in proto.events
 
     def test_publish_broadcasts_when_neighbor_interested(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".a"))
         host.clear()
@@ -419,7 +404,7 @@ class TestPublish:
         assert proto.events.get(event.event_id).forward_count == 1
 
     def test_publish_stays_silent_without_interested_neighbors(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         event = make_event(publisher=0, topic=".a.x", validity=60.0,
                            now=host.now)
@@ -431,8 +416,8 @@ class TestPublish:
     def test_pure_publisher_advertises_event_topic(self):
         """A publisher with no subscriptions still beacons the topics of
         its own valid publications, so subscribers can discover it."""
-        host = FakeHost()
-        proto = FrugalPubSub(deterministic_config())
+        host = FakeHost(exact=True)
+        proto = FrugalPubSub()
         proto.attach(host)
         proto.on_start()
         event = make_event(publisher=0, topic=".a.x", validity=60.0,
@@ -443,8 +428,8 @@ class TestPublish:
         assert beats and beats[0].subscriptions == {Topic(".a.x")}
 
     def test_pure_publisher_stops_advertising_after_expiry(self):
-        host = FakeHost()
-        proto = FrugalPubSub(deterministic_config())
+        host = FakeHost(exact=True)
+        proto = FrugalPubSub()
         proto.attach(host)
         proto.on_start()
         event = make_event(publisher=0, topic=".a.x", validity=3.0,
@@ -456,8 +441,8 @@ class TestPublish:
         assert host.sent_of_kind(Heartbeat) == []
 
     def test_publisher_accepts_matching_heartbeats_for_its_events(self):
-        host = FakeHost()
-        proto = FrugalPubSub(deterministic_config())
+        host = FakeHost(exact=True)
+        proto = FrugalPubSub()
         proto.attach(host)
         proto.on_start()
         proto.publish(make_event(publisher=0, topic=".a.x", validity=60.0,
@@ -468,9 +453,9 @@ class TestPublish:
 
 class TestAblationSwitches:
     def test_no_backoff_sends_immediately(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a",
-                       config=deterministic_config(use_backoff=False))
+                       config=FrugalConfig(use_backoff=False))
         proto.events.store(make_event(topic=".a.x", validity=60.0,
                                       now=host.now), now=host.now)
         proto.on_message(heartbeat(5, ".a"))
@@ -478,8 +463,8 @@ class TestAblationSwitches:
         assert len(host.sent_of_kind(EventBatch)) == 1   # no waiting
 
     def test_no_announce_retrieves_on_detection(self):
-        host = FakeHost()
-        proto = attach(host, ".a", config=deterministic_config(
+        host = FakeHost(exact=True)
+        proto = attach(host, ".a", config=FrugalConfig(
             announce_on_new_neighbor=False))
         proto.events.store(make_event(topic=".a.x", validity=60.0,
                                       now=host.now), now=host.now)
@@ -489,8 +474,8 @@ class TestAblationSwitches:
         assert len(host.sent_of_kind(EventBatch)) == 1
 
     def test_event_table_capacity_enforced_via_config(self):
-        host = FakeHost()
-        proto = attach(host, ".a", config=deterministic_config(
+        host = FakeHost(exact=True)
+        proto = attach(host, ".a", config=FrugalConfig(
             event_table_capacity=2))
         for i in range(5):
             proto.on_message(EventBatch(

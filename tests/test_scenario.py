@@ -12,7 +12,8 @@ from repro.core import registry
 from repro.core.protocol import FrugalPubSub
 from repro.energy import EnergyConfig, PowerProfile
 from repro.faults import ChurnConfig, FaultConfig
-from repro.harness.scenario import (CitySectionSpec, Publication,
+from repro.harness.scenario import (EVENT_TOPIC, OTHER_TOPIC,
+                                    CitySectionSpec, Publication,
                                     RandomWaypointSpec, ScenarioConfig,
                                     StationarySpec, build_world,
                                     run_scenario, select_subscribers,
@@ -53,7 +54,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, bad", [
         ("validity", 0.0),
         ("validity", -5.0),
-        ("payload_bytes", -1),
         ("publisher", -1),
     ])
     def test_bad_publication_rejected_when_built(self, field, bad):
@@ -63,10 +63,11 @@ class TestConfigValidation:
             Publication(**{"at": 5.0, "validity": 90.0, field: bad})
 
     @pytest.mark.parametrize("field, changes", [
-        ("event_topic", {"event_topic": "paper.events.demo"}),
-        ("other_topic", {"other_topic": ".paper..other"}),
         ("publications[0].topic", {"publications": (
             Publication(at=2.0, validity=40.0, topic="paper.events"),)}),
+        ("publications[1].topic", {"publications": (
+            Publication(at=2.0, validity=40.0),
+            Publication(at=3.0, validity=40.0, topic=".paper..events"))}),
     ])
     def test_bad_topic_rejected_when_built(self, field, changes,
                                            monkeypatch):
@@ -148,15 +149,14 @@ class TestBuildWorld:
         assert all(not n.alive for n in world.nodes)    # not started yet
 
     def test_subscriber_topics_assigned(self):
-        cfg = tiny_config()
-        world = build_world(cfg)
+        world = build_world(tiny_config())
         from repro.core import Topic
         for node in world.nodes:
             topics = node.protocol.subscriptions
             if node.id in world.subscriber_ids:
-                assert Topic(cfg.event_topic) in topics
+                assert Topic(EVENT_TOPIC) in topics
             else:
-                assert Topic(cfg.other_topic) in topics
+                assert Topic(OTHER_TOPIC) in topics
 
 
     def test_build_world_schedules_nothing(self):
@@ -286,6 +286,15 @@ class TestRunScenario:
         result = run_scenario(tiny_config(protocol="simple-flooding"))
         assert result.reliability() == 1.0
         assert result.duplicates_per_process() > 10
+
+    def test_survivor_ids_ascend_without_an_energy_model(self):
+        """Everyone survives an un-instrumented run, listed in id
+        order as the instrumented path lists them — even when the
+        subscriber draw skips low ids."""
+        cfg = tiny_config()
+        result = run_scenario(cfg)
+        assert result.subscriber_ids == [0, 2, 3, 5, 6, 7]
+        assert result.survivor_ids() == list(range(cfg.n_processes))
 
 
 def _unshared_summary(result) -> dict:

@@ -10,28 +10,8 @@ from repro.sim.space import SpatialGrid, Vec2
 
 
 class TestVec2:
-    def test_add_sub(self):
-        assert Vec2(1, 2) + Vec2(3, 4) == Vec2(4, 6)
-        assert Vec2(3, 4) - Vec2(1, 2) == Vec2(2, 2)
-
-    def test_scalar_multiplication_both_sides(self):
-        assert Vec2(1, 2) * 3 == Vec2(3, 6)
-        assert 3 * Vec2(1, 2) == Vec2(3, 6)
-
-    def test_norm_and_distance(self):
-        assert Vec2(3, 4).norm() == 5.0
+    def test_distance(self):
         assert Vec2(1, 1).distance_to(Vec2(4, 5)) == 5.0
-
-    def test_dot(self):
-        assert Vec2(1, 2).dot(Vec2(3, 4)) == 11.0
-
-    def test_normalized(self):
-        n = Vec2(10, 0).normalized()
-        assert n == Vec2(1, 0)
-
-    def test_normalized_zero_raises(self):
-        with pytest.raises(ValueError):
-            Vec2(0, 0).normalized()
 
     def test_lerp_endpoints_and_midpoint(self):
         a, b = Vec2(0, 0), Vec2(10, 20)
@@ -43,9 +23,6 @@ class TestVec2:
         v = Vec2(1, 2)
         with pytest.raises(Exception):
             v.x = 5
-
-    def test_as_tuple(self):
-        assert Vec2(1.5, -2.0).as_tuple() == (1.5, -2.0)
 
 
 class TestSpatialGrid:

@@ -35,9 +35,7 @@ def frozenset_of(*topics: str):
 class TestHeartbeatMembership:
     def build(self, host, advertised=(".a",), on_new=None,
               **config_changes):
-        defaults = dict(hb_delay=1.0, hb_upper_bound=1.0, hb_jitter=0.0)
-        defaults.update(config_changes)
-        config = FrugalConfig(**defaults)
+        config = FrugalConfig(**config_changes)
         counters = ProtocolCounters()
         membership = HeartbeatMembership(
             config, counters,
@@ -47,7 +45,7 @@ class TestHeartbeatMembership:
         return membership, counters
 
     def test_beacons_while_started_and_advertising(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, counters = self.build(host)
         membership.start()
         host.advance(3.5)
@@ -56,14 +54,14 @@ class TestHeartbeatMembership:
                    for m in host.sent_of_kind(Heartbeat))
 
     def test_no_tasks_without_advertised_topics(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, counters = self.build(host, advertised=())
         membership.start()
         host.advance(5.0)
         assert counters.heartbeats_sent == 0
 
     def test_matching_heartbeat_stored_nonmatching_ignored(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, _ = self.build(host)
         membership.start()
         membership.on_heartbeat(Heartbeat(sender=5,
@@ -76,7 +74,7 @@ class TestHeartbeatMembership:
         assert 6 not in membership.table
 
     def test_new_neighbor_callback_fires_once(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         seen = []
         membership, _ = self.build(
             host, on_new=lambda nid, subs: seen.append(nid))
@@ -89,7 +87,7 @@ class TestHeartbeatMembership:
 
     def test_timeout_gc_drops_silent_neighbors(self):
         """The periodic NGC task removes rows older than NGCDelay."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, _ = self.build(host)
         membership.start()
         membership.on_heartbeat(Heartbeat(sender=5,
@@ -102,7 +100,7 @@ class TestHeartbeatMembership:
         assert 5 not in membership.table
 
     def test_refreshed_neighbor_survives_gc(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, _ = self.build(host)
         membership.start()
         for _ in range(6):
@@ -113,10 +111,10 @@ class TestHeartbeatMembership:
 
     def test_adaptive_delay_follows_average_speed(self):
         """computeHBDelay (Fig. 8): x / avgSpeed, clamped to the bounds."""
-        host = FakeHost(speed=20.0)
+        host = FakeHost(exact=True, speed=20.0)
         membership, _ = self.build(host, hb_upper_bound=5.0)
         membership.start()
-        assert membership.hb_delay == 1.0     # min(hb_delay, upper)
+        assert membership.hb_delay == 5.0     # min(15 s initial, upper)
         membership.on_heartbeat(Heartbeat(sender=5,
                                           subscriptions=frozenset_of(".a"),
                                           speed=20.0))
@@ -124,7 +122,7 @@ class TestHeartbeatMembership:
         assert membership.hb_delay == 2.0
 
     def test_adaptive_delay_clamped_to_upper_bound(self):
-        host = FakeHost(speed=10.0)
+        host = FakeHost(exact=True, speed=10.0)
         membership, _ = self.build(host)     # upper bound 1 s
         membership.start()
         membership.on_heartbeat(Heartbeat(sender=5,
@@ -136,7 +134,7 @@ class TestHeartbeatMembership:
         """A second ``start`` resets HBDelay under the same tasks and the
         same table; the next reception must adapt it again, although no
         speed moved since the last recomputation."""
-        host = FakeHost(speed=20.0)
+        host = FakeHost(exact=True, speed=20.0)
         membership, _ = self.build(host, hb_upper_bound=5.0)
         membership.start()
         hb = Heartbeat(sender=5, subscriptions=frozenset_of(".a"),
@@ -144,12 +142,12 @@ class TestHeartbeatMembership:
         membership.on_heartbeat(hb)
         assert membership.hb_delay == 2.0
         membership.start()
-        assert membership.hb_delay == 1.0
+        assert membership.hb_delay == 5.0
         membership.on_heartbeat(hb)
         assert membership.hb_delay == 2.0
 
     def test_stop_and_reset_clear_tasks_and_table(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         membership, counters = self.build(host)
         membership.start()
         membership.on_heartbeat(Heartbeat(sender=5,
@@ -322,13 +320,12 @@ class TestDeliveryLayer:
 
 class TestBackoffForwarding:
     def build(self, host, **config_changes):
-        config = FrugalConfig(hb_delay=1.0, hb_upper_bound=1.0,
-                              hb_jitter=0.0, backoff_jitter_frac=0.0,
-                              **config_changes)
+        config = FrugalConfig(**config_changes)
         counters = ProtocolCounters()
         membership = HeartbeatMembership(
             config, counters, advertised=lambda: frozenset_of(".a"))
         membership.attach(host)
+        membership.start()                  # HBDelay = the 1 s bound
         store = EventStore.from_config(config, rng=host.rng)
         forwarding = BackoffForwarding(config, counters, membership)
         forwarding.attach(host, store)
@@ -338,7 +335,7 @@ class TestBackoffForwarding:
         membership.table.upsert(nid, frozenset_of(".a"), None, host.now)
 
     def test_retrieve_arms_backoff_and_sends_on_expiry(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         forwarding, membership, store, counters = self.build(host)
         self.add_needy_neighbor(membership, host)
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
@@ -359,7 +356,7 @@ class TestBackoffForwarding:
         """The suppression path: a pending back-off is cancelled (the
         composed protocol does this when an interesting event is
         overheard) and nothing goes out at the old expiry."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         forwarding, membership, store, _ = self.build(host)
         self.add_needy_neighbor(membership, host)
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
@@ -372,7 +369,7 @@ class TestBackoffForwarding:
         assert host.sent_of_kind(EventBatch) == []
 
     def test_nothing_to_send_for_knowing_neighbors(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         forwarding, membership, store, _ = self.build(host)
         self.add_needy_neighbor(membership, host)
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
@@ -386,7 +383,7 @@ class TestBackoffForwarding:
         forwarder wins the contention."""
         times = {}
         for n_events in (1, 4):
-            host = FakeHost()
+            host = FakeHost(exact=True)
             forwarding, membership, store, _ = self.build(host)
             self.add_needy_neighbor(membership, host)
             for seq in range(n_events):
@@ -399,7 +396,7 @@ class TestBackoffForwarding:
 
     def test_send_recomputed_at_expiry(self):
         """Events learned-known during the back-off are not re-sent."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         forwarding, membership, store, _ = self.build(host)
         self.add_needy_neighbor(membership, host)
         event = make_event(topic=".a.x", validity=60.0, now=host.now)

@@ -14,12 +14,12 @@ from repro.net.messages import EventBatch, EventIdList, Heartbeat
 from repro.sim.space import Vec2
 
 from tests.helpers import FakeHost, make_event
-from tests.test_protocol_unit import attach, deterministic_config, heartbeat
+from tests.test_protocol_unit import attach, heartbeat
 
 
 class TestUnitLevel:
     def test_heartbeats_carry_current_subscriptions(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         host.advance(1.5)
         assert host.sent_of_kind(Heartbeat)[-1].subscriptions == \
@@ -31,7 +31,7 @@ class TestUnitLevel:
             {Topic(".b")}
 
     def test_new_subscription_enables_matching(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.on_message(heartbeat(5, ".z"))
         assert 5 not in proto.neighborhood
@@ -40,7 +40,7 @@ class TestUnitLevel:
         assert 5 in proto.neighborhood
 
     def test_unsubscribe_stops_delivery_of_that_topic(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a", ".b")
         proto.unsubscribe(".a")
         event = make_event(topic=".a.x", validity=60.0, now=host.now)
@@ -49,7 +49,7 @@ class TestUnitLevel:
         assert proto.counters.parasites_dropped == 1
 
     def test_resubscribe_restarts_tasks(self):
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a")
         proto.unsubscribe(".a")
         host.advance(3.0)
@@ -64,7 +64,7 @@ class TestUnitLevel:
         advertising it), so it also stops serving them: the frugal
         protocol only burdens processes with topics they currently care
         about (Section 3, phase 1)."""
-        host = FakeHost()
+        host = FakeHost(exact=True)
         proto = attach(host, ".a", ".keep")
         event = make_event(topic=".a.x", validity=120.0, now=host.now)
         proto.on_message(EventBatch(sender=9, events=(event,)))
